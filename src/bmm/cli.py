@@ -25,7 +25,9 @@ from .features import (
 )
 from .gap import DEFAULT_EPS, write_cost_matrix_csv
 from .hierarchy import ModeTree, load_tree, persist_tree
-from .matching import SelectionResult, match_report_payload, render_match_report
+from .matching import (
+    SelectionResult, count_labels, match_report_payload, node_strata, render_match_report,
+)
 from .pipeline import (
     PipelineConfig,
     build_server_tree,
@@ -128,14 +130,17 @@ def _cmd_build_server(args) -> int:
     return 0
 
 
+def _check_tree_rows(tree: ModeTree, server: FeatureMatrix) -> None:
+    if server.n != tree.leaf_labels.size:
+        raise ValidationError(
+            f"server features have {server.n} rows but the tree covers {tree.leaf_labels.size}"
+        )
+
+
 def _cmd_match(args) -> int:
     tree = load_tree(args.tree)
     server = read_features(args.server_features, args.format)
-    if server.n != tree.node(tree.root_id).size:
-        raise ValidationError(
-            f"server features have {server.n} rows but the tree covers "
-            f"{tree.node(tree.root_id).size}"
-        )
+    _check_tree_rows(tree, server)
     target = read_features(args.target_features, args.format)
     config = PipelineConfig(
         leaves=tree.leaf_count,
@@ -165,12 +170,10 @@ def _cmd_match(args) -> int:
     )
     write_manifest(manifest, args.out)
 
-    text = render_match_report(
-        selection, outcome.problem, tree, outcome.assignment.total_cost, warn_fid=args.warn_fid
-    )
     payload = match_report_payload(
         selection, outcome.problem, tree, outcome.assignment.total_cost
     )
+    text = render_match_report(payload, warn_fid=args.warn_fid)
     base = args.report if args.report is not None else f"{args.out}.report"
     Path(f"{base}.txt").write_text(text, encoding="utf-8")
     Path(f"{base}.json").write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
@@ -225,29 +228,23 @@ def _selection_from_manifest(
             "manifest lacks 'selected_nodes' metadata; it was not produced by 'bmm match'"
         )
     selected = [int(tok) for tok in raw.split(",") if tok]
-    rows = _manifest_rows(manifest, features)
-    strata: dict[int, np.ndarray] = {}
-    taken = np.empty(0, dtype=np.int64)
     for node_id in selected:
         if not 0 <= node_id < tree.node_count:
             raise ValidationError(f"manifest references unknown node {node_id}")
-        members = np.intersect1d(tree.node(node_id).member_indices, rows)
-        fresh = np.setdiff1d(members, taken)
-        strata[node_id] = fresh
-        taken = np.union1d(taken, fresh)
-    if taken.size != rows.size:
+    _check_tree_rows(tree, features)
+    rows = _manifest_rows(manifest, features)
+    strata = node_strata(tree, selected, rows)
+    covered = sum(stratum.size for stratum in strata.values())
+    if covered != rows.size:
         raise ValidationError(
-            f"selected nodes cover {taken.size} of the manifest's {rows.size} rows"
+            f"selected nodes cover {covered} of the manifest's {rows.size} rows"
         )
     labels = tuple(features.dataset_labels[int(r)] for r in rows)
-    composition: dict[str, int] = {}
-    for label in labels:
-        composition[label] = composition.get(label, 0) + 1
     return SelectionResult(
         selected_nodes=selected,
         sample_rows=rows,
         per_target={},
-        composition=dict(sorted(composition.items())),
+        composition=count_labels(labels),
         strata=strata,
         row_labels=labels,
     )

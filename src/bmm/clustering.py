@@ -101,12 +101,12 @@ def _repair_empty_clusters(
         point_sse[far] = 0.0
 
 
-def _lloyd(x, k, rng, max_iter, tol):
+def _lloyd(x, k, rng):
     n = x.shape[0]
     centroids = _kmeans_pp_init(x, k, rng)
     history: list[float] = []
     prev = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = _squared_distances(x, centroids)
         assignment = d2.argmin(axis=1).astype(np.int64)
         point_sse = d2[np.arange(n), assignment]
@@ -118,7 +118,7 @@ def _lloyd(x, k, rng, max_iter, tol):
         new_centroids = _cluster_means(x, assignment, k)
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if movement < tol:
+        if movement < MOVEMENT_TOL:
             break
     centroids = _cluster_means(x, prev, k)
     sse = recompute_sse(x, prev, centroids)
@@ -216,13 +216,13 @@ def _swap_refine(x, assignment, k, history, max_steps=200):
     return assignment
 
 
-def _balanced_lloyd(x, k, rng, max_iter, tol):
+def _balanced_lloyd(x, k, rng):
     n = x.shape[0]
     centroids = _kmeans_pp_init(x, k, rng)
     d2 = _squared_distances(x, centroids)
     assignment = _balanced_assign(d2)
     history = [float(d2[np.arange(n), assignment].sum())]
-    for _ in range(max_iter - 1):
+    for _ in range(MAX_ITER - 1):
         new_centroids = _cluster_means(x, assignment, k)
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
@@ -234,7 +234,7 @@ def _balanced_lloyd(x, k, rng, max_iter, tol):
         converged = np.array_equal(candidate, assignment)
         assignment = candidate
         history.append(candidate_sse)
-        if converged or movement < tol:
+        if converged or movement < MOVEMENT_TOL:
             break
     if 1 < k and n <= SWAP_REFINE_LIMIT:
         assignment = _swap_refine(x, assignment, k, history)
@@ -251,11 +251,7 @@ def _check_k(k: int, n: int) -> None:
         raise ParameterError(f"cluster count {k} exceeds sample count {n}")
 
 
-def _restart_count(n: int, n_init: int | None) -> int:
-    if n_init is not None:
-        if n_init < 1:
-            raise ParameterError(f"n_init must be >= 1, got {n_init}")
-        return n_init
+def _restart_count(n: int) -> int:
     # restarts are cheap insurance on tiny inputs and close to free there
     return 25 if n <= 64 else 1
 
@@ -264,14 +260,12 @@ def _rng_for(seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, restart])
 
 
-def _fit(features, k, seed, runner, n_init, max_iter, tol) -> FlatClustering:
+def _fit(features, k, seed, runner) -> FlatClustering:
     x = features.values.astype(np.float64)
     _check_k(k, x.shape[0])
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     best = None
-    for r in range(_restart_count(x.shape[0], n_init)):
-        assignment, centroids, sse, history = runner(x, k, _rng_for(seed, r), max_iter, tol)
+    for r in range(_restart_count(x.shape[0])):
+        assignment, centroids, sse, history = runner(x, k, _rng_for(seed, r))
         if best is None or sse < best.sse:
             best = FlatClustering(
                 k=k, assignment=assignment, centroids=centroids, sse=sse, sse_history=history
@@ -279,25 +273,11 @@ def _fit(features, k, seed, runner, n_init, max_iter, tol) -> FlatClustering:
     return best
 
 
-def fit_kmeans(
-    features: "FeatureMatrix",
-    k: int,
-    seed: int,
-    n_init: int | None = None,
-    max_iter: int = MAX_ITER,
-    tol: float = MOVEMENT_TOL,
-) -> FlatClustering:
+def fit_kmeans(features: "FeatureMatrix", k: int, seed: int) -> FlatClustering:
     """Plain Lloyd k-means; deterministic for a fixed seed."""
-    return _fit(features, k, seed, _lloyd, n_init, max_iter, tol)
+    return _fit(features, k, seed, _lloyd)
 
 
-def fit_balanced_kmeans(
-    features: "FeatureMatrix",
-    k: int,
-    seed: int,
-    n_init: int | None = None,
-    max_iter: int = MAX_ITER,
-    tol: float = MOVEMENT_TOL,
-) -> FlatClustering:
+def fit_balanced_kmeans(features: "FeatureMatrix", k: int, seed: int) -> FlatClustering:
     """Balanced k-means; every cluster size lands in {floor(n/k), ceil(n/k)}."""
-    return _fit(features, k, seed, _balanced_lloyd, n_init, max_iter, tol)
+    return _fit(features, k, seed, _balanced_lloyd)

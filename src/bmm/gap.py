@@ -53,19 +53,6 @@ class ModeStats:
     def d(self) -> int:
         return self.mean.size
 
-    def validate(self, sym_tol: float = 1e-9, eig_tol: float = -1e-8) -> None:
-        """Check symmetry and positive semi-definiteness up to numerical noise."""
-        if self.count < 2:
-            raise InsufficientSamplesError(f"mode statistics need count >= 2, got {self.count}")
-        if not np.isfinite(self.mean).all() or not np.isfinite(self.cov).all():
-            raise NumericalError("non-finite mode statistics")
-        asym = float(np.abs(self.cov - self.cov.T).max()) if self.d else 0.0
-        if asym > sym_tol:
-            raise NumericalError(f"covariance asymmetry {asym:g} exceeds {sym_tol:g}")
-        w_min = float(np.linalg.eigvalsh(self.cov).min())
-        if w_min < eig_tol:
-            raise NumericalError(f"covariance eigenvalue {w_min:g} below {eig_tol:g}")
-
 
 def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) -> ModeStats:
     """Fit (mean, unbiased covariance, count) to the selected feature rows."""

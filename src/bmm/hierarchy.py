@@ -6,9 +6,13 @@ step, so J leaves always produce 2J-1 nodes. Every node caches the Gaussian
 statistics of its member rows and is a candidate for matching, the root
 included.
 
-Trees persist as versioned JSON with one record per node holding node_id,
-parent_id, child_ids, member_indices, mean, covariance and count. Python's
-shortest-round-trip float repr makes persist/load exact at the bit level.
+Membership is stored once, as one leaf label per server row: a node's rows
+are those whose leaf lies in its subtree, derived on demand, never stored.
+
+Trees persist as versioned JSON (version 2): a top-level leaf_labels list
+plus one record per node holding node_id, parent_id, child_ids, mean,
+covariance and count. Python's shortest-round-trip float repr makes
+persist/load exact at the bit level.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ if TYPE_CHECKING:
     from .features import FeatureMatrix
 
 TREE_FORMAT = "bmm-mode-tree"
-TREE_VERSION = 1
+TREE_VERSION = 2
 
 LINKAGES = ("centroid", "ward")
 
@@ -36,18 +40,14 @@ LINKAGES = ("centroid", "ward")
 @dataclass(eq=False)
 class ModeNode:
     node_id: int
-    member_indices: np.ndarray
     children: tuple[int, int] | None
     parent: int | None
     stats: ModeStats
     merge_distance: float | None = None  # linkage value for internal nodes; not persisted
 
-    def __post_init__(self) -> None:
-        self.member_indices = np.asarray(self.member_indices, dtype=np.int64)
-
     @property
     def size(self) -> int:
-        return int(self.member_indices.size)
+        return self.stats.count
 
     @property
     def is_leaf(self) -> bool:
@@ -58,6 +58,7 @@ class ModeNode:
 class ModeTree:
     nodes: list[ModeNode]
     leaf_count: int
+    leaf_labels: np.ndarray  # int64 leaf node id of every server row
 
     @property
     def node_count(self) -> int:
@@ -69,6 +70,23 @@ class ModeTree:
 
     def node(self, node_id: int) -> ModeNode:
         return self.nodes[node_id]
+
+    def subtree_leaves(self, node_id: int) -> np.ndarray:
+        """Boolean mask over the J leaves: True for the leaves under node_id."""
+        mask = np.zeros(self.leaf_count, dtype=bool)
+        stack = [node_id]
+        while stack:
+            node_id = stack.pop()
+            children = self.nodes[node_id].children
+            if children is None:
+                mask[node_id] = True
+            else:
+                stack.extend(children)
+        return mask
+
+    def members(self, node_id: int) -> np.ndarray:
+        """Sorted server rows of node_id, derived from the leaf labels."""
+        return np.flatnonzero(self.subtree_leaves(node_id)[self.leaf_labels])
 
     def depths(self) -> list[int]:
         """Depth of each node, root = 0."""
@@ -123,7 +141,6 @@ def build_hierarchy(
         nodes.append(
             ModeNode(
                 node_id=c,
-                member_indices=rows,
                 children=None,
                 parent=None,
                 stats=gaussian_stats(features, rows),
@@ -150,7 +167,6 @@ def build_hierarchy(
         nodes.append(
             ModeNode(
                 node_id=new_id,
-                member_indices=rows,
                 children=(a, b),
                 parent=None,
                 stats=gaussian_stats(features, rows),
@@ -168,40 +184,43 @@ def build_hierarchy(
             dist[min(other, new_id), max(other, new_id)] = value
         active[new_id] = True
 
-    tree = ModeTree(nodes=nodes, leaf_count=j)
+    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=leaves.assignment)
     validate_tree(tree)
     return tree
 
 
 def validate_tree(tree: ModeTree) -> None:
-    """Structural checks: single root, parent links, partition property, H = 2J-1."""
-    if tree.node_count != 2 * tree.leaf_count - 1:
-        raise ValidationError(
-            f"node count {tree.node_count} != 2*{tree.leaf_count}-1 for {tree.leaf_count} leaves"
-        )
+    """Structural checks: H = 2J-1, single root, links, and counts that agree
+    with the leaf labels; together they make the nodes partition the rows."""
+    j = tree.leaf_count
+    if tree.node_count != 2 * j - 1:
+        raise ValidationError(f"node count {tree.node_count} != 2*{j}-1 for {j} leaves")
     roots = [node.node_id for node in tree.nodes if node.parent is None]
     if roots != [tree.root_id]:
         raise ValidationError(f"expected single root {tree.root_id}, found {roots}")
-    leaves = 0
+    labels = tree.leaf_labels
+    if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < j):
+        raise ValidationError(f"leaf labels must be row labels in [0, {j})")
+    counts = np.bincount(labels, minlength=j)
     for position, node in enumerate(tree.nodes):
         if node.node_id != position:
             raise ValidationError(f"node_id {node.node_id} does not match its position")
+        if node.is_leaf != (position < j):
+            raise ValidationError(f"nodes 0..{j - 1} must be the leaves; node {position} is not")
         if node.is_leaf:
-            leaves += 1
-            continue
-        a, b = node.children
-        for child in (a, b):
-            if tree.nodes[child].parent != node.node_id:
-                raise ValidationError(f"child {child} does not point back to {node.node_id}")
-        left = tree.nodes[a].member_indices
-        right = tree.nodes[b].member_indices
-        if np.intersect1d(left, right).size:
-            raise ValidationError(f"children of node {node.node_id} share member rows")
-        merged = np.sort(np.concatenate([left, right]))
-        if not np.array_equal(merged, node.member_indices):
-            raise ValidationError(f"node {node.node_id} members != union of its children")
-    if leaves != tree.leaf_count:
-        raise ValidationError(f"found {leaves} leaves, expected {tree.leaf_count}")
+            if counts[position] == 0:
+                raise ValidationError(f"leaf {position} holds no rows")
+            expected = int(counts[position])
+        else:
+            a, b = node.children
+            if not (0 <= a < position and 0 <= b < position and a != b):
+                raise ValidationError(f"node {position} needs two distinct lower child ids")
+            for child in (a, b):
+                if tree.nodes[child].parent != position:
+                    raise ValidationError(f"child {child} does not point back to {position}")
+            expected = tree.nodes[a].stats.count + tree.nodes[b].stats.count
+        if node.stats.count != expected:
+            raise ValidationError(f"node {position} count {node.stats.count} != {expected} rows")
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
@@ -209,12 +228,12 @@ def persist_tree(tree: ModeTree, path: str | Path) -> None:
         "format": TREE_FORMAT,
         "version": TREE_VERSION,
         "leaf_count": tree.leaf_count,
+        "leaf_labels": [int(i) for i in tree.leaf_labels],
         "nodes": [
             {
                 "node_id": node.node_id,
                 "parent_id": node.parent,
                 "child_ids": list(node.children) if node.children else [],
-                "member_indices": [int(i) for i in node.member_indices],
                 "mean": [float(v) for v in node.stats.mean],
                 "covariance": [[float(v) for v in row] for row in node.stats.cov],
                 "count": node.stats.count,
@@ -223,6 +242,18 @@ def persist_tree(tree: ModeTree, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+
+def _field(record, key: str, where: str, kinds: str = "i", ndim: int = 0):
+    """record[key] as an ndim-D array of dtype kinds ("i" integers, "if" numbers),
+    or as an int when ndim is 0; TreeFormatError when missing or mistyped."""
+    try:
+        arr = np.asarray(record.get(key) if isinstance(record, dict) else None)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in kinds):
+        raise TreeFormatError(f"{where}: {key!r} is missing or mistyped")
+    return arr if ndim else int(arr)
 
 
 def load_tree(path: str | Path) -> ModeTree:
@@ -237,37 +268,43 @@ def load_tree(path: str | Path) -> ModeTree:
         raise TreeFormatError(
             f"{path}: tree version {version} is incompatible with this build (reads {TREE_VERSION})"
         )
+    if not isinstance(payload.get("nodes"), list):
+        raise TreeFormatError(f"{path}: 'nodes' is missing or not a list")
     nodes = []
-    for rec in payload["nodes"]:
-        children = tuple(rec["child_ids"]) if rec["child_ids"] else None
-        if children is not None and len(children) != 2:
-            raise TreeFormatError(f"{path}: node {rec['node_id']} has {len(children)} children")
+    for position, rec in enumerate(payload["nodes"]):
+        where = f"{path}: node record {position}"
+        children = _field(rec, "child_ids", where, ndim=1)
+        if children.size not in (0, 2):
+            raise TreeFormatError(f"{where} has {children.size} children")
         nodes.append(
             ModeNode(
-                node_id=int(rec["node_id"]),
-                member_indices=np.asarray(rec["member_indices"], dtype=np.int64),
-                children=children,
-                parent=None if rec["parent_id"] is None else int(rec["parent_id"]),
+                node_id=_field(rec, "node_id", where),
+                children=(int(children[0]), int(children[1])) if children.size else None,
+                parent=None if rec.get("parent_id", 0) is None else _field(rec, "parent_id", where),
                 stats=ModeStats(
-                    mean=np.asarray(rec["mean"], dtype=np.float64),
-                    cov=np.asarray(rec["covariance"], dtype=np.float64),
-                    count=int(rec["count"]),
+                    mean=_field(rec, "mean", where, "if", 1),
+                    cov=_field(rec, "covariance", where, "if", 2),
+                    count=_field(rec, "count", where),
                 ),
             )
         )
-    tree = ModeTree(nodes=nodes, leaf_count=int(payload["leaf_count"]))
+    tree = ModeTree(
+        nodes=nodes,
+        leaf_count=_field(payload, "leaf_count", str(path)),
+        leaf_labels=_field(payload, "leaf_labels", str(path), ndim=1).astype(np.int64),
+    )
     validate_tree(tree)
     return tree
 
 
 def trees_equal(a: ModeTree, b: ModeTree) -> bool:
-    """Structural equality: nodes, links, members, and bit-exact cached stats."""
+    """Structural equality: nodes, links, leaf labels, and bit-exact cached stats."""
     if a.leaf_count != b.leaf_count or a.node_count != b.node_count:
+        return False
+    if not np.array_equal(a.leaf_labels, b.leaf_labels):
         return False
     for na, nb in zip(a.nodes, b.nodes):
         if (na.node_id, na.parent, na.children) != (nb.node_id, nb.parent, nb.children):
-            return False
-        if not np.array_equal(na.member_indices, nb.member_indices):
             return False
         if na.stats.count != nb.stats.count:
             return False

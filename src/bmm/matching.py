@@ -14,6 +14,7 @@ training-set selection live here as well.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -197,6 +198,26 @@ class SelectionResult:
     row_labels: tuple[str, ...] = ()
 
 
+def count_labels(labels: Sequence[str]) -> dict[str, int]:
+    """Rows per dataset label, keys sorted."""
+    return dict(sorted(Counter(labels).items()))
+
+
+def node_strata(
+    tree: "ModeTree", selected: Sequence[int], rows: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Split sorted rows into per-node strata for the selected nodes, in order.
+
+    Each leaf is owned by the first selected node whose subtree holds it, and
+    each row goes to its leaf's owner; rows under no selected node are left out.
+    """
+    owner = np.full(tree.leaf_count, -1, dtype=np.int64)
+    for node_id in selected:
+        owner[tree.subtree_leaves(node_id) & (owner < 0)] = node_id
+    row_owner = owner[tree.leaf_labels[rows]]
+    return {node_id: rows[row_owner == node_id] for node_id in selected}
+
+
 def selection_from_matches(
     tree: "ModeTree",
     matches: Sequence[int | None],
@@ -220,23 +241,14 @@ def selection_from_matches(
         if node_id not in selected:
             selected.append(node_id)
 
-    strata: dict[int, np.ndarray] = {}
-    taken = np.empty(0, dtype=np.int64)
-    for node_id in selected:
-        rows = tree.node(node_id).member_indices
-        fresh = np.setdiff1d(rows, taken)
-        strata[node_id] = fresh
-        taken = np.union1d(taken, fresh)
-
+    strata = node_strata(tree, selected, np.arange(tree.leaf_labels.size))
+    taken = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *strata.values()]))
     labels = tuple(dataset_labels[int(r)] for r in taken)
-    composition: dict[str, int] = {}
-    for label in labels:
-        composition[label] = composition.get(label, 0) + 1
     return SelectionResult(
         selected_nodes=selected,
         sample_rows=taken,
         per_target=per_target,
-        composition=dict(sorted(composition.items())),
+        composition=count_labels(labels),
         strata=strata,
         row_labels=labels,
     )
@@ -255,30 +267,22 @@ def select_training_set(
     return selection_from_matches(tree, assignment.sigma, problem, dataset_labels)
 
 
-def render_match_report(
-    selection: SelectionResult,
-    problem: AssignmentProblem,
-    tree: "ModeTree",
-    total_cost: float,
-    warn_fid: float | None = None,
-) -> str:
-    """Human-readable per-target match table plus totals and composition."""
-    depths = tree.depths()
+def render_match_report(payload: dict, warn_fid: float | None = None) -> str:
+    """Human-readable text of match_report_payload: per-target table, totals, composition."""
     lines = ["target_mode  node_id  fid  node_size  node_depth"]
-    for tid in problem.target_ids:
-        hit = selection.per_target[tid]
-        if hit is None:
-            lines.append(f"{tid}  -  unmatched  -  -")
+    for hit in payload["per_target"]:
+        if hit["node_id"] is None:
+            lines.append(f"{hit['target']}  -  unmatched  -  -")
             continue
-        node_id, value = hit
-        flag = "  WARN" if warn_fid is not None and value > warn_fid else ""
+        flag = "  WARN" if warn_fid is not None and hit["fid"] > warn_fid else ""
         lines.append(
-            f"{tid}  {node_id}  {value:.6f}  {tree.node(node_id).size}  {depths[node_id]}{flag}"
+            f"{hit['target']}  {hit['node_id']}  {hit['fid']:.6f}  {hit['node_size']}  "
+            f"{hit['node_depth']}{flag}"
         )
-    lines.append(f"total_cost: {total_cost:.6f}")
-    lines.append(f"selected_nodes: {' '.join(str(n) for n in selection.selected_nodes)}")
-    lines.append(f"selected_samples: {selection.sample_rows.size}")
-    for label, count in selection.composition.items():
+    lines.append(f"total_cost: {payload['total_cost']:.6f}")
+    lines.append(f"selected_nodes: {' '.join(str(n) for n in payload['selected_nodes'])}")
+    lines.append(f"selected_samples: {payload['selected_samples']}")
+    for label, count in payload["composition"].items():
         lines.append(f"composition {label}: {count}")
     return "\n".join(lines) + "\n"
 
@@ -289,7 +293,7 @@ def match_report_payload(
     tree: "ModeTree",
     total_cost: float,
 ) -> dict:
-    """Machine-readable companion of render_match_report."""
+    """Machine-readable match report; render_match_report formats it as text."""
     depths = tree.depths()
     per_target = []
     for tid in problem.target_ids:

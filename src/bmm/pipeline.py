@@ -9,7 +9,7 @@ direct-match baseline on a planted world.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .matching import (
     select_training_set,
     solve_assignment,
 )
-from .pruning import Budget
 from .synth import PlantedWorld, align_truth, generate, matching_precision
 
 BENCH_VARIANTS = ("bmm_hier", "bmm_flat", "dm_dup")
@@ -41,8 +40,6 @@ class PipelineConfig:
     seed: int = 0
     linkage: str = "centroid"
     eps_cov: float = DEFAULT_EPS
-    budget: Budget | None = None
-    strategy: str = "uniform"
 
     def __post_init__(self) -> None:
         if not self.leaves >= self.target_clusters >= 1:
@@ -104,7 +101,6 @@ class MatchOutcome:
     problem: AssignmentProblem
     assignment: Assignment
     selection: SelectionResult
-    target_stats: list[ModeStats] = field(default_factory=list)
 
 
 def run_match(
@@ -124,7 +120,6 @@ def run_match(
         problem=problem,
         assignment=assignment,
         selection=selection,
-        target_stats=stats,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .matching import SelectionResult
+from .matching import SelectionResult, count_labels
 
 STRATEGIES = ("uniform", "stratified")
 
@@ -84,9 +84,6 @@ def prune(
 
     positions = np.searchsorted(selection.sample_rows, kept)
     labels = tuple(selection.row_labels[int(pos)] for pos in positions)
-    composition: dict[str, int] = {}
-    for label in labels:
-        composition[label] = composition.get(label, 0) + 1
     strata = {
         nid: np.intersect1d(rows, kept) for nid, rows in selection.strata.items()
     }
@@ -94,7 +91,7 @@ def prune(
         selected_nodes=list(selection.selected_nodes),
         sample_rows=kept,
         per_target=dict(selection.per_target),
-        composition=dict(sorted(composition.items())),
+        composition=count_labels(labels),
         strata=strata,
         row_labels=labels,
     )

@@ -221,7 +221,7 @@ def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTre
     for (s, _b), hit in zip(truth.target_pairs, result.per_target.values()):
         if hit is None:
             continue
-        members = tree.node(hit[0]).member_indices
+        members = tree.members(hit[0])
         share = float((truth.server_super[members] == s).mean())
         if share > 0.5:
             correct += 1

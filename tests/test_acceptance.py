@@ -263,7 +263,7 @@ def test_c08_dedup_exactness():
         sel = selection_from_matches(tree, cols, p, fm.dataset_labels)
         naive: set[int] = set()
         for c in cols:
-            naive |= set(tree.nodes[c].member_indices.tolist())
+            naive |= set(tree.members(c).tolist())
         if set(sel.sample_rows.tolist()) != naive or sel.sample_rows.size != len(naive):
             union_fails += 1
 

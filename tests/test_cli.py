@@ -211,7 +211,7 @@ def test_prune_stratified_matches_allocation(tmp_path, world_files):
     selected = [int(t) for t in original.metadata["selected_nodes"].split(",")]
     taken: set[int] = set()
     for node_id in selected:
-        members = set(tree.node(node_id).member_indices.tolist()) & total_rows
+        members = set(tree.members(node_id).tolist()) & total_rows
         stratum = members - taken
         taken |= stratum
         expected = len(stratum) / len(total_rows) * len(pruned.entries)
@@ -274,6 +274,58 @@ def test_match_rejects_mismatched_server(tmp_path, world_files, capsys):
     assert code == 2
     assert "covers" in capsys.readouterr().err
 
+
+
+@pytest.fixture(scope="module")
+def tree_payload(tmp_path_factory, world_files):
+    _, _, _, server_path, _ = world_files
+    _, tree_path = run_build(tmp_path_factory.mktemp("tree"), server_path)
+    return json.loads(tree_path.read_text())
+
+
+def _set(record, key, value):
+    record[key] = value
+
+
+# Each mutation breaks one rule of the version-2 tree format (built with J=8,
+# so node records 0..7 are leaves and record 14 is the root).
+MALFORMED_TREES = {
+    "no-leaf-labels": lambda p: p.pop("leaf_labels"),
+    "no-nodes": lambda p: p.pop("nodes"),
+    "no-child-ids": lambda p: p["nodes"][14].pop("child_ids"),
+    "no-parent-id": lambda p: p["nodes"][3].pop("parent_id"),
+    "no-count": lambda p: p["nodes"][0].pop("count"),
+    "no-covariance": lambda p: p["nodes"][9].pop("covariance"),
+    "leaf-count-bool": lambda p: _set(p, "leaf_count", True),
+    "leaf-labels-string": lambda p: _set(p, "leaf_labels", "0,1,2"),
+    "leaf-label-float": lambda p: _set(p["leaf_labels"], 0, 0.5),
+    "node-not-object": lambda p: _set(p["nodes"], 2, [2, 9]),
+    "node-id-float": lambda p: _set(p["nodes"][2], "node_id", 2.0),
+    "child-ids-string": lambda p: _set(p["nodes"][14], "child_ids", "12,13"),
+    "count-string": lambda p: _set(p["nodes"][0], "count", "5"),
+    "mean-strings": lambda p: _set(p["nodes"][5], "mean", ["a"] * len(p["nodes"][5]["mean"])),
+    "covariance-ragged": lambda p: p["nodes"][5]["covariance"][0].append(0.0),
+    "leaf-label-at-j": lambda p: _set(p["leaf_labels"], 0, 8),
+    "leaf-label-negative": lambda p: _set(p["leaf_labels"], 0, -1),
+    "child-id-at-parent": lambda p: _set(p["nodes"][14]["child_ids"], 0, 14),
+    "child-id-above-parent": lambda p: _set(p["nodes"][8]["child_ids"], 0, 12),
+    "leaf-count-off": lambda p: _set(p["nodes"][0], "count", p["nodes"][0]["count"] + 1),
+    "root-count-off": lambda p: _set(p["nodes"][14], "count", p["nodes"][14]["count"] - 1),
+    "label-moved": lambda p: _set(p["leaf_labels"], p["leaf_labels"].index(0), 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_TREES))
+def test_match_rejects_malformed_tree(tmp_path, world_files, tree_payload, mutation, capsys):
+    _, _, _, server_path, target_path = world_files
+    payload = json.loads(json.dumps(tree_payload))
+    MALFORMED_TREES[mutation](payload)
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(payload))
+    code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 def test_missing_file_is_parameter_error(tmp_path, capsys):
     code = main([

@@ -44,7 +44,7 @@ def test_quad_tree_merge_order():
     # the first two merges pair the 0/1 leaves and the 10/11 leaves
     first, second = tree.nodes[4], tree.nodes[5]
     for merged in (first, second):
-        values = np.sort(fm.values[merged.member_indices, 0])
+        values = np.sort(fm.values[tree.members(merged.node_id), 0])
         assert values.max() - values.min() < 2.0  # a near pair, not a cross-gap merge
     assert first.merge_distance == pytest.approx(1.0, abs=0.2)
     assert second.merge_distance == pytest.approx(1.0, abs=0.2)
@@ -59,7 +59,7 @@ def test_merge_steps_match_exhaustive_linkage(rng):
     tree = build_hierarchy(leaves, fm)
     x = fm.values.astype(np.float64)
 
-    active = {c: tree.nodes[c].member_indices for c in range(6)}
+    active = {c: tree.members(c) for c in range(6)}
     for new_id in range(6, tree.node_count):
         node = tree.nodes[new_id]
         a, b = node.children
@@ -75,7 +75,7 @@ def test_merge_steps_match_exhaustive_linkage(rng):
         assert (a, b) == (best[1], best[2])
         assert node.merge_distance == pytest.approx(best[0], rel=1e-12)
         del active[a], active[b]
-        active[new_id] = node.member_indices
+        active[new_id] = tree.members(node.node_id)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 5, 9])
@@ -94,11 +94,11 @@ def test_partition_property(rng):
     for node in tree.nodes:
         if node.is_leaf:
             continue
-        left = tree.nodes[node.children[0]].member_indices
-        right = tree.nodes[node.children[1]].member_indices
+        left = tree.members(node.children[0])
+        right = tree.members(node.children[1])
         assert np.intersect1d(left, right).size == 0
-        assert np.array_equal(np.sort(np.concatenate([left, right])), node.member_indices)
-    assert np.array_equal(tree.nodes[tree.root_id].member_indices, np.arange(40))
+        assert np.array_equal(np.sort(np.concatenate([left, right])), tree.members(node.node_id))
+    assert np.array_equal(tree.members(tree.root_id), np.arange(40))
 
 
 def test_ward_merges_are_monotone(rng):
@@ -126,7 +126,7 @@ def test_stats_computed_from_member_rows(rng):
     leaves = fit_balanced_kmeans(fm, 5, seed=0)
     tree = build_hierarchy(leaves, fm)
     node = tree.nodes[tree.root_id]
-    x = fm.values[node.member_indices].astype(np.float64)
+    x = fm.values[tree.members(node.node_id)].astype(np.float64)
     assert np.allclose(node.stats.mean, x.mean(axis=0))
     assert node.stats.count == 30
 
@@ -163,7 +163,8 @@ def test_version_mismatch_rejected(tmp_path, rng):
     path = tmp_path / "tree.json"
     persist_tree(tree, path)
     payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(TreeFormatError, match="version 99"):
-        load_tree(path)
+    for version in (99, 1):  # 1 is the earlier format with per-node member lists
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TreeFormatError, match=f"version {version} "):
+            load_tree(path)

@@ -132,7 +132,7 @@ def test_selection_parent_child_dedup(rng):
     p = problem_of(np.zeros((2, tree.node_count)))
     sel = selection_from_matches(tree, [parent.node_id, child.node_id], p, fm.dataset_labels)
     assert sel.sample_rows.size == parent.size
-    assert np.array_equal(sel.sample_rows, parent.member_indices)
+    assert np.array_equal(sel.sample_rows, tree.members(parent.node_id))
     # ownership: the parent was selected first, so the child stratum is empty
     assert sel.strata[child.node_id].size == 0
 
@@ -146,7 +146,7 @@ def test_selection_matches_naive_union_oracle(rng):
         sel = selection_from_matches(tree, [int(c) for c in cols], p, fm.dataset_labels)
         naive: set[int] = set()
         for c in cols:
-            naive |= set(tree.nodes[int(c)].member_indices.tolist())
+            naive |= set(tree.members(int(c)).tolist())
         assert set(sel.sample_rows.tolist()) == naive
         assert sel.sample_rows.size == len(naive)
         # strata partition the selection
@@ -178,8 +178,8 @@ def test_select_training_set_and_report(rng):
     p = problem_of(cost)
     a = solve_assignment(p)
     sel = select_training_set(tree, a, p, fm.dataset_labels)
-    text = render_match_report(sel, p, tree, a.total_cost, warn_fid=0.0)
-    assert "total_cost" in text and "WARN" in text
     payload = match_report_payload(sel, p, tree, a.total_cost)
+    text = render_match_report(payload, warn_fid=0.0)
+    assert "total_cost" in text and "WARN" in text
     assert payload["total_cost"] == a.total_cost
     assert len(payload["per_target"]) == 2

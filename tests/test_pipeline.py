@@ -54,7 +54,7 @@ def test_target_copy_of_leaf_matches_it(small_world):
     tree = build_server_tree(server, config)
     leaf = tree.nodes[3]
     copy = FeatureMatrix(
-        values=server.values[leaf.member_indices],
+        values=server.values[tree.members(leaf.node_id)],
         sample_ids=[f"copy-{i}" for i in range(leaf.size)],
         dataset_labels=["target"] * leaf.size,
     )
@@ -62,7 +62,7 @@ def test_target_copy_of_leaf_matches_it(small_world):
     node_id, value = outcome.selection.per_target["mode-0"]
     assert value <= 1e-6
     assert node_id == leaf.node_id
-    assert np.array_equal(outcome.selection.sample_rows, leaf.member_indices)
+    assert np.array_equal(outcome.selection.sample_rows, tree.members(leaf.node_id))
 
 
 def test_more_target_clusters_than_structure(small_world):

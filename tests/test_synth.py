@@ -177,7 +177,7 @@ def precision_fixture(rng):
 def selection_for(tree, node_ids):
     return SelectionResult(
         selected_nodes=list(dict.fromkeys(node_ids)),
-        sample_rows=np.unique(np.concatenate([tree.node(n).member_indices for n in node_ids])),
+        sample_rows=np.unique(np.concatenate([tree.members(n) for n in node_ids])),
         per_target={f"mode-{i}": (n, 0.0) for i, n in enumerate(node_ids)},
         composition={},
         strata={},
@@ -189,7 +189,7 @@ def test_matching_precision_counts(rng):
     tree, builder = precision_fixture(rng)
     leaf_supers = np.zeros(16, dtype=np.int64)
     for leaf in range(2, 4):  # rows of leaves 2 and 3 belong to super 1
-        leaf_supers[tree.node(leaf).member_indices] = 1
+        leaf_supers[tree.members(leaf)] = 1
     truth = builder(leaf_supers)
 
     all_right = selection_for(tree, [0, 1, 2, 3])
