@@ -45,8 +45,6 @@ from .synth import (
     generate,
     load_world,
     matching_precision,
-    oracle_assignment,
-    oracle_balanced_partition,
     save_world,
 )
 
@@ -90,8 +88,6 @@ __all__ = [
     "load_tree",
     "load_world",
     "matching_precision",
-    "oracle_assignment",
-    "oracle_balanced_partition",
     "persist_tree",
     "prune",
     "read_features",

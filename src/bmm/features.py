@@ -19,6 +19,7 @@ endianness-pinned and read-then-write is byte identical.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,6 +155,12 @@ def _read_features_binary(path: str | Path) -> FeatureMatrix:
         (d,) = struct.unpack("<I", _read_exact(fh, 4, "dimension"))
         if n < 1 or d < 1:
             raise FormatError(f"{path}: invalid shape {n}x{d}")
+        # Values plus at least two string-length prefixes per row must follow.
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n * (4 * d + 8) > available:
+            raise FormatError(
+                f"{path}: truncated file: a {n}x{d} header needs more than {available} bytes"
+            )
         raw = _read_exact(fh, 4 * n * d, "feature values")
         values = np.frombuffer(raw, dtype="<f4").reshape(n, d)
         ids = _read_string_block(fh, n, "sample id")

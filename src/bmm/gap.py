@@ -8,12 +8,14 @@ their feature rows:
 The symmetric reformulation avoids taking the square root of the
 non-symmetric product Cov_a Cov_b; negative eigenvalues from rounding are
 clamped to zero and near-singular covariances get an eps ridge before use.
+
+One kernel, `_fid_row`, computes every distance, from one mode to a stack of
+ridged modes; `fid` and `cost_matrix` both call it, serially (no BMM_THREADS).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -82,39 +84,47 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
-    """Fréchet distance between two Gaussian modes; clamped to be >= 0."""
-    if a.d != b.d:
-        raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
+def _stacked(stats: Sequence[ModeStats], eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ridged covariances, their traces, means) of the modes, stacked along axis 0."""
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    covs = np.stack([_ridged(s.cov, eps) for s in stats])
+    traces = np.array([np.trace(cov) for cov in covs])
+    means = np.stack([s.mean for s in stats])
+    return covs, traces, means
+
+
+def _fid_row(
+    a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarray, eps: float
+) -> np.ndarray:
+    """Fréchet distances from mode a to each stacked mode; clamped to be >= 0."""
+    if a.d != means.shape[1]:
+        raise ParameterError(f"dimension mismatch: {a.d} vs {means.shape[1]}")
     cov_a = _ridged(a.cov, eps)
-    cov_b = _ridged(b.cov, eps)
-    delta = a.mean - b.mean
     try:
         root_a = _psd_sqrt(cov_a)
-        inner = root_a @ cov_b @ root_a
-        cross = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+        inner = root_a @ covs @ root_a
+        cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"covariance square root failed (d={a.d}, counts {a.count}/{b.count}): {exc}"
+            f"covariance square root failed (d={a.d}, count {a.count}): {exc}"
         ) from exc
-    value = float(
-        delta @ delta
-        + np.trace(cov_a)
-        + np.trace(cov_b)
-        - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum()
-    )
-    if not np.isfinite(value):
-        raise NumericalError(
-            f"non-finite Fréchet distance (|mu_a|={np.linalg.norm(a.mean):g}, "
-            f"|mu_b|={np.linalg.norm(b.mean):g}, tr_a={np.trace(cov_a):g}, tr_b={np.trace(cov_b):g})"
-        )
-    return max(value, 0.0)
+    gaps = np.array([delta @ delta for delta in a.mean - means])
+    row = gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+    if not np.isfinite(row).all():
+        x = int(np.flatnonzero(~np.isfinite(row))[0])
+        raise NumericalError(f"non-finite Fréchet distance to node column {x} (d={a.d})")
+    row[row < 0.0] = 0.0
+    return row
+
+
+def fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
+    """Fréchet distance between two Gaussian modes; clamped to be >= 0."""
+    return float(_fid_row(a, *_stacked([b], eps), eps)[0])
 
 
 def thread_limit() -> int:
-    """Worker cap for parallel sections; BMM_THREADS overrides the default."""
+    """BMM_THREADS, else min(4, nproc). No bmm code path reads it: all runs serially."""
     raw = os.environ.get("BMM_THREADS", "").strip()
     if raw:
         try:
@@ -129,31 +139,19 @@ def cost_matrix(
 ) -> np.ndarray:
     """L x H matrix of Fréchet distances, entry (y, x) = fid(target y, node x).
 
-    Rows are filled independently (optionally across threads), so the result
-    does not depend on the degree of parallelism.
+    The tree's node covariances are ridged and stacked once per call; each
+    target then costs one square root and one stacked eigvalsh.
     """
-    node_stats = [node.stats for node in tree.nodes]
-    n_targets = len(target_modes)
-    if n_targets == 0:
+    if len(target_modes) == 0:
         raise ParameterError("need at least one target mode")
-    out = np.empty((n_targets, len(node_stats)), dtype=np.float64)
-
-    def fill_row(y: int) -> None:
-        t = target_modes[y]
-        for x, s in enumerate(node_stats):
-            out[y, x] = fid(t, s, eps=eps)
-
-    workers = min(thread_limit(), n_targets)
-    if workers <= 1:
-        for y in range(n_targets):
-            fill_row(y)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n_targets)))
-    if not np.isfinite(out).all():
-        y, x = np.argwhere(~np.isfinite(out))[0]
-        raise NumericalError(f"non-finite cost for target mode {y} vs node {x}")
-    return out
+    nodes = _stacked([node.stats for node in tree.nodes], eps)
+    rows = []
+    for y, t in enumerate(target_modes):
+        try:
+            rows.append(_fid_row(t, *nodes, eps))
+        except NumericalError as exc:
+            raise NumericalError(f"target mode {y}: {exc}") from exc
+    return np.stack(rows)
 
 
 def write_cost_matrix_csv(

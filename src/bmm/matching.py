@@ -47,6 +47,12 @@ class AssignmentProblem:
     def n_nodes(self) -> int:
         return self.cost.shape[1]
 
+    def first_columns(self, count: int) -> "AssignmentProblem":
+        """The same targets against only the first count candidate columns."""
+        return AssignmentProblem(
+            cost=self.cost[:, :count], target_ids=self.target_ids, node_ids=self.node_ids[:count]
+        )
+
     def validate(self) -> None:
         if self.cost.ndim != 2 or self.n_targets < 1 or self.n_nodes < 1:
             raise ValidationError(f"cost matrix must be 2-D and non-empty, got {self.cost.shape}")

@@ -77,21 +77,12 @@ def target_mode_stats(
 
 
 def build_problem(
-    tree: ModeTree,
-    target_stats: Sequence[ModeStats],
-    eps: float = DEFAULT_EPS,
-    candidates: str = "all",
+    tree: ModeTree, target_stats: Sequence[ModeStats], eps: float = DEFAULT_EPS
 ) -> AssignmentProblem:
-    """Pairwise costs against every tree node, or against the leaves only."""
+    """Pairwise costs of every target mode against every tree node."""
     cost = cost_matrix(tree, target_stats, eps=eps)
-    if candidates == "all":
-        node_ids = list(range(tree.node_count))
-    elif candidates == "leaves":
-        node_ids = list(range(tree.leaf_count))
-        cost = cost[:, : tree.leaf_count]
-    else:
-        raise ParameterError(f"unknown candidate set {candidates!r}")
     target_ids = [f"mode-{i}" for i in range(len(target_stats))]
+    node_ids = list(range(tree.node_count))
     return AssignmentProblem(cost=cost, target_ids=target_ids, node_ids=node_ids)
 
 
@@ -108,11 +99,10 @@ def run_match(
     target: FeatureMatrix,
     server_labels: Sequence[str],
     config: PipelineConfig,
-    candidates: str = "all",
 ) -> MatchOutcome:
     """Cluster the target, solve the one-to-one matching, select the rows."""
     clustering, stats = target_mode_stats(target, config)
-    problem = build_problem(tree, stats, eps=config.eps_cov, candidates=candidates)
+    problem = build_problem(tree, stats, eps=config.eps_cov)
     assignment = solve_assignment(problem)
     selection = select_training_set(tree, assignment, problem, server_labels)
     return MatchOutcome(
@@ -148,8 +138,9 @@ def run_bench(
 
     Emits one row per (variant, J) cell with the selected-set gap, the
     matching precision against the planted truth, and the cell's matching
-    wall time. The tree build and target clustering are shared across
-    variants; runtime covers the per-variant matching work.
+    wall time. The tree build, target clustering and the all-node cost
+    matrix are shared across variants (bmm_flat takes the matrix's leaf
+    columns); runtime covers the per-variant matching work.
     """
     server, target, truth = generate(world)
     rows: list[dict] = []
@@ -161,17 +152,16 @@ def run_bench(
         tree = build_server_tree(server, config)
         clustering, stats = target_mode_stats(target, config)
         aligned = align_truth(truth, clustering)
+        shared = build_problem(tree, stats, eps=eps)
         for variant in BENCH_VARIANTS:
             started = time.perf_counter()
+            problem = shared.first_columns(tree.leaf_count) if variant == "bmm_flat" else shared
             if variant == "dm_dup":
-                problem = build_problem(tree, stats, eps=eps, candidates="all")
                 result = direct_match(problem, allow_duplicates=True)
                 selection = selection_from_matches(
                     tree, result.matches, problem, server.dataset_labels
                 )
             else:
-                candidate_set = "all" if variant == "bmm_hier" else "leaves"
-                problem = build_problem(tree, stats, eps=eps, candidates=candidate_set)
                 assignment = solve_assignment(problem)
                 selection = select_training_set(tree, assignment, problem, server.dataset_labels)
             gap_selected, _ = evaluate_gap(server, target, selection.sample_rows, eps=eps)

@@ -1,4 +1,4 @@
-"""Synthetic planted worlds and the brute-force oracles used to verify the pipeline.
+"""Synthetic planted worlds with known ground truth, used to verify the pipeline.
 
 A world plants a two-level mode structure: well-separated super modes, each a
 set of isotropic Gaussian sub modes. Server rows sample every sub mode; target
@@ -8,14 +8,10 @@ gap. Generation is fully determined by the world seed.
 
 World definitions round-trip through a JSON config with keys mirroring the
 dataclasses below (see load_world / save_world).
-
-The oracles enumerate exhaustively and refuse instances beyond their stated
-limits instead of approximating.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,17 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import FlatClustering
-from .errors import ParameterError, ValidationError
+from .errors import FormatError, ParameterError, ValidationError
 from .features import FeatureMatrix
 from .hierarchy import ModeTree
-from .matching import Assignment, SelectionResult
+from .matching import SelectionResult
 
 SEPARATION_FACTOR = 8.0
-
-ORACLE_ASSIGN_MAX_TARGETS = 7
-ORACLE_ASSIGN_MAX_NODES = 10
-ORACLE_PARTITION_MAX_N = 8
-ORACLE_PARTITION_MAX_K = 3
 
 
 @dataclass
@@ -79,6 +70,8 @@ class PlantedWorld:
             if not sup.subs:
                 raise ValidationError(f"super {s} has no sub modes")
             for b, sub in enumerate(sup.subs):
+                if np.asarray(sub.offset).size != self.dimension:
+                    raise ValidationError(f"sub mode ({s},{b}) offset has the wrong dimension")
                 if sub.scale <= 0:
                     raise ParameterError(f"sub mode ({s},{b}) has degenerate scale {sub.scale}")
                 if sub.count < 2:
@@ -99,6 +92,8 @@ class PlantedWorld:
             subs = self.supers[tm.super_idx].subs
             if tm.sub_idx is not None and not 0 <= tm.sub_idx < len(subs):
                 raise ValidationError(f"target mode {m} references unknown sub {tm.sub_idx}")
+            if tm.mean_shift is not None and np.asarray(tm.mean_shift).size != self.dimension:
+                raise ValidationError(f"target mode {m} mean shift has the wrong dimension")
             if tm.count < 2:
                 raise ParameterError(f"target mode {m} needs count >= 2, got {tm.count}")
             if tm.scale_multiplier <= 0:
@@ -228,69 +223,18 @@ def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTre
     return correct / len(truth.target_pairs)
 
 
-def oracle_assignment(cost: np.ndarray) -> Assignment:
-    """Exhaustive minimum over all injective maps; lexicographically first on ties."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    if n_rows > ORACLE_ASSIGN_MAX_TARGETS or n_cols > ORACLE_ASSIGN_MAX_NODES:
-        raise ParameterError(
-            f"oracle refuses {n_rows}x{n_cols}; limits are "
-            f"{ORACLE_ASSIGN_MAX_TARGETS}x{ORACLE_ASSIGN_MAX_NODES}"
-        )
-    if n_rows > n_cols:
-        raise ParameterError(f"need at least as many nodes as targets, got {n_rows}x{n_cols}")
-    rows = cost.tolist()
-    best_sigma = None
-    best_total = None
-    for perm in itertools.permutations(range(n_cols), n_rows):
-        total = 0.0
-        for i in range(n_rows):
-            total += rows[i][perm[i]]
-        if best_total is None or total < best_total:
-            best_total = total
-            best_sigma = perm
-    return Assignment(sigma=list(best_sigma), total_cost=best_total)
-
-
-def oracle_balanced_partition(features: FeatureMatrix, k: int) -> float:
-    """Exact minimum SSE over all size-balanced k-partitions of the rows."""
-    n = features.n
-    if n > ORACLE_PARTITION_MAX_N or k > ORACLE_PARTITION_MAX_K:
-        raise ParameterError(
-            f"oracle refuses n={n}, k={k}; limits are n<={ORACLE_PARTITION_MAX_N}, "
-            f"k<={ORACLE_PARTITION_MAX_K}"
-        )
-    if k < 1 or k > n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    x = features.values.astype(np.float64)
-    base, extras = divmod(n, k)
-    allowed = {base, base + 1} if extras else {base}
-    best = None
-    for labels in itertools.product(range(k), repeat=n):
-        counts = [0] * k
-        for lab in labels:
-            counts[lab] += 1
-        if any(c not in allowed for c in counts):
-            continue
-        if extras and sum(c == base + 1 for c in counts) != extras:
-            continue
-        sse = 0.0
-        arr = np.asarray(labels)
-        for c in range(k):
-            rows = x[arr == c]
-            centered = rows - rows.mean(axis=0)
-            sse += float((centered * centered).sum())
-        if best is None or sse < best:
-            best = sse
-    return best
-
-
 def load_world(path: str | Path) -> PlantedWorld:
     """Read a world config (JSON keys: dimension, seed, super_modes, target_modes)."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
+        world = _world_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a valid world config: {type(exc).__name__}: {exc}") from exc
+    world.validate()
+    return world
+
+
+def _world_from_payload(payload) -> PlantedWorld:
+    """The world a parsed config describes; a malformed one raises a builtin error."""
     supers = [
         SuperMode(
             center=np.asarray(rec["center"], dtype=np.float64),
@@ -319,14 +263,12 @@ def load_world(path: str | Path) -> PlantedWorld:
         )
         for rec in payload["target_modes"]
     ]
-    world = PlantedWorld(
+    return PlantedWorld(
         dimension=int(payload["dimension"]),
         supers=supers,
         targets=targets,
         seed=int(payload.get("seed", 0)),
     )
-    world.validate()
-    return world
 
 
 def save_world(world: PlantedWorld, path: str | Path) -> None:

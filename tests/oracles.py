@@ -1,0 +1,112 @@
+"""Brute-force oracles and reference implementations the tests check bmm against.
+
+The oracles enumerate exhaustively and refuse instances beyond their stated
+limits instead of approximating. `reference_fid` is the per-pair Fréchet
+distance, written out one pair at a time, that the stacked kernel behind
+`bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from bmm import Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError
+from bmm.gap import DEFAULT_EPS
+
+ORACLE_ASSIGN_MAX_TARGETS = 7
+ORACLE_ASSIGN_MAX_NODES = 10
+ORACLE_PARTITION_MAX_N = 8
+ORACLE_PARTITION_MAX_K = 3
+
+
+def _ridged(cov: np.ndarray, eps: float) -> np.ndarray:
+    if float(np.linalg.eigvalsh(cov).min()) < eps:
+        return cov + eps * np.eye(cov.shape[0])
+    return cov
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (root + root.T) / 2.0
+
+
+def reference_fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
+    """Fréchet distance of one pair of Gaussian modes; clamped to be >= 0."""
+    cov_a = _ridged(a.cov, eps)
+    cov_b = _ridged(b.cov, eps)
+    delta = a.mean - b.mean
+    root_a = _psd_sqrt(cov_a)
+    inner = root_a @ cov_b @ root_a
+    cross = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    value = float(
+        delta @ delta
+        + np.trace(cov_a)
+        + np.trace(cov_b)
+        - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum()
+    )
+    return max(value, 0.0)
+
+
+def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """L x H matrix of reference_fid(target y, node x), filled one pair at a time."""
+    return np.array([[reference_fid(t, node.stats, eps) for node in tree.nodes] for t in targets])
+
+
+def oracle_assignment(cost: np.ndarray) -> Assignment:
+    """Exhaustive minimum over all injective maps; lexicographically first on ties."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n_rows, n_cols = cost.shape
+    if n_rows > ORACLE_ASSIGN_MAX_TARGETS or n_cols > ORACLE_ASSIGN_MAX_NODES:
+        raise ParameterError(
+            f"oracle refuses {n_rows}x{n_cols}; limits are "
+            f"{ORACLE_ASSIGN_MAX_TARGETS}x{ORACLE_ASSIGN_MAX_NODES}"
+        )
+    if n_rows > n_cols:
+        raise ParameterError(f"need at least as many nodes as targets, got {n_rows}x{n_cols}")
+    rows = cost.tolist()
+    best_sigma = None
+    best_total = None
+    for perm in itertools.permutations(range(n_cols), n_rows):
+        total = 0.0
+        for i in range(n_rows):
+            total += rows[i][perm[i]]
+        if best_total is None or total < best_total:
+            best_total = total
+            best_sigma = perm
+    return Assignment(sigma=list(best_sigma), total_cost=best_total)
+
+
+def oracle_balanced_partition(features: FeatureMatrix, k: int) -> float:
+    """Exact minimum SSE over all size-balanced k-partitions of the rows."""
+    n = features.n
+    if n > ORACLE_PARTITION_MAX_N or k > ORACLE_PARTITION_MAX_K:
+        raise ParameterError(
+            f"oracle refuses n={n}, k={k}; limits are n<={ORACLE_PARTITION_MAX_N}, "
+            f"k<={ORACLE_PARTITION_MAX_K}"
+        )
+    if k < 1 or k > n:
+        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    x = features.values.astype(np.float64)
+    base, extras = divmod(n, k)
+    allowed = {base, base + 1} if extras else {base}
+    best = None
+    for labels in itertools.product(range(k), repeat=n):
+        counts = [0] * k
+        for lab in labels:
+            counts[lab] += 1
+        if any(c not in allowed for c in counts):
+            continue
+        if extras and sum(c == base + 1 for c in counts) != extras:
+            continue
+        sse = 0.0
+        arr = np.asarray(labels)
+        for c in range(k):
+            rows = x[arr == c]
+            centered = rows - rows.mean(axis=0)
+            sse += float((centered * centered).sum())
+        if best is None or sse < best:
+            best = sse
+    return best

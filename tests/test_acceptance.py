@@ -18,8 +18,6 @@ from bmm import (
     fid,
     fit_balanced_kmeans,
     generate,
-    oracle_assignment,
-    oracle_balanced_partition,
     prune,
     run_bench,
     run_match,
@@ -39,6 +37,7 @@ from bmm.synth import (
 )
 
 from conftest import make_features
+from oracles import oracle_assignment, oracle_balanced_partition
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:

@@ -247,6 +247,48 @@ def test_bench_csv(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"bmm_hier", "bmm_flat", "dm_dup"}
 
 
+def _without_scale(payload: dict) -> dict:
+    del payload["super_modes"][0]["sub_modes"][0]["scale"]
+    return payload
+
+
+def _short_offset(payload: dict) -> dict:
+    payload["super_modes"][0]["sub_modes"][0]["offset"].pop()
+    return payload
+
+
+def _short_mean_shift(payload: dict) -> dict:
+    payload["target_modes"][0]["mean_shift"] = [0.0]
+    return payload
+
+
+# Each mutation takes a valid world config and returns the document to write.
+MALFORMED_WORLDS = {
+    "no-super-modes": lambda p: {k: v for k, v in p.items() if k != "super_modes"},
+    "super-modes-int": lambda p: {**p, "super_modes": 5},
+    "sub-mode-without-scale": _without_scale,
+    "dimension-string": lambda p: {**p, "dimension": "x"},
+    "top-level-list": lambda p: [p],
+    "offset-too-short": _short_offset,
+    "mean-shift-too-short": _short_mean_shift,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_WORLDS))
+def test_bench_rejects_malformed_world(tmp_path, mutation, capsys):
+    save_world(shared_nearest_world(seed=0, per_mode=40), tmp_path / "valid.json")
+    payload = json.loads((tmp_path / "valid.json").read_text())
+    world_path = tmp_path / "world.json"
+    world_path.write_text(json.dumps(MALFORMED_WORLDS[mutation](payload)))
+    code = main([
+        "bench", "--world", str(world_path), "--leaves", "4",
+        "--target-clusters", "3", "--out", str(tmp_path / "bench.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_csv_feature_format_end_to_end(tmp_path, world_files):
     _, server, target, _, _ = world_files
     server_csv = tmp_path / "server.csv"

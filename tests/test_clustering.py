@@ -9,11 +9,11 @@ from bmm import (
     ParameterError,
     fit_balanced_kmeans,
     fit_kmeans,
-    oracle_balanced_partition,
 )
 from bmm.clustering import recompute_sse
 
 from conftest import make_features
+from oracles import oracle_balanced_partition
 
 
 def brute_force_min_sse(x: np.ndarray, k: int) -> float:

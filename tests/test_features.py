@@ -72,9 +72,14 @@ def test_binary_rejects_truncation(tmp_path):
     m = make_features(np.ones((3, 2)))
     path = tmp_path / "f.bmmf"
     write_features(m, path)
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(FormatError, match="truncated"):
-        read_features(path)
+    raw = path.read_bytes()
+    short_tail = raw[:-4]
+    # A header declaring 2^40 rows must be refused before anything is allocated.
+    huge_header = raw[:6] + struct.pack("<Q", 2**40) + raw[14:]
+    for data in (short_tail, huge_header):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="truncated"):
+            read_features(path)
 
 
 def test_csv_minimal(tmp_path):

@@ -16,6 +16,7 @@ from bmm import (
 from bmm.gap import write_cost_matrix_csv
 
 from conftest import make_features
+from oracles import reference_cost_matrix
 
 
 def stats_1d(mu: float, var: float, count: int = 10) -> ModeStats:
@@ -166,13 +167,24 @@ def test_cost_matrix_closed_form_1d():
 
 
 def test_cost_matrix_thread_invariance(rng, monkeypatch):
-    fm, tree = build_tiny_tree(rng)
-    targets = [random_stats(rng, 2) for _ in range(4)]
-    monkeypatch.setenv("BMM_THREADS", "1")
-    serial = cost_matrix(tree, targets)
-    monkeypatch.setenv("BMM_THREADS", "3")
-    threaded = cost_matrix(tree, targets)
-    assert serial.tobytes() == threaded.tobytes()
+    """Bit-identical to the per-pair reference, whatever BMM_THREADS says.
+
+    d=9 and d=33 run numpy's unrolled and pairwise sums; node 0's zero
+    covariance and the rank-1 first target take the ridge path.
+    """
+    for d in (2, 9, 33):
+        fm = make_features(rng.normal(size=(12, d)))
+        tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
+        tree.nodes[0].stats.cov = np.zeros((d, d))
+        direction = rng.normal(size=(d, 1))
+        rank_one = ModeStats(mean=rng.normal(size=d), cov=direction @ direction.T, count=5)
+        targets = [rank_one] + [random_stats(rng, d) for _ in range(3)]
+        monkeypatch.setenv("BMM_THREADS", "1")
+        serial = cost_matrix(tree, targets)
+        monkeypatch.setenv("BMM_THREADS", "3")
+        threaded = cost_matrix(tree, targets)
+        assert serial.tobytes() == threaded.tobytes()
+        assert serial.tobytes() == reference_cost_matrix(tree, targets).tobytes()
 
 
 def test_cost_matrix_csv_dump(tmp_path, rng):

@@ -10,13 +10,13 @@ from bmm import (
     build_hierarchy,
     direct_match,
     fit_balanced_kmeans,
-    oracle_assignment,
     select_training_set,
     solve_assignment,
 )
 from bmm.matching import match_report_payload, render_match_report, selection_from_matches
 
 from conftest import make_features
+from oracles import oracle_assignment
 
 
 def problem_of(cost) -> AssignmentProblem:

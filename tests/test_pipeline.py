@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bmm.pipeline
 from bmm import (
     FeatureMatrix,
     ParameterError,
     PipelineConfig,
     build_server_tree,
+    cost_matrix,
     evaluate_gap,
     generate,
     run_bench,
@@ -92,10 +94,10 @@ def test_leaf_candidates_restriction(small_world):
     config = PipelineConfig(leaves=8, target_clusters=2, seed=0)
     tree = build_server_tree(server, config)
     _, stats = target_mode_stats(target, config)
-    flat = build_problem(tree, stats, candidates="leaves")
+    full = build_problem(tree, stats)
+    flat = full.first_columns(tree.leaf_count)
     assert flat.cost.shape == (2, 8)
     assert flat.node_ids == list(range(8))
-    full = build_problem(tree, stats, candidates="all")
     assert full.cost.shape == (2, 15)
     assert np.array_equal(full.cost[:, :8], flat.cost)
 
@@ -106,9 +108,17 @@ def test_evaluate_whole_server_is_identity(small_world):
     assert gap_selected == gap_server
 
 
-def test_bench_rows_and_variants():
+def test_bench_rows_and_variants(monkeypatch):
+    built_for = []
+
+    def counting_cost_matrix(tree, *args, **kwargs):
+        built_for.append(tree.leaf_count)
+        return cost_matrix(tree, *args, **kwargs)
+
+    monkeypatch.setattr(bmm.pipeline, "cost_matrix", counting_cost_matrix)
     world = shared_nearest_world(seed=0, per_mode=60)
     rows = run_bench(world, [4], target_clusters=3, seed=0)
+    assert built_for == [4]  # one cost matrix per J, shared by every variant
     assert len(rows) == 3
     assert [r["variant"] for r in rows] == list(BENCH_VARIANTS)
     for row in rows:

@@ -16,13 +16,12 @@ from bmm import (
     generate,
     load_world,
     matching_precision,
-    oracle_assignment,
-    oracle_balanced_partition,
     save_world,
 )
 from bmm.matching import SelectionResult
 
 from conftest import make_features
+from oracles import oracle_assignment, oracle_balanced_partition
 
 
 def tiny_world(seed=0) -> PlantedWorld:
