@@ -36,9 +36,6 @@ class FlatClustering:
     def cluster_rows(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == j)
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
-
 
 def recompute_sse(x: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) -> float:
     diff = x - centroids[assignment]

@@ -86,8 +86,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def _stacked(stats: Sequence[ModeStats], eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ridged covariances, their traces, means) of the modes, stacked along axis 0."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:  # NaN fails too
+        raise ParameterError(f"eps must be finite and positive, got {eps}")
     covs = np.stack([_ridged(s.cov, eps) for s in stats])
     traces = np.array([np.trace(cov) for cov in covs])
     means = np.stack([s.mean for s in stats])

@@ -4,20 +4,29 @@ Leaves are the balanced k-means clusters of the server feature set; internal
 nodes come from bottom-up agglomerative merging of the closest pair at each
 step, so J leaves always produce 2J-1 nodes. Every node caches the Gaussian
 statistics of its member rows and is a candidate for matching, the root
-included.
+included. Leaf statistics are fitted to the leaf rows; a merged node pools
+the exact moments of its two children, so no row is read twice.
 
 Membership is stored once, as one leaf label per server row: a node's rows
 are those whose leaf lies in its subtree, derived on demand, never stored.
 
-Trees persist as versioned JSON (version 2): a top-level leaf_labels list
-plus one record per node holding node_id, parent_id, child_ids, mean,
-covariance and count. Python's shortest-round-trip float repr makes
-persist/load exact at the bit level.
+Trees persist as a little-endian binary file (version 3):
+
+* header ``<4sHQII``: magic ``BMMT``, ``u16`` version 3, ``u64`` row count
+  ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``;
+* ``n`` int32 leaf labels;
+* ``2J-1`` node records in node-id order: two int32 child ids (-1 for a
+  leaf), an int64 count, ``d`` float64 mean values and ``d*d`` float64
+  covariance values in row-major order.
+
+Parents are derived from the child ids. Persist/load is exact at the bit
+level; the loader refuses JSON trees (versions 1-2), other versions, a size
+that disagrees with the header, non-finite statistics and broken structure.
 """
 
 from __future__ import annotations
 
-import json
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -31,8 +40,9 @@ if TYPE_CHECKING:
     from .clustering import FlatClustering
     from .features import FeatureMatrix
 
-TREE_FORMAT = "bmm-mode-tree"
-TREE_VERSION = 2
+TREE_MAGIC = b"BMMT"
+TREE_VERSION = 3
+_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
 
 LINKAGES = ("centroid", "ward")
 
@@ -104,12 +114,23 @@ class ModeTree:
         return out
 
 
-def _linkage_value(linkage, mean_a, mean_b, count_a, count_b) -> float:
-    gap = mean_a - mean_b
+def _linkage_value(linkage: str, a: ModeStats, b: ModeStats) -> float:
+    gap = a.mean - b.mean
     if linkage == "centroid":
         return float(np.sqrt(gap @ gap))
     # ward: SSE increase caused by the merge
-    return float(count_a * count_b / (count_a + count_b) * (gap @ gap))
+    return float(a.count * b.count / (a.count + b.count) * (gap @ gap))
+
+
+def _pooled(a: ModeStats, b: ModeStats) -> ModeStats:
+    """Exact moments of the union of two disjoint row sets from their own
+    moments (Chan, Golub & LeVeque 1979); no row is read again."""
+    n = a.count + b.count
+    delta = b.mean - a.mean
+    mean = a.mean + delta * (b.count / n)
+    scatter = (a.count - 1) * a.cov + (b.count - 1) * b.cov
+    cov = (scatter + np.outer(delta, delta) * (a.count * b.count / n)) / (n - 1)
+    return ModeStats(mean=mean, cov=cov, count=n)
 
 
 def build_hierarchy(
@@ -118,33 +139,21 @@ def build_hierarchy(
     """Merge the J leaf clusters bottom-up into a 2J-1 node tree.
 
     At every step the closest active pair under the chosen linkage is merged;
-    equidistant pairs resolve to the lowest (node_id, node_id) pair. Node
-    statistics and centroids are always recomputed from member rows.
+    equidistant pairs resolve to the lowest (node_id, node_id) pair. Leaf
+    statistics are fitted to the leaf rows; a merged node pools its children's.
     """
     if linkage not in LINKAGES:
         raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
     j = leaves.k
     total = 2 * j - 1
-    x = features.values.astype(np.float64)
 
     nodes: list[ModeNode] = []
-    means = np.zeros((total, x.shape[1]), dtype=np.float64)
-    counts = np.zeros(total, dtype=np.int64)
-    members: list[np.ndarray] = []
     for c in range(j):
         rows = leaves.cluster_rows(c)
         if rows.size == 0:
             raise ValidationError(f"leaf cluster {c} is empty")
-        members.append(rows)
-        means[c] = x[rows].mean(axis=0)
-        counts[c] = rows.size
         nodes.append(
-            ModeNode(
-                node_id=c,
-                children=None,
-                parent=None,
-                stats=gaussian_stats(features, rows),
-            )
+            ModeNode(node_id=c, children=None, parent=None, stats=gaussian_stats(features, rows))
         )
 
     dist = np.full((total, total), np.inf, dtype=np.float64)
@@ -152,7 +161,7 @@ def build_hierarchy(
     active[:j] = True
     for a in range(j):
         for b in range(a + 1, j):
-            dist[a, b] = _linkage_value(linkage, means[a], means[b], counts[a], counts[b])
+            dist[a, b] = _linkage_value(linkage, nodes[a].stats, nodes[b].stats)
 
     for new_id in range(j, total):
         ids = np.flatnonzero(active)
@@ -160,16 +169,13 @@ def build_hierarchy(
         flat = int(block.argmin())  # row-major first minimum = lowest (a, b) pair
         a = int(ids[flat // ids.size])
         b = int(ids[flat % ids.size])
-        rows = np.sort(np.concatenate([members[a], members[b]]))
-        members.append(rows)
-        means[new_id] = x[rows].mean(axis=0)
-        counts[new_id] = rows.size
+        stats = _pooled(nodes[a].stats, nodes[b].stats)
         nodes.append(
             ModeNode(
                 node_id=new_id,
                 children=(a, b),
                 parent=None,
-                stats=gaussian_stats(features, rows),
+                stats=stats,
                 merge_distance=float(dist[a, b]),
             )
         )
@@ -178,9 +184,7 @@ def build_hierarchy(
         active[a] = False
         active[b] = False
         for other in np.flatnonzero(active):
-            value = _linkage_value(
-                linkage, means[new_id], means[other], counts[new_id], counts[other]
-            )
+            value = _linkage_value(linkage, stats, nodes[other].stats)
             dist[min(other, new_id), max(other, new_id)] = value
         active[new_id] = True
 
@@ -195,9 +199,6 @@ def validate_tree(tree: ModeTree) -> None:
     j = tree.leaf_count
     if tree.node_count != 2 * j - 1:
         raise ValidationError(f"node count {tree.node_count} != 2*{j}-1 for {j} leaves")
-    roots = [node.node_id for node in tree.nodes if node.parent is None]
-    if roots != [tree.root_id]:
-        raise ValidationError(f"expected single root {tree.root_id}, found {roots}")
     labels = tree.leaf_labels
     if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < j):
         raise ValidationError(f"leaf labels must be row labels in [0, {j})")
@@ -221,95 +222,74 @@ def validate_tree(tree: ModeTree) -> None:
             expected = tree.nodes[a].stats.count + tree.nodes[b].stats.count
         if node.stats.count != expected:
             raise ValidationError(f"node {position} count {node.stats.count} != {expected} rows")
+    roots = [node.node_id for node in tree.nodes if node.parent is None]
+    if roots != [tree.root_id]:
+        raise ValidationError(f"expected single root {tree.root_id}, found {roots}")
+
+
+def _record_dtype(d: int) -> np.dtype:
+    """One node record: child ids (-1, -1 for a leaf), count, mean, covariance."""
+    return np.dtype(
+        [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
+    )
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
-    payload = {
-        "format": TREE_FORMAT,
-        "version": TREE_VERSION,
-        "leaf_count": tree.leaf_count,
-        "leaf_labels": [int(i) for i in tree.leaf_labels],
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "parent_id": node.parent,
-                "child_ids": list(node.children) if node.children else [],
-                "mean": [float(v) for v in node.stats.mean],
-                "covariance": [[float(v) for v in row] for row in node.stats.cov],
-                "count": node.stats.count,
-            }
-            for node in tree.nodes
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
-def _field(record, key: str, where: str, kinds: str = "i", ndim: int = 0):
-    """record[key] as an ndim-D array of dtype kinds ("i" integers, "if" numbers),
-    or as an int when ndim is 0; TreeFormatError when missing or mistyped."""
-    try:
-        arr = np.asarray(record.get(key) if isinstance(record, dict) else None)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in kinds):
-        raise TreeFormatError(f"{where}: {key!r} is missing or mistyped")
-    return arr if ndim else int(arr)
+    d = tree.nodes[0].stats.d
+    records = np.zeros(tree.node_count, dtype=_record_dtype(d))
+    records["children"] = [node.children or (-1, -1) for node in tree.nodes]
+    records["count"] = [node.stats.count for node in tree.nodes]
+    records["mean"] = [node.stats.mean for node in tree.nodes]
+    records["cov"] = [node.stats.cov for node in tree.nodes]
+    header = _HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, tree.leaf_count, d)
+    Path(path).write_bytes(header + tree.leaf_labels.astype("<i4").tobytes() + records.tobytes())
 
 
 def load_tree(path: str | Path) -> ModeTree:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TreeFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != TREE_FORMAT:
-        raise TreeFormatError(f"{path}: missing {TREE_FORMAT!r} format tag")
-    version = payload.get("version")
+    data = Path(path).read_bytes()
+    if data[:4] != TREE_MAGIC:
+        if data.lstrip()[:1] == b"{":
+            raise TreeFormatError(
+                f"{path}: JSON tree (versions 1-2) is incompatible with this build "
+                f"(reads binary version {TREE_VERSION})"
+            )
+        raise TreeFormatError(f"{path}: missing {TREE_MAGIC!r} magic; not a bmm tree")
+    if len(data) < _HEADER.size:
+        raise TreeFormatError(f"{path}: truncated tree header")
+    _, version, n, j, d = _HEADER.unpack_from(data)
     if version != TREE_VERSION:
         raise TreeFormatError(
             f"{path}: tree version {version} is incompatible with this build (reads {TREE_VERSION})"
         )
-    if not isinstance(payload.get("nodes"), list):
-        raise TreeFormatError(f"{path}: 'nodes' is missing or not a list")
-    nodes = []
-    for position, rec in enumerate(payload["nodes"]):
-        where = f"{path}: node record {position}"
-        children = _field(rec, "child_ids", where, ndim=1)
-        if children.size not in (0, 2):
-            raise TreeFormatError(f"{where} has {children.size} children")
-        nodes.append(
-            ModeNode(
-                node_id=_field(rec, "node_id", where),
-                children=(int(children[0]), int(children[1])) if children.size else None,
-                parent=None if rec.get("parent_id", 0) is None else _field(rec, "parent_id", where),
-                stats=ModeStats(
-                    mean=_field(rec, "mean", where, "if", 1),
-                    cov=_field(rec, "covariance", where, "if", 2),
-                    count=_field(rec, "count", where),
-                ),
-            )
+    if j < 1 or d < 1:
+        raise TreeFormatError(f"{path}: header declares {j} leaves of dimension {d}")
+    total = 2 * j - 1
+    # in Python integers, before any array is sized from the header
+    expected = _HEADER.size + 4 * n + total * (16 + 8 * d + 8 * d * d)
+    if len(data) != expected:
+        raise TreeFormatError(
+            f"{path}: {len(data)} bytes, but n={n}, J={j}, d={d} take {expected}"
         )
-    tree = ModeTree(
-        nodes=nodes,
-        leaf_count=_field(payload, "leaf_count", str(path)),
-        leaf_labels=_field(payload, "leaf_labels", str(path), ndim=1).astype(np.int64),
-    )
+    labels = np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64)
+    records = np.frombuffer(data, _record_dtype(d), total, _HEADER.size + 4 * n)
+    means, covs = records["mean"].copy(), records["cov"].copy()
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise TreeFormatError(f"{path}: non-finite node mean or covariance")
+    nodes = [
+        ModeNode(
+            node_id=i,
+            children=None if children == [-1, -1] else tuple(children),
+            parent=None,
+            stats=ModeStats(mean=means[i], cov=covs[i], count=count),
+        )
+        for i, (children, count) in enumerate(
+            zip(records["children"].tolist(), records["count"].tolist())
+        )
+    ]
+    for node in nodes:  # parents are derived; validate_tree reports bad child ids
+        for child in node.children or ():
+            if 0 <= child < node.node_id:
+                nodes[child].parent = node.node_id
+    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=labels)
     validate_tree(tree)
     return tree
-
-
-def trees_equal(a: ModeTree, b: ModeTree) -> bool:
-    """Structural equality: nodes, links, leaf labels, and bit-exact cached stats."""
-    if a.leaf_count != b.leaf_count or a.node_count != b.node_count:
-        return False
-    if not np.array_equal(a.leaf_labels, b.leaf_labels):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.node_id, na.parent, na.children) != (nb.node_id, nb.parent, nb.children):
-            return False
-        if na.stats.count != nb.stats.count:
-            return False
-        if not np.array_equal(na.stats.mean, nb.stats.mean):
-            return False
-        if not np.array_equal(na.stats.cov, nb.stats.cov):
-            return False
-    return True

@@ -91,10 +91,6 @@ class DirectMatchResult:
     matches: list[int | None]
     total_cost: float
 
-    @property
-    def unmatched(self) -> list[int]:
-        return [i for i, m in enumerate(self.matches) if m is None]
-
 
 def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
     """Rectangular assignment by shortest augmenting paths over (cost, tie) pairs."""

@@ -47,8 +47,8 @@ class PipelineConfig:
                 f"need leaves >= target_clusters >= 1, got {self.leaves} and "
                 f"{self.target_clusters}"
             )
-        if self.eps_cov <= 0:
-            raise ParameterError(f"eps_cov must be positive, got {self.eps_cov}")
+        if not 0.0 < self.eps_cov < np.inf:  # NaN fails too
+            raise ParameterError(f"eps_cov must be finite and positive, got {self.eps_cov}")
         if self.linkage not in LINKAGES:
             raise ParameterError(f"unknown linkage {self.linkage!r}, expected one of {LINKAGES}")
 

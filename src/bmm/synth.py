@@ -396,32 +396,3 @@ def granularity_probe_world(
         TargetMode(super_idx=3, sub_idx=3, count=per_target),
     ]
     return PlantedWorld(dimension=d, supers=supers, targets=targets, seed=seed)
-
-
-def shared_nearest_world(seed: int = 0, d: int = 8, per_mode: int = 200) -> PlantedWorld:
-    """Two target modes whose nearest server mode coincides, to provoke duplicates.
-
-    Both are planted from sub (0, 0), so however the target set is clustered,
-    two of its modes sit on the same server leaf and greedy matching claims
-    it twice.
-    """
-    axis = np.zeros(d)
-    axis[0] = 1.0
-    far = np.zeros(d)
-    far[1] = 40.0
-    supers = [
-        SuperMode(
-            center=np.zeros(d),
-            subs=[
-                SubMode(offset=-1.25 * axis, scale=0.4, count=2 * per_mode),
-                SubMode(offset=1.25 * axis, scale=0.4, count=2 * per_mode),
-            ],
-        ),
-        SuperMode(center=far, subs=[SubMode(offset=np.zeros(d), scale=0.4, count=2 * per_mode)]),
-    ]
-    targets = [
-        TargetMode(super_idx=0, sub_idx=0, count=per_mode),
-        TargetMode(super_idx=0, sub_idx=0, count=per_mode),
-        TargetMode(super_idx=1, sub_idx=0, count=per_mode),
-    ]
-    return PlantedWorld(dimension=d, supers=supers, targets=targets, seed=seed)

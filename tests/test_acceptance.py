@@ -33,10 +33,9 @@ from bmm.synth import (
     granularity_probe_world,
     matching_precision,
     random_subset_world,
-    shared_nearest_world,
 )
 
-from conftest import make_features
+from conftest import cluster_sizes, make_features, shared_nearest_world, unmatched
 from oracles import oracle_assignment, oracle_balanced_partition
 
 
@@ -133,7 +132,7 @@ def test_c03_balance_and_optimality():
             k = int(rng.integers(1, min(n, 10) + 1))
         fm = make_features(rng.normal(size=(n, int(rng.integers(1, 5)))))
         fc = fit_balanced_kmeans(fm, k, seed=trial)
-        sizes = fc.sizes()
+        sizes = cluster_sizes(fc)
         if sizes.max() - sizes.min() > 1:
             spread_fails += 1
         if n <= 8 and k == 2:
@@ -234,7 +233,7 @@ def test_c07_bmm_vs_direct_match():
     dm_precision = matching_precision(dm_dup_sel, aligned, tree)
     ok = (
         dm_distinct < bmm_distinct
-        and len(dm_nodup.unmatched) >= 1
+        and len(unmatched(dm_nodup)) >= 1
         and len(set(outcome.assignment.sigma)) == 3
         and bmm_precision >= dm_precision
     )
@@ -243,7 +242,7 @@ def test_c07_bmm_vs_direct_match():
         "bmm vs direct match",
         ok,
         f"distinct nodes dm {dm_distinct} < bmm {bmm_distinct}; dm-no-dup leaves "
-        f"{len(dm_nodup.unmatched)} unmatched, bmm none; precision {bmm_precision:.2f} >= "
+        f"{len(unmatched(dm_nodup))} unmatched, bmm none; precision {bmm_precision:.2f} >= "
         f"{dm_precision:.2f}",
     )
 

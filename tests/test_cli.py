@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from bmm import generate, load_tree, read_manifest, save_world, write_features
 from bmm.cli import main
-from bmm.synth import random_subset_world, shared_nearest_world
+from bmm.synth import random_subset_world
+
+from conftest import shared_nearest_world
 
 
 @pytest.fixture(scope="module")
@@ -319,55 +323,153 @@ def test_match_rejects_mismatched_server(tmp_path, world_files, capsys):
 
 
 @pytest.fixture(scope="module")
-def tree_payload(tmp_path_factory, world_files):
+def tree_blob(tmp_path_factory, world_files):
     _, _, _, server_path, _ = world_files
     _, tree_path = run_build(tmp_path_factory.mktemp("tree"), server_path)
-    return json.loads(tree_path.read_text())
+    return tree_path.read_bytes()
+
+
+TREE_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
+
+
+def tree_parts(blob: bytes):
+    """The header fields, leaf labels and node records of a version-3 tree, as
+    writable copies."""
+    header = list(TREE_HEADER.unpack_from(blob))
+    _, _, n, j, d = header
+    record = np.dtype(
+        [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
+    )
+    labels = np.frombuffer(blob, "<i4", n, TREE_HEADER.size).copy()
+    records = np.frombuffer(blob, record, 2 * j - 1, TREE_HEADER.size + 4 * n).copy()
+    return header, labels, records
+
+
+def v2_payload(blob: bytes) -> dict:
+    """The tree as the earlier JSON format (version 2) wrote it."""
+    header, labels, records = tree_parts(blob)
+    children = [[c for c in rec.tolist() if c >= 0] for rec in records["children"]]
+    parents = {c: i for i, pair in enumerate(children) for c in pair}
+    return {
+        "format": "bmm-mode-tree",
+        "version": 2,
+        "leaf_count": header[3],
+        "leaf_labels": labels.tolist(),
+        "nodes": [
+            {
+                "node_id": i,
+                "parent_id": parents.get(i),
+                "child_ids": children[i],
+                "mean": records["mean"][i].tolist(),
+                "covariance": records["cov"][i].tolist(),
+                "count": int(records["count"][i]),
+            }
+            for i in range(len(records))
+        ],
+    }
 
 
 def _set(record, key, value):
     record[key] = value
 
 
-# Each mutation breaks one rule of the version-2 tree format (built with J=8,
-# so node records 0..7 are leaves and record 14 is the root).
+def _v3(change):
+    """A mutation that edits the parsed header list, labels and records in place."""
+    def apply(blob):
+        header, labels, records = tree_parts(blob)
+        change(header, labels, records)
+        return TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes()
+    return apply
+
+
+def _json(change):
+    """A mutation that edits the tree's version-2 JSON document in place."""
+    def apply(blob):
+        payload = v2_payload(blob)
+        change(payload)
+        return json.dumps(payload).encode()
+    return apply
+
+
+# Each mutation maps the bytes of a valid version-3 tree (built with J=8, so
+# records 0..7 are leaves and record 14 is the root) to the bytes to load.
+# The JSON mutations break one rule of the earlier version-2 JSON format;
+# like an intact JSON tree, they must be refused as incompatible.
 MALFORMED_TREES = {
-    "no-leaf-labels": lambda p: p.pop("leaf_labels"),
-    "no-nodes": lambda p: p.pop("nodes"),
-    "no-child-ids": lambda p: p["nodes"][14].pop("child_ids"),
-    "no-parent-id": lambda p: p["nodes"][3].pop("parent_id"),
-    "no-count": lambda p: p["nodes"][0].pop("count"),
-    "no-covariance": lambda p: p["nodes"][9].pop("covariance"),
-    "leaf-count-bool": lambda p: _set(p, "leaf_count", True),
-    "leaf-labels-string": lambda p: _set(p, "leaf_labels", "0,1,2"),
-    "leaf-label-float": lambda p: _set(p["leaf_labels"], 0, 0.5),
-    "node-not-object": lambda p: _set(p["nodes"], 2, [2, 9]),
-    "node-id-float": lambda p: _set(p["nodes"][2], "node_id", 2.0),
-    "child-ids-string": lambda p: _set(p["nodes"][14], "child_ids", "12,13"),
-    "count-string": lambda p: _set(p["nodes"][0], "count", "5"),
-    "mean-strings": lambda p: _set(p["nodes"][5], "mean", ["a"] * len(p["nodes"][5]["mean"])),
-    "covariance-ragged": lambda p: p["nodes"][5]["covariance"][0].append(0.0),
-    "leaf-label-at-j": lambda p: _set(p["leaf_labels"], 0, 8),
-    "leaf-label-negative": lambda p: _set(p["leaf_labels"], 0, -1),
-    "child-id-at-parent": lambda p: _set(p["nodes"][14]["child_ids"], 0, 14),
-    "child-id-above-parent": lambda p: _set(p["nodes"][8]["child_ids"], 0, 12),
-    "leaf-count-off": lambda p: _set(p["nodes"][0], "count", p["nodes"][0]["count"] + 1),
-    "root-count-off": lambda p: _set(p["nodes"][14], "count", p["nodes"][14]["count"] - 1),
-    "label-moved": lambda p: _set(p["leaf_labels"], p["leaf_labels"].index(0), 1),
+    "bad-magic": lambda blob: b"BMMX" + blob[4:],
+    "version-99": _v3(lambda h, l, r: _set(h, 1, 99)),
+    "version-2": _v3(lambda h, l, r: _set(h, 1, 2)),
+    "v2-json": _json(lambda p: None),
+    "truncated-one-byte": lambda blob: blob[:-1],
+    "trailing-byte": lambda blob: blob + b"\0",
+    "leaf-count-zero": _v3(lambda h, l, r: _set(h, 3, 0)),
+    "dimension-zero": _v3(lambda h, l, r: _set(h, 4, 0)),
+    "rows-one-more": _v3(lambda h, l, r: _set(h, 2, h[2] + 1)),
+    "nan-leaf-covariance": _v3(lambda h, l, r: _set(r["cov"][3], (0, 1), np.nan)),
+    "inf-merged-mean": _v3(lambda h, l, r: _set(r["mean"][10], 0, np.inf)),
+    "leaf-label-at-j": _v3(lambda h, l, r: _set(l, 0, 8)),
+    "leaf-label-negative": _v3(lambda h, l, r: _set(l, 0, -1)),
+    "label-moved": _v3(lambda h, l, r: _set(l, np.flatnonzero(l == 0)[0], 1)),
+    "child-id-at-parent": _v3(lambda h, l, r: _set(r["children"][14], 0, 14)),
+    "child-id-above-parent": _v3(lambda h, l, r: _set(r["children"][8], 0, 12)),
+    "leaf-count-off": _v3(lambda h, l, r: _set(r["count"], 0, r["count"][0] + 1)),
+    "root-count-off": _v3(lambda h, l, r: _set(r["count"], 14, r["count"][14] - 1)),
+    "no-leaf-labels": _json(lambda p: p.pop("leaf_labels")),
+    "no-nodes": _json(lambda p: p.pop("nodes")),
+    "no-child-ids": _json(lambda p: p["nodes"][14].pop("child_ids")),
+    "no-parent-id": _json(lambda p: p["nodes"][3].pop("parent_id")),
+    "no-count": _json(lambda p: p["nodes"][0].pop("count")),
+    "no-covariance": _json(lambda p: p["nodes"][9].pop("covariance")),
+    "leaf-count-bool": _json(lambda p: _set(p, "leaf_count", True)),
+    "leaf-labels-string": _json(lambda p: _set(p, "leaf_labels", "0,1,2")),
+    "leaf-label-float": _json(lambda p: _set(p["leaf_labels"], 0, 0.5)),
+    "node-not-object": _json(lambda p: _set(p["nodes"], 2, [2, 9])),
+    "node-id-float": _json(lambda p: _set(p["nodes"][2], "node_id", 2.0)),
+    "child-ids-string": _json(lambda p: _set(p["nodes"][14], "child_ids", "12,13")),
+    "count-string": _json(lambda p: _set(p["nodes"][0], "count", "5")),
+    "mean-strings": _json(lambda p: _set(p["nodes"][5], "mean", ["a"] * len(p["nodes"][5]["mean"]))),
+    "covariance-ragged": _json(lambda p: p["nodes"][5]["covariance"][0].append(0.0)),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(MALFORMED_TREES))
-def test_match_rejects_malformed_tree(tmp_path, world_files, tree_payload, mutation, capsys):
+def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation, capsys):
     _, _, _, server_path, target_path = world_files
-    payload = json.loads(json.dumps(tree_payload))
-    MALFORMED_TREES[mutation](payload)
-    tree_path = tmp_path / "tree.json"
-    tree_path.write_text(json.dumps(payload))
+    tree_path = tmp_path / "tree.bmmt"
+    tree_path.write_bytes(MALFORMED_TREES[mutation](tree_blob))
     code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate"])
+def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsys):
+    _, server, _, server_path, target_path = world_files
+    tree_path = tmp_path / "tree.bmmt"
+    tree_path.write_bytes(tree_blob)
+    manifest_path = tmp_path / "all.manifest"
+    manifest_path.write_text(
+        "".join(f"{sid},{label}\n" for sid, label in zip(server.sample_ids, server.dataset_labels))
+    )
+    out = tmp_path / "out"
+    if command == "match":
+        argv = match_args(tree_path, server_path, target_path, out)
+    else:
+        argv = [
+            "evaluate", "--manifest", str(manifest_path), "--server-features", str(server_path),
+            "--target-features", str(target_path), "--out", str(out),
+        ]
+    for eps in ("nan", "inf"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--eps-cov", eps])
+        err = capsys.readouterr().err
+        assert code == 2, eps
+        assert err.startswith("error: ") and "finite and positive" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
 
 def test_missing_file_is_parameter_error(tmp_path, capsys):
     code = main([

@@ -12,7 +12,7 @@ from bmm import (
 )
 from bmm.clustering import recompute_sse
 
-from conftest import make_features
+from conftest import cluster_sizes, make_features
 from oracles import oracle_balanced_partition
 
 
@@ -63,7 +63,7 @@ def test_two_well_separated_pairs_1d():
 def test_balanced_sizes_with_remainder():
     fm = make_features([[0.0], [0.1], [0.2], [10.0], [10.1]])
     fc = fit_balanced_kmeans(fm, 2, seed=0)
-    assert sorted(fc.sizes().tolist()) == [2, 3]
+    assert sorted(cluster_sizes(fc).tolist()) == [2, 3]
 
 
 def test_balanced_recovers_planted_pairs(rng):
@@ -81,7 +81,7 @@ def test_balance_property_random_inputs(rng):
         n = int(rng.integers(2, 150))
         k = int(rng.integers(1, min(n, 10) + 1))
         fm = make_features(rng.normal(size=(n, int(rng.integers(1, 5)))))
-        sizes = fit_balanced_kmeans(fm, k, seed=trial).sizes()
+        sizes = cluster_sizes(fit_balanced_kmeans(fm, k, seed=trial))
         assert sizes.max() - sizes.min() <= 1
         assert sizes.min() >= 1
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from bmm import (
     ValidationError,
     build_hierarchy,
     fit_balanced_kmeans,
+    gaussian_stats,
     load_tree,
     persist_tree,
 )
 from bmm.clustering import FlatClustering
-from bmm.hierarchy import trees_equal, validate_tree
+from bmm.hierarchy import validate_tree
 
-from conftest import make_features
+from conftest import make_features, trees_equal
 
 
 def quad_features():
@@ -125,10 +127,16 @@ def test_stats_computed_from_member_rows(rng):
     fm = make_features(rng.normal(size=(30, 3)))
     leaves = fit_balanced_kmeans(fm, 5, seed=0)
     tree = build_hierarchy(leaves, fm)
-    node = tree.nodes[tree.root_id]
-    x = fm.values[tree.members(node.node_id)].astype(np.float64)
-    assert np.allclose(node.stats.mean, x.mean(axis=0))
-    assert node.stats.count == 30
+    assert tree.nodes[tree.root_id].stats.count == 30
+    for node in tree.nodes:
+        refit = gaussian_stats(fm, tree.members(node.node_id))
+        assert node.stats.count == refit.count
+        if node.is_leaf:  # fitted to the leaf rows: bit-equal
+            assert np.array_equal(node.stats.mean, refit.mean)
+            assert np.array_equal(node.stats.cov, refit.cov)
+        else:  # pooled from the children: equal up to rounding
+            np.testing.assert_allclose(node.stats.mean, refit.mean, rtol=1e-12)
+            np.testing.assert_allclose(node.stats.cov, refit.cov, rtol=1e-12)
 
 
 def test_empty_leaf_rejected():
@@ -148,11 +156,11 @@ def test_persist_roundtrip(tmp_path, rng, j):
     fm = make_features(rng.normal(size=(3 * j + 2, 3)))
     leaves = fit_balanced_kmeans(fm, j, seed=j)
     tree = build_hierarchy(leaves, fm)
-    path = tmp_path / "tree.json"
+    path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
     back = load_tree(path)
     assert trees_equal(tree, back)
-    # bit-exact stats after the text round trip
+    # bit-exact stats after the binary round trip
     for original, loaded in zip(tree.nodes, back.nodes):
         assert np.array_equal(original.stats.cov, loaded.stats.cov)
 
@@ -160,11 +168,28 @@ def test_persist_roundtrip(tmp_path, rng, j):
 def test_version_mismatch_rejected(tmp_path, rng):
     fm = make_features(rng.normal(size=(8, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 2, seed=0), fm)
-    path = tmp_path / "tree.json"
+    path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
-    payload = json.loads(path.read_text())
-    for version in (99, 1):  # 1 is the earlier format with per-node member lists
-        payload["version"] = version
-        path.write_text(json.dumps(payload))
+    blob = path.read_bytes()
+    for version in (99, 2):  # the header's u16 version follows the 4-byte magic
+        path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
         with pytest.raises(TreeFormatError, match=f"version {version} "):
+            load_tree(path)
+    # versions 1 and 2 were JSON documents
+    path.write_text(json.dumps({"format": "bmm-mode-tree", "version": 2, "nodes": []}, indent=1))
+    with pytest.raises(TreeFormatError, match="JSON tree .* incompatible"):
+        load_tree(path)
+
+
+def test_load_rejects_non_finite_stats(tmp_path, rng):
+    fm = make_features(rng.normal(size=(12, 2)))
+    tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
+    path = tmp_path / "tree.bmmt"
+    for node_id, field, value in ((1, "cov", np.nan), (tree.root_id, "mean", np.inf)):
+        stats = tree.nodes[node_id].stats
+        saved = getattr(stats, field).copy()
+        getattr(stats, field).flat[0] = value
+        persist_tree(tree, path)
+        getattr(stats, field)[...] = saved
+        with pytest.raises(TreeFormatError, match="non-finite"):
             load_tree(path)

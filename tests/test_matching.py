@@ -15,7 +15,7 @@ from bmm import (
 )
 from bmm.matching import match_report_payload, render_match_report, selection_from_matches
 
-from conftest import make_features
+from conftest import make_features, unmatched
 from oracles import oracle_assignment
 
 
@@ -100,7 +100,7 @@ def test_direct_match_duplicates():
     assert dup.matches == [0, 0]
     nodup = direct_match(p, allow_duplicates=False)
     assert nodup.matches == [0, None]
-    assert nodup.unmatched == [1]
+    assert unmatched(nodup) == [1]
 
 
 def test_direct_match_lower_bounds_optimal(rng):

@@ -16,7 +16,9 @@ from bmm import (
     run_match,
 )
 from bmm.pipeline import BENCH_VARIANTS, build_problem, target_mode_stats
-from bmm.synth import random_subset_world, shared_nearest_world
+from bmm.synth import random_subset_world
+
+from conftest import shared_nearest_world
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +34,9 @@ def test_config_invariants():
         PipelineConfig(leaves=4, target_clusters=5)
     with pytest.raises(ParameterError):
         PipelineConfig(leaves=0, target_clusters=0)
-    with pytest.raises(ParameterError):
-        PipelineConfig(eps_cov=0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            PipelineConfig(eps_cov=eps)
     with pytest.raises(ParameterError):
         PipelineConfig(linkage="single")
 
