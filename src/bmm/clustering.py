@@ -1,10 +1,14 @@
 """Flat and size-balanced k-means over feature rows.
 
 Both variants use k-means++ seeding and Lloyd iteration. The balanced
-variant replaces the nearest-centroid step with a greedy pass over all
-(point, cluster) pairs sorted by distance, honouring per-cluster capacities
-of floor(n/k) plus n mod k single-slot extensions, so cluster sizes always
-land in {floor(n/k), ceil(n/k)}.
+variant replaces the nearest-centroid step with a capacity-respecting
+assignment: per-cluster capacities of floor(n/k) plus n mod k single-slot
+extensions, so cluster sizes always land in {floor(n/k), ceil(n/k)}. Its
+result is that of the greedy over all (point, cluster) pairs in one stable
+sort by distance, computed without that sort: in rounds where every
+unassigned point proposes its nearest open cluster and the proposals are
+accepted in distance order up to the first that closes a cluster (see
+`_balanced_assign`).
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    chosen: set[int] = set()
+    chosen = np.zeros(n, dtype=bool)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    chosen.add(first)
+    chosen[first] = True
     closest = ((x - x[first]) ** 2).sum(axis=1)
     for i in range(1, k):
         total = float(closest.sum())
@@ -67,9 +71,9 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             # remaining mass is zero: every point coincides with a chosen
             # centroid; fall back to the lowest unchosen index
-            idx = min(set(range(n)) - chosen)
+            idx = int(np.flatnonzero(~chosen)[0])
         centroids[i] = x[idx]
-        chosen.add(idx)
+        chosen[idx] = True
         np.minimum(closest, ((x - x[idx]) ** 2).sum(axis=1), out=closest)
     return centroids
 
@@ -124,33 +128,60 @@ def _lloyd(x, k, rng):
 
 
 def _balanced_assign(d2: np.ndarray) -> np.ndarray:
-    """Greedy capacity-respecting assignment over distance-sorted (point, cluster) pairs."""
+    """Capacity-respecting assignment, in rounds of proposals.
+
+    Equal, for every `d2` without NaN (squared distances between finite
+    rows have none), to the greedy that walks all (point, cluster) pairs in
+    the order of one stable sort of `d2` (by distance, ties by flat index
+    point * k + cluster) and gives each unassigned point the first cluster
+    that still has room. A cluster has room while it holds fewer than
+    floor(n/k) rows, or exactly floor(n/k) while some of the n mod k
+    ceil-sized slots are left; once closed it stays closed.
+
+    Each round, every unassigned point proposes its nearest open cluster,
+    the lowest index among ties (`argmin`): the greedy would skip every
+    earlier pair of that point, since each names a closed cluster. Until a
+    cluster closes, the greedy meets these proposals in (distance, point)
+    order and accepts every one, so the round accepts them in one step, up
+    to and including the first that closes a cluster. Closing it (and, when
+    it took the last ceil-sized slot, every cluster already at floor(n/k))
+    voids only the proposals to closed clusters; those points propose again
+    in the next round. Every round but the last closes a cluster, so there
+    are at most k + 1 rounds.
+    """
     n, k = d2.shape
-    base = n // k
-    extras = n % k
-    order = np.argsort(d2, axis=None, kind="stable")
-    points = (order // k).tolist()
-    clusters = (order % k).tolist()
-    assignment = [-1] * n
-    sizes = [0] * k
-    extra_used = 0
-    remaining = n
-    for p, c in zip(points, clusters):
-        if assignment[p] != -1:
-            continue
-        s = sizes[c]
-        if s < base:
-            pass
-        elif s == base and extra_used < extras:
-            extra_used += 1
-        else:
-            continue
-        assignment[p] = c
-        sizes[c] = s + 1
-        remaining -= 1
-        if remaining == 0:
-            break
-    return np.asarray(assignment, dtype=np.int64)
+    base, extras = divmod(n, k)
+    choice = d2.argmin(axis=1)
+    sizes = np.zeros(k, dtype=np.int64)
+    is_open = np.ones(k, dtype=bool)
+    assignment = np.full(n, -1, dtype=np.int64)
+    pending = np.arange(n)
+    while True:
+        moved = pending[~is_open[choice[pending]]]
+        if moved.size:
+            open_ids = np.flatnonzero(is_open)
+            choice[moved] = open_ids[d2[np.ix_(moved, open_ids)].argmin(axis=1)]
+        # pending is ascending, so the stable sort breaks distance ties by point
+        points = pending[np.argsort(d2[pending, choice[pending]], kind="stable")]
+        clusters = choice[points]
+        room = base + (extras > 0) - sizes
+        counts = np.bincount(clusters, minlength=k)
+        fills = is_open & (counts >= room)
+        if not fills.any():
+            assignment[points] = clusters
+            return assignment
+        # the proposal that closes cluster c is the room[c]-th one naming c
+        by_cluster = np.argsort(clusters, kind="stable")
+        stop = int(by_cluster[(np.cumsum(counts) - counts + room - 1)[fills]].min()) + 1
+        assignment[points[:stop]] = clusters[:stop]
+        sizes += np.bincount(clusters[:stop], minlength=k)
+        closed = clusters[stop - 1]
+        is_open[closed] = False
+        if sizes[closed] > base:
+            extras -= 1
+            if extras == 0:
+                is_open[sizes == base] = False
+        pending = np.flatnonzero(assignment < 0)
 
 
 SWAP_REFINE_LIMIT = 384

@@ -100,17 +100,21 @@ def _fid_row(
     """Fréchet distances from mode a to each stacked mode; clamped to be >= 0."""
     if a.d != means.shape[1]:
         raise ParameterError(f"dimension mismatch: {a.d} vs {means.shape[1]}")
-    cov_a = _ridged(a.cov, eps)
-    try:
-        root_a = _psd_sqrt(cov_a)
-        inner = root_a @ covs @ root_a
-        cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"covariance square root failed (d={a.d}, count {a.count}): {exc}"
-        ) from exc
-    gaps = np.array([delta @ delta for delta in a.mean - means])
-    row = gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+    # huge but finite stats overflow to inf or nan here; the check below reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_a = _ridged(a.cov, eps)
+        try:
+            root_a = _psd_sqrt(cov_a)
+            inner = root_a @ covs @ root_a
+            cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"covariance square root failed (d={a.d}, count {a.count}): {exc}"
+            ) from exc
+        gaps = np.array([delta @ delta for delta in a.mean - means])
+        row = (
+            gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+        )
     if not np.isfinite(row).all():
         x = int(np.flatnonzero(~np.isfinite(row))[0])
         raise NumericalError(f"non-finite Fréchet distance to node column {x} (d={a.d})")

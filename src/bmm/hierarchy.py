@@ -291,5 +291,8 @@ def load_tree(path: str | Path) -> ModeTree:
             if 0 <= child < node.node_id:
                 nodes[child].parent = node.node_id
     tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=labels)
-    validate_tree(tree)
+    try:
+        validate_tree(tree)
+    except ValidationError as exc:
+        raise TreeFormatError(f"{path}: {exc}") from exc
     return tree

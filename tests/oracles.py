@@ -4,6 +4,9 @@ The oracles enumerate exhaustively and refuse instances beyond their stated
 limits instead of approximating. `reference_fid` is the per-pair Fréchet
 distance, written out one pair at a time, that the stacked kernel behind
 `bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit.
+`oracle_balanced_assign` is the greedy over one global stable sort of all
+(point, cluster) distances that `clustering._balanced_assign` must equal
+exactly.
 """
 
 from __future__ import annotations
@@ -110,3 +113,33 @@ def oracle_balanced_partition(features: FeatureMatrix, k: int) -> float:
         if best is None or sse < best:
             best = sse
     return best
+
+
+def oracle_balanced_assign(d2: np.ndarray) -> np.ndarray:
+    """Greedy capacity-respecting assignment over distance-sorted (point, cluster) pairs."""
+    n, k = d2.shape
+    base = n // k
+    extras = n % k
+    order = np.argsort(d2, axis=None, kind="stable")
+    points = (order // k).tolist()
+    clusters = (order % k).tolist()
+    assignment = [-1] * n
+    sizes = [0] * k
+    extra_used = 0
+    remaining = n
+    for p, c in zip(points, clusters):
+        if assignment[p] != -1:
+            continue
+        s = sizes[c]
+        if s < base:
+            pass
+        elif s == base and extra_used < extras:
+            extra_used += 1
+        else:
+            continue
+        assignment[p] = c
+        sizes[c] = s + 1
+        remaining -= 1
+        if remaining == 0:
+            break
+    return np.asarray(assignment, dtype=np.int64)

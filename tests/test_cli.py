@@ -441,6 +441,20 @@ def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert str(tree_path) in err.splitlines()[0]
+
+
+def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blob, capsys):
+    _, _, _, server_path, target_path = world_files
+    tree_path = tmp_path / "tree.bmmt"
+    tree_path.write_bytes(_v3(lambda h, l, r: _set(r["mean"][14], 0, 1e200))(tree_blob))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["match", "evaluate"])

@@ -4,16 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bmm import (
     ParameterError,
+    clustering,
     fit_balanced_kmeans,
     fit_kmeans,
 )
-from bmm.clustering import recompute_sse
+from bmm.clustering import _balanced_assign, _squared_distances, recompute_sse
 
 from conftest import cluster_sizes, make_features
-from oracles import oracle_balanced_partition
+from oracles import oracle_balanced_assign, oracle_balanced_partition
 
 
 def brute_force_min_sse(x: np.ndarray, k: int) -> float:
@@ -141,3 +145,39 @@ def test_parameter_errors():
         fit_kmeans(fm, 3, seed=0)
     with pytest.raises(ParameterError):
         fit_balanced_kmeans(fm, 5, seed=0)
+
+
+@st.composite
+def distance_matrices(draw):
+    """n x k distances, k being 1, n or any of 1..n: uniform, integer-valued
+    (forced ties), or squared distances between duplicated rows and centroids
+    taken from them."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.sampled_from([1, n, None, None])) or draw(st.sampled_from(range(1, n + 1)))
+    kind = draw(st.sampled_from(["uniform", "integer", "duplicated"]))
+    if kind == "uniform":
+        return draw(arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
+    if kind == "integer":
+        return draw(arrays(np.int64, (n, k), elements=st.integers(0, 3))).astype(np.float64)
+    distinct = draw(arrays(np.int64, (draw(st.integers(1, n)), 2), elements=st.integers(-2, 2)))
+    x = distinct[draw(arrays(np.int64, n, elements=st.integers(0, len(distinct) - 1)))]
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return _squared_distances(x.astype(np.float64), x[picks].astype(np.float64))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(distance_matrices())
+def test_balanced_assign_equals_greedy_oracle(d2):
+    assert np.array_equal(_balanced_assign(d2), oracle_balanced_assign(d2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_balanced_fit_equals_greedy_oracle_fit(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=4.0, size=(40, 8))
+    fm = make_features(centers[rng.integers(0, 40, size=2000)] + rng.normal(size=(2000, 8)))
+    fast = fit_balanced_kmeans(fm, 32, seed)
+    monkeypatch.setattr(clustering, "_balanced_assign", oracle_balanced_assign)
+    greedy = fit_balanced_kmeans(fm, 32, seed)
+    assert np.array_equal(fast.assignment, greedy.assignment)
+    assert fast.sse_history == greedy.sse_history
