@@ -7,8 +7,8 @@ extensions, so cluster sizes always land in {floor(n/k), ceil(n/k)}. Its
 result is that of the greedy over all (point, cluster) pairs in one stable
 sort by distance, computed without that sort: in rounds where every
 unassigned point proposes its nearest open cluster and the proposals are
-accepted in distance order up to the first that closes a cluster (see
-`_balanced_assign`).
+accepted in distance order up to the first that names a cluster with no
+room left (see `_balanced_assign`).
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
-    np.add.at(sums, assignment, x)
+    # bincount adds each column in row order from 0.0, exactly as np.add.at would
+    sums = np.stack([np.bincount(assignment, weights=col, minlength=k) for col in x.T], axis=1)
     counts = np.bincount(assignment, minlength=k).astype(np.float64)
     return sums / counts[:, None]
 
@@ -140,18 +140,22 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
 
     Each round, every unassigned point proposes its nearest open cluster,
     the lowest index among ties (`argmin`): the greedy would skip every
-    earlier pair of that point, since each names a closed cluster. Until a
-    cluster closes, the greedy meets these proposals in (distance, point)
-    order and accepts every one, so the round accepts them in one step, up
-    to and including the first that closes a cluster. Closing it (and, when
-    it took the last ceil-sized slot, every cluster already at floor(n/k))
-    voids only the proposals to closed clusters; those points propose again
-    in the next round. Every round but the last closes a cluster, so there
-    are at most k + 1 rounds.
+    earlier pair of that point, since each names a closed cluster. The
+    greedy meets these proposals in (distance, point) order and accepts
+    each one until the first that names a cluster with no room left: one
+    whose new size, counting the round's earlier proposals to the same
+    cluster, would pass ceil(n/k), or reach it after the round's earlier
+    proposals have taken the last ceil-sized slot. The round accepts every
+    proposal before that one in one step. Only the points whose cluster
+    closed propose again, each at a pair after its voided one in the
+    greedy's order, so no new proposal comes before the position where the
+    round stopped. Every round accepts at least its first proposal.
     """
     n, k = d2.shape
     base, extras = divmod(n, k)
-    choice = d2.argmin(axis=1)
+    # the narrowest unsigned type, so the stable sort by cluster below is a
+    # radix sort whenever k <= 65536
+    choice = d2.argmin(axis=1).astype(np.min_scalar_type(k - 1))
     sizes = np.zeros(k, dtype=np.int64)
     is_open = np.ones(k, dtype=bool)
     assignment = np.full(n, -1, dtype=np.int64)
@@ -164,24 +168,25 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
         # pending is ascending, so the stable sort breaks distance ties by point
         points = pending[np.argsort(d2[pending, choice[pending]], kind="stable")]
         clusters = choice[points]
-        room = base + (extras > 0) - sizes
-        counts = np.bincount(clusters, minlength=k)
-        fills = is_open & (counts >= room)
-        if not fills.any():
-            assignment[points] = clusters
-            return assignment
-        # the proposal that closes cluster c is the room[c]-th one naming c
+        # the size of each proposal's cluster before it: sizes plus the number
+        # of the round's earlier proposals naming the same cluster
         by_cluster = np.argsort(clusters, kind="stable")
-        stop = int(by_cluster[(np.cumsum(counts) - counts + room - 1)[fills]].min()) + 1
+        counts = np.bincount(clusters, minlength=k)
+        offset = (np.cumsum(counts) - counts - sizes)[clusters[by_cluster]]
+        before = np.empty_like(by_cluster)
+        before[by_cluster] = np.arange(points.size) - offset
+        # one at floor(n/k) takes a ceil-sized slot; the cluster is full if it is
+        # already past that, or no slot is left
+        ceil = before == base
+        full = (before > base) | (ceil & (np.cumsum(ceil) > extras))
+        stop = int(full.argmax()) if full.any() else points.size
         assignment[points[:stop]] = clusters[:stop]
+        if stop == points.size:
+            return assignment
         sizes += np.bincount(clusters[:stop], minlength=k)
-        closed = clusters[stop - 1]
-        is_open[closed] = False
-        if sizes[closed] > base:
-            extras -= 1
-            if extras == 0:
-                is_open[sizes == base] = False
-        pending = np.flatnonzero(assignment < 0)
+        extras -= int(ceil[:stop].sum())
+        is_open = sizes < base + (extras > 0)
+        pending = np.sort(points[stop:])
 
 
 SWAP_REFINE_LIMIT = 384

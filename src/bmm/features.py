@@ -19,7 +19,6 @@ endianness-pinned and read-then-write is byte identical.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,23 +103,30 @@ class Manifest:
         return cls(entries=kept, metadata=dict(metadata or {}))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
+    """The value of `fmt` at `offset` in `data`, and the offset just past it."""
+    end = offset + struct.calcsize(fmt)
+    if end > len(data):
         raise FormatError(f"truncated file while reading {what}")
-    return data
+    return struct.unpack_from(fmt, data, offset)[0], end
 
 
-def _read_string_block(fh, n: int, what: str) -> list[str]:
+def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str], int]:
+    """n length-prefixed UTF-8 strings from `offset`, and the offset just past them."""
     out = []
+    size = len(data)
     for i in range(n):
-        (length,) = struct.unpack("<I", _read_exact(fh, 4, f"{what} length {i}"))
-        raw = _read_exact(fh, length, f"{what} {i}")
+        start = offset + 4
+        if start > size:
+            raise FormatError(f"truncated file while reading {what} length {i}")
+        offset = start + int.from_bytes(data[start - 4:start], "little")
+        if offset > size:
+            raise FormatError(f"truncated file while reading {what} {i}")
         try:
-            out.append(raw.decode("utf-8"))
+            out.append(data[start:offset].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} {i} is not valid UTF-8: {exc}") from exc
-    return out
+    return out, offset
 
 
 def read_features(path: str | Path, format: str = "binary") -> FeatureMatrix:
@@ -143,31 +149,30 @@ def write_features(m: FeatureMatrix, path: str | Path, format: str = "binary") -
 
 def _read_features_binary(path: str | Path) -> FeatureMatrix:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != BINARY_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != BINARY_VERSION:
-            raise FormatError(
-                f"{path}: unsupported feature-file version {version} (this build reads {BINARY_VERSION})"
-            )
-        (n,) = struct.unpack("<Q", _read_exact(fh, 8, "row count"))
-        (d,) = struct.unpack("<I", _read_exact(fh, 4, "dimension"))
-        if n < 1 or d < 1:
-            raise FormatError(f"{path}: invalid shape {n}x{d}")
-        # Values plus at least two string-length prefixes per row must follow.
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
-        if n * (4 * d + 8) > available:
-            raise FormatError(
-                f"{path}: truncated file: a {n}x{d} header needs more than {available} bytes"
-            )
-        raw = _read_exact(fh, 4 * n * d, "feature values")
-        values = np.frombuffer(raw, dtype="<f4").reshape(n, d)
-        ids = _read_string_block(fh, n, "sample id")
-        labels = _read_string_block(fh, n, "dataset label")
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after string blocks")
+        data = fh.read()
+    magic, offset = _unpack(data, 0, "4s", "magic")
+    if magic != BINARY_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+    version, offset = _unpack(data, offset, "<H", "version")
+    if version != BINARY_VERSION:
+        raise FormatError(
+            f"{path}: unsupported feature-file version {version} (this build reads {BINARY_VERSION})"
+        )
+    n, offset = _unpack(data, offset, "<Q", "row count")
+    d, offset = _unpack(data, offset, "<I", "dimension")
+    if n < 1 or d < 1:
+        raise FormatError(f"{path}: invalid shape {n}x{d}")
+    # Values plus at least two string-length prefixes per row must follow.
+    available = len(data) - offset
+    if n * (4 * d + 8) > available:
+        raise FormatError(
+            f"{path}: truncated file: a {n}x{d} header needs more than {available} bytes"
+        )
+    values = np.frombuffer(data, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
+    ids, offset = _string_block(data, offset + 4 * n * d, n, "sample id")
+    labels, offset = _string_block(data, offset, n, "dataset label")
+    if offset != len(data):
+        raise FormatError(f"{path}: trailing bytes after string blocks")
     return FeatureMatrix(values=values.copy(), sample_ids=ids, dataset_labels=labels)
 
 
@@ -186,9 +191,17 @@ def _write_features_binary(m: FeatureMatrix, path: str | Path) -> None:
         raise OSError(f"cannot write feature file {path}: {exc}") from exc
 
 
+def _text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines translated as text mode reads them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: file is not valid UTF-8: {exc}") from exc
+
+
 def _read_features_csv(path: str | Path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line.rstrip("\n") for line in _text_lines(path) if line.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV feature file")
     header = lines[0].split(",")
@@ -234,24 +247,23 @@ def read_manifest(path: str | Path) -> Manifest:
     """Read a manifest; duplicate sample ids keep their first occurrence."""
     metadata: dict[str, str] = {}
     entries: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:]
-                if body.startswith(" "):
-                    body = body[1:]
-                if "=" not in body:
-                    raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
-                key, value = body.split("=", 1)
-                metadata[key] = value
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
-            entries.append((parts[0], parts[1]))
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line[1:]
+            if body.startswith(" "):
+                body = body[1:]
+            if "=" not in body:
+                raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
+            key, value = body.split("=", 1)
+            metadata[key] = value
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
+        entries.append((parts[0], parts[1]))
     return Manifest.deduped(entries, metadata)
 
 

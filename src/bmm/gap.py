@@ -88,8 +88,10 @@ def _stacked(stats: Sequence[ModeStats], eps: float) -> tuple[np.ndarray, np.nda
     """(ridged covariances, their traces, means) of the modes, stacked along axis 0."""
     if not 0.0 < eps < np.inf:  # NaN fails too
         raise ParameterError(f"eps must be finite and positive, got {eps}")
-    covs = np.stack([_ridged(s.cov, eps) for s in stats])
-    traces = np.array([np.trace(cov) for cov in covs])
+    # a huge eps overflows the traces to inf; `_fid_row` reports the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        covs = np.stack([_ridged(s.cov, eps) for s in stats])
+        traces = np.array([np.trace(cov) for cov in covs])
     means = np.stack([s.mean for s in stats])
     return covs, traces, means
 

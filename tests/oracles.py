@@ -6,7 +6,8 @@ distance, written out one pair at a time, that the stacked kernel behind
 `bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit.
 `oracle_balanced_assign` is the greedy over one global stable sort of all
 (point, cluster) distances that `clustering._balanced_assign` must equal
-exactly.
+exactly, and `oracle_cluster_means` the row-by-row `np.add.at` sum that
+`clustering._cluster_means` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -143,3 +144,11 @@ def oracle_balanced_assign(d2: np.ndarray) -> np.ndarray:
         if remaining == 0:
             break
     return np.asarray(assignment, dtype=np.int64)
+
+
+def oracle_cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster means of the rows, summed row by row with np.add.at."""
+    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
+    np.add.at(sums, assignment, x)
+    counts = np.bincount(assignment, minlength=k).astype(np.float64)
+    return sums / counts[:, None]

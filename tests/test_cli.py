@@ -457,8 +457,8 @@ def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blo
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command", ["match", "evaluate"])
-def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsys):
+def eps_argv(tmp_path, world_files, tree_blob, command, out):
+    """`match` or `evaluate` (over the whole server) writing to `out`."""
     _, server, _, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
     tree_path.write_bytes(tree_blob)
@@ -466,14 +466,32 @@ def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsy
     manifest_path.write_text(
         "".join(f"{sid},{label}\n" for sid, label in zip(server.sample_ids, server.dataset_labels))
     )
-    out = tmp_path / "out"
     if command == "match":
-        argv = match_args(tree_path, server_path, target_path, out)
-    else:
-        argv = [
-            "evaluate", "--manifest", str(manifest_path), "--server-features", str(server_path),
-            "--target-features", str(target_path), "--out", str(out),
-        ]
+        return match_args(tree_path, server_path, target_path, out)
+    return [
+        "evaluate", "--manifest", str(manifest_path), "--server-features", str(server_path),
+        "--target-features", str(target_path), "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate"])
+def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, command, capsys):
+    out = tmp_path / "out"
+    argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--eps-cov", "1e308"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate"])
+def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsys):
+    out = tmp_path / "out"
+    argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
     for eps in ("nan", "inf"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

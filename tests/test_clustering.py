@@ -14,10 +14,10 @@ from bmm import (
     fit_balanced_kmeans,
     fit_kmeans,
 )
-from bmm.clustering import _balanced_assign, _squared_distances, recompute_sse
+from bmm.clustering import _balanced_assign, _cluster_means, _squared_distances, recompute_sse
 
 from conftest import cluster_sizes, make_features
-from oracles import oracle_balanced_assign, oracle_balanced_partition
+from oracles import oracle_balanced_assign, oracle_balanced_partition, oracle_cluster_means
 
 
 def brute_force_min_sse(x: np.ndarray, k: int) -> float:
@@ -169,6 +169,58 @@ def distance_matrices(draw):
 @given(distance_matrices())
 def test_balanced_assign_equals_greedy_oracle(d2):
     assert np.array_equal(_balanced_assign(d2), oracle_balanced_assign(d2))
+
+
+def crowded(prefs, order):
+    """Point i's nearest cluster is prefs[i], the proposals come in the given
+    point order, and every other cluster ranks by index behind it."""
+    n, k = len(prefs), max(prefs) + 1
+    d2 = 1.0 + np.arange(k)[None, :] + np.zeros((n, 1))
+    d2[order, np.asarray(prefs)[order]] = np.arange(n) / (2.0 * n)
+    return d2
+
+
+@pytest.mark.parametrize("prefs, order", [
+    # ceil(n/k) = 3 with 2 slots: clusters 0 and 1 take them in the first
+    # round, which then stops at the third row proposing to cluster 2
+    ([0, 1, 2, 0, 1, 2, 0, 1, 2, 3], range(10)),
+    ([0, 1, 2, 0, 1, 2, 0, 1, 2, 3], [9, 8, 2, 5, 1, 4, 7, 0, 3, 6]),
+    # the slots run out before cluster 2 reaches floor(n/k), which it may
+    # still do in the same round, but not pass
+    ([0, 0, 0, 1, 1, 1, 2, 2, 2, 3], range(10)),
+    # one cluster would pass ceil(n/k) while slots remain
+    ([0, 0, 0, 0, 0, 1, 2], range(7)),
+    # n mod k = 0: no slot at all, the third proposal to cluster 0 is refused
+    ([0, 0, 0, 1], [3, 0, 1, 2]),
+    # every slot is taken in one round and nothing is refused
+    ([0, 0, 0, 1, 1, 1, 2, 2], range(8)),
+])
+def test_balanced_assign_rounds_that_fill_several_clusters(prefs, order):
+    d2 = crowded(prefs, list(order))
+    assert np.array_equal(_balanced_assign(d2), oracle_balanced_assign(d2))
+    # the same rows with every proposal tied: the greedy breaks ties by point
+    tied = np.where(d2 < 1.0, 0.0, d2)
+    assert np.array_equal(_balanced_assign(tied), oracle_balanced_assign(tied))
+
+
+@st.composite
+def labelled_rows(draw):
+    """Rows of widely scaled floats and labels that leave no cluster empty,
+    k being 1, n or any of 1..n."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.sampled_from([1, n, None])) or draw(st.integers(1, n))
+    x = draw(arrays(np.float64, (n, draw(st.integers(1, 4))),
+                    elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    extra = draw(arrays(np.int64, n - k, elements=st.integers(0, k - 1)))
+    labels = draw(st.permutations(np.concatenate([np.arange(k), extra]).tolist()))
+    return x, np.asarray(labels, dtype=np.int64), k
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(labelled_rows())
+def test_cluster_means_equal_add_at_oracle(case):
+    x, labels, k = case
+    assert _cluster_means(x, labels, k).tobytes() == oracle_cluster_means(x, labels, k).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

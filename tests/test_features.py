@@ -82,6 +82,34 @@ def test_binary_rejects_truncation(tmp_path):
             read_features(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:10], "truncated file while reading row count"),
+    (lambda raw: raw[:49], "truncated file while reading dataset label length 1"),
+    (lambda raw: raw[:53], "truncated file while reading dataset label 1"),
+    (lambda raw: raw[:30] + b"\xff" + raw[31:], "sample id 0 is not valid UTF-8"),
+    (lambda raw: raw + b"\x00", "trailing bytes after string blocks"),
+], ids=["header", "string-length", "string", "utf-8", "trailing"])
+def test_binary_errors_name_what_failed(tmp_path, edit, message):
+    # 18 header bytes, 8 value bytes, ids at 26..38 ("p0", "p1"), labels at 38..56
+    path = tmp_path / "f.bmmf"
+    write_features(make_features(np.ones((2, 1))), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=message):
+        read_features(path)
+
+
+@pytest.mark.parametrize("content, read", [
+    (b"sample_id,dataset_label,f0\np\xff0,set-a,1.0\n", lambda p: read_features(p, format="csv")),
+    (b"# k=v\np\xff0,set-a\n", read_manifest),
+], ids=["csv", "manifest"])
+def test_text_readers_reject_invalid_utf8(tmp_path, content, read):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match="not valid UTF-8") as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
 def test_csv_minimal(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("id,dataset,f0,f1\na,alpha,0.5,1.5\n")

@@ -1,5 +1,6 @@
-"""Fuzz the binary readers: a truncated or byte-flipped tree or feature file
-must make the command exit 0 or exit 2 with an error line, never raise."""
+"""Fuzz the file readers: a truncated or byte-flipped tree, feature file (binary
+or CSV) or manifest must make the command exit 0 or exit 2 with an error
+line, never raise."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmm import generate, write_features
+from bmm import Manifest, generate, write_features, write_manifest
 from bmm.cli import main
 from bmm.synth import random_subset_world
 
@@ -23,6 +24,9 @@ def files(tmp_path_factory):
     server, target, _ = generate(world)
     write_features(server, root / "server.bmmf")
     write_features(target, root / "target.bmmf")
+    write_features(server, root / "server.csv", format="csv")
+    entries = list(zip(server.sample_ids, server.dataset_labels))[::2]
+    write_manifest(Manifest(entries=entries, metadata={"source": "fuzz"}), root / "half.manifest")
     assert run(["build-server", "--server-features", str(root / "server.bmmf"),
                 "--leaves", "4", "--tree", str(root / "tree.bmmt")])[0] == 0
     return root
@@ -83,6 +87,41 @@ def test_fuzz_feature_reader(files):
         check(*run([
             "build-server", "--server-features", str(files / "mutated.bmmf"),
             "--leaves", "4", "--tree", str(files / "out.bmmt"),
+        ]))
+
+    fuzz()
+
+
+def test_fuzz_csv_feature_reader(files):
+    blob = (files / "server.csv").read_bytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(mutations(len(blob)))
+    def fuzz(mutation):
+        (files / "mutated.csv").write_bytes(mutate(blob, mutation))
+        check(*run([
+            "build-server", "--format", "csv", "--server-features", str(files / "mutated.csv"),
+            "--leaves", "4", "--tree", str(files / "out.bmmt"),
+        ]))
+
+    fuzz()
+
+
+def test_fuzz_manifest_reader(files):
+    blob = (files / "half.manifest").read_bytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(mutations(len(blob)))
+    def fuzz(mutation):
+        (files / "mutated.manifest").write_bytes(mutate(blob, mutation))
+        check(*run([
+            "prune", "--manifest", str(files / "mutated.manifest"), "--budget-frac", "0.5",
+            "--out", str(files / "pruned.manifest"),
+        ]))
+        check(*run([
+            "evaluate", "--manifest", str(files / "mutated.manifest"),
+            "--server-features", str(files / "server.bmmf"),
+            "--target-features", str(files / "target.bmmf"),
         ]))
 
     fuzz()
