@@ -9,6 +9,9 @@ sort by distance, computed without that sort: in rounds where every
 unassigned point proposes its nearest open cluster and the proposals are
 accepted in distance order up to the first that names a cluster with no
 room left (see `_balanced_assign`).
+
+A fit sums the row norms once and writes every Lloyd iteration's n x k
+squared distances into the same two buffers (`_squared_distance_kernel`).
 """
 
 from __future__ import annotations
@@ -46,14 +49,26 @@ def recompute_sse(x: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) 
     return float((diff * diff).sum())
 
 
-def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (x * x).sum(axis=1)[:, None]
-        + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * (x @ centroids.T)
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    return d2
+def _squared_distance_kernel(x: np.ndarray, k: int):
+    """The squared distances from the rows of x to k centroids, for one fit.
+
+    The row norms are summed once, and every call evaluates
+    (|x|^2 + |c|^2) - 2 x.c into the same two n x k buffers, in that order,
+    then clips at zero. A returned array is overwritten by the next call.
+    """
+    xx = (x * x).sum(axis=1)[:, None]
+    d2 = np.empty((x.shape[0], k))
+    cross = np.empty_like(d2)
+
+    def squared_distances(centroids: np.ndarray) -> np.ndarray:
+        np.add(xx, (centroids * centroids).sum(axis=1)[None, :], out=d2)
+        np.matmul(x, centroids.T, out=cross)
+        np.multiply(cross, 2.0, out=cross)
+        np.subtract(d2, cross, out=d2)
+        np.clip(d2, 0.0, None, out=d2)
+        return d2
+
+    return squared_distances
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,11 +119,12 @@ def _repair_empty_clusters(
 
 def _lloyd(x, k, rng):
     n = x.shape[0]
+    squared_distances = _squared_distance_kernel(x, k)
     centroids = _kmeans_pp_init(x, k, rng)
     history: list[float] = []
     prev = None
     for _ in range(MAX_ITER):
-        d2 = _squared_distances(x, centroids)
+        d2 = squared_distances(centroids)
         assignment = d2.argmin(axis=1).astype(np.int64)
         point_sse = d2[np.arange(n), assignment]
         _repair_empty_clusters(x, centroids, assignment, point_sse)
@@ -251,15 +267,16 @@ def _swap_refine(x, assignment, k, history, max_steps=200):
 
 def _balanced_lloyd(x, k, rng):
     n = x.shape[0]
+    squared_distances = _squared_distance_kernel(x, k)
     centroids = _kmeans_pp_init(x, k, rng)
-    d2 = _squared_distances(x, centroids)
+    d2 = squared_distances(centroids)
     assignment = _balanced_assign(d2)
     history = [float(d2[np.arange(n), assignment].sum())]
     for _ in range(MAX_ITER - 1):
         new_centroids = _cluster_means(x, assignment, k)
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        d2 = _squared_distances(x, centroids)
+        d2 = squared_distances(centroids)
         candidate = _balanced_assign(d2)
         candidate_sse = float(d2[np.arange(n), candidate].sum())
         if candidate_sse > history[-1]:

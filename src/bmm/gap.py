@@ -108,6 +108,13 @@ def _fid_row(
         try:
             root_a = _psd_sqrt(cov_a)
             inner = root_a @ covs @ root_a
+            finite = np.isfinite(inner).all(axis=(1, 2))
+            if not finite.all():
+                x = int(np.flatnonzero(~finite)[0])
+                raise NumericalError(
+                    f"covariance product Cov_a^1/2 Cov_b Cov_a^1/2 overflows for node column "
+                    f"{x} (d={a.d}): a covariance or the eps ridge is too large"
+                )
             cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(

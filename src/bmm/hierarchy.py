@@ -7,6 +7,11 @@ statistics of its member rows and is a candidate for matching, the root
 included. Leaf statistics are fitted to the leaf rows; a merged node pools
 the exact moments of its two children, so no row is read twice.
 
+The merging keeps no distance matrix: each node caches its nearest
+higher-id neighbour, linkage rows are computed in blocks against the
+stacked means and counts, and a merge recomputes only the rows whose
+nearest neighbour it removed (see `build_hierarchy`).
+
 Membership is stored once, as one leaf label per server row: a node's rows
 are those whose leaf lies in its subtree, derived on demand, never stored.
 
@@ -45,6 +50,7 @@ TREE_VERSION = 3
 _HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
 
 LINKAGES = ("centroid", "ward")
+_BLOCK_VALUES = 1 << 20  # gap values per block of linkage rows (8 MB)
 
 
 @dataclass(eq=False)
@@ -114,12 +120,20 @@ class ModeTree:
         return out
 
 
-def _linkage_value(linkage: str, a: ModeStats, b: ModeStats) -> float:
-    gap = a.mean - b.mean
+def _linkage(
+    linkage: str, means_a: np.ndarray, counts_a: np.ndarray, means_b: np.ndarray,
+    counts_b: np.ndarray,
+) -> np.ndarray:
+    """Linkage values between nodes a and b, broadcast over the leading axes."""
+    gap = means_a - means_b
+    # a stacked vector.vector matmul adds each gap in the same order as the
+    # scalar gap @ gap, so every value keeps its bits (einsum does not)
+    sq = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0]
     if linkage == "centroid":
-        return float(np.sqrt(gap @ gap))
-    # ward: SSE increase caused by the merge
-    return float(a.count * b.count / (a.count + b.count) * (gap @ gap))
+        return np.sqrt(sq)
+    # ward: SSE increase caused by the merge; counts are at most n, so the
+    # int64 product is exact, and so is its float64 value below 2**53
+    return counts_a * counts_b / (counts_a + counts_b) * sq
 
 
 def _pooled(a: ModeStats, b: ModeStats) -> ModeStats:
@@ -141,6 +155,13 @@ def build_hierarchy(
     At every step the closest active pair under the chosen linkage is merged;
     equidistant pairs resolve to the lowest (node_id, node_id) pair. Leaf
     statistics are fitted to the leaf rows; a merged node pools its children's.
+
+    No distance matrix is kept. Each active node a caches `nearest[a]`, the
+    lowest-id active node b > a at the smallest linkage value `best[a]`, so
+    `best.argmin()` and its `nearest` give the lowest pair (the generic
+    algorithm of Müllner 2011, arXiv:1109.2378). After a merge the rows whose
+    nearest was a child are recomputed; any other row keeps its nearest
+    unless the new node, whose id is the highest, is strictly closer.
     """
     if linkage not in LINKAGES:
         raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
@@ -148,27 +169,43 @@ def build_hierarchy(
     total = 2 * j - 1
 
     nodes: list[ModeNode] = []
+    means = np.empty((total, features.d), dtype=np.float64)
+    counts = np.empty(total, dtype=np.int64)
     for c in range(j):
         rows = leaves.cluster_rows(c)
         if rows.size == 0:
             raise ValidationError(f"leaf cluster {c} is empty")
-        nodes.append(
-            ModeNode(node_id=c, children=None, parent=None, stats=gaussian_stats(features, rows))
-        )
-
-    dist = np.full((total, total), np.inf, dtype=np.float64)
+        stats = gaussian_stats(features, rows)
+        nodes.append(ModeNode(node_id=c, children=None, parent=None, stats=stats))
+        means[c] = stats.mean
+        counts[c] = stats.count
     active = np.zeros(total, dtype=bool)
     active[:j] = True
-    for a in range(j):
-        for b in range(a + 1, j):
-            dist[a, b] = _linkage_value(linkage, nodes[a].stats, nodes[b].stats)
+    nearest = np.full(total, -1, dtype=np.int64)
+    best = np.full(total, np.inf)
 
-    for new_id in range(j, total):
+    def refresh(rows: np.ndarray) -> None:
+        """Recompute nearest and best of the ascending active rows, each over
+        the active nodes above it; a row with none keeps best = inf."""
         ids = np.flatnonzero(active)
-        block = dist[np.ix_(ids, ids)]
-        flat = int(block.argmin())  # row-major first minimum = lowest (a, b) pair
-        a = int(ids[flat // ids.size])
-        b = int(ids[flat % ids.size])
+        ids = ids[ids > rows[0]]
+        if ids.size == 0:
+            return
+        step = max(1, _BLOCK_VALUES // (ids.size * features.d))
+        for start in range(0, rows.size, step):
+            chunk = rows[start:start + step]
+            block = _linkage(
+                linkage, means[chunk, None], counts[chunk, None], means[ids], counts[ids]
+            )
+            block[ids[None, :] <= chunk[:, None]] = np.inf
+            first = block.argmin(axis=1)
+            nearest[chunk] = ids[first]
+            best[chunk] = block[np.arange(chunk.size), first]
+
+    refresh(np.arange(j))
+    for new_id in range(j, total):
+        a = int(best.argmin())  # the lowest row holding the minimum, then its first
+        b = int(nearest[a])
         stats = _pooled(nodes[a].stats, nodes[b].stats)
         nodes.append(
             ModeNode(
@@ -176,17 +213,25 @@ def build_hierarchy(
                 children=(a, b),
                 parent=None,
                 stats=stats,
-                merge_distance=float(dist[a, b]),
+                merge_distance=float(best[a]),
             )
         )
         nodes[a].parent = new_id
         nodes[b].parent = new_id
-        active[a] = False
-        active[b] = False
-        for other in np.flatnonzero(active):
-            value = _linkage_value(linkage, stats, nodes[other].stats)
-            dist[min(other, new_id), max(other, new_id)] = value
+        active[a] = active[b] = False
+        best[a] = best[b] = np.inf
+        means[new_id] = stats.mean
+        counts[new_id] = stats.count
+        ids = np.flatnonzero(active)
+        row = _linkage(linkage, stats.mean, stats.count, means[ids], counts[ids])
+        stale = (nearest[ids] == a) | (nearest[ids] == b)
+        # new_id is the highest column, so it wins only when strictly closer
+        closer = ~stale & (row < best[ids])
+        nearest[ids[closer]] = new_id
+        best[ids[closer]] = row[closer]
         active[new_id] = True
+        if stale.any():
+            refresh(ids[stale])
 
     tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=leaves.assignment)
     validate_tree(tree)

@@ -119,6 +119,18 @@ class WorldTruth:
 def generate(world: PlantedWorld) -> tuple[FeatureMatrix, FeatureMatrix, WorldTruth]:
     """Sample (server, target, truth) from a planted world, seeded by the world."""
     world.validate()
+    try:
+        return _sample(world)
+    except MemoryError as exc:
+        server_rows = sum(sub.count for sup in world.supers for sub in sup.subs)
+        target_rows = sum(tm.count for tm in world.targets)
+        raise ParameterError(
+            f"cannot allocate the world's {server_rows} server and {target_rows} target rows "
+            f"of dimension {world.dimension}"
+        ) from exc
+
+
+def _sample(world: PlantedWorld) -> tuple[FeatureMatrix, FeatureMatrix, WorldTruth]:
     rng = np.random.default_rng(world.seed % 2**63)
     d = world.dimension
 
@@ -233,6 +245,13 @@ def load_world(path: str | Path) -> PlantedWorld:
     return world
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _world_from_payload(payload) -> PlantedWorld:
     """The world a parsed config describes; a malformed one raises a builtin error."""
     supers = [
@@ -242,7 +261,7 @@ def _world_from_payload(payload) -> PlantedWorld:
                 SubMode(
                     offset=np.asarray(sub["offset"], dtype=np.float64),
                     scale=float(sub["scale"]),
-                    count=int(sub["count"]),
+                    count=_integer(sub["count"], "count"),
                 )
                 for sub in rec["sub_modes"]
             ],
@@ -251,9 +270,9 @@ def _world_from_payload(payload) -> PlantedWorld:
     ]
     targets = [
         TargetMode(
-            super_idx=int(rec["super"]),
-            sub_idx=None if rec.get("sub") is None else int(rec["sub"]),
-            count=int(rec["count"]),
+            super_idx=_integer(rec["super"], "super"),
+            sub_idx=None if rec.get("sub") is None else _integer(rec["sub"], "sub"),
+            count=_integer(rec["count"], "count"),
             mean_shift=(
                 None
                 if rec.get("mean_shift") is None
@@ -264,10 +283,10 @@ def _world_from_payload(payload) -> PlantedWorld:
         for rec in payload["target_modes"]
     ]
     return PlantedWorld(
-        dimension=int(payload["dimension"]),
+        dimension=_integer(payload["dimension"], "dimension"),
         supers=supers,
         targets=targets,
-        seed=int(payload.get("seed", 0)),
+        seed=_integer(payload.get("seed", 0), "seed"),
     )
 
 

@@ -8,6 +8,11 @@ distance, written out one pair at a time, that the stacked kernel behind
 (point, cluster) distances that `clustering._balanced_assign` must equal
 exactly, and `oracle_cluster_means` the row-by-row `np.add.at` sum that
 `clustering._cluster_means` must reproduce bit for bit.
+`oracle_squared_distances` is the one-expression distance kernel that the
+buffered one in `clustering` must reproduce bit for bit, and
+`oracle_build_hierarchy` the merge loop over a full pairwise distance
+matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
+equal node for node.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import itertools
 
 import numpy as np
 
-from bmm import Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError
-from bmm.gap import DEFAULT_EPS
+from bmm import (
+    Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError, ValidationError,
+)
+from bmm.gap import DEFAULT_EPS, gaussian_stats
+from bmm.hierarchy import LINKAGES, ModeNode, _pooled, validate_tree
 
 ORACLE_ASSIGN_MAX_TARGETS = 7
 ORACLE_ASSIGN_MAX_NODES = 10
@@ -152,3 +160,76 @@ def oracle_cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.nd
     np.add.at(sums, assignment, x)
     counts = np.bincount(assignment, minlength=k).astype(np.float64)
     return sums / counts[:, None]
+
+
+def oracle_squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """n x k squared distances from the rows of x to the centroids, in one expression."""
+    d2 = (
+        (x * x).sum(axis=1)[:, None]
+        + (centroids * centroids).sum(axis=1)[None, :]
+        - 2.0 * (x @ centroids.T)
+    )
+    np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
+def _linkage_value(linkage: str, a: ModeStats, b: ModeStats) -> float:
+    gap = a.mean - b.mean
+    if linkage == "centroid":
+        return float(np.sqrt(gap @ gap))
+    # ward: SSE increase caused by the merge
+    return float(a.count * b.count / (a.count + b.count) * (gap @ gap))
+
+
+def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "centroid") -> ModeTree:
+    """The merge loop over a full (2J-1)^2 distance matrix: every step copies
+    the active block and takes its row-major first minimum."""
+    if linkage not in LINKAGES:
+        raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    j = leaves.k
+    total = 2 * j - 1
+
+    nodes: list[ModeNode] = []
+    for c in range(j):
+        rows = leaves.cluster_rows(c)
+        if rows.size == 0:
+            raise ValidationError(f"leaf cluster {c} is empty")
+        nodes.append(
+            ModeNode(node_id=c, children=None, parent=None, stats=gaussian_stats(features, rows))
+        )
+
+    dist = np.full((total, total), np.inf, dtype=np.float64)
+    active = np.zeros(total, dtype=bool)
+    active[:j] = True
+    for a in range(j):
+        for b in range(a + 1, j):
+            dist[a, b] = _linkage_value(linkage, nodes[a].stats, nodes[b].stats)
+
+    for new_id in range(j, total):
+        ids = np.flatnonzero(active)
+        block = dist[np.ix_(ids, ids)]
+        flat = int(block.argmin())  # row-major first minimum = lowest (a, b) pair
+        a = int(ids[flat // ids.size])
+        b = int(ids[flat % ids.size])
+        stats = _pooled(nodes[a].stats, nodes[b].stats)
+        nodes.append(
+            ModeNode(
+                node_id=new_id,
+                children=(a, b),
+                parent=None,
+                stats=stats,
+                merge_distance=float(dist[a, b]),
+            )
+        )
+        nodes[a].parent = new_id
+        nodes[b].parent = new_id
+        active[a] = False
+        active[b] = False
+        for other in np.flatnonzero(active):
+            value = _linkage_value(linkage, stats, nodes[other].stats)
+            dist[min(other, new_id), max(other, new_id)] = value
+        active[new_id] = True
+
+    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=leaves.assignment)
+    validate_tree(tree)
+    return tree

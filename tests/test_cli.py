@@ -266,8 +266,21 @@ def _short_mean_shift(payload: dict) -> dict:
     return payload
 
 
+def _sub_count(value):
+    """Replace the first sub mode's count with value(count)."""
+    def mutate(payload: dict) -> dict:
+        count = payload["super_modes"][0]["sub_modes"][0]["count"]
+        payload["super_modes"][0]["sub_modes"][0]["count"] = value(count)
+        return payload
+    return mutate
+
+
 # Each mutation takes a valid world config and returns the document to write.
 MALFORMED_WORLDS = {
+    # 10**12 rows: numpy refuses the allocation at once
+    "count-huge": _sub_count(lambda count: 10**12),
+    "count-fraction": _sub_count(lambda count: count + 0.5),
+    "count-string": _sub_count(str),
     "no-super-modes": lambda p: {k: v for k, v in p.items() if k != "super_modes"},
     "super-modes-int": lambda p: {**p, "super_modes": 5},
     "sub-mode-without-scale": _without_scale,
@@ -478,14 +491,17 @@ def eps_argv(tmp_path, world_files, tree_blob, command, out):
 def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, command, capsys):
     out = tmp_path / "out"
     argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv + ["--eps-cov", "1e308"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ")
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not out.exists()
+    for eps in ("1e200", "1e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--eps-cov", eps])
+        err = capsys.readouterr().err
+        assert code == 2, eps
+        assert err.startswith("error: ")
+        # the ridged covariance product overflows before any eigenvalue solve
+        assert "overflows" in err and "did not converge" not in err, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["match", "evaluate"])

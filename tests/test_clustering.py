@@ -14,10 +14,15 @@ from bmm import (
     fit_balanced_kmeans,
     fit_kmeans,
 )
-from bmm.clustering import _balanced_assign, _cluster_means, _squared_distances, recompute_sse
+from bmm.clustering import (
+    _balanced_assign, _cluster_means, _squared_distance_kernel, recompute_sse,
+)
 
 from conftest import cluster_sizes, make_features
-from oracles import oracle_balanced_assign, oracle_balanced_partition, oracle_cluster_means
+from oracles import (
+    oracle_balanced_assign, oracle_balanced_partition, oracle_cluster_means,
+    oracle_squared_distances,
+)
 
 
 def brute_force_min_sse(x: np.ndarray, k: int) -> float:
@@ -162,13 +167,41 @@ def distance_matrices(draw):
     distinct = draw(arrays(np.int64, (draw(st.integers(1, n)), 2), elements=st.integers(-2, 2)))
     x = distinct[draw(arrays(np.int64, n, elements=st.integers(0, len(distinct) - 1)))]
     picks = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
-    return _squared_distances(x.astype(np.float64), x[picks].astype(np.float64))
+    return _squared_distance_kernel(x.astype(np.float64), k)(x[picks].astype(np.float64))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(distance_matrices())
 def test_balanced_assign_equals_greedy_oracle(d2):
     assert np.array_equal(_balanced_assign(d2), oracle_balanced_assign(d2))
+
+
+@st.composite
+def rows_and_centroid_sets(draw):
+    """n x d rows and two sets of k centroids, k being 1, n or any of 1..n;
+    values are floats or small integers (exact zeros to clip)."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([1, n, None])) or draw(st.integers(1, n))
+    if draw(st.booleans()):
+        elements = st.floats(-1e3, 1e3, allow_nan=False)
+        x = draw(arrays(np.float64, (n, d), elements=elements))
+        sets = [draw(arrays(np.float64, (k, d), elements=elements)) for _ in range(2)]
+    else:
+        x = draw(arrays(np.int64, (n, d), elements=st.integers(-2, 2))).astype(np.float64)
+        sets = [x[draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))]
+                for _ in range(2)]
+    return x, sets
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows_and_centroid_sets())
+def test_squared_distances_equal_oracle_bit_for_bit(case):
+    x, sets = case
+    squared_distances = _squared_distance_kernel(x, sets[0].shape[0])
+    for centroids in sets:  # the second call reuses the first call's buffers
+        d2 = squared_distances(centroids)
+        assert d2.tobytes() == oracle_squared_distances(x, centroids).tobytes()
 
 
 def crowded(prefs, order):

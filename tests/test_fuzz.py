@@ -1,6 +1,6 @@
 """Fuzz the file readers: a truncated or byte-flipped tree, feature file (binary
-or CSV) or manifest must make the command exit 0 or exit 2 with an error
-line, never raise."""
+or CSV), manifest or world config must make the command exit 0 or exit 2
+with an error line, never raise."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmm import Manifest, generate, write_features, write_manifest
+from bmm import Manifest, generate, save_world, write_features, write_manifest
 from bmm.cli import main
 from bmm.synth import random_subset_world
 
@@ -27,6 +27,7 @@ def files(tmp_path_factory):
     write_features(server, root / "server.csv", format="csv")
     entries = list(zip(server.sample_ids, server.dataset_labels))[::2]
     write_manifest(Manifest(entries=entries, metadata={"source": "fuzz"}), root / "half.manifest")
+    save_world(world, root / "world.json")
     assert run(["build-server", "--server-features", str(root / "server.bmmf"),
                 "--leaves", "4", "--tree", str(root / "tree.bmmt")])[0] == 0
     return root
@@ -122,6 +123,21 @@ def test_fuzz_manifest_reader(files):
             "evaluate", "--manifest", str(files / "mutated.manifest"),
             "--server-features", str(files / "server.bmmf"),
             "--target-features", str(files / "target.bmmf"),
+        ]))
+
+    fuzz()
+
+
+def test_fuzz_world_reader(files):
+    blob = (files / "world.json").read_bytes()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(mutations(len(blob)))
+    def fuzz(mutation):
+        (files / "mutated.json").write_bytes(mutate(blob, mutation))
+        check(*run([
+            "bench", "--world", str(files / "mutated.json"), "--leaves", "2,4",
+            "--target-clusters", "2", "--out", str(files / "bench.csv"),
         ]))
 
     fuzz()

@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bmm import (
     TreeFormatError,
@@ -16,9 +19,11 @@ from bmm import (
     persist_tree,
 )
 from bmm.clustering import FlatClustering
-from bmm.hierarchy import validate_tree
+from bmm import hierarchy
+from bmm.hierarchy import LINKAGES, validate_tree
 
 from conftest import make_features, trees_equal
+from oracles import oracle_build_hierarchy
 
 
 def quad_features():
@@ -78,6 +83,57 @@ def test_merge_steps_match_exhaustive_linkage(rng):
         assert node.merge_distance == pytest.approx(best[0], rel=1e-12)
         del active[a], active[b]
         active[new_id] = tree.members(node.node_id)
+
+
+@st.composite
+def tie_heavy_leaves(draw):
+    """J = 1..40 leaves of 2 or 3 integer rows in d = 1..3, most of them
+    copies of another leaf's rows, in a shuffled row order: equal linkage
+    values, zero ones included, are the rule rather than the exception."""
+    j = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    shapes = st.tuples(st.integers(2, 3), st.just(d))
+    templates = draw(st.lists(arrays(np.int64, shapes, elements=st.integers(-2, 2)),
+                              min_size=1, max_size=j))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=j, max_size=j))
+    rows = np.concatenate([templates[p] for p in picks])
+    labels = np.repeat(np.arange(j), [len(templates[p]) for p in picks])
+    order = np.asarray(draw(st.permutations(range(labels.size))))
+    leaves = FlatClustering(k=j, assignment=labels[order], centroids=np.zeros((j, d)), sse=0.0)
+    return leaves, make_features(rows[order])
+
+
+def assert_equals_oracle(leaves, fm, linkage):
+    """Same merges, merge distances and bit-identical node statistics."""
+    tree = build_hierarchy(leaves, fm, linkage=linkage)
+    oracle = oracle_build_hierarchy(leaves, fm, linkage=linkage)
+    assert tree.node_count == oracle.node_count
+    for node, expected in zip(tree.nodes, oracle.nodes):
+        assert (node.children, node.parent) == (expected.children, expected.parent)
+        assert node.merge_distance == expected.merge_distance
+        assert node.stats.count == expected.stats.count
+        assert node.stats.mean.tobytes() == expected.stats.mean.tobytes()
+        assert node.stats.cov.tobytes() == expected.stats.cov.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tie_heavy_leaves(), st.sampled_from(LINKAGES))
+def test_build_hierarchy_equals_merge_loop_oracle(case, linkage):
+    assert_equals_oracle(*case, linkage)
+
+
+def test_build_hierarchy_equals_oracle_on_random_leaves(monkeypatch):
+    """Random balanced labels at J=96 and d=24: many rows per merge go stale
+    under centroid linkage. Blocks of ~10,000 gap values split each refresh
+    into chunks of a few rows."""
+    monkeypatch.setattr(hierarchy, "_BLOCK_VALUES", 10_000)
+    rng = np.random.default_rng(7)
+    j, d = 96, 24
+    labels = rng.permutation(np.arange(8 * j) % j)
+    fm = make_features(rng.normal(size=(8 * j, d)))
+    leaves = FlatClustering(k=j, assignment=labels, centroids=np.zeros((j, d)), sse=0.0)
+    for linkage in LINKAGES:
+        assert_equals_oracle(leaves, fm, linkage)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 5, 9])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from bmm import (
+    FormatError,
     ParameterError,
     PlantedWorld,
     SubMode,
@@ -100,6 +103,13 @@ def test_world_validation_errors():
     small.supers[0].subs[0].count = 1
     with pytest.raises(ParameterError, match="count >= 2"):
         small.validate()
+
+
+def test_unallocatable_world_names_its_rows():
+    world = tiny_world()
+    world.supers[0].subs[0].count = 10**12  # numpy refuses the allocation at once
+    with pytest.raises(ParameterError, match="1000000000000 server and 8 target rows"):
+        generate(world)
 
 
 def test_whole_super_target_mixture():
@@ -233,3 +243,17 @@ def test_world_json_roundtrip(tmp_path):
     a = generate(world)[0].values.tobytes()
     b = generate(back)[0].values.tobytes()
     assert a == b
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dimension", 2.0), ("dimension", True), ("seed", "3"), ("seed", 3.5),
+    ("super", False), ("sub", 0.0), ("count", 20.5), ("count", "20"),
+])
+def test_world_integers_are_json_integers(tmp_path, key, value):
+    save_world(tiny_world(), tmp_path / "world.json")
+    payload = json.loads((tmp_path / "world.json").read_text())
+    record = payload if key in ("dimension", "seed") else payload["target_modes"][0]
+    record[key] = value
+    (tmp_path / "world.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=f"{key} must be an integer"):
+        load_world(tmp_path / "world.json")
