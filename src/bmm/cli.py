@@ -111,10 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_tree_summary(tree: ModeTree) -> None:
     print(f"leaves (J): {tree.leaf_count}")
     print(f"nodes (H): {tree.node_count}")
-    for depth, sizes in sorted(tree.level_sizes().items()):
-        shown = " ".join(str(s) for s in sizes) if len(sizes) <= 16 else (
-            f"min={min(sizes)} max={max(sizes)}"
-        )
+    depths = tree.depths()
+    for depth in np.unique(depths):
+        sizes = tree.counts[depths == depth].tolist()
+        few = len(sizes) <= 16
+        shown = " ".join(map(str, sizes)) if few else f"min={min(sizes)} max={max(sizes)}"
         print(f"depth {depth}: {len(sizes)} node(s), sizes {shown}")
 
 
@@ -227,10 +228,13 @@ def _selection_from_manifest(
         raise ValidationError(
             "manifest lacks 'selected_nodes' metadata; it was not produced by 'bmm match'"
         )
-    selected = [int(tok) for tok in raw.split(",") if tok]
-    for node_id in selected:
-        if not 0 <= node_id < tree.node_count:
-            raise ValidationError(f"manifest references unknown node {node_id}")
+    if not all(tok.isascii() and tok.isdigit() for tok in raw.split(",")):
+        raise ValidationError(f"manifest 'selected_nodes' metadata {raw!r} must list node ids")
+    selected = [int(tok) for tok in raw.split(",")]
+    if len(set(selected)) < len(selected):
+        raise ValidationError(f"manifest 'selected_nodes' metadata {raw!r} repeats a node id")
+    if max(selected) >= tree.node_count:
+        raise ValidationError(f"manifest references unknown node {max(selected)}")
     _check_tree_rows(tree, features)
     rows = _manifest_rows(manifest, features)
     strata = node_strata(tree, selected, rows)

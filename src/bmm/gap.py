@@ -71,11 +71,11 @@ def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) 
     return ModeStats(mean=mean, cov=cov, count=int(idx.size))
 
 
-def _ridged(cov: np.ndarray, eps: float) -> np.ndarray:
-    """Return cov with an eps*I ridge when its smallest eigenvalue is below eps."""
-    if float(np.linalg.eigvalsh(cov).min()) < eps:
-        return cov + eps * np.eye(cov.shape[0])
-    return cov
+def _ridged(covs: np.ndarray, eps: float) -> np.ndarray:
+    """covs, one matrix or a stack, with an eps*I ridge on each matrix whose
+    smallest eigenvalue is below eps."""
+    low = np.linalg.eigvalsh(covs).min(axis=-1) < eps
+    return np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -84,16 +84,15 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def _stacked(stats: Sequence[ModeStats], eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ridged covariances, their traces, means) of the modes, stacked along axis 0."""
+def _stacked(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ridged covariances, their traces) of a stack of covariances."""
     if not 0.0 < eps < np.inf:  # NaN fails too
         raise ParameterError(f"eps must be finite and positive, got {eps}")
     # a huge eps overflows the traces to inf; `_fid_row` reports the result
     with np.errstate(over="ignore", invalid="ignore"):
-        covs = np.stack([_ridged(s.cov, eps) for s in stats])
-        traces = np.array([np.trace(cov) for cov in covs])
-    means = np.stack([s.mean for s in stats])
-    return covs, traces, means
+        covs = _ridged(covs, eps)
+        traces = np.trace(covs, axis1=1, axis2=2)
+    return covs, traces
 
 
 def _fid_row(
@@ -120,7 +119,8 @@ def _fid_row(
             raise NumericalError(
                 f"covariance square root failed (d={a.d}, count {a.count}): {exc}"
             ) from exc
-        gaps = np.array([delta @ delta for delta in a.mean - means])
+        deltas = a.mean - means  # stacked vector.vector products: the bits of delta @ delta
+        gaps = (deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0]
         row = (
             gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
         )
@@ -133,7 +133,7 @@ def _fid_row(
 
 def fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
     """Fréchet distance between two Gaussian modes; clamped to be >= 0."""
-    return float(_fid_row(a, *_stacked([b], eps), eps)[0])
+    return float(_fid_row(a, *_stacked(b.cov[None], eps), b.mean[None], eps)[0])
 
 
 def thread_limit() -> int:
@@ -152,16 +152,16 @@ def cost_matrix(
 ) -> np.ndarray:
     """L x H matrix of Fréchet distances, entry (y, x) = fid(target y, node x).
 
-    The tree's node covariances are ridged and stacked once per call; each
+    The tree's node covariances are ridged together once per call; each
     target then costs one square root and one stacked eigvalsh.
     """
     if len(target_modes) == 0:
         raise ParameterError("need at least one target mode")
-    nodes = _stacked([node.stats for node in tree.nodes], eps)
+    covs, traces = _stacked(tree.covs, eps)
     rows = []
     for y, t in enumerate(target_modes):
         try:
-            rows.append(_fid_row(t, *nodes, eps))
+            rows.append(_fid_row(t, covs, traces, tree.means, eps))
         except NumericalError as exc:
             raise NumericalError(f"target mode {y}: {exc}") from exc
     return np.stack(rows)

@@ -2,18 +2,21 @@
 
 Leaves are the balanced k-means clusters of the server feature set; internal
 nodes come from bottom-up agglomerative merging of the closest pair at each
-step, so J leaves always produce 2J-1 nodes. Every node caches the Gaussian
-statistics of its member rows and is a candidate for matching, the root
-included. Leaf statistics are fitted to the leaf rows; a merged node pools
-the exact moments of its two children, so no row is read twice.
+step, so J leaves always produce H = 2J-1 nodes. Every node caches the
+Gaussian statistics of its member rows and is a candidate for matching, the
+root included. Leaf statistics are fitted to the leaf rows; a merged node
+pools the exact moments of its two children, so no row is read twice.
 
 The merging keeps no distance matrix: each node caches its nearest
 higher-id neighbour, linkage rows are computed in blocks against the
 stacked means and counts, and a merge recomputes only the rows whose
 nearest neighbour it removed (see `build_hierarchy`).
 
-Membership is stored once, as one leaf label per server row: a node's rows
-are those whose leaf lies in its subtree, derived on demand, never stored.
+`ModeTree` holds the tree as the arrays its file stores, in node-id order:
+`children` (H x 2, -1 for a leaf), `counts`, `means`, `covs` and one leaf
+label per server row; `parents` is derived from `children`, and
+`ModeTree.node(i)` builds a `ModeNode` view on demand. A node's rows are
+those whose leaf lies in its subtree, derived on demand, never stored.
 
 Trees persist as a little-endian binary file (version 3):
 
@@ -24,15 +27,16 @@ Trees persist as a little-endian binary file (version 3):
   leaf), an int64 count, ``d`` float64 mean values and ``d*d`` float64
   covariance values in row-major order.
 
-Parents are derived from the child ids. Persist/load is exact at the bit
-level; the loader refuses JSON trees (versions 1-2), other versions, a size
-that disagrees with the header, non-finite statistics and broken structure.
+Persist is one record write and load a size check plus array copies; the
+round trip is exact at the bit level, and so is re-persisting a loaded file.
+The loader refuses JSON trees (versions 1-2), other versions, a size that
+disagrees with the header, non-finite statistics and broken structure.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -55,11 +59,12 @@ _BLOCK_VALUES = 1 << 20  # gap values per block of linkage rows (8 MB)
 
 @dataclass(eq=False)
 class ModeNode:
+    """One node read from a ModeTree's arrays; `ModeTree.node` builds it on demand."""
+
     node_id: int
     children: tuple[int, int] | None
     parent: int | None
     stats: ModeStats
-    merge_distance: float | None = None  # linkage value for internal nodes; not persisted
 
     @property
     def size(self) -> int:
@@ -72,52 +77,69 @@ class ModeNode:
 
 @dataclass(eq=False)
 class ModeTree:
-    nodes: list[ModeNode]
-    leaf_count: int
-    leaf_labels: np.ndarray  # int64 leaf node id of every server row
+    """The 2J-1 node tree as the arrays its file stores, in node-id order."""
+
+    children: np.ndarray  # (H, 2) int64 child ids, -1 for a leaf
+    counts: np.ndarray  # (H,) int64 member row counts
+    means: np.ndarray  # (H, d) float64
+    covs: np.ndarray  # (H, d, d) float64
+    leaf_labels: np.ndarray  # (n,) int64 leaf node id of every server row
+    parents: np.ndarray = field(init=False)  # (H,) int64, -1 for the root
+
+    def __post_init__(self) -> None:
+        # only links to a lower id count; validate_tree reports the others
+        ids = np.arange(self.node_count)
+        linked = (self.children >= 0) & (self.children < ids[:, None])
+        self.parents = np.full(self.node_count, -1, dtype=np.int64)
+        self.parents[self.children[linked]] = np.repeat(ids, 2)[linked.ravel()]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.children)
+
+    @property
+    def leaf_count(self) -> int:
+        return (self.node_count + 1) // 2
 
     @property
     def root_id(self) -> int:
         return self.node_count - 1
 
     def node(self, node_id: int) -> ModeNode:
-        return self.nodes[node_id]
+        a, b = self.children[node_id].tolist()
+        parent = int(self.parents[node_id])
+        return ModeNode(
+            node_id=node_id,
+            children=None if a < 0 else (a, b),
+            parent=None if parent < 0 else parent,
+            stats=ModeStats(self.means[node_id], self.covs[node_id], int(self.counts[node_id])),
+        )
+
+    def _levels(self, node_id: int):
+        """The node ids under node_id, one array per depth below it."""
+        level = np.array([node_id])
+        while level.size:
+            yield level
+            below = self.children[level]
+            level = below[below >= 0]
 
     def subtree_leaves(self, node_id: int) -> np.ndarray:
         """Boolean mask over the J leaves: True for the leaves under node_id."""
         mask = np.zeros(self.leaf_count, dtype=bool)
-        stack = [node_id]
-        while stack:
-            node_id = stack.pop()
-            children = self.nodes[node_id].children
-            if children is None:
-                mask[node_id] = True
-            else:
-                stack.extend(children)
+        for level in self._levels(node_id):
+            mask[level[level < self.leaf_count]] = True
         return mask
 
     def members(self, node_id: int) -> np.ndarray:
         """Sorted server rows of node_id, derived from the leaf labels."""
         return np.flatnonzero(self.subtree_leaves(node_id)[self.leaf_labels])
 
-    def depths(self) -> list[int]:
+    def depths(self) -> np.ndarray:
         """Depth of each node, root = 0."""
-        depth = [0] * self.node_count
-        for node in sorted(self.nodes, key=lambda nd: -nd.node_id):
-            if node.parent is not None:
-                depth[node.node_id] = depth[node.parent] + 1
+        depth = np.zeros(self.node_count, dtype=np.int64)
+        for d, level in enumerate(self._levels(self.root_id)):
+            depth[level] = d
         return depth
-
-    def level_sizes(self) -> dict[int, list[int]]:
-        """Member counts per depth level, for build summaries."""
-        out: dict[int, list[int]] = {}
-        for node, depth in zip(self.nodes, self.depths()):
-            out.setdefault(depth, []).append(node.size)
-        return out
 
 
 def _linkage(
@@ -136,15 +158,19 @@ def _linkage(
     return counts_a * counts_b / (counts_a + counts_b) * sq
 
 
-def _pooled(a: ModeStats, b: ModeStats) -> ModeStats:
-    """Exact moments of the union of two disjoint row sets from their own
-    moments (Chan, Golub & LeVeque 1979); no row is read again."""
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    scatter = (a.count - 1) * a.cov + (b.count - 1) * b.cov
-    cov = (scatter + np.outer(delta, delta) * (a.count * b.count / n)) / (n - 1)
-    return ModeStats(mean=mean, cov=cov, count=n)
+def _pooled(
+    counts: np.ndarray, means: np.ndarray, covs: np.ndarray, a: int, b: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Exact (count, mean, covariance) of the union of the disjoint rows of
+    nodes a and b from their own moments (Chan, Golub & LeVeque 1979); no
+    row is read again."""
+    count_a, count_b = int(counts[a]), int(counts[b])
+    n = count_a + count_b
+    delta = means[b] - means[a]
+    mean = means[a] + delta * (count_b / n)
+    scatter = (count_a - 1) * covs[a] + (count_b - 1) * covs[b]
+    cov = (scatter + np.outer(delta, delta) * (count_a * count_b / n)) / (n - 1)
+    return n, mean, cov
 
 
 def build_hierarchy(
@@ -165,20 +191,19 @@ def build_hierarchy(
     """
     if linkage not in LINKAGES:
         raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
-    j = leaves.k
+    j, d = leaves.k, features.d
     total = 2 * j - 1
 
-    nodes: list[ModeNode] = []
-    means = np.empty((total, features.d), dtype=np.float64)
+    children = np.full((total, 2), -1, dtype=np.int64)
     counts = np.empty(total, dtype=np.int64)
+    means = np.empty((total, d), dtype=np.float64)
+    covs = np.empty((total, d, d), dtype=np.float64)
     for c in range(j):
         rows = leaves.cluster_rows(c)
         if rows.size == 0:
             raise ValidationError(f"leaf cluster {c} is empty")
         stats = gaussian_stats(features, rows)
-        nodes.append(ModeNode(node_id=c, children=None, parent=None, stats=stats))
-        means[c] = stats.mean
-        counts[c] = stats.count
+        counts[c], means[c], covs[c] = stats.count, stats.mean, stats.cov
     active = np.zeros(total, dtype=bool)
     active[:j] = True
     nearest = np.full(total, -1, dtype=np.int64)
@@ -191,7 +216,7 @@ def build_hierarchy(
         ids = ids[ids > rows[0]]
         if ids.size == 0:
             return
-        step = max(1, _BLOCK_VALUES // (ids.size * features.d))
+        step = max(1, _BLOCK_VALUES // (ids.size * d))
         for start in range(0, rows.size, step):
             chunk = rows[start:start + step]
             block = _linkage(
@@ -206,24 +231,12 @@ def build_hierarchy(
     for new_id in range(j, total):
         a = int(best.argmin())  # the lowest row holding the minimum, then its first
         b = int(nearest[a])
-        stats = _pooled(nodes[a].stats, nodes[b].stats)
-        nodes.append(
-            ModeNode(
-                node_id=new_id,
-                children=(a, b),
-                parent=None,
-                stats=stats,
-                merge_distance=float(best[a]),
-            )
-        )
-        nodes[a].parent = new_id
-        nodes[b].parent = new_id
+        children[new_id] = a, b
+        counts[new_id], means[new_id], covs[new_id] = _pooled(counts, means, covs, a, b)
         active[a] = active[b] = False
         best[a] = best[b] = np.inf
-        means[new_id] = stats.mean
-        counts[new_id] = stats.count
         ids = np.flatnonzero(active)
-        row = _linkage(linkage, stats.mean, stats.count, means[ids], counts[ids])
+        row = _linkage(linkage, means[new_id], counts[new_id], means[ids], counts[ids])
         stale = (nearest[ids] == a) | (nearest[ids] == b)
         # new_id is the highest column, so it wins only when strictly closer
         closer = ~stale & (row < best[ids])
@@ -233,41 +246,38 @@ def build_hierarchy(
         if stale.any():
             refresh(ids[stale])
 
-    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=leaves.assignment)
+    tree = ModeTree(children, counts, means, covs, leaves.assignment)
     validate_tree(tree)
     return tree
 
 
+def _refuse(broken: np.ndarray, message: str, *columns: np.ndarray) -> None:
+    """Raise ValidationError(message.format(*column[i])) at the lowest i where broken holds."""
+    hits = np.flatnonzero(broken)
+    if hits.size:
+        raise ValidationError(message.format(*(column[hits[0]] for column in columns)))
+
+
 def validate_tree(tree: ModeTree) -> None:
-    """Structural checks: H = 2J-1, single root, links, and counts that agree
-    with the leaf labels; together they make the nodes partition the rows."""
-    j = tree.leaf_count
-    if tree.node_count != 2 * j - 1:
-        raise ValidationError(f"node count {tree.node_count} != 2*{j}-1 for {j} leaves")
-    labels = tree.leaf_labels
+    """Structural checks: leaves first, links, single root, and counts that agree with
+    the leaf labels, so the nodes partition the rows; errors name the lowest bad node."""
+    j, labels = tree.leaf_count, tree.leaf_labels
     if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < j):
         raise ValidationError(f"leaf labels must be row labels in [0, {j})")
-    counts = np.bincount(labels, minlength=j)
-    for position, node in enumerate(tree.nodes):
-        if node.node_id != position:
-            raise ValidationError(f"node_id {node.node_id} does not match its position")
-        if node.is_leaf != (position < j):
-            raise ValidationError(f"nodes 0..{j - 1} must be the leaves; node {position} is not")
-        if node.is_leaf:
-            if counts[position] == 0:
-                raise ValidationError(f"leaf {position} holds no rows")
-            expected = int(counts[position])
-        else:
-            a, b = node.children
-            if not (0 <= a < position and 0 <= b < position and a != b):
-                raise ValidationError(f"node {position} needs two distinct lower child ids")
-            for child in (a, b):
-                if tree.nodes[child].parent != position:
-                    raise ValidationError(f"child {child} does not point back to {position}")
-            expected = tree.nodes[a].stats.count + tree.nodes[b].stats.count
-        if node.stats.count != expected:
-            raise ValidationError(f"node {position} count {node.stats.count} != {expected} rows")
-    roots = [node.node_id for node in tree.nodes if node.parent is None]
+    ids = np.arange(tree.node_count)
+    is_leaf = (tree.children == -1).all(axis=1)
+    _refuse(is_leaf != (ids < j), f"nodes 0..{j - 1} must be the leaves; node {{}} is not", ids)
+    merged = ids[j:]
+    a, b = tree.children[j:].T
+    _refuse((a < 0) | (a >= merged) | (b < 0) | (b >= merged) | (a == b),
+            "node {} needs two distinct lower child ids", merged)
+    for child in (a, b):
+        _refuse(tree.parents[child] != merged, "child {} does not point back to {}", child, merged)
+    leaf_rows = np.bincount(labels, minlength=j)
+    _refuse(leaf_rows == 0, "leaf {} holds no rows", ids)
+    expected = np.concatenate([leaf_rows, tree.counts[a] + tree.counts[b]])
+    _refuse(tree.counts != expected, "node {} count {} != {} rows", ids, tree.counts, expected)
+    roots = np.flatnonzero(tree.parents < 0).tolist()
     if roots != [tree.root_id]:
         raise ValidationError(f"expected single root {tree.root_id}, found {roots}")
 
@@ -280,12 +290,10 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
-    d = tree.nodes[0].stats.d
+    d = tree.means.shape[1]
     records = np.zeros(tree.node_count, dtype=_record_dtype(d))
-    records["children"] = [node.children or (-1, -1) for node in tree.nodes]
-    records["count"] = [node.stats.count for node in tree.nodes]
-    records["mean"] = [node.stats.mean for node in tree.nodes]
-    records["cov"] = [node.stats.cov for node in tree.nodes]
+    records["children"], records["count"] = tree.children, tree.counts
+    records["mean"], records["cov"] = tree.means, tree.covs
     header = _HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, tree.leaf_count, d)
     Path(path).write_bytes(header + tree.leaf_labels.astype("<i4").tobytes() + records.tobytes())
 
@@ -315,27 +323,14 @@ def load_tree(path: str | Path) -> ModeTree:
         raise TreeFormatError(
             f"{path}: {len(data)} bytes, but n={n}, J={j}, d={d} take {expected}"
         )
-    labels = np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64)
     records = np.frombuffer(data, _record_dtype(d), total, _HEADER.size + 4 * n)
-    means, covs = records["mean"].copy(), records["cov"].copy()
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+    tree = ModeTree(
+        records["children"].astype(np.int64), records["count"].astype(np.int64),
+        records["mean"].astype(np.float64), records["cov"].astype(np.float64),
+        np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64),
+    )
+    if not (np.isfinite(tree.means).all() and np.isfinite(tree.covs).all()):
         raise TreeFormatError(f"{path}: non-finite node mean or covariance")
-    nodes = [
-        ModeNode(
-            node_id=i,
-            children=None if children == [-1, -1] else tuple(children),
-            parent=None,
-            stats=ModeStats(mean=means[i], cov=covs[i], count=count),
-        )
-        for i, (children, count) in enumerate(
-            zip(records["children"].tolist(), records["count"].tolist())
-        )
-    ]
-    for node in nodes:  # parents are derived; validate_tree reports bad child ids
-        for child in node.children or ():
-            if 0 <= child < node.node_id:
-                nodes[child].parent = node.node_id
-    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=labels)
     try:
         validate_tree(tree)
     except ValidationError as exc:

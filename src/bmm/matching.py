@@ -309,8 +309,8 @@ def match_report_payload(
                 "target": tid,
                 "node_id": node_id,
                 "fid": value,
-                "node_size": tree.node(node_id).size,
-                "node_depth": depths[node_id],
+                "node_size": int(tree.counts[node_id]),
+                "node_depth": int(depths[node_id]),
             }
         )
     return {

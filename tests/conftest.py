@@ -38,21 +38,13 @@ def unmatched(result: DirectMatchResult) -> list[int]:
 
 
 def trees_equal(a: ModeTree, b: ModeTree) -> bool:
-    """Structural equality: nodes, links, leaf labels, and bit-exact cached stats."""
-    if a.leaf_count != b.leaf_count or a.node_count != b.node_count:
-        return False
-    if not np.array_equal(a.leaf_labels, b.leaf_labels):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.node_id, na.parent, na.children) != (nb.node_id, nb.parent, nb.children):
-            return False
-        if na.stats.count != nb.stats.count:
-            return False
-        if not np.array_equal(na.stats.mean, nb.stats.mean):
-            return False
-        if not np.array_equal(na.stats.cov, nb.stats.cov):
-            return False
-    return True
+    """Structural equality: links, leaf labels, and bit-exact cached stats."""
+    fields = ("children", "parents", "counts", "means", "covs", "leaf_labels")
+    return all(
+        getattr(a, f).shape == getattr(b, f).shape
+        and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in fields
+    )
 
 
 def shared_nearest_world(seed: int = 0, d: int = 8, per_mode: int = 200) -> PlantedWorld:

@@ -25,7 +25,7 @@ from bmm import (
     Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError, ValidationError,
 )
 from bmm.gap import DEFAULT_EPS, gaussian_stats
-from bmm.hierarchy import LINKAGES, ModeNode, _pooled, validate_tree
+from bmm.hierarchy import LINKAGES, _pooled, validate_tree
 
 ORACLE_ASSIGN_MAX_TARGETS = 7
 ORACLE_ASSIGN_MAX_NODES = 10
@@ -64,7 +64,8 @@ def reference_fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float
 
 def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
     """L x H matrix of reference_fid(target y, node x), filled one pair at a time."""
-    return np.array([[reference_fid(t, node.stats, eps) for node in tree.nodes] for t in targets])
+    nodes = [tree.node(x).stats for x in range(tree.node_count)]
+    return np.array([[reference_fid(t, node, eps) for node in nodes] for t in targets])
 
 
 def oracle_assignment(cost: np.ndarray) -> Assignment:
@@ -173,12 +174,12 @@ def oracle_squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray
     return d2
 
 
-def _linkage_value(linkage: str, a: ModeStats, b: ModeStats) -> float:
-    gap = a.mean - b.mean
+def _linkage_value(linkage: str, count_a, mean_a, count_b, mean_b) -> float:
+    gap = mean_a - mean_b
     if linkage == "centroid":
         return float(np.sqrt(gap @ gap))
     # ward: SSE increase caused by the merge
-    return float(a.count * b.count / (a.count + b.count) * (gap @ gap))
+    return float(count_a * count_b / (count_a + count_b) * (gap @ gap))
 
 
 def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "centroid") -> ModeTree:
@@ -189,21 +190,23 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
     j = leaves.k
     total = 2 * j - 1
 
-    nodes: list[ModeNode] = []
+    children = np.full((total, 2), -1, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    means = np.zeros((total, features.d))
+    covs = np.zeros((total, features.d, features.d))
     for c in range(j):
         rows = leaves.cluster_rows(c)
         if rows.size == 0:
             raise ValidationError(f"leaf cluster {c} is empty")
-        nodes.append(
-            ModeNode(node_id=c, children=None, parent=None, stats=gaussian_stats(features, rows))
-        )
+        stats = gaussian_stats(features, rows)
+        counts[c], means[c], covs[c] = stats.count, stats.mean, stats.cov
 
     dist = np.full((total, total), np.inf, dtype=np.float64)
     active = np.zeros(total, dtype=bool)
     active[:j] = True
     for a in range(j):
         for b in range(a + 1, j):
-            dist[a, b] = _linkage_value(linkage, nodes[a].stats, nodes[b].stats)
+            dist[a, b] = _linkage_value(linkage, counts[a], means[a], counts[b], means[b])
 
     for new_id in range(j, total):
         ids = np.flatnonzero(active)
@@ -211,25 +214,17 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
         flat = int(block.argmin())  # row-major first minimum = lowest (a, b) pair
         a = int(ids[flat // ids.size])
         b = int(ids[flat % ids.size])
-        stats = _pooled(nodes[a].stats, nodes[b].stats)
-        nodes.append(
-            ModeNode(
-                node_id=new_id,
-                children=(a, b),
-                parent=None,
-                stats=stats,
-                merge_distance=float(dist[a, b]),
-            )
-        )
-        nodes[a].parent = new_id
-        nodes[b].parent = new_id
+        children[new_id] = a, b
+        counts[new_id], means[new_id], covs[new_id] = _pooled(counts, means, covs, a, b)
         active[a] = False
         active[b] = False
         for other in np.flatnonzero(active):
-            value = _linkage_value(linkage, stats, nodes[other].stats)
+            value = _linkage_value(
+                linkage, counts[new_id], means[new_id], counts[other], means[other]
+            )
             dist[min(other, new_id), max(other, new_id)] = value
         active[new_id] = True
 
-    tree = ModeTree(nodes=nodes, leaf_count=j, leaf_labels=leaves.assignment)
+    tree = ModeTree(children, counts, means, covs, leaves.assignment)
     validate_tree(tree)
     return tree

@@ -267,8 +267,8 @@ def test_c08_dedup_exactness():
 
     fm = make_features(np.random.default_rng(1).normal(size=(32, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 4, seed=0), fm)
-    parent = next(n for n in tree.nodes if not n.is_leaf)
-    child = tree.nodes[parent.children[0]]
+    parent = tree.node(tree.leaf_count)
+    child = tree.node(parent.children[0])
     p = problem_of(np.zeros((2, tree.node_count)))
     sel = selection_from_matches(tree, [parent.node_id, child.node_id], p, fm.dataset_labels)
     parent_child_ok = sel.sample_rows.size == parent.size

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from bmm import generate, load_tree, read_manifest, save_world, write_features
+from bmm import (
+    generate, load_tree, read_manifest, save_world, write_features, write_manifest,
+)
 from bmm.cli import main
 from bmm.synth import random_subset_world
 
@@ -235,6 +237,33 @@ def test_prune_stratified_requires_tree(tmp_path, world_files, capsys):
     assert "stratified" in capsys.readouterr().err
 
 
+BAD_SELECTED_NODES = {
+    "not-an-integer": lambda raw: "abc",
+    "repeated-id": lambda raw: f"{raw},{raw}",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BAD_SELECTED_NODES))
+def test_prune_stratified_rejects_bad_selected_nodes(tmp_path, world_files, mutation, capsys):
+    _, _, _, server_path, target_path = world_files
+    code, tree_path = run_build(tmp_path, server_path)
+    out = tmp_path / "sel.manifest"
+    assert main(match_args(tree_path, server_path, target_path, out)) == 0
+    manifest = read_manifest(out)
+    raw = manifest.metadata["selected_nodes"]
+    manifest.metadata["selected_nodes"] = BAD_SELECTED_NODES[mutation](raw)
+    write_manifest(manifest, out)
+    code = main([
+        "prune", "--manifest", str(out), "--budget-frac", "0.5", "--strategy", "stratified",
+        "--tree", str(tree_path), "--server-features", str(server_path),
+        "--out", str(tmp_path / "x.manifest"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'selected_nodes' metadata" in err
+
+
 def test_bench_csv(tmp_path, capsys):
     world = shared_nearest_world(seed=0, per_mode=40)
     world_path = tmp_path / "world.json"
@@ -425,6 +454,14 @@ MALFORMED_TREES = {
     "label-moved": _v3(lambda h, l, r: _set(l, np.flatnonzero(l == 0)[0], 1)),
     "child-id-at-parent": _v3(lambda h, l, r: _set(r["children"][14], 0, 14)),
     "child-id-above-parent": _v3(lambda h, l, r: _set(r["children"][8], 0, 12)),
+    "child-id-minus-two": _v3(lambda h, l, r: _set(r["children"][14], 0, -2)),
+    "leaf-with-children": _v3(lambda h, l, r: _set(r["children"], 3, (0, 1))),
+    "merged-without-children": _v3(lambda h, l, r: _set(r["children"], 10, (-1, -1))),
+    "half-leaf-children": _v3(lambda h, l, r: _set(r["children"][12], 0, -1)),
+    "repeated-child": _v3(lambda h, l, r: _set(r["children"][14], 1, r["children"][14][0])),
+    "child-shared-by-two-parents": _v3(
+        lambda h, l, r: _set(r["children"][9], 0, r["children"][8][0])
+    ),
     "leaf-count-off": _v3(lambda h, l, r: _set(r["count"], 0, r["count"][0] + 1)),
     "root-count-off": _v3(lambda h, l, r: _set(r["count"], 14, r["count"][14] - 1)),
     "no-leaf-labels": _json(lambda p: p.pop("leaf_labels")),

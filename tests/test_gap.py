@@ -146,7 +146,7 @@ def build_tiny_tree(rng):
 def test_cost_matrix_identity_case(rng):
     fm = make_features(rng.normal(size=(6, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 1, seed=0), fm)
-    target = [tree.nodes[0].stats]
+    target = [tree.node(0).stats]
     cost = cost_matrix(tree, target)
     assert cost.shape == (1, 1)
     assert cost[0, 0] <= 1e-6
@@ -159,9 +159,9 @@ def test_cost_matrix_closed_form_1d():
     cost = cost_matrix(tree, targets)
     assert cost.shape == (2, 3)
     for y, t in enumerate(targets):
-        for x, node in enumerate(tree.nodes):
+        for x in range(tree.node_count):
             expected = fid_1d_closed_form(
-                t.mean[0], t.cov[0, 0], node.stats.mean[0], max(node.stats.cov[0, 0], 1e-6)
+                t.mean[0], t.cov[0, 0], tree.means[x, 0], max(tree.covs[x, 0, 0], 1e-6)
             )
             assert cost[y, x] == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
@@ -175,7 +175,7 @@ def test_cost_matrix_thread_invariance(rng, monkeypatch):
     for d in (2, 9, 33):
         fm = make_features(rng.normal(size=(12, d)))
         tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
-        tree.nodes[0].stats.cov = np.zeros((d, d))
+        tree.covs[0] = 0.0
         direction = rng.normal(size=(d, 1))
         rank_one = ModeStats(mean=rng.normal(size=d), cov=direction @ direction.T, count=5)
         targets = [rank_one] + [random_stats(rng, d) for _ in range(3)]

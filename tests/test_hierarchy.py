@@ -37,25 +37,32 @@ def build_quad_tree(linkage="centroid"):
     return fm, build_hierarchy(leaves, fm, linkage=linkage)
 
 
+def merge_distances(tree, linkage="centroid"):
+    """Linkage value of each merge, in node-id order, recomputed from the
+    children's counts and means."""
+    a, b = tree.children[tree.leaf_count:].T
+    return hierarchy._linkage(linkage, tree.means[a], tree.counts[a], tree.means[b], tree.counts[b])
+
+
 def test_single_leaf_tree():
     fm = make_features([0.0, 1.0])
     leaves = fit_balanced_kmeans(fm, 1, seed=0)
     tree = build_hierarchy(leaves, fm)
     assert tree.node_count == 1 and tree.leaf_count == 1
-    assert tree.nodes[0].is_leaf and tree.nodes[0].parent is None
+    assert tree.node(0).is_leaf and tree.node(0).parent is None
 
 
 def test_quad_tree_merge_order():
     fm, tree = build_quad_tree()
     assert tree.node_count == 7
     # the first two merges pair the 0/1 leaves and the 10/11 leaves
-    first, second = tree.nodes[4], tree.nodes[5]
-    for merged in (first, second):
-        values = np.sort(fm.values[tree.members(merged.node_id), 0])
+    for merged in (4, 5):
+        values = np.sort(fm.values[tree.members(merged), 0])
         assert values.max() - values.min() < 2.0  # a near pair, not a cross-gap merge
-    assert first.merge_distance == pytest.approx(1.0, abs=0.2)
-    assert second.merge_distance == pytest.approx(1.0, abs=0.2)
-    root = tree.nodes[6]
+    first, second, _ = merge_distances(tree)
+    assert first == pytest.approx(1.0, abs=0.2)
+    assert second == pytest.approx(1.0, abs=0.2)
+    root = tree.node(6)
     assert root.size == 8 and root.parent is None
 
 
@@ -67,9 +74,8 @@ def test_merge_steps_match_exhaustive_linkage(rng):
     x = fm.values.astype(np.float64)
 
     active = {c: tree.members(c) for c in range(6)}
-    for new_id in range(6, tree.node_count):
-        node = tree.nodes[new_id]
-        a, b = node.children
+    for new_id, distance in zip(range(6, tree.node_count), merge_distances(tree)):
+        a, b = tree.children[new_id].tolist()
         best = None
         for i in sorted(active):
             for j in sorted(active):
@@ -80,9 +86,9 @@ def test_merge_steps_match_exhaustive_linkage(rng):
                 if best is None or value < best[0]:
                     best = (value, i, j)
         assert (a, b) == (best[1], best[2])
-        assert node.merge_distance == pytest.approx(best[0], rel=1e-12)
+        assert distance == pytest.approx(best[0], rel=1e-12)
         del active[a], active[b]
-        active[new_id] = tree.members(node.node_id)
+        active[new_id] = tree.members(new_id)
 
 
 @st.composite
@@ -104,16 +110,12 @@ def tie_heavy_leaves(draw):
 
 
 def assert_equals_oracle(leaves, fm, linkage):
-    """Same merges, merge distances and bit-identical node statistics."""
+    """Same merges and bit-identical node statistics."""
     tree = build_hierarchy(leaves, fm, linkage=linkage)
     oracle = oracle_build_hierarchy(leaves, fm, linkage=linkage)
     assert tree.node_count == oracle.node_count
-    for node, expected in zip(tree.nodes, oracle.nodes):
-        assert (node.children, node.parent) == (expected.children, expected.parent)
-        assert node.merge_distance == expected.merge_distance
-        assert node.stats.count == expected.stats.count
-        assert node.stats.mean.tobytes() == expected.stats.mean.tobytes()
-        assert node.stats.cov.tobytes() == expected.stats.cov.tobytes()
+    for field in ("children", "parents", "counts", "means", "covs"):
+        assert getattr(tree, field).tobytes() == getattr(oracle, field).tobytes(), field
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -149,13 +151,10 @@ def test_partition_property(rng):
     fm = make_features(rng.normal(size=(40, 4)))
     leaves = fit_balanced_kmeans(fm, 8, seed=3)
     tree = build_hierarchy(leaves, fm)
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        left = tree.members(node.children[0])
-        right = tree.members(node.children[1])
+    for node_id in range(tree.leaf_count, tree.node_count):
+        left, right = (tree.members(c) for c in tree.children[node_id])
         assert np.intersect1d(left, right).size == 0
-        assert np.array_equal(np.sort(np.concatenate([left, right])), tree.members(node.node_id))
+        assert np.array_equal(np.sort(np.concatenate([left, right])), tree.members(node_id))
     assert np.array_equal(tree.members(tree.root_id), np.arange(40))
 
 
@@ -163,7 +162,7 @@ def test_ward_merges_are_monotone(rng):
     fm = make_features(rng.normal(size=(48, 3)))
     leaves = fit_balanced_kmeans(fm, 12, seed=0)
     tree = build_hierarchy(leaves, fm, linkage="ward")
-    distances = [n.merge_distance for n in tree.nodes if n.merge_distance is not None]
+    distances = merge_distances(tree, "ward")
     assert all(b >= a - 1e-9 for a, b in zip(distances, distances[1:]))
 
 
@@ -175,7 +174,7 @@ def test_centroid_merges_monotone_on_collinear_data(rng):
     fm = make_features(x)
     leaves = fit_balanced_kmeans(fm, 8, seed=0)
     tree = build_hierarchy(leaves, fm)
-    distances = [n.merge_distance for n in tree.nodes if n.merge_distance is not None]
+    distances = merge_distances(tree)
     assert all(b >= a - 1e-9 for a, b in zip(distances, distances[1:]))
 
 
@@ -183,8 +182,8 @@ def test_stats_computed_from_member_rows(rng):
     fm = make_features(rng.normal(size=(30, 3)))
     leaves = fit_balanced_kmeans(fm, 5, seed=0)
     tree = build_hierarchy(leaves, fm)
-    assert tree.nodes[tree.root_id].stats.count == 30
-    for node in tree.nodes:
+    assert tree.counts[tree.root_id] == 30
+    for node in map(tree.node, range(tree.node_count)):
         refit = gaussian_stats(fm, tree.members(node.node_id))
         assert node.stats.count == refit.count
         if node.is_leaf:  # fitted to the leaf rows: bit-equal
@@ -217,8 +216,11 @@ def test_persist_roundtrip(tmp_path, rng, j):
     back = load_tree(path)
     assert trees_equal(tree, back)
     # bit-exact stats after the binary round trip
-    for original, loaded in zip(tree.nodes, back.nodes):
-        assert np.array_equal(original.stats.cov, loaded.stats.cov)
+    assert tree.covs.tobytes() == back.covs.tobytes()
+    # loading then persisting reproduces the file exactly
+    again = tmp_path / "again.bmmt"
+    persist_tree(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_version_mismatch_rejected(tmp_path, rng):
@@ -241,11 +243,11 @@ def test_load_rejects_non_finite_stats(tmp_path, rng):
     fm = make_features(rng.normal(size=(12, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
     path = tmp_path / "tree.bmmt"
-    for node_id, field, value in ((1, "cov", np.nan), (tree.root_id, "mean", np.inf)):
-        stats = tree.nodes[node_id].stats
-        saved = getattr(stats, field).copy()
-        getattr(stats, field).flat[0] = value
+    for node_id, field, value in ((1, "covs", np.nan), (tree.root_id, "means", np.inf)):
+        stats = getattr(tree, field)[node_id]
+        saved = stats.copy()
+        stats.flat[0] = value
         persist_tree(tree, path)
-        getattr(stats, field)[...] = saved
+        stats[...] = saved
         with pytest.raises(TreeFormatError, match="non-finite"):
             load_tree(path)

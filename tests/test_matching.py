@@ -117,7 +117,7 @@ def build_tree(rng, n=24, j=4):
 
 def test_selection_disjoint_union(rng):
     fm, tree = build_tree(rng)
-    leaf_a, leaf_b = tree.nodes[0], tree.nodes[1]
+    leaf_a, leaf_b = tree.node(0), tree.node(1)
     p = problem_of(np.zeros((2, tree.node_count)))
     a = solve_assignment(problem_of(np.array([[0.0, 1.0], [1.0, 0.0]])))
     sel = selection_from_matches(tree, [0, 1], p, fm.dataset_labels)
@@ -127,8 +127,8 @@ def test_selection_disjoint_union(rng):
 
 def test_selection_parent_child_dedup(rng):
     fm, tree = build_tree(rng)
-    parent = next(n for n in tree.nodes if not n.is_leaf)
-    child = tree.nodes[parent.children[0]]
+    parent = tree.node(tree.leaf_count)
+    child = tree.node(parent.children[0])
     p = problem_of(np.zeros((2, tree.node_count)))
     sel = selection_from_matches(tree, [parent.node_id, child.node_id], p, fm.dataset_labels)
     assert sel.sample_rows.size == parent.size

@@ -57,7 +57,7 @@ def test_target_copy_of_leaf_matches_it(small_world):
     world, server, target, truth = small_world
     config = PipelineConfig(leaves=8, target_clusters=1, seed=0)
     tree = build_server_tree(server, config)
-    leaf = tree.nodes[3]
+    leaf = tree.node(3)
     copy = FeatureMatrix(
         values=server.values[tree.members(leaf.node_id)],
         sample_ids=[f"copy-{i}" for i in range(leaf.size)],
