@@ -26,7 +26,6 @@ from .gap import ModeStats, cost_matrix, fid, gaussian_stats
 from .hierarchy import ModeNode, ModeTree, build_hierarchy, load_tree, persist_tree
 from .matching import (
     Assignment,
-    AssignmentProblem,
     DirectMatchResult,
     SelectionResult,
     direct_match,
@@ -50,7 +49,6 @@ from .synth import (
 
 __all__ = [
     "Assignment",
-    "AssignmentProblem",
     "BmmError",
     "Budget",
     "DirectMatchResult",

@@ -25,9 +25,7 @@ from .features import (
 )
 from .gap import DEFAULT_EPS, write_cost_matrix_csv
 from .hierarchy import ModeTree, load_tree, persist_tree
-from .matching import (
-    SelectionResult, count_labels, match_report_payload, node_strata, render_match_report,
-)
+from .matching import SelectionResult, match_report_payload, node_strata, render_match_report
 from .pipeline import (
     PipelineConfig,
     build_server_tree,
@@ -149,7 +147,7 @@ def _cmd_match(args) -> int:
         seed=args.seed,
         eps_cov=args.eps_cov,
     )
-    outcome = run_match(tree, target, server.dataset_labels, config)
+    outcome = run_match(tree, target, config)
     selection = outcome.selection
 
     entries = [
@@ -172,17 +170,14 @@ def _cmd_match(args) -> int:
     write_manifest(manifest, args.out)
 
     payload = match_report_payload(
-        selection, outcome.problem, tree, outcome.assignment.total_cost
+        selection, tree, outcome.assignment.total_cost, server.dataset_labels
     )
     text = render_match_report(payload, warn_fid=args.warn_fid)
     base = args.report if args.report is not None else f"{args.out}.report"
     Path(f"{base}.txt").write_text(text, encoding="utf-8")
     Path(f"{base}.json").write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     if args.cost_csv:
-        write_cost_matrix_csv(
-            args.cost_csv, outcome.problem.cost, outcome.problem.target_ids,
-            outcome.problem.node_ids,
-        )
+        write_cost_matrix_csv(args.cost_csv, outcome.cost)
     sys.stdout.write(text)
     print(f"manifest written to {args.out}")
     return 0
@@ -243,15 +238,7 @@ def _selection_from_manifest(
         raise ValidationError(
             f"selected nodes cover {covered} of the manifest's {rows.size} rows"
         )
-    labels = tuple(features.dataset_labels[int(r)] for r in rows)
-    return SelectionResult(
-        selected_nodes=selected,
-        sample_rows=rows,
-        per_target={},
-        composition=count_labels(labels),
-        strata=strata,
-        row_labels=labels,
-    )
+    return SelectionResult(selected_nodes=selected, sample_rows=rows, strata=strata)
 
 
 def _cmd_prune(args) -> int:
@@ -273,16 +260,8 @@ def _cmd_prune(args) -> int:
             for r in pruned.sample_rows
         ]
     else:
-        labels = tuple(label for _, label in manifest.entries)
-        pseudo = SelectionResult(
-            selected_nodes=[],
-            sample_rows=np.arange(len(manifest.entries), dtype=np.int64),
-            per_target={},
-            composition={},
-            strata={},
-            row_labels=labels,
-        )
-        pruned = prune(pseudo, budget, "uniform", args.seed)
+        everything = SelectionResult([], np.arange(len(manifest.entries), dtype=np.int64))
+        pruned = prune(everything, budget, "uniform", args.seed)
         entries = [manifest.entries[int(i)] for i in pruned.sample_rows]
 
     metadata = dict(manifest.metadata)

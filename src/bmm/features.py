@@ -91,17 +91,6 @@ class Manifest:
                 raise ValidationError(f"duplicate sample_id {sid!r} in manifest")
             seen.add(sid)
 
-    @classmethod
-    def deduped(cls, entries, metadata=None) -> "Manifest":
-        """Build a manifest keeping the first occurrence of each sample_id."""
-        seen: set[str] = set()
-        kept = []
-        for sid, label in entries:
-            if sid not in seen:
-                seen.add(sid)
-                kept.append((sid, label))
-        return cls(entries=kept, metadata=dict(metadata or {}))
-
 
 def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
     """The value of `fmt` at `offset` in `data`, and the offset just past it."""
@@ -246,7 +235,7 @@ def _write_features_csv(m: FeatureMatrix, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> Manifest:
     """Read a manifest; duplicate sample ids keep their first occurrence."""
     metadata: dict[str, str] = {}
-    entries: list[tuple[str, str]] = []
+    labels: dict[str, str] = {}  # sample_id -> label of its first occurrence, in file order
     for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -263,8 +252,8 @@ def read_manifest(path: str | Path) -> Manifest:
         parts = line.split(",")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
-        entries.append((parts[0], parts[1]))
-    return Manifest.deduped(entries, metadata)
+        labels.setdefault(parts[0], parts[1])
+    return Manifest(entries=list(labels.items()), metadata=metadata)
 
 
 def write_manifest(m: Manifest, path: str | Path) -> None:

@@ -167,14 +167,9 @@ def cost_matrix(
     return np.stack(rows)
 
 
-def write_cost_matrix_csv(
-    path: str | Path,
-    cost: np.ndarray,
-    target_ids: Sequence[str],
-    node_ids: Sequence[int],
-) -> None:
-    """Dump a cost matrix for inspection: one row per target mode, one column per node."""
-    lines = ["target_id," + ",".join(f"node_{nid}" for nid in node_ids)]
-    for y, tid in enumerate(target_ids):
-        lines.append(f"{tid}," + ",".join(repr(float(v)) for v in cost[y]))
+def write_cost_matrix_csv(path: str | Path, cost: np.ndarray) -> None:
+    """Dump a cost matrix for inspection: rows mode-0..mode-{L-1}, columns node_0..node_{H-1}."""
+    lines = ["target_id," + ",".join(f"node_{j}" for j in range(cost.shape[1]))]
+    for y, row in enumerate(cost):
+        lines.append(f"mode-{y}," + ",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,7 +8,9 @@ positional preference, so among equal-cost optima the lexicographically
 smallest sigma is the unique optimum rather than a post-hoc repair.
 
 The greedy per-target argmin baseline (direct match) and the deduplicating
-training-set selection live here as well.
+training-set selection live here as well. Every stage takes the bare L x H
+cost matrix from `gap.cost_matrix`: row i is target mode i (reported as
+mode-i) and column j is tree node j, so no label lists travel with it.
 """
 
 from __future__ import annotations
@@ -26,49 +28,23 @@ if TYPE_CHECKING:
     from .hierarchy import ModeTree
 
 
-@dataclass(eq=False)
-class AssignmentProblem:
-    """L x H costs between target modes (rows) and candidate nodes (columns)."""
-
-    cost: np.ndarray
-    target_ids: list[str]
-    node_ids: list[int]
-
-    def __post_init__(self) -> None:
-        self.cost = np.asarray(self.cost, dtype=np.float64)
-        self.target_ids = [str(t) for t in self.target_ids]
-        self.node_ids = [int(n) for n in self.node_ids]
-
-    @property
-    def n_targets(self) -> int:
-        return self.cost.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.cost.shape[1]
-
-    def first_columns(self, count: int) -> "AssignmentProblem":
-        """The same targets against only the first count candidate columns."""
-        return AssignmentProblem(
-            cost=self.cost[:, :count], target_ids=self.target_ids, node_ids=self.node_ids[:count]
+def _checked(cost: np.ndarray) -> np.ndarray:
+    """The L x H cost matrix (target modes by node ids) as float64, validated."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.size == 0:
+        raise ValidationError(f"cost matrix must be 2-D and non-empty, got {cost.shape}")
+    n_targets, n_nodes = cost.shape
+    if n_targets > n_nodes:
+        raise InfeasibleMatchError(
+            f"{n_targets} target modes cannot match one-to-one into {n_nodes} candidate nodes"
         )
-
-    def validate(self) -> None:
-        if self.cost.ndim != 2 or self.n_targets < 1 or self.n_nodes < 1:
-            raise ValidationError(f"cost matrix must be 2-D and non-empty, got {self.cost.shape}")
-        if self.n_targets > self.n_nodes:
-            raise InfeasibleMatchError(
-                f"{self.n_targets} target modes cannot match one-to-one into "
-                f"{self.n_nodes} candidate nodes"
-            )
-        if len(self.target_ids) != self.n_targets or len(self.node_ids) != self.n_nodes:
-            raise ValidationError("label lists do not match the cost matrix shape")
-        if not np.isfinite(self.cost).all():
-            y, x = np.argwhere(~np.isfinite(self.cost))[0]
-            raise ValidationError(f"non-finite cost at target {y}, node column {x}")
-        if (self.cost < 0).any():
-            y, x = np.argwhere(self.cost < 0)[0]
-            raise ValidationError(f"negative cost at target {y}, node column {x}")
+    if not np.isfinite(cost).all():
+        y, x = np.argwhere(~np.isfinite(cost))[0]
+        raise ValidationError(f"non-finite cost at target {y}, node column {x}")
+    if (cost < 0).any():
+        y, x = np.argwhere(cost < 0)[0]
+        raise ValidationError(f"negative cost at target {y}, node column {x}")
+    return cost
 
 
 @dataclass
@@ -155,25 +131,25 @@ def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
     return sigma
 
 
-def solve_assignment(problem: AssignmentProblem) -> Assignment:
+def solve_assignment(cost: np.ndarray) -> Assignment:
     """Globally optimal one-to-one matching; equal-cost ties break to the
     lexicographically smallest sigma."""
-    problem.validate()
-    sigma = _solve_lex_hungarian(problem.cost)
+    cost = _checked(cost)
+    sigma = _solve_lex_hungarian(cost)
     total = 0.0
     for i, j in enumerate(sigma):
-        total += float(problem.cost[i, j])
+        total += float(cost[i, j])
     return Assignment(sigma=sigma, total_cost=total)
 
 
-def direct_match(problem: AssignmentProblem, allow_duplicates: bool = True) -> DirectMatchResult:
+def direct_match(cost: np.ndarray, allow_duplicates: bool = True) -> DirectMatchResult:
     """Greedy baseline: each target takes its nearest node independently.
 
     With duplicates disallowed, repeat claims after the first are dropped and
     those targets stay unmatched.
     """
-    problem.validate()
-    nearest = problem.cost.argmin(axis=1)
+    cost = _checked(cost)
+    nearest = cost.argmin(axis=1)
     matches: list[int | None] = []
     claimed: set[int] = set()
     total = 0.0
@@ -184,20 +160,22 @@ def direct_match(problem: AssignmentProblem, allow_duplicates: bool = True) -> D
             continue
         claimed.add(j)
         matches.append(j)
-        total += float(problem.cost[i, j])
+        total += float(cost[i, j])
     return DirectMatchResult(matches=matches, total_cost=total)
 
 
 @dataclass(eq=False)
 class SelectionResult:
-    """The searched training set: matched nodes and their deduplicated rows."""
+    """The searched training set: matched nodes and their deduplicated rows.
+
+    per_target holds each target mode's (node id, cost), or None when it is
+    unmatched, in target order; strata maps each selected node to its rows.
+    """
 
     selected_nodes: list[int]
     sample_rows: np.ndarray
-    per_target: dict[str, tuple[int, float] | None]
-    composition: dict[str, int]
+    per_target: list[tuple[int, float] | None] = field(default_factory=list)
     strata: dict[int, np.ndarray] = field(default_factory=dict)
-    row_labels: tuple[str, ...] = ()
 
 
 def count_labels(labels: Sequence[str]) -> dict[str, int]:
@@ -221,52 +199,35 @@ def node_strata(
 
 
 def selection_from_matches(
-    tree: "ModeTree",
-    matches: Sequence[int | None],
-    problem: AssignmentProblem,
-    dataset_labels: Sequence[str],
+    tree: "ModeTree", matches: Sequence[int | None], cost: np.ndarray
 ) -> SelectionResult:
     """Union the matched nodes' member rows, dropping repeats.
 
-    Rows reachable through several selected nodes (repeat matches or an
-    ancestor/descendant pair) appear once; each row is owned by the first
-    selected node that contains it, which defines the pruning strata.
+    matches[i] is target i's node id (its cost column) or None. Rows reachable
+    through several selected nodes (repeat matches or an ancestor/descendant
+    pair) appear once; each row is owned by the first selected node that
+    contains it, which defines the pruning strata.
     """
-    selected: list[int] = []
-    per_target: dict[str, tuple[int, float] | None] = {}
-    for i, m in enumerate(matches):
-        if m is None:
-            per_target[problem.target_ids[i]] = None
-            continue
-        node_id = problem.node_ids[m]
-        per_target[problem.target_ids[i]] = (node_id, float(problem.cost[i, m]))
-        if node_id not in selected:
-            selected.append(node_id)
-
+    per_target = [
+        None if m is None else (int(m), float(cost[i, m])) for i, m in enumerate(matches)
+    ]
+    selected = list(dict.fromkeys(hit[0] for hit in per_target if hit is not None))
     strata = node_strata(tree, selected, np.arange(tree.leaf_labels.size))
     taken = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *strata.values()]))
-    labels = tuple(dataset_labels[int(r)] for r in taken)
     return SelectionResult(
-        selected_nodes=selected,
-        sample_rows=taken,
-        per_target=per_target,
-        composition=count_labels(labels),
-        strata=strata,
-        row_labels=labels,
+        selected_nodes=selected, sample_rows=taken, per_target=per_target, strata=strata
     )
 
 
 def select_training_set(
-    tree: "ModeTree",
-    assignment: Assignment,
-    problem: AssignmentProblem,
-    dataset_labels: Sequence[str],
+    tree: "ModeTree", assignment: Assignment, cost: np.ndarray
 ) -> SelectionResult:
     """Materialize the deduplicated training set for an optimal assignment."""
+    n_nodes = cost.shape[1]
     for j in assignment.sigma:
-        if not 0 <= j < problem.n_nodes:
-            raise ValidationError(f"assignment column {j} outside problem with {problem.n_nodes}")
-    return selection_from_matches(tree, assignment.sigma, problem, dataset_labels)
+        if not 0 <= j < n_nodes:
+            raise ValidationError(f"assignment column {j} outside problem with {n_nodes}")
+    return selection_from_matches(tree, assignment.sigma, cost)
 
 
 def render_match_report(payload: dict, warn_fid: float | None = None) -> str:
@@ -291,22 +252,25 @@ def render_match_report(payload: dict, warn_fid: float | None = None) -> str:
 
 def match_report_payload(
     selection: SelectionResult,
-    problem: AssignmentProblem,
     tree: "ModeTree",
     total_cost: float,
+    dataset_labels: Sequence[str],
 ) -> dict:
-    """Machine-readable match report; render_match_report formats it as text."""
+    """Machine-readable match report; render_match_report formats it as text.
+
+    Target modes are named mode-0..mode-{L-1}; the composition counts the
+    dataset labels of the selected rows.
+    """
     depths = tree.depths()
     per_target = []
-    for tid in problem.target_ids:
-        hit = selection.per_target[tid]
+    for i, hit in enumerate(selection.per_target):
         if hit is None:
-            per_target.append({"target": tid, "node_id": None, "fid": None})
+            per_target.append({"target": f"mode-{i}", "node_id": None, "fid": None})
             continue
         node_id, value = hit
         per_target.append(
             {
-                "target": tid,
+                "target": f"mode-{i}",
                 "node_id": node_id,
                 "fid": value,
                 "node_size": int(tree.counts[node_id]),
@@ -318,5 +282,5 @@ def match_report_payload(
         "total_cost": total_cost,
         "selected_nodes": list(selection.selected_nodes),
         "selected_samples": int(selection.sample_rows.size),
-        "composition": dict(selection.composition),
+        "composition": count_labels([dataset_labels[int(r)] for r in selection.sample_rows]),
     }

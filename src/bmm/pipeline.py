@@ -21,7 +21,6 @@ from .gap import DEFAULT_EPS, ModeStats, cost_matrix, fid, gaussian_stats
 from .hierarchy import LINKAGES, ModeTree, build_hierarchy
 from .matching import (
     Assignment,
-    AssignmentProblem,
     SelectionResult,
     direct_match,
     selection_from_matches,
@@ -76,40 +75,22 @@ def target_mode_stats(
     return clustering, stats
 
 
-def build_problem(
-    tree: ModeTree, target_stats: Sequence[ModeStats], eps: float = DEFAULT_EPS
-) -> AssignmentProblem:
-    """Pairwise costs of every target mode against every tree node."""
-    cost = cost_matrix(tree, target_stats, eps=eps)
-    target_ids = [f"mode-{i}" for i in range(len(target_stats))]
-    node_ids = list(range(tree.node_count))
-    return AssignmentProblem(cost=cost, target_ids=target_ids, node_ids=node_ids)
-
-
 @dataclass
 class MatchOutcome:
     clustering: FlatClustering
-    problem: AssignmentProblem
+    cost: np.ndarray  # L x H: target mode i against tree node j
     assignment: Assignment
     selection: SelectionResult
 
 
-def run_match(
-    tree: ModeTree,
-    target: FeatureMatrix,
-    server_labels: Sequence[str],
-    config: PipelineConfig,
-) -> MatchOutcome:
+def run_match(tree: ModeTree, target: FeatureMatrix, config: PipelineConfig) -> MatchOutcome:
     """Cluster the target, solve the one-to-one matching, select the rows."""
     clustering, stats = target_mode_stats(target, config)
-    problem = build_problem(tree, stats, eps=config.eps_cov)
-    assignment = solve_assignment(problem)
-    selection = select_training_set(tree, assignment, problem, server_labels)
+    cost = cost_matrix(tree, stats, eps=config.eps_cov)
+    assignment = solve_assignment(cost)
+    selection = select_training_set(tree, assignment, cost)
     return MatchOutcome(
-        clustering=clustering,
-        problem=problem,
-        assignment=assignment,
-        selection=selection,
+        clustering=clustering, cost=cost, assignment=assignment, selection=selection
     )
 
 
@@ -161,18 +142,17 @@ def run_bench(
     rows: list[dict] = []
     for config in configs:
         tree = build_server_tree(server, config)
-        shared = build_problem(tree, stats, eps=eps)
+        shared = cost_matrix(tree, stats, eps=eps)
         for variant in BENCH_VARIANTS:
             started = time.perf_counter()
-            problem = shared.first_columns(tree.leaf_count) if variant == "bmm_flat" else shared
+            # leaves are nodes 0..J-1, so the flat variant's columns are the first J
+            cost = shared[:, : tree.leaf_count] if variant == "bmm_flat" else shared
             if variant == "dm_dup":
-                result = direct_match(problem, allow_duplicates=True)
-                selection = selection_from_matches(
-                    tree, result.matches, problem, server.dataset_labels
-                )
+                result = direct_match(cost, allow_duplicates=True)
+                selection = selection_from_matches(tree, result.matches, cost)
             else:
-                assignment = solve_assignment(problem)
-                selection = select_training_set(tree, assignment, problem, server.dataset_labels)
+                assignment = solve_assignment(cost)
+                selection = select_training_set(tree, assignment, cost)
             selected = gaussian_stats(server, selection.sample_rows)
             rows.append(
                 {

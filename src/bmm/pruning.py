@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .matching import SelectionResult, count_labels
+from .matching import SelectionResult
 
 STRATEGIES = ("uniform", "stratified")
 
@@ -82,16 +82,10 @@ def prune(
         ]
         kept = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
-    positions = np.searchsorted(selection.sample_rows, kept)
-    labels = tuple(selection.row_labels[int(pos)] for pos in positions)
-    strata = {
-        nid: np.intersect1d(rows, kept) for nid, rows in selection.strata.items()
-    }
+    strata = {nid: np.intersect1d(rows, kept) for nid, rows in selection.strata.items()}
     return SelectionResult(
         selected_nodes=list(selection.selected_nodes),
         sample_rows=kept,
-        per_target=dict(selection.per_target),
-        composition=count_labels(labels),
+        per_target=list(selection.per_target),
         strata=strata,
-        row_labels=labels,
     )

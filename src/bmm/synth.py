@@ -212,12 +212,11 @@ def align_truth(truth: WorldTruth, clustering: FlatClustering) -> WorldTruth:
 
 
 def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTree) -> float:
-    """Fraction of target modes whose matched node is dominated by the right origin.
+    """Fraction of target modes whose matched node is dominated by the right super mode.
 
     A match counts when more than half of the node's member rows were
-    generated from the target's planted (super, sub) pair or from any
-    coarser/finer grouping of it in the planted hierarchy; unmatched targets
-    count as misses.
+    generated from the target's planted super mode; which sub modes they
+    came from is not checked. Unmatched targets count as misses.
     """
     if len(truth.target_pairs) != len(result.per_target):
         raise ValidationError(
@@ -225,7 +224,7 @@ def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTre
             f"{len(result.per_target)}"
         )
     correct = 0
-    for (s, _b), hit in zip(truth.target_pairs, result.per_target.values()):
+    for (s, _b), hit in zip(truth.target_pairs, result.per_target):
         if hit is None:
             continue
         members = tree.members(hit[0])

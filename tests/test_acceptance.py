@@ -26,7 +26,7 @@ from bmm import (
 )
 from bmm.cli import main
 from bmm.hierarchy import validate_tree
-from bmm.matching import AssignmentProblem, selection_from_matches
+from bmm.matching import selection_from_matches
 from bmm.pipeline import PipelineConfig, build_server_tree
 from bmm.synth import (
     align_truth,
@@ -45,13 +45,8 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
 
 
-def problem_of(cost) -> AssignmentProblem:
-    cost = np.asarray(cost, dtype=np.float64)
-    return AssignmentProblem(
-        cost=cost,
-        target_ids=[f"mode-{i}" for i in range(cost.shape[0])],
-        node_ids=list(range(cost.shape[1])),
-    )
+def problem_of(cost) -> np.ndarray:
+    return np.asarray(cost, dtype=np.float64)
 
 
 def test_c01_assignment_optimality():
@@ -180,7 +175,7 @@ def test_c05_gap_reduction_reproduction():
         server, target, _ = generate(world)
         config = PipelineConfig(leaves=16, target_clusters=len(world.targets), seed=0)
         tree = build_server_tree(server, config)
-        outcome = run_match(tree, target, server.dataset_labels, config)
+        outcome = run_match(tree, target, config)
         gap_selected, gap_server = evaluate_gap(server, target, outcome.selection.sample_rows)
         if gap_selected < gap_server:
             wins += 1
@@ -219,13 +214,12 @@ def test_c07_bmm_vs_direct_match():
     server, target, truth = generate(world)
     config = PipelineConfig(leaves=3, target_clusters=3, seed=0)
     tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, server.dataset_labels, config)
+    outcome = run_match(tree, target, config)
     aligned = align_truth(truth, outcome.clustering)
 
-    dm_dup = direct_match(outcome.problem, allow_duplicates=True)
-    dm_dup_sel = selection_from_matches(tree, dm_dup.matches, outcome.problem,
-                                        server.dataset_labels)
-    dm_nodup = direct_match(outcome.problem, allow_duplicates=False)
+    dm_dup = direct_match(outcome.cost, allow_duplicates=True)
+    dm_dup_sel = selection_from_matches(tree, dm_dup.matches, outcome.cost)
+    dm_nodup = direct_match(outcome.cost, allow_duplicates=False)
 
     bmm_distinct = len(outcome.selection.selected_nodes)
     dm_distinct = len(dm_dup_sel.selected_nodes)
@@ -258,7 +252,7 @@ def test_c08_dedup_exactness():
         n_targets = int(rng.integers(1, min(6, tree.node_count) + 1))
         cols = [int(c) for c in rng.choice(tree.node_count, size=n_targets, replace=False)]
         p = problem_of(rng.random((n_targets, tree.node_count)))
-        sel = selection_from_matches(tree, cols, p, fm.dataset_labels)
+        sel = selection_from_matches(tree, cols, p)
         naive: set[int] = set()
         for c in cols:
             naive |= set(tree.members(c).tolist())
@@ -270,7 +264,7 @@ def test_c08_dedup_exactness():
     parent = tree.node(tree.leaf_count)
     child = tree.node(parent.children[0])
     p = problem_of(np.zeros((2, tree.node_count)))
-    sel = selection_from_matches(tree, [parent.node_id, child.node_id], p, fm.dataset_labels)
+    sel = selection_from_matches(tree, [parent.node_id, child.node_id], p)
     parent_child_ok = sel.sample_rows.size == parent.size
     report(
         8,

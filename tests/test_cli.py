@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,6 +94,8 @@ def test_match_outputs_and_rerun_identical(tmp_path, world_files):
 
     report = json.loads((tmp_path / "sel_a.manifest.report.json").read_text())
     assert report["selected_samples"] == len(manifest.entries)
+    labels = Counter(label for _, label in manifest.entries)
+    assert report["composition"] == dict(sorted(labels.items()))
     assert (tmp_path / "sel_a.manifest.report.txt").exists()
 
 
@@ -117,7 +120,9 @@ def test_match_cost_csv_dump(tmp_path, world_files):
                 + ["--cost-csv", str(cost_csv)]) == 0
     lines = cost_csv.read_text().strip().splitlines()
     assert len(lines) == 3  # header + L rows
-    assert lines[0].startswith("target_id,node_0")
+    node_count = load_tree(tree_path).node_count
+    assert lines[0] == "target_id," + ",".join(f"node_{j}" for j in range(node_count))
+    assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
 
 
 def test_evaluate_full_server_equal_numbers(tmp_path, world_files, capsys):

@@ -192,8 +192,9 @@ def test_cost_matrix_csv_dump(tmp_path, rng):
     targets = [random_stats(rng, 2) for _ in range(2)]
     cost = cost_matrix(tree, targets)
     path = tmp_path / "cost.csv"
-    write_cost_matrix_csv(path, cost, ["mode-0", "mode-1"], list(range(tree.node_count)))
+    write_cost_matrix_csv(path, cost)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "target_id," + ",".join(f"node_{i}" for i in range(tree.node_count))
     assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
     assert float(lines[1].split(",")[1]) == cost[0, 0]

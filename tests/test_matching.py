@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bmm import (
-    AssignmentProblem,
     InfeasibleMatchError,
     ValidationError,
     build_hierarchy,
@@ -19,13 +18,8 @@ from conftest import make_features, unmatched
 from oracles import oracle_assignment
 
 
-def problem_of(cost) -> AssignmentProblem:
-    cost = np.asarray(cost, dtype=np.float64)
-    return AssignmentProblem(
-        cost=cost,
-        target_ids=[f"mode-{i}" for i in range(cost.shape[0])],
-        node_ids=list(range(cost.shape[1])),
-    )
+def problem_of(cost) -> np.ndarray:
+    return np.asarray(cost, dtype=np.float64)
 
 
 def test_single_row_argmin():
@@ -85,11 +79,11 @@ def test_error_paths():
     with pytest.raises(InfeasibleMatchError):
         solve_assignment(problem_of(np.zeros((3, 2))))
     bad = problem_of(np.zeros((2, 3)))
-    bad.cost[0, 1] = np.nan
+    bad[0, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         solve_assignment(bad)
     neg = problem_of(np.zeros((2, 3)))
-    neg.cost[1, 2] = -0.5
+    neg[1, 2] = -0.5
     with pytest.raises(ValidationError, match="negative"):
         solve_assignment(neg)
 
@@ -120,7 +114,7 @@ def test_selection_disjoint_union(rng):
     leaf_a, leaf_b = tree.node(0), tree.node(1)
     p = problem_of(np.zeros((2, tree.node_count)))
     a = solve_assignment(problem_of(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    sel = selection_from_matches(tree, [0, 1], p, fm.dataset_labels)
+    sel = selection_from_matches(tree, [0, 1], p)
     assert sel.sample_rows.size == leaf_a.size + leaf_b.size
     assert sel.selected_nodes == [0, 1]
 
@@ -130,7 +124,7 @@ def test_selection_parent_child_dedup(rng):
     parent = tree.node(tree.leaf_count)
     child = tree.node(parent.children[0])
     p = problem_of(np.zeros((2, tree.node_count)))
-    sel = selection_from_matches(tree, [parent.node_id, child.node_id], p, fm.dataset_labels)
+    sel = selection_from_matches(tree, [parent.node_id, child.node_id], p)
     assert sel.sample_rows.size == parent.size
     assert np.array_equal(sel.sample_rows, tree.members(parent.node_id))
     # ownership: the parent was selected first, so the child stratum is empty
@@ -143,7 +137,7 @@ def test_selection_matches_naive_union_oracle(rng):
         n_targets = int(rng.integers(1, 6))
         cols = rng.choice(tree.node_count, size=n_targets, replace=False)
         p = problem_of(rng.random((n_targets, tree.node_count)))
-        sel = selection_from_matches(tree, [int(c) for c in cols], p, fm.dataset_labels)
+        sel = selection_from_matches(tree, [int(c) for c in cols], p)
         naive: set[int] = set()
         for c in cols:
             naive |= set(tree.members(int(c)).tolist())
@@ -158,16 +152,17 @@ def test_selection_composition_counts(rng):
     fm, tree = build_tree(rng)
     labels = ["alpha" if i < 12 else "beta" for i in range(24)]
     p = problem_of(np.zeros((1, tree.node_count)))
-    sel = selection_from_matches(tree, [tree.root_id], p, labels)
-    assert sel.composition == {"alpha": 12, "beta": 12}
-    assert sum(sel.composition.values()) == sel.sample_rows.size
+    sel = selection_from_matches(tree, [tree.root_id], p)
+    composition = match_report_payload(sel, tree, 0.0, labels)["composition"]
+    assert composition == {"alpha": 12, "beta": 12}
+    assert sum(composition.values()) == sel.sample_rows.size
 
 
 def test_selection_dedup_idempotent(rng):
     fm, tree = build_tree(rng)
     p = problem_of(np.zeros((2, tree.node_count)))
-    first = selection_from_matches(tree, [2, 2], p, fm.dataset_labels)
-    second = selection_from_matches(tree, [2, 2], p, fm.dataset_labels)
+    first = selection_from_matches(tree, [2, 2], p)
+    second = selection_from_matches(tree, [2, 2], p)
     assert np.array_equal(first.sample_rows, second.sample_rows)
     assert first.selected_nodes == [2]
 
@@ -177,8 +172,8 @@ def test_select_training_set_and_report(rng):
     cost = np.abs(rng.random((2, tree.node_count))) + 0.1
     p = problem_of(cost)
     a = solve_assignment(p)
-    sel = select_training_set(tree, a, p, fm.dataset_labels)
-    payload = match_report_payload(sel, p, tree, a.total_cost)
+    sel = select_training_set(tree, a, p)
+    payload = match_report_payload(sel, tree, a.total_cost, fm.dataset_labels)
     text = render_match_report(payload, warn_fid=0.0)
     assert "total_cost" in text and "WARN" in text
     assert payload["total_cost"] == a.total_cost

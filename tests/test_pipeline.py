@@ -15,7 +15,7 @@ from bmm import (
     run_bench,
     run_match,
 )
-from bmm.pipeline import BENCH_VARIANTS, build_problem, target_mode_stats
+from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 from bmm.synth import random_subset_world
 
 from conftest import shared_nearest_world
@@ -45,7 +45,7 @@ def test_match_flow_on_planted_world(small_world):
     world, server, target, truth = small_world
     config = PipelineConfig(leaves=8, target_clusters=2, seed=0)
     tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, server.dataset_labels, config)
+    outcome = run_match(tree, target, config)
     assert len(outcome.assignment.sigma) == 2
     assert outcome.selection.sample_rows.size > 0
     assert np.isfinite(outcome.assignment.total_cost)
@@ -63,8 +63,8 @@ def test_target_copy_of_leaf_matches_it(small_world):
         sample_ids=[f"copy-{i}" for i in range(leaf.size)],
         dataset_labels=["target"] * leaf.size,
     )
-    outcome = run_match(tree, copy, server.dataset_labels, config)
-    node_id, value = outcome.selection.per_target["mode-0"]
+    outcome = run_match(tree, copy, config)
+    node_id, value = outcome.selection.per_target[0]
     assert value <= 1e-6
     assert node_id == leaf.node_id
     assert np.array_equal(outcome.selection.sample_rows, tree.members(leaf.node_id))
@@ -75,7 +75,7 @@ def test_more_target_clusters_than_structure(small_world):
     world, server, target, truth = small_world
     config = PipelineConfig(leaves=8, target_clusters=4, seed=0)
     tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, server.dataset_labels, config)
+    outcome = run_match(tree, target, config)
     assert len(set(outcome.assignment.sigma)) == 4
 
 
@@ -89,7 +89,7 @@ def test_tiny_target_mode_is_advised(small_world):
     config = PipelineConfig(leaves=8, target_clusters=3, seed=0)
     tree = build_server_tree(server, config)
     with pytest.raises(ParameterError, match="target-clusters"):
-        run_match(tree, few, server.dataset_labels, config)
+        run_match(tree, few, config)
 
 
 def test_leaf_candidates_restriction(small_world):
@@ -97,12 +97,10 @@ def test_leaf_candidates_restriction(small_world):
     config = PipelineConfig(leaves=8, target_clusters=2, seed=0)
     tree = build_server_tree(server, config)
     _, stats = target_mode_stats(target, config)
-    full = build_problem(tree, stats)
-    flat = full.first_columns(tree.leaf_count)
-    assert flat.cost.shape == (2, 8)
-    assert flat.node_ids == list(range(8))
-    assert full.cost.shape == (2, 15)
-    assert np.array_equal(full.cost[:, :8], flat.cost)
+    full = cost_matrix(tree, stats)
+    assert full.shape == (2, 15)
+    # bench's bmm_flat takes the first J columns: the leaves are nodes 0..J-1
+    assert [n for n in range(tree.node_count) if tree.node(n).is_leaf] == list(range(8))
 
 
 def test_evaluate_whole_server_is_identity(small_world):

@@ -8,24 +8,14 @@ from bmm.matching import SelectionResult
 from bmm.pruning import largest_remainder
 
 
-def selection_with_strata(sizes: list[int], labels=None) -> SelectionResult:
+def selection_with_strata(sizes: list[int]) -> SelectionResult:
     rows = np.arange(sum(sizes), dtype=np.int64)
     strata, start = {}, 0
     for node_id, size in enumerate(sizes):
         strata[node_id] = rows[start : start + size]
         start += size
-    if labels is None:
-        labels = tuple(f"set-{node_id}" for node_id, size in enumerate(sizes) for _ in range(size))
-    composition: dict[str, int] = {}
-    for label in labels:
-        composition[label] = composition.get(label, 0) + 1
     return SelectionResult(
-        selected_nodes=list(range(len(sizes))),
-        sample_rows=rows,
-        per_target={},
-        composition=composition,
-        strata=strata,
-        row_labels=tuple(labels),
+        selected_nodes=list(range(len(sizes))), sample_rows=rows, strata=strata
     )
 
 
@@ -49,7 +39,6 @@ def test_stratified_largest_remainder_60_40():
     kept_a = np.intersect1d(out.sample_rows, sel.strata[0]).size
     kept_b = np.intersect1d(out.sample_rows, sel.strata[1]).size
     assert (kept_a, kept_b) == (30, 20)
-    assert out.composition == {"set-0": 30, "set-1": 20}
 
 
 def test_absolute_budget():
@@ -85,7 +74,6 @@ def test_subset_and_cardinality_property(rng):
         assert out.sample_rows.size == budget.resolve(total)
         assert np.isin(out.sample_rows, sel.sample_rows).all()
         assert np.array_equal(out.sample_rows, np.unique(out.sample_rows))
-        assert sum(out.composition.values()) == out.sample_rows.size
 
 
 def test_stratified_proportionality_within_one(rng):

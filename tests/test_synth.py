@@ -187,10 +187,7 @@ def selection_for(tree, node_ids):
     return SelectionResult(
         selected_nodes=list(dict.fromkeys(node_ids)),
         sample_rows=np.unique(np.concatenate([tree.members(n) for n in node_ids])),
-        per_target={f"mode-{i}": (n, 0.0) for i, n in enumerate(node_ids)},
-        composition={},
-        strata={},
-        row_labels=(),
+        per_target=[(n, 0.0) for n in node_ids],
     )
 
 
@@ -213,7 +210,7 @@ def test_matching_precision_unmatched_counts_as_miss(rng):
     tree, builder = precision_fixture(rng)
     truth = builder(np.zeros(16, dtype=np.int64))
     sel = selection_for(tree, [0, 1, 2, 3])
-    sel.per_target["mode-3"] = None
+    sel.per_target[3] = None
     truth.target_pairs = [(0, 0)] * 4
     assert matching_precision(sel, truth, tree) == 0.75
 
