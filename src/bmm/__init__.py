@@ -26,7 +26,6 @@ from .gap import ModeStats, cost_matrix, fid, gaussian_stats
 from .hierarchy import ModeNode, ModeTree, build_hierarchy, load_tree, persist_tree
 from .matching import (
     Assignment,
-    DirectMatchResult,
     SelectionResult,
     direct_match,
     select_training_set,
@@ -51,7 +50,6 @@ __all__ = [
     "Assignment",
     "BmmError",
     "Budget",
-    "DirectMatchResult",
     "FeatureMatrix",
     "FlatClustering",
     "FormatError",

@@ -280,12 +280,10 @@ def _cmd_prune(args) -> int:
 
 def _cmd_bench(args) -> int:
     world = load_world(args.world)
-    try:
-        sweep = [int(tok) for tok in args.leaves.split(",") if tok]
-    except ValueError as exc:
-        raise ParameterError(f"--leaves must be comma-separated integers: {exc}") from exc
-    if not sweep:
-        raise ParameterError("--leaves names no tree sizes")
+    tokens = args.leaves.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ParameterError(f"--leaves {args.leaves!r} must list comma-separated tree sizes")
+    sweep = [int(tok) for tok in tokens]
     rows = run_bench(
         world, sweep, args.target_clusters, seed=args.seed, eps=args.eps_cov,
         linkage=args.linkage,

@@ -7,10 +7,11 @@ carried as (distance, tie_weight) pairs where the integer tie weight encodes
 positional preference, so among equal-cost optima the lexicographically
 smallest sigma is the unique optimum rather than a post-hoc repair.
 
-The greedy per-target argmin baseline (direct match) and the deduplicating
-training-set selection live here as well. Every stage takes the bare L x H
-cost matrix from `gap.cost_matrix`: row i is target mode i (reported as
-mode-i) and column j is tree node j, so no label lists travel with it.
+The greedy per-target argmin baseline (direct match, where targets may share
+a node) and the deduplicating training-set selection live here as well.
+Every stage takes the bare L x H cost matrix from `gap.cost_matrix`: row i
+is target mode i (reported as mode-i) and column j is tree node j, so no
+label lists travel with it. Every target mode is matched to a node.
 """
 
 from __future__ import annotations
@@ -58,14 +59,6 @@ class Assignment:
         self.sigma = [int(s) for s in self.sigma]
         if len(set(self.sigma)) != len(self.sigma):
             raise ValidationError(f"assignment is not one-to-one: {self.sigma}")
-
-
-@dataclass
-class DirectMatchResult:
-    """Per-target argmin matches; entries are None when duplicates are dropped."""
-
-    matches: list[int | None]
-    total_cost: float
 
 
 def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
@@ -142,39 +135,23 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     return Assignment(sigma=sigma, total_cost=total)
 
 
-def direct_match(cost: np.ndarray, allow_duplicates: bool = True) -> DirectMatchResult:
-    """Greedy baseline: each target takes its nearest node independently.
-
-    With duplicates disallowed, repeat claims after the first are dropped and
-    those targets stay unmatched.
-    """
-    cost = _checked(cost)
-    nearest = cost.argmin(axis=1)
-    matches: list[int | None] = []
-    claimed: set[int] = set()
-    total = 0.0
-    for i, j in enumerate(nearest):
-        j = int(j)
-        if not allow_duplicates and j in claimed:
-            matches.append(None)
-            continue
-        claimed.add(j)
-        matches.append(j)
-        total += float(cost[i, j])
-    return DirectMatchResult(matches=matches, total_cost=total)
+def direct_match(cost: np.ndarray) -> list[int]:
+    """Greedy baseline: each target takes its nearest node (the lowest column
+    at its row's minimum) independently, so targets may share a node."""
+    return [int(j) for j in _checked(cost).argmin(axis=1)]
 
 
 @dataclass(eq=False)
 class SelectionResult:
     """The searched training set: matched nodes and their deduplicated rows.
 
-    per_target holds each target mode's (node id, cost), or None when it is
-    unmatched, in target order; strata maps each selected node to its rows.
+    per_target holds each target mode's (node id, cost) in target order;
+    strata maps each selected node to its rows (a pruned result has none).
     """
 
     selected_nodes: list[int]
     sample_rows: np.ndarray
-    per_target: list[tuple[int, float] | None] = field(default_factory=list)
+    per_target: list[tuple[int, float]] = field(default_factory=list)
     strata: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -199,19 +176,21 @@ def node_strata(
 
 
 def selection_from_matches(
-    tree: "ModeTree", matches: Sequence[int | None], cost: np.ndarray
+    tree: "ModeTree", matches: Sequence[int], cost: np.ndarray
 ) -> SelectionResult:
     """Union the matched nodes' member rows, dropping repeats.
 
-    matches[i] is target i's node id (its cost column) or None. Rows reachable
+    matches[i] is target i's node id (its cost column). Rows reachable
     through several selected nodes (repeat matches or an ancestor/descendant
     pair) appear once; each row is owned by the first selected node that
     contains it, which defines the pruning strata.
     """
-    per_target = [
-        None if m is None else (int(m), float(cost[i, m])) for i, m in enumerate(matches)
-    ]
-    selected = list(dict.fromkeys(hit[0] for hit in per_target if hit is not None))
+    n_nodes = cost.shape[1]
+    for j in matches:
+        if not 0 <= j < n_nodes:
+            raise ValidationError(f"matched column {j} outside problem with {n_nodes}")
+    per_target = [(int(m), float(cost[i, m])) for i, m in enumerate(matches)]
+    selected = list(dict.fromkeys(node_id for node_id, _ in per_target))
     strata = node_strata(tree, selected, np.arange(tree.leaf_labels.size))
     taken = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *strata.values()]))
     return SelectionResult(
@@ -223,10 +202,6 @@ def select_training_set(
     tree: "ModeTree", assignment: Assignment, cost: np.ndarray
 ) -> SelectionResult:
     """Materialize the deduplicated training set for an optimal assignment."""
-    n_nodes = cost.shape[1]
-    for j in assignment.sigma:
-        if not 0 <= j < n_nodes:
-            raise ValidationError(f"assignment column {j} outside problem with {n_nodes}")
     return selection_from_matches(tree, assignment.sigma, cost)
 
 
@@ -234,9 +209,6 @@ def render_match_report(payload: dict, warn_fid: float | None = None) -> str:
     """Human-readable text of match_report_payload: per-target table, totals, composition."""
     lines = ["target_mode  node_id  fid  node_size  node_depth"]
     for hit in payload["per_target"]:
-        if hit["node_id"] is None:
-            lines.append(f"{hit['target']}  -  unmatched  -  -")
-            continue
         flag = "  WARN" if warn_fid is not None and hit["fid"] > warn_fid else ""
         lines.append(
             f"{hit['target']}  {hit['node_id']}  {hit['fid']:.6f}  {hit['node_size']}  "
@@ -262,21 +234,16 @@ def match_report_payload(
     dataset labels of the selected rows.
     """
     depths = tree.depths()
-    per_target = []
-    for i, hit in enumerate(selection.per_target):
-        if hit is None:
-            per_target.append({"target": f"mode-{i}", "node_id": None, "fid": None})
-            continue
-        node_id, value = hit
-        per_target.append(
-            {
-                "target": f"mode-{i}",
-                "node_id": node_id,
-                "fid": value,
-                "node_size": int(tree.counts[node_id]),
-                "node_depth": int(depths[node_id]),
-            }
-        )
+    per_target = [
+        {
+            "target": f"mode-{i}",
+            "node_id": node_id,
+            "fid": value,
+            "node_size": int(tree.counts[node_id]),
+            "node_depth": int(depths[node_id]),
+        }
+        for i, (node_id, value) in enumerate(selection.per_target)
+    ]
     return {
         "per_target": per_target,
         "total_cost": total_cost,

@@ -53,7 +53,15 @@ class PipelineConfig:
 
 
 def build_server_tree(server: FeatureMatrix, config: PipelineConfig) -> ModeTree:
-    """Balanced leaves then bottom-up merging: the one-time server build."""
+    """Balanced leaves then bottom-up merging: the one-time server build.
+
+    J is at most n // 2, as each leaf needs 2 rows for its Gaussian statistics.
+    """
+    if config.leaves > server.n // 2:
+        raise ParameterError(
+            f"leaf count J={config.leaves} must be at most n // 2 = {server.n // 2} "
+            f"for n={server.n} server rows"
+        )
     leaves = fit_balanced_kmeans(server, config.leaves, config.seed)
     return build_hierarchy(leaves, server, linkage=config.linkage)
 
@@ -148,8 +156,7 @@ def run_bench(
             # leaves are nodes 0..J-1, so the flat variant's columns are the first J
             cost = shared[:, : tree.leaf_count] if variant == "bmm_flat" else shared
             if variant == "dm_dup":
-                result = direct_match(cost, allow_duplicates=True)
-                selection = selection_from_matches(tree, result.matches, cost)
+                selection = selection_from_matches(tree, direct_match(cost), cost)
             else:
                 assignment = solve_assignment(cost)
                 selection = select_training_set(tree, assignment, cost)

@@ -4,7 +4,9 @@ Budgets are either a fraction of the selection or an absolute sample count.
 The uniform strategy draws from all selected rows at once; the stratified
 strategy allocates the budget across the matched nodes' strata with
 largest-remainder rounding, keeping the composition proportional to within
-one sample per stratum. Both are deterministic for a fixed seed.
+one sample per stratum. Both are deterministic for a fixed seed. A pruned
+selection keeps the input's matched nodes and per-target matches with the
+kept rows; its strata are not rebuilt.
 """
 
 from __future__ import annotations
@@ -81,11 +83,8 @@ def prune(
             for nid, take in zip(node_order, alloc)
         ]
         kept = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-
-    strata = {nid: np.intersect1d(rows, kept) for nid, rows in selection.strata.items()}
     return SelectionResult(
         selected_nodes=list(selection.selected_nodes),
         sample_rows=kept,
         per_target=list(selection.per_target),
-        strata=strata,
     )

@@ -13,7 +13,7 @@ dataclasses below (see load_world / save_world).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,11 +158,10 @@ def _sample(world: PlantedWorld) -> tuple[FeatureMatrix, FeatureMatrix, WorldTru
         if tm.sub_idx is None:
             weights = np.array([sub.count for sub in sup.subs], dtype=np.float64)
             picks = rng.choice(len(sup.subs), size=tm.count, p=weights / weights.sum())
-            rows = np.empty((tm.count, d))
-            for i, b in enumerate(picks):
-                sub = sup.subs[int(b)]
-                mean = center + np.asarray(sub.offset, dtype=np.float64) + shift
-                rows[i] = mean + rng.normal(size=d) * (sub.scale * tm.scale_multiplier)
+            offsets = np.asarray([sub.offset for sub in sup.subs], dtype=np.float64)
+            scales = np.array([sub.scale for sub in sup.subs]) * tm.scale_multiplier
+            noise = rng.normal(size=(tm.count, d))
+            rows = center + offsets[picks] + shift + noise * scales[picks, None]
         else:
             sub = sup.subs[tm.sub_idx]
             mean = center + np.asarray(sub.offset, dtype=np.float64) + shift
@@ -202,13 +201,7 @@ def align_truth(truth: WorldTruth, clustering: FlatClustering) -> WorldTruth:
         modes = truth.target_row_mode[rows]
         counts = np.bincount(modes, minlength=len(truth.planted_pairs))
         pairs.append(truth.planted_pairs[int(counts.argmax())])
-    return WorldTruth(
-        server_super=truth.server_super,
-        server_sub=truth.server_sub,
-        target_row_mode=truth.target_row_mode,
-        planted_pairs=truth.planted_pairs,
-        target_pairs=pairs,
-    )
+    return replace(truth, target_pairs=pairs)
 
 
 def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTree) -> float:
@@ -216,7 +209,7 @@ def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTre
 
     A match counts when more than half of the node's member rows were
     generated from the target's planted super mode; which sub modes they
-    came from is not checked. Unmatched targets count as misses.
+    came from is not checked.
     """
     if len(truth.target_pairs) != len(result.per_target):
         raise ValidationError(
@@ -224,10 +217,8 @@ def matching_precision(result: SelectionResult, truth: WorldTruth, tree: ModeTre
             f"{len(result.per_target)}"
         )
     correct = 0
-    for (s, _b), hit in zip(truth.target_pairs, result.per_target):
-        if hit is None:
-            continue
-        members = tree.members(hit[0])
+    for (s, _b), (node_id, _cost) in zip(truth.target_pairs, result.per_target):
+        members = tree.members(node_id)
         share = float((truth.server_super[members] == s).mean())
         if share > 0.5:
             correct += 1
@@ -337,6 +328,24 @@ def _spread_centers(rng: np.random.Generator, count: int, d: int, radius: float)
     return centers / np.where(norms == 0, 1.0, norms) * radius
 
 
+def _spread_supers(
+    rng: np.random.Generator, d: int, n_supers: int, subs_per_super: int, per_sub: int,
+    scale: float,
+) -> list[SuperMode]:
+    """Super modes spread far apart, each with its sub modes spread around it."""
+    centers = _spread_centers(rng, n_supers, d, SEPARATION_FACTOR * scale * 4.0)
+    return [
+        SuperMode(
+            center=centers[s],
+            subs=[
+                SubMode(offset=offset, scale=scale, count=per_sub)
+                for offset in _spread_centers(rng, subs_per_super, d, 6.0 * scale)
+            ],
+        )
+        for s in range(n_supers)
+    ]
+
+
 def random_subset_world(
     seed: int,
     d: int = 16,
@@ -350,18 +359,7 @@ def random_subset_world(
 ) -> PlantedWorld:
     """A world whose target covers a strict subset of the planted server modes."""
     rng = np.random.default_rng([seed % 2**63, 101])
-    radius = SEPARATION_FACTOR * scale * 4.0
-    centers = _spread_centers(rng, n_supers, d, radius)
-    supers = []
-    for s in range(n_supers):
-        offsets = _spread_centers(rng, subs_per_super, d, 6.0 * scale)
-        supers.append(
-            SuperMode(
-                center=centers[s],
-                subs=[SubMode(offset=offsets[b], scale=scale, count=per_sub)
-                      for b in range(subs_per_super)],
-            )
-        )
+    supers = _spread_supers(rng, d, n_supers, subs_per_super, per_sub, scale)
     all_pairs = [(s, b) for s in range(n_supers) for b in range(subs_per_super)]
     picked = rng.choice(len(all_pairs), size=n_target_modes, replace=False)
     targets = []
@@ -393,18 +391,7 @@ def granularity_probe_world(
 ) -> PlantedWorld:
     """Targets at mixed granularity: whole supers next to single sub modes."""
     rng = np.random.default_rng([seed % 2**63, 202])
-    radius = SEPARATION_FACTOR * scale * 4.0
-    centers = _spread_centers(rng, n_supers, d, radius)
-    supers = []
-    for s in range(n_supers):
-        offsets = _spread_centers(rng, subs_per_super, d, 6.0 * scale)
-        supers.append(
-            SuperMode(
-                center=centers[s],
-                subs=[SubMode(offset=offsets[b], scale=scale, count=per_sub)
-                      for b in range(subs_per_super)],
-            )
-        )
+    supers = _spread_supers(rng, d, n_supers, subs_per_super, per_sub, scale)
     targets = [
         TargetMode(super_idx=0, sub_idx=None, count=per_target * subs_per_super),
         TargetMode(super_idx=1, sub_idx=None, count=per_target * subs_per_super),

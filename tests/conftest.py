@@ -5,7 +5,6 @@ import pytest
 
 from bmm import FeatureMatrix, ModeTree
 from bmm.clustering import FlatClustering
-from bmm.matching import DirectMatchResult
 from bmm.synth import PlantedWorld, SubMode, SuperMode, TargetMode
 
 
@@ -32,9 +31,9 @@ def cluster_sizes(clustering: FlatClustering) -> np.ndarray:
     return np.bincount(clustering.assignment, minlength=clustering.k)
 
 
-def unmatched(result: DirectMatchResult) -> list[int]:
+def unmatched(matches: list[int | None]) -> list[int]:
     """Targets whose match was dropped as a duplicate."""
-    return [i for i, m in enumerate(result.matches) if m is None]
+    return [i for i, m in enumerate(matches) if m is None]
 
 
 def trees_equal(a: ModeTree, b: ModeTree) -> bool:

@@ -12,7 +12,11 @@ exactly, and `oracle_cluster_means` the row-by-row `np.add.at` sum that
 buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
 matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
-equal node for node.
+equal node for node. `oracle_direct_match_no_duplicates` is the greedy
+direct match that leaves a target unmatched when an earlier target already
+claimed its nearest node, and `oracle_generate` the planted-world sampler
+that draws whole-super target rows one row at a time, which `bmm.generate`
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 import numpy as np
 
 from bmm import (
-    Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError, ValidationError,
+    Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError, ValidationError, WorldTruth,
 )
 from bmm.gap import DEFAULT_EPS, gaussian_stats
 from bmm.hierarchy import LINKAGES, _pooled, validate_tree
@@ -90,6 +94,22 @@ def oracle_assignment(cost: np.ndarray) -> Assignment:
             best_total = total
             best_sigma = perm
     return Assignment(sigma=list(best_sigma), total_cost=best_total)
+
+
+def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:
+    """Each target takes its nearest node unless an earlier target claimed it;
+    repeat claims are dropped and those targets stay unmatched (None)."""
+    nearest = np.asarray(cost, dtype=np.float64).argmin(axis=1)
+    matches: list[int | None] = []
+    claimed: set[int] = set()
+    for j in nearest:
+        j = int(j)
+        if j in claimed:
+            matches.append(None)
+            continue
+        claimed.add(j)
+        matches.append(j)
+    return matches
 
 
 def oracle_balanced_partition(features: FeatureMatrix, k: int) -> float:
@@ -228,3 +248,66 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
     tree = ModeTree(children, counts, means, covs, leaves.assignment)
     validate_tree(tree)
     return tree
+
+
+def oracle_generate(world) -> tuple[FeatureMatrix, FeatureMatrix, WorldTruth]:
+    """(server, target, truth) of a planted world, whole-super target rows drawn one at a time."""
+    rng = np.random.default_rng(world.seed % 2**63)
+    d = world.dimension
+
+    server_rows, server_ids, server_labels = [], [], []
+    server_super, server_sub = [], []
+    for s, sup in enumerate(world.supers):
+        center = np.asarray(sup.center, dtype=np.float64)
+        for b, sub in enumerate(sup.subs):
+            mean = center + np.asarray(sub.offset, dtype=np.float64)
+            rows = mean + rng.normal(size=(sub.count, d)) * sub.scale
+            server_rows.append(rows)
+            server_ids.extend(f"s{s}.{b}.{i:05d}" for i in range(sub.count))
+            server_labels.extend([f"src-{s}"] * sub.count)
+            server_super.extend([s] * sub.count)
+            server_sub.extend([b] * sub.count)
+
+    target_rows, target_ids = [], []
+    target_row_mode, planted_pairs = [], []
+    for m, tm in enumerate(world.targets):
+        sup = world.supers[tm.super_idx]
+        center = np.asarray(sup.center, dtype=np.float64)
+        shift = (
+            np.zeros(d) if tm.mean_shift is None else np.asarray(tm.mean_shift, dtype=np.float64)
+        )
+        if tm.sub_idx is None:
+            weights = np.array([sub.count for sub in sup.subs], dtype=np.float64)
+            picks = rng.choice(len(sup.subs), size=tm.count, p=weights / weights.sum())
+            rows = np.empty((tm.count, d))
+            for i, b in enumerate(picks):
+                sub = sup.subs[int(b)]
+                mean = center + np.asarray(sub.offset, dtype=np.float64) + shift
+                rows[i] = mean + rng.normal(size=d) * (sub.scale * tm.scale_multiplier)
+        else:
+            sub = sup.subs[tm.sub_idx]
+            mean = center + np.asarray(sub.offset, dtype=np.float64) + shift
+            rows = mean + rng.normal(size=(tm.count, d)) * (sub.scale * tm.scale_multiplier)
+        target_rows.append(rows)
+        target_ids.extend(f"t{m}.{i:05d}" for i in range(tm.count))
+        target_row_mode.extend([m] * tm.count)
+        planted_pairs.append((tm.super_idx, tm.sub_idx))
+
+    server = FeatureMatrix(
+        values=np.concatenate(server_rows).astype(np.float32),
+        sample_ids=server_ids,
+        dataset_labels=server_labels,
+    )
+    target = FeatureMatrix(
+        values=np.concatenate(target_rows).astype(np.float32),
+        sample_ids=target_ids,
+        dataset_labels=["target"] * len(target_ids),
+    )
+    truth = WorldTruth(
+        server_super=np.asarray(server_super, dtype=np.int64),
+        server_sub=np.asarray(server_sub, dtype=np.int64),
+        target_row_mode=np.asarray(target_row_mode, dtype=np.int64),
+        planted_pairs=planted_pairs,
+        target_pairs=list(planted_pairs),
+    )
+    return server, target, truth

@@ -36,7 +36,9 @@ from bmm.synth import (
 )
 
 from conftest import cluster_sizes, make_features, shared_nearest_world, unmatched
-from oracles import oracle_assignment, oracle_balanced_partition
+from oracles import (
+    oracle_assignment, oracle_balanced_partition, oracle_direct_match_no_duplicates,
+)
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -217,9 +219,9 @@ def test_c07_bmm_vs_direct_match():
     outcome = run_match(tree, target, config)
     aligned = align_truth(truth, outcome.clustering)
 
-    dm_dup = direct_match(outcome.cost, allow_duplicates=True)
-    dm_dup_sel = selection_from_matches(tree, dm_dup.matches, outcome.cost)
-    dm_nodup = direct_match(outcome.cost, allow_duplicates=False)
+    dm_dup = direct_match(outcome.cost)
+    dm_dup_sel = selection_from_matches(tree, dm_dup, outcome.cost)
+    dm_nodup = oracle_direct_match_no_duplicates(outcome.cost)
 
     bmm_distinct = len(outcome.selection.selected_nodes)
     dm_distinct = len(dm_dup_sel.selected_nodes)

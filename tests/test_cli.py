@@ -60,6 +60,27 @@ def test_build_server_rejects_oversized_j(tmp_path, world_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_leaf_count_above_half_the_rows_is_named(tmp_path, world_files, capsys):
+    _, server, _, server_path, _ = world_files
+    half = server.n // 2
+    code, _ = run_build(tmp_path, server_path, leaves=half + 1)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"J={half + 1} must be at most n // 2 = {half}" in err
+
+    world_path = tmp_path / "world.json"
+    world = shared_nearest_world(seed=0, per_mode=10)
+    save_world(world, world_path)
+    rows = sum(sub.count for sup in world.supers for sub in sup.subs)
+    code = main([
+        "bench", "--world", str(world_path), "--leaves", f"4,{rows // 2 + 1}",
+        "--target-clusters", "3", "--out", str(tmp_path / "bench.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"must be at most n // 2 = {rows // 2}" in err and "Traceback" not in err
+
+
 def test_build_server_deterministic_bytes(tmp_path, world_files):
     _, _, _, server_path, _ = world_files
     (tmp_path / "a").mkdir()
@@ -283,6 +304,20 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0] == "variant,J,L,fid,precision,runtime"
     assert len(lines) == 4  # header + 3 variants for one J
     assert {line.split(",")[0] for line in lines[1:]} == {"bmm_hier", "bmm_flat", "dm_dup"}
+
+
+@pytest.mark.parametrize("leaves", ["4,,8", "4,", "", "4;8"])
+def test_bench_rejects_malformed_leaf_list(tmp_path, leaves, capsys):
+    world_path = tmp_path / "world.json"
+    save_world(shared_nearest_world(seed=0, per_mode=40), world_path)
+    code = main([
+        "bench", "--world", str(world_path), "--leaves", leaves,
+        "--target-clusters", "3", "--out", str(tmp_path / "bench.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --leaves") and "Traceback" not in err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def _without_scale(payload: dict) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmm import (
+    Assignment,
     InfeasibleMatchError,
     ValidationError,
     build_hierarchy,
@@ -15,7 +16,7 @@ from bmm import (
 from bmm.matching import match_report_payload, render_match_report, selection_from_matches
 
 from conftest import make_features, unmatched
-from oracles import oracle_assignment
+from oracles import oracle_assignment, oracle_direct_match_no_duplicates
 
 
 def problem_of(cost) -> np.ndarray:
@@ -90,10 +91,10 @@ def test_error_paths():
 
 def test_direct_match_duplicates():
     p = problem_of([[0.0, 5.0], [0.0, 9.0]])
-    dup = direct_match(p, allow_duplicates=True)
-    assert dup.matches == [0, 0]
-    nodup = direct_match(p, allow_duplicates=False)
-    assert nodup.matches == [0, None]
+    dup = direct_match(p)
+    assert dup == [0, 0]
+    nodup = oracle_direct_match_no_duplicates(p)
+    assert nodup == [0, None]
     assert unmatched(nodup) == [1]
 
 
@@ -101,12 +102,23 @@ def test_direct_match_lower_bounds_optimal(rng):
     for trial in range(30):
         cost = rng.random((5, 20))
         p = problem_of(cost)
-        assert direct_match(p).total_cost <= solve_assignment(p).total_cost + 1e-12
+        greedy = sum(float(cost[i, m]) for i, m in enumerate(direct_match(p)))
+        assert greedy <= solve_assignment(p).total_cost + 1e-12
 
 
 def build_tree(rng, n=24, j=4):
     fm = make_features(rng.normal(size=(n, 2)))
     return fm, build_hierarchy(fit_balanced_kmeans(fm, j, seed=0), fm)
+
+
+def test_selection_rejects_columns_outside_the_cost_matrix(rng):
+    fm, tree = build_tree(rng)
+    p = problem_of(np.zeros((2, tree.node_count)))
+    for bad in (-1, tree.node_count):
+        with pytest.raises(ValidationError, match=f"matched column {bad} outside"):
+            selection_from_matches(tree, [0, bad], p)
+        with pytest.raises(ValidationError, match=f"matched column {bad} outside"):
+            select_training_set(tree, Assignment([0, bad], 0.0), p)
 
 
 def test_selection_disjoint_union(rng):

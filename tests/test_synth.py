@@ -22,9 +22,10 @@ from bmm import (
     save_world,
 )
 from bmm.matching import SelectionResult
+from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import make_features
-from oracles import oracle_assignment, oracle_balanced_partition
+from oracles import oracle_assignment, oracle_balanced_partition, oracle_generate
 
 
 def tiny_world(seed=0) -> PlantedWorld:
@@ -132,6 +133,22 @@ def test_whole_super_target_mixture():
     assert 25 <= right <= 75
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("make_world", [random_subset_world, granularity_probe_world])
+def test_generate_matches_row_by_row_oracle(make_world, seed):
+    world = make_world(seed)
+    assert any(tm.sub_idx is None for tm in world.targets)
+    got, want = generate(world), oracle_generate(world)
+    for mine, ref in zip(got[:2], want[:2]):
+        assert mine.values.tobytes() == ref.values.tobytes()
+        assert mine.sample_ids == ref.sample_ids
+        assert mine.dataset_labels == ref.dataset_labels
+    for name in ("server_super", "server_sub", "target_row_mode"):
+        assert np.array_equal(getattr(got[2], name), getattr(want[2], name))
+    assert got[2].planted_pairs == want[2].planted_pairs
+    assert got[2].target_pairs == want[2].target_pairs
+
+
 def test_oracle_assignment_known_cases():
     a = oracle_assignment(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
     assert a.sigma == [1, 0] and a.total_cost == 4.0
@@ -206,11 +223,12 @@ def test_matching_precision_counts(rng):
     assert matching_precision(half, truth, tree) == 0.5
 
 
-def test_matching_precision_unmatched_counts_as_miss(rng):
+def test_matching_precision_wrong_node_counts_as_miss(rng):
     tree, builder = precision_fixture(rng)
-    truth = builder(np.zeros(16, dtype=np.int64))
+    leaf_supers = np.zeros(16, dtype=np.int64)
+    leaf_supers[tree.members(3)] = 1
+    truth = builder(leaf_supers)
     sel = selection_for(tree, [0, 1, 2, 3])
-    sel.per_target[3] = None
     truth.target_pairs = [(0, 0)] * 4
     assert matching_precision(sel, truth, tree) == 0.75
 
