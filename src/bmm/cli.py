@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +151,8 @@ def _cmd_match(args) -> int:
     outcome = run_match(tree, target, config)
     selection = outcome.selection
 
-    entries = [
-        (server.sample_ids[int(r)], server.dataset_labels[int(r)])
-        for r in selection.sample_rows
-    ]
     manifest = Manifest(
-        entries=entries,
+        entries=_entries(server, selection.sample_rows),
         metadata={
             "tool": f"bmm/{__version__}",
             "command": "match",
@@ -183,14 +180,20 @@ def _cmd_match(args) -> int:
     return 0
 
 
+def _entries(features: FeatureMatrix, rows: np.ndarray) -> list[tuple[str, str]]:
+    """The (sample_id, dataset_label) entries of the given feature rows, in order."""
+    rows = rows.tolist()
+    ids = map(features.sample_ids.__getitem__, rows)
+    return list(zip(ids, map(features.dataset_labels.__getitem__, rows)))
+
+
 def _manifest_rows(manifest: Manifest, features: FeatureMatrix) -> np.ndarray:
-    index = features.row_index()
-    rows = []
-    for sid, _ in manifest.entries:
-        if sid not in index:
-            raise ValidationError(f"manifest sample_id {sid!r} not found in server features")
-        rows.append(index[sid])
-    return np.asarray(sorted(rows), dtype=np.int64)
+    ids = list(map(itemgetter(0), manifest.entries))
+    rows = list(map(features.row_index().get, ids))
+    if None in rows:
+        sid = ids[rows.index(None)]
+        raise ValidationError(f"manifest sample_id {sid!r} not found in server features")
+    return np.sort(np.asarray(rows, dtype=np.int64))
 
 
 def _cmd_evaluate(args) -> int:
@@ -255,14 +258,11 @@ def _cmd_prune(args) -> int:
         tree = load_tree(args.tree)
         selection = _selection_from_manifest(manifest, tree, features)
         pruned = prune(selection, budget, "stratified", args.seed)
-        entries = [
-            (features.sample_ids[int(r)], features.dataset_labels[int(r)])
-            for r in pruned.sample_rows
-        ]
+        entries = _entries(features, pruned.sample_rows)
     else:
         everything = SelectionResult([], np.arange(len(manifest.entries), dtype=np.int64))
         pruned = prune(everything, budget, "uniform", args.seed)
-        entries = [manifest.entries[int(i)] for i in pruned.sample_rows]
+        entries = list(map(manifest.entries.__getitem__, pruned.sample_rows.tolist()))
 
     metadata = dict(manifest.metadata)
     metadata.update(

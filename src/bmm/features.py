@@ -14,7 +14,9 @@ Manifests are UTF-8 text files: ``# key=value`` metadata lines followed by
 one ``sample_id,dataset_label`` line per selected sample.
 
 Readers reject invalid files instead of repairing them; the binary format is
-endianness-pinned and read-then-write is byte identical.
+endianness-pinned and read-then-write is byte identical. A string block whose
+length prefixes are all equal and whose payload is ASCII is read with one
+decode, any other block one string at a time; the format is the same.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class FeatureMatrix:
 
     def row_index(self) -> dict[str, int]:
         """Map sample_id -> row number."""
-        return {sid: i for i, sid in enumerate(self.sample_ids)}
+        return dict(zip(self.sample_ids, range(self.n)))
 
 
 @dataclass
@@ -85,11 +87,12 @@ class Manifest:
 
     def __post_init__(self) -> None:
         self.entries = [(str(s), str(l)) for s, l in self.entries]
-        seen: set[str] = set()
-        for sid, _ in self.entries:
-            if sid in seen:
-                raise ValidationError(f"duplicate sample_id {sid!r} in manifest")
-            seen.add(sid)
+        if len({sid for sid, _ in self.entries}) != len(self.entries):
+            seen: set[str] = set()
+            for sid, _ in self.entries:
+                if sid in seen:
+                    raise ValidationError(f"duplicate sample_id {sid!r} in manifest")
+                seen.add(sid)
 
 
 def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
@@ -100,8 +103,39 @@ def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
     return struct.unpack_from(fmt, data, offset)[0], end
 
 
+def _uniform_ascii_block(data: bytes, offset: int, n: int) -> tuple[list[str], int] | None:
+    """The block `_string_block` reads, from one decode, when its n length
+    prefixes all equal the first and its payload is ASCII; otherwise None."""
+    if offset + 4 > len(data):
+        return None
+    width = int.from_bytes(data[offset:offset + 4], "little")
+    end = offset + n * (4 + width)
+    if end > len(data):
+        return None
+    block = np.frombuffer(data, dtype=[("len", "<u4"), ("s", f"S{width}")], count=n, offset=offset)
+    if not (block["len"] == width).all():
+        return None
+    # tobytes keeps the trailing NULs that converting the S field would drop
+    payload = block["s"].tobytes()
+    if not payload.isascii():
+        return None
+    # End each string with the non-ASCII byte 0x80 and split the decoded text
+    # there: one split makes the n strings faster than n slices, and width 0
+    # needs no special case.
+    cut = np.full((n, width + 1), 0x80, dtype=np.uint8)
+    cut[:, :width] = np.frombuffer(payload, dtype=np.uint8).reshape(n, width)
+    return cut.tobytes().decode("latin-1").split("\x80")[:-1], end
+
+
 def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str], int]:
-    """n length-prefixed UTF-8 strings from `offset`, and the offset just past them."""
+    """n length-prefixed UTF-8 strings from `offset`, and the offset just past them.
+
+    Uniform-width ASCII blocks take one decode; any other block is read
+    string by string, which names the first truncated or non-UTF-8 string.
+    """
+    fast = _uniform_ascii_block(data, offset, n)
+    if fast is not None:
+        return fast
     out = []
     size = len(data)
     for i in range(n):
@@ -180,17 +214,16 @@ def _write_features_binary(m: FeatureMatrix, path: str | Path) -> None:
         raise OSError(f"cannot write feature file {path}: {exc}") from exc
 
 
-def _text_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, newlines translated as text mode reads them."""
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, newlines translated to '\\n' as text mode reads them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: file is not valid UTF-8: {exc}") from exc
 
 
 def _read_features_csv(path: str | Path) -> FeatureMatrix:
-    lines = [line.rstrip("\n") for line in _text_lines(path) if line.strip()]
+    lines = [line for line in _read_text(path).split("\n") if line.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV feature file")
     header = lines[0].split(",")
@@ -233,11 +266,28 @@ def _write_features_csv(m: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """Read a manifest; duplicate sample ids keep their first occurrence."""
+    """Read a manifest; duplicate sample ids keep their first occurrence.
+
+    The data lines after the leading metadata lines are split in bulk when
+    each holds exactly one comma, none starts with '#' and no id repeats;
+    any other file is read line by line, which names the first bad line.
+    """
+    text = _read_text(path)
+    head = 0  # the leading metadata lines end at text[head]
+    while text.startswith("#", head):
+        head = text.find("\n", head) + 1 or len(text)
+    data = text[head:].removesuffix("\n")
+    cells = data.replace("\n", ",").split(",")
+    ids, names = cells[0::2], cells[1::2]
+    bulk = (
+        "\n#" not in data
+        and len(ids) == len(names) == len(set(ids))
+        and "\n".join(map(",".join, zip(ids, names))) == data
+    )
     metadata: dict[str, str] = {}
     labels: dict[str, str] = {}  # sample_id -> label of its first occurrence, in file order
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.rstrip("\n")
+    lines = (text[:head] if bulk else text).split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -253,7 +303,11 @@ def read_manifest(path: str | Path) -> Manifest:
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
         labels.setdefault(parts[0], parts[1])
-    return Manifest(entries=list(labels.items()), metadata=metadata)
+    # the entries are str and their ids distinct already, so skip Manifest.__post_init__
+    manifest = object.__new__(Manifest)
+    manifest.entries = list(zip(ids, names)) if bulk else list(labels.items())
+    manifest.metadata = metadata
+    return manifest
 
 
 def write_manifest(m: Manifest, path: str | Path) -> None:
@@ -263,10 +317,17 @@ def write_manifest(m: Manifest, path: str | Path) -> None:
         value = m.metadata[key]
         if "=" in key or any(c in key + value for c in "\n\r"):
             raise ValidationError(f"metadata key {key!r} or its value is not representable")
-        lines.append(f"# {key}={m.metadata[key]}")
-    for sid, label in m.entries:
-        lines.append(f"{_csv_safe(sid, 'sample_id')},{_csv_safe(label, 'dataset_label')}")
+        lines.append(f"# {key}={m.metadata[key]}\n")
+    body = "\n".join(map(",".join, m.entries))
+    rows = len(m.entries)
+    # each entry adds one comma and, but for the last, one newline; any more is in a field
+    if body.count(",") != rows or body.count("\n") != max(rows - 1, 0) or "\r" in body:
+        for sid, label in m.entries:
+            _csv_safe(sid, "sample_id")
+            _csv_safe(label, "dataset_label")
+    if rows:
+        lines.append(body + "\n")
     try:
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        Path(path).write_text("".join(lines), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write manifest {path}: {exc}") from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class SelectionResult:
     strata: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def count_labels(labels: Sequence[str]) -> dict[str, int]:
+def count_labels(labels: Iterable[str]) -> dict[str, int]:
     """Rows per dataset label, keys sorted."""
     return dict(sorted(Counter(labels).items()))
 
@@ -249,5 +249,7 @@ def match_report_payload(
         "total_cost": total_cost,
         "selected_nodes": list(selection.selected_nodes),
         "selected_samples": int(selection.sample_rows.size),
-        "composition": count_labels([dataset_labels[int(r)] for r in selection.sample_rows]),
+        "composition": count_labels(
+            map(dataset_labels.__getitem__, selection.sample_rows.tolist())
+        ),
     }

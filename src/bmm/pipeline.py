@@ -41,6 +41,8 @@ class PipelineConfig:
     eps_cov: float = DEFAULT_EPS
 
     def __post_init__(self) -> None:
+        if self.leaves < 1:
+            raise ParameterError(f"leaf count J={self.leaves} must be at least 1")
         if not self.leaves >= self.target_clusters >= 1:
             raise ParameterError(
                 f"need leaves >= target_clusters >= 1, got {self.leaves} and "

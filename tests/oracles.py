@@ -16,17 +16,21 @@ equal node for node. `oracle_direct_match_no_duplicates` is the greedy
 direct match that leaves a target unmatched when an earlier target already
 claimed its nearest node, and `oracle_generate` the planted-world sampler
 that draws whole-super target rows one row at a time, which `bmm.generate`
-must reproduce bit for bit.
+must reproduce bit for bit. `oracle_string_block`, `oracle_read_manifest` and
+`oracle_write_manifest` are the one-string-at-a-time readers and writer that
+the bulk ones in `bmm.features` must equal, outputs and error messages alike.
 """
 
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
 from bmm import (
-    Assignment, FeatureMatrix, ModeStats, ModeTree, ParameterError, ValidationError, WorldTruth,
+    Assignment, FeatureMatrix, FormatError, Manifest, ModeStats, ModeTree, ParameterError,
+    ValidationError, WorldTruth,
 )
 from bmm.gap import DEFAULT_EPS, gaussian_stats
 from bmm.hierarchy import LINKAGES, _pooled, validate_tree
@@ -311,3 +315,76 @@ def oracle_generate(world) -> tuple[FeatureMatrix, FeatureMatrix, WorldTruth]:
         target_pairs=list(planted_pairs),
     )
     return server, target, truth
+
+
+def oracle_string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str], int]:
+    """n length-prefixed UTF-8 strings from `offset`, one decode per string."""
+    out = []
+    size = len(data)
+    for i in range(n):
+        start = offset + 4
+        if start > size:
+            raise FormatError(f"truncated file while reading {what} length {i}")
+        offset = start + int.from_bytes(data[start - 4:start], "little")
+        if offset > size:
+            raise FormatError(f"truncated file while reading {what} {i}")
+        try:
+            out.append(data[start:offset].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} {i} is not valid UTF-8: {exc}") from exc
+    return out, offset
+
+
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines translated as text mode reads them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: file is not valid UTF-8: {exc}") from exc
+
+
+def oracle_read_manifest(path) -> Manifest:
+    """Read a manifest line by line; duplicate sample ids keep their first occurrence."""
+    metadata: dict[str, str] = {}
+    labels: dict[str, str] = {}  # sample_id -> label of its first occurrence, in file order
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line[1:]
+            if body.startswith(" "):
+                body = body[1:]
+            if "=" not in body:
+                raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
+            key, value = body.split("=", 1)
+            metadata[key] = value
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
+        labels.setdefault(parts[0], parts[1])
+    return Manifest(entries=list(labels.items()), metadata=metadata)
+
+
+def _csv_safe(text: str, what: str) -> str:
+    if "," in text or "\n" in text or "\r" in text:
+        raise ValidationError(f"{what} {text!r} may not contain commas or newlines")
+    return text
+
+
+def oracle_write_manifest(m: Manifest, path) -> None:
+    """Write a manifest one checked line at a time."""
+    lines = []
+    for key in sorted(m.metadata):
+        value = m.metadata[key]
+        if "=" in key or any(c in key + value for c in "\n\r"):
+            raise ValidationError(f"metadata key {key!r} or its value is not representable")
+        lines.append(f"# {key}={m.metadata[key]}")
+    for sid, label in m.entries:
+        lines.append(f"{_csv_safe(sid, 'sample_id')},{_csv_safe(label, 'dataset_label')}")
+    try:
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write manifest {path}: {exc}") from exc

@@ -81,6 +81,16 @@ def test_leaf_count_above_half_the_rows_is_named(tmp_path, world_files, capsys):
     assert f"must be at most n // 2 = {rows // 2}" in err and "Traceback" not in err
 
 
+def test_leaf_count_below_one_is_named(tmp_path, world_files, capsys):
+    _, _, _, server_path, _ = world_files
+    for leaves in (0, -3):
+        code, _ = run_build(tmp_path, server_path, leaves=leaves)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"leaf count J={leaves} must be at least 1" in err
+        assert "target_clusters" not in err
+
+
 def test_build_server_deterministic_bytes(tmp_path, world_files):
     _, _, _, server_path, _ = world_files
     (tmp_path / "a").mkdir()

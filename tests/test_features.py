@@ -1,22 +1,29 @@
 from __future__ import annotations
 
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmm import (
     FeatureMatrix,
     FormatError,
     Manifest,
     ValidationError,
+    generate,
     read_features,
     read_manifest,
     write_features,
     write_manifest,
 )
+from bmm.features import _string_block, _uniform_ascii_block
+from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import make_features
+from oracles import oracle_read_manifest, oracle_string_block, oracle_write_manifest
 
 
 def test_binary_minimal_roundtrip(tmp_path):
@@ -189,3 +196,154 @@ def test_manifest_dedups_on_read(tmp_path):
 def test_manifest_rejects_duplicate_construction():
     with pytest.raises(ValidationError, match="duplicate"):
         Manifest(entries=[("a", "x"), ("a", "y")])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One directory that each hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("oracle")
+
+
+def _outcome(call, *args):
+    """What a reader or writer returned, or the type and message of what it raised."""
+    try:
+        return "ok", call(*args)
+    except (FormatError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _block(payloads: list[bytes]) -> bytes:
+    return b"".join(struct.pack("<I", len(p)) + p for p in payloads)
+
+
+@st.composite
+def string_blocks(draw):
+    """(block bytes, string count) for the block shapes the fast path must take or refuse."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["ascii", "nul", "non-ascii", "mixed", "bytes", "raw"]))
+    if kind == "raw":  # arbitrary bytes, so the length prefixes are arbitrary too
+        return draw(st.binary(max_size=48)), n
+    width = draw(st.integers(0, 6))
+    if kind == "ascii":  # width 0 is a block of empty strings
+        text = st.text(alphabet=string.printable, min_size=width, max_size=width)
+        payloads = [draw(text).encode() for _ in range(n)]
+    elif kind == "nul":
+        raw = st.lists(st.sampled_from([b"\x00", b"a", b"\x7f"]), min_size=width, max_size=width)
+        payloads = [b"".join(draw(raw)) for _ in range(n)]
+    elif kind == "non-ascii":  # two-byte characters: one byte width, but not ASCII
+        text = st.text(alphabet="\u00e9\u00fc\u00df", min_size=width, max_size=width)
+        payloads = [draw(text).encode() for _ in range(n)]
+    elif kind == "mixed":
+        payloads = [draw(st.text(max_size=6)).encode() for _ in range(n)]
+    else:  # uniform width, any bytes: ASCII, UTF-8 or neither
+        payloads = [draw(st.binary(min_size=width, max_size=width)) for _ in range(n)]
+    return _block(payloads), n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(string_blocks(), st.binary(max_size=5), st.binary(max_size=3))
+def test_string_block_equals_loop_oracle(scratch, case, prefix, suffix):
+    block, n = case
+    offset = len(prefix)
+    # every truncation, the whole block, and the block followed by more bytes
+    for data in [prefix + block[:cut] for cut in range(len(block))] + [prefix + block + suffix]:
+        got = _outcome(_string_block, data, offset, n, "sample id")
+        assert got == _outcome(oracle_string_block, data, offset, n, "sample id")
+    if got[0] != "ok":
+        return
+    # read-then-write of a file holding the block as its labels, and as its ids when distinct
+    files = [(_block([f"r{i:02d}".encode() for i in range(n)]), block)]
+    if len(set(got[1][0])) == n:
+        files.append((block, _block([b"x"] * n)))
+    first, second = scratch / "a.bmmf", scratch / "b.bmmf"
+    for id_block, label_block in files:
+        raw = b"BMMF" + struct.pack("<HQI", 1, n, 1) + bytes(4 * n) + id_block + label_block
+        first.write_bytes(raw)
+        write_features(read_features(first), second)
+        assert second.read_bytes() == raw
+
+
+@pytest.mark.parametrize("world", [
+    random_subset_world(0, d=16, n_supers=8, subs_per_super=8, per_sub=160,
+                        n_target_modes=3, per_target=200),
+    random_subset_world(0, d=32, n_supers=8, subs_per_super=8, per_sub=80,
+                        n_target_modes=8, per_target=200),
+    granularity_probe_world(0),
+], ids=["build", "query", "quick-start"])
+def test_world_string_blocks_take_the_fast_path(tmp_path, world):
+    for m in generate(world)[:2]:
+        path = tmp_path / "f.bmmf"
+        write_features(m, path)
+        raw = path.read_bytes()
+        offset = 18 + 4 * m.n * m.d
+        for strings in (m.sample_ids, m.dataset_labels):
+            fast = _uniform_ascii_block(raw, offset, m.n)
+            assert fast is not None and fast[0] == list(strings)
+            offset = fast[1]
+        assert offset == len(raw)
+
+
+_FIELD = st.text(alphabet="ab #=\t\u00e9,", max_size=3)
+_MANIFEST_LINES = st.one_of(
+    st.builds("# {}={}".format, _FIELD, _FIELD),
+    st.builds("#{}={}".format, _FIELD, _FIELD),
+    st.builds("{},{}".format, st.sampled_from(["a", "b", "c d", " ", "#x"]), _FIELD),
+    st.builds("{},{}".format, _FIELD, _FIELD),
+    st.sampled_from(["", " ", "\t", " \t ", "# no-equals", "#", "a,b,c", "lonely", ","]),
+)
+
+
+@st.composite
+def manifest_files(draw):
+    """Manifest file bytes: metadata and data lines in any order, every line ending."""
+    if draw(st.booleans()):  # shaped like write_manifest's output, so often read in bulk
+        meta = draw(st.lists(st.builds("# {}={}".format, _FIELD, _FIELD), max_size=3))
+        # a '#' id turns its line into metadata after data lines
+        pool = st.sampled_from(["a", "b", "c d", "e", "f", "#k=v", "#x"])
+        ids = draw(st.lists(pool, max_size=6, unique=draw(st.booleans())))
+        label = st.text(alphabet="ab #=\t\u00e9", max_size=3)
+        lines = sorted(meta) + [f"{sid},{draw(label)}" for sid in ids]
+    else:
+        lines = draw(st.lists(_MANIFEST_LINES, max_size=10))
+    if draw(st.booleans()):
+        endings = ["\n"] * len(lines)
+    else:
+        endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        endings[-1] = ""  # no newline after the last line
+    raw = "".join(line + end for line, end in zip(lines, endings)).encode("utf-8")
+    if draw(st.booleans()) and raw:
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return raw
+
+
+def _read(read, path):
+    m = read(path)
+    return m.entries, m.metadata
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(manifest_files())
+def test_read_manifest_equals_line_oracle(scratch, raw):
+    path = scratch / "m.txt"
+    path.write_bytes(raw)
+    assert _outcome(_read, read_manifest, path) == _outcome(_read, oracle_read_manifest, path)
+
+
+_WRITE_FIELD = st.text(alphabet="ab ,\n\r\u00e9#", max_size=3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(_WRITE_FIELD, _WRITE_FIELD), max_size=6, unique_by=lambda e: e[0]),
+    st.dictionaries(st.text(alphabet="k=\n\r ", max_size=3), _WRITE_FIELD, max_size=3),
+)
+def test_write_manifest_equals_line_oracle(scratch, entries, metadata):
+    manifest = Manifest(entries=entries, metadata=metadata)
+    new, old = scratch / "new.txt", scratch / "old.txt"
+    got = _outcome(write_manifest, manifest, new)
+    assert got == _outcome(oracle_write_manifest, manifest, old)
+    if got[0] == "ok":
+        assert new.read_bytes() == old.read_bytes()
