@@ -31,7 +31,14 @@ from .matching import (
     select_training_set,
     solve_assignment,
 )
-from .pipeline import PipelineConfig, build_server_tree, evaluate_gap, run_bench, run_match
+from .pipeline import (
+    PipelineConfig,
+    build_server_tree,
+    evaluate_gap,
+    match_modes,
+    run_bench,
+    run_match,
+)
 from .pruning import Budget, prune
 from .synth import (
     PlantedWorld,
@@ -83,6 +90,7 @@ __all__ = [
     "generate",
     "load_tree",
     "load_world",
+    "match_modes",
     "matching_precision",
     "persist_tree",
     "prune",

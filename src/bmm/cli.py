@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from operator import itemgetter
@@ -151,9 +152,9 @@ def _cmd_match(args) -> int:
     outcome = run_match(tree, target, config)
     selection = outcome.selection
 
-    manifest = Manifest(
-        entries=_entries(server, selection.sample_rows),
-        metadata={
+    manifest = Manifest._of_strings(
+        _entries(server, selection.sample_rows),
+        {
             "tool": f"bmm/{__version__}",
             "command": "match",
             "seed": str(args.seed),
@@ -273,7 +274,7 @@ def _cmd_prune(args) -> int:
             "prune_seed": str(args.seed),
         }
     )
-    write_manifest(Manifest(entries=entries, metadata=metadata), args.out)
+    write_manifest(Manifest._of_strings(entries, metadata), args.out)
     print(f"kept {len(entries)} of {len(manifest.entries)} entries -> {args.out}")
     return 0
 
@@ -312,8 +313,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between calls."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (BmmError, OSError) as exc:

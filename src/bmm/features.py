@@ -87,6 +87,19 @@ class Manifest:
 
     def __post_init__(self) -> None:
         self.entries = [(str(s), str(l)) for s, l in self.entries]
+        self._refuse_repeats()
+
+    @classmethod
+    def _of_strings(cls, entries: list[tuple[str, str]], metadata: dict[str, str]) -> "Manifest":
+        """A manifest of entries that are (str, str) pairs already, as the rows of
+        a FeatureMatrix or a manifest that was read are: the repeated-id check
+        runs, the per-entry str() coercion of the public constructor does not."""
+        manifest = object.__new__(cls)
+        manifest.entries, manifest.metadata = entries, metadata
+        manifest._refuse_repeats()
+        return manifest
+
+    def _refuse_repeats(self) -> None:
         if len({sid for sid, _ in self.entries}) != len(self.entries):
             seen: set[str] = set()
             for sid, _ in self.entries:

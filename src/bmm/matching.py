@@ -5,13 +5,17 @@ distance over an L x H cost matrix (L <= H) via shortest augmenting paths
 with dual potentials, working directly on the rectangular matrix. Costs are
 carried as (distance, tie_weight) pairs where the integer tie weight encodes
 positional preference, so among equal-cost optima the lexicographically
-smallest sigma is the unique optimum rather than a post-hoc repair.
+smallest sigma is the unique optimum rather than a post-hoc repair. Float
+potentials can still miss it among targets with equal rows or nodes with
+equal columns; `lex_smallest_relabeling` settles those ties exactly.
 
 The greedy per-target argmin baseline (direct match, where targets may share
 a node) and the deduplicating training-set selection live here as well.
-Every stage takes the bare L x H cost matrix from `gap.cost_matrix`: row i
-is target mode i (reported as mode-i) and column j is tree node j, so no
-label lists travel with it. Every target mode is matched to a node.
+Every stage takes a bare L x H cost matrix: row i is target mode i (reported
+as mode-i) and column j is tree node j, so no label lists travel with it.
+The matrix is `gap.cost_matrix`, or from `pipeline.match_modes` one that is
+exact at the matched pairs and may hold lower bounds elsewhere, which is all
+that selection reads. Every target mode is matched to a node.
 """
 
 from __future__ import annotations
@@ -124,15 +128,55 @@ def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
     return sigma
 
 
+def _classes(keys: np.ndarray) -> list[int]:
+    """Each key row's class: the index of the first row with the same bytes."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)]
+
+
+def lex_smallest_relabeling(
+    sigma: Sequence[int], row_keys: np.ndarray, col_keys: np.ndarray
+) -> list[int]:
+    """The lexicographically smallest injective map that gives each class of
+    equal rows as many columns of each class of equal columns as sigma does.
+
+    Rows with equal keys are interchangeable targets and columns with equal
+    keys interchangeable nodes (keys are compared by their bytes), so every
+    such map costs what sigma costs. The solver's float potentials alone do
+    not always return the smallest one. Each target in turn takes the lowest
+    unused column among the column classes its row class still needs.
+    """
+    rows, cols = _classes(row_keys), _classes(col_keys)
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+        return list(sigma)
+    need = Counter((rows[i], cols[j]) for i, j in enumerate(sigma))
+    members: dict[int, list[int]] = {}
+    for j, c in enumerate(cols):
+        members.setdefault(c, []).append(j)
+    used = Counter()  # columns taken from each class, lowest first
+    relabeled = []
+    for r in rows:
+        _, c = min((members[k][used[k]], k) for (q, k), n in need.items() if q == r and n)
+        relabeled.append(members[c][used[c]])
+        used[c] += 1
+        need[r, c] -= 1
+    return relabeled
+
+
+def assignment_on(cost: np.ndarray, sigma: Sequence[int]) -> Assignment:
+    """sigma with its total cost, summed in target order."""
+    total = 0.0
+    for i, j in enumerate(sigma):
+        total += float(cost[i, j])
+    return Assignment(sigma=list(sigma), total_cost=total)
+
+
 def solve_assignment(cost: np.ndarray) -> Assignment:
     """Globally optimal one-to-one matching; equal-cost ties break to the
     lexicographically smallest sigma."""
     cost = _checked(cost)
     sigma = _solve_lex_hungarian(cost)
-    total = 0.0
-    for i, j in enumerate(sigma):
-        total += float(cost[i, j])
-    return Assignment(sigma=sigma, total_cost=total)
+    return assignment_on(cost, lex_smallest_relabeling(sigma, cost, cost.T))
 
 
 def direct_match(cost: np.ndarray) -> list[int]:

@@ -8,10 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import bmm
 from bmm import (
-    generate, load_tree, read_manifest, save_world, write_features, write_manifest,
+    BmmError, Manifest, PipelineConfig, cost_matrix, generate, load_tree, read_manifest,
+    save_world, write_features, write_manifest,
 )
+from bmm import cli
 from bmm.cli import main
+from bmm.pipeline import target_mode_stats
 from bmm.synth import random_subset_world
 
 from conftest import shared_nearest_world
@@ -31,7 +35,7 @@ def world_files(tmp_path_factory):
 
 
 def run_build(tmp_path, server_path, leaves=8, seed=0):
-    tree_path = tmp_path / "tree.json"
+    tree_path = tmp_path / "tree.bmmt"
     code = main([
         "build-server", "--server-features", str(server_path),
         "--leaves", str(leaves), "--seed", str(seed), "--tree", str(tree_path),
@@ -391,7 +395,7 @@ def test_csv_feature_format_end_to_end(tmp_path, world_files):
     target_csv = tmp_path / "target.csv"
     write_features(server, server_csv, "csv")
     write_features(target, target_csv, "csv")
-    tree_path = tmp_path / "tree.json"
+    tree_path = tmp_path / "tree.bmmt"
     assert main([
         "build-server", "--server-features", str(server_csv), "--format", "csv",
         "--leaves", "8", "--tree", str(tree_path),
@@ -557,6 +561,27 @@ def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blo
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_match_huge_node_covariance_is_the_full_matrix_error(
+    tmp_path, world_files, tree_blob, capsys
+):
+    """A leaf covariance that overflows the kernel gives that leaf a bound far
+    above the others, so a bounded search would never compute its cost; the
+    match still exits 2 with the message of the full cost matrix."""
+    _, _, target, server_path, target_path = world_files
+    tree_path = tmp_path / "tree.bmmt"
+    tree_path.write_bytes(_v3(lambda h, l, r: _set(r["cov"], 3, np.eye(h[4]) * 1e308))(tree_blob))
+    _, stats = target_mode_stats(target, PipelineConfig(leaves=8, target_clusters=2, seed=0))
+    with pytest.raises(BmmError) as full:
+        cost_matrix(load_tree(tree_path), stats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {full.value}\n"
+    assert "node column 3" in str(full.value)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def eps_argv(tmp_path, world_files, tree_blob, command, out):
     """`match` or `evaluate` (over the whole server) writing to `out`."""
     _, server, _, server_path, target_path = world_files
@@ -612,3 +637,62 @@ def test_missing_file_is_parameter_error(tmp_path, capsys):
         "--tree", str(tmp_path / "t.json"),
     ])
     assert code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, world_files, capsys):
+    _, _, _, server_path, target_path = world_files
+    assert cli._parser() is cli._parser()
+    argvs = [
+        match_args("t", server_path, target_path, "o", seed=7) + ["--warn-fid", "3"],
+        ["prune", "--manifest", "m", "--budget-n", "5", "--out", "o"],
+        ["build-server", "--server-features", "s", "--tree", "t", "--linkage", "ward"],
+        match_args("t", server_path, target_path, "o"),
+        ["prune", "--manifest", "m", "--budget-frac", "0.5", "--strategy", "stratified",
+         "--out", "o"],
+        ["bench", "--world", "w", "--out", "o"],
+    ]
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+
+    missing = str(tmp_path / "missing.bmmf")
+    build = ["build-server", "--server-features", missing, "--tree", str(tmp_path / "t")]
+    evaluate = ["evaluate", "--manifest", str(tmp_path / "missing.manifest"),
+                "--server-features", missing, "--target-features", missing]
+    errors = []
+    for argv in (build, evaluate, build):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[2] != errors[1]
+
+    with pytest.raises(SystemExit) as fresh:
+        cli._build_parser().parse_args(["prune", "--manifest", "m"])
+    usage = capsys.readouterr()
+    for argv in (["--version"], ["prune", "--manifest", "m"], ["--version"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out = capsys.readouterr()
+        if argv == ["--version"]:
+            assert exit_.value.code == 0 and out.out == f"bmm {bmm.__version__}\n"
+        else:
+            assert exit_.value.code == fresh.value.code == 2 and out == usage
+
+
+def test_cli_manifests_skip_the_public_constructor(tmp_path, world_files, monkeypatch):
+    """match and prune build manifests of strings they already hold, so the
+    public constructor's per-entry str() coercion never runs."""
+    _, _, _, server_path, target_path = world_files
+    code, tree_path = run_build(tmp_path, server_path)
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("Manifest.__post_init__ ran")
+
+    monkeypatch.setattr(Manifest, "__post_init__", refuse)
+    manifest = tmp_path / "sel.manifest"
+    assert main(match_args(tree_path, server_path, target_path, manifest)) == 0
+    features = ["--tree", str(tree_path), "--server-features", str(server_path)]
+    for strategy in ("uniform", "stratified"):
+        out = tmp_path / f"{strategy}.manifest"
+        assert main(["prune", "--manifest", str(manifest), "--budget-frac", "0.5",
+                     "--strategy", strategy, *features, "--out", str(out)]) == 0
+        assert 0 < len(read_manifest(out).entries) < len(read_manifest(manifest).entries)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmm import (
     InsufficientSamplesError,
@@ -13,7 +17,7 @@ from bmm import (
     fit_balanced_kmeans,
     gaussian_stats,
 )
-from bmm.gap import write_cost_matrix_csv
+from bmm.gap import NodeCosts, write_cost_matrix_csv
 
 from conftest import make_features
 from oracles import reference_cost_matrix
@@ -198,3 +202,101 @@ def test_cost_matrix_csv_dump(tmp_path, rng):
     assert len(lines) == 3
     assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
     assert float(lines[1].split(",")[1]) == cost[0, 0]
+
+
+def rotation(rng, d: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return q
+
+
+def spectrum(rng, d: int, rank: int) -> np.ndarray:
+    """d eigenvalues spread over seven decades, descending, all but `rank` of them zero."""
+    values = np.zeros(d)
+    values[:rank] = np.sort(10.0 ** rng.uniform(-3, 4, size=rank))[::-1]
+    return values
+
+
+def spd(rng, d: int, rank: int) -> np.ndarray:
+    """A randomly rotated PSD matrix of the given rank."""
+    q = rotation(rng, d)
+    m = (q * spectrum(rng, d, rank)) @ q.T
+    return (m + m.T) / 2.0
+
+
+BOUND_CASES = ("random", "identical", "scaled", "commuting-diagonal", "rank-deficient")
+
+
+def bound_case(rng, case: str, d: int) -> tuple[ModeStats, list[ModeStats]]:
+    """A target mode and four node modes of one kind.
+
+    "scaled" nodes are B = cA and "commuting-diagonal" ones share the target's
+    diagonal basis and eigenvalue order, so the bound is tight there;
+    "rank-deficient" covariances take the eps ridge. Node means sit at, near
+    or far from the target's.
+    """
+    rank = int(rng.integers(1, d + 1)) if case != "random" else d
+    if case == "commuting-diagonal":
+        base = np.diag(spectrum(rng, d, rank))
+    else:
+        base = spd(rng, d, rank)
+    mean = rng.normal(size=d) * rng.choice([0.0, 1.0, 100.0])
+    nodes = []
+    for _ in range(4):
+        if case in ("random", "rank-deficient"):
+            cov = spd(rng, d, rank)
+        elif case == "identical":
+            cov = base.copy()
+        elif case == "scaled":
+            cov = base * 10.0 ** rng.uniform(-3, 3)
+        else:
+            cov = np.diag(spectrum(rng, d, int(rng.integers(1, d + 1))))
+        shift = rng.normal(size=d) * rng.choice([0.0, 1e-4, 1.0])
+        nodes.append(ModeStats(mean=mean + shift, cov=cov, count=10))
+    return ModeStats(mean=mean, cov=base, count=10), nodes
+
+
+def node_costs(nodes: list[ModeStats], eps: float) -> NodeCosts:
+    stack = SimpleNamespace(
+        means=np.stack([n.mean for n in nodes]), covs=np.stack([n.cov for n in nodes])
+    )
+    return NodeCosts(stack, eps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.sampled_from(BOUND_CASES),
+    d=st.integers(1, 8),
+    log_eps=st.floats(-14.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lower_bound_is_below_the_computed_cost(case, d, log_eps, seed):
+    rng = np.random.default_rng(seed)
+    target, nodes = bound_case(rng, case, d)
+    eps = 10.0**log_eps
+    costs = node_costs(nodes, eps)
+    bounds = costs.lower_bounds([target])
+    assert bounds is not None
+    computed = costs.row(target)
+    assert (bounds[0] <= computed).all(), (bounds[0], computed)
+    assert (bounds >= 0.0).all()
+    if case in ("identical", "scaled", "commuting-diagonal"):
+        # the eigenvalues pair up as in the exact distance: only the slack is left
+        scale = computed + np.trace(target.cov) + np.trace(costs.covs, axis1=1, axis2=2) + d * eps
+        assert (computed - bounds[0] <= 1e-4 * scale).all()
+
+
+def test_lower_bound_refuses_inputs_it_cannot_bound(rng):
+    target, nodes = bound_case(rng, "random", 3)
+    assert node_costs(nodes, 1e-6).lower_bounds([target]) is not None
+    assert node_costs(nodes, 1e-6).lower_bounds([]) is None
+    wide = ModeStats(mean=np.zeros(4), cov=np.eye(4), count=5)
+    assert node_costs(nodes, 1e-6).lower_bounds([wide]) is None
+    skew = ModeStats(mean=target.mean, cov=target.cov + np.triu(np.ones((3, 3)), 1), count=5)
+    assert node_costs(nodes, 1e-6).lower_bounds([skew]) is None
+    negative = ModeStats(mean=target.mean, cov=-np.eye(3), count=5)
+    assert node_costs(nodes, 1e-6).lower_bounds([negative]) is None
+    far = ModeStats(mean=target.mean + 1e160, cov=target.cov, count=5)
+    assert node_costs(nodes, 1e-6).lower_bounds([far]) is None
+    # the product inside the kernel could overflow, though every sum is finite
+    huge = ModeStats(mean=target.mean, cov=np.eye(3) * 1e200, count=5)
+    assert node_costs(nodes + [huge], 1e-6).lower_bounds([huge]) is None

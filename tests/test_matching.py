@@ -48,6 +48,38 @@ def test_lexicographic_tie_breaks():
     assert a.sigma == [0, 1]
 
 
+def test_equal_float_columns_break_ties_lexicographically():
+    """Copies of a float column tie every assignment that swaps targets among
+    them; the solver's float potentials alone do not always pick the smallest."""
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n_rows = int(rng.integers(2, 6))
+        n_cols = int(rng.integers(n_rows, 7))
+        cost = rng.random((n_rows, n_cols)) * 10
+        for _ in range(int(rng.integers(1, 3))):
+            source, copy = rng.choice(n_cols, 2, replace=False)
+            cost[:, copy] = cost[:, source]
+        mine = solve_assignment(problem_of(cost))
+        ref = oracle_assignment(cost)
+        assert mine.sigma == ref.sigma
+        assert mine.total_cost == ref.total_cost
+
+
+def test_equal_float_rows_take_their_columns_in_order():
+    """Copies of a float row are interchangeable targets: the lower target
+    gets the lower column. Their float totals differ only by summation order."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n_rows = int(rng.integers(2, 6))
+        n_cols = int(rng.integers(n_rows, 7))
+        cost = rng.random((n_rows, n_cols)) * 10
+        source, copy = sorted(rng.choice(n_rows, 2, replace=False))
+        cost[copy] = cost[source]
+        mine = solve_assignment(problem_of(cost))
+        assert mine.sigma[source] < mine.sigma[copy]
+        assert mine.total_cost == pytest.approx(oracle_assignment(cost).total_cost, rel=1e-12)
+
+
 def test_matches_oracle_on_random_instances(rng):
     for trial in range(80):
         n_rows = int(rng.integers(1, 7))
