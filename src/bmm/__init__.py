@@ -32,7 +32,6 @@ from .matching import (
     solve_assignment,
 )
 from .pipeline import (
-    PipelineConfig,
     build_server_tree,
     evaluate_gap,
     match_modes,
@@ -68,7 +67,6 @@ __all__ = [
     "ModeTree",
     "NumericalError",
     "ParameterError",
-    "PipelineConfig",
     "PlantedWorld",
     "SelectionResult",
     "SubMode",

@@ -25,16 +25,10 @@ from .features import (
     read_manifest,
     write_manifest,
 )
-from .gap import DEFAULT_EPS, write_cost_matrix_csv
+from .gap import DEFAULT_EPS, cost_matrix, write_cost_matrix_csv
 from .hierarchy import ModeTree, load_tree, persist_tree
 from .matching import SelectionResult, match_report_payload, node_strata, render_match_report
-from .pipeline import (
-    PipelineConfig,
-    build_server_tree,
-    evaluate_gap,
-    run_bench,
-    run_match,
-)
+from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
 from .pruning import Budget, prune
 from .synth import load_world
 
@@ -121,10 +115,7 @@ def _print_tree_summary(tree: ModeTree) -> None:
 
 def _cmd_build_server(args) -> int:
     features = read_features(args.server_features, args.format)
-    config = PipelineConfig(
-        leaves=args.leaves, target_clusters=1, seed=args.seed, linkage=args.linkage
-    )
-    tree = build_server_tree(features, config)
+    tree = build_server_tree(features, args.leaves, args.seed, args.linkage)
     persist_tree(tree, args.tree)
     _print_tree_summary(tree)
     print(f"tree written to {args.tree}")
@@ -143,16 +134,10 @@ def _cmd_match(args) -> int:
     server = read_features(args.server_features, args.format)
     _check_tree_rows(tree, server)
     target = read_features(args.target_features, args.format)
-    config = PipelineConfig(
-        leaves=tree.leaf_count,
-        target_clusters=args.target_clusters,
-        seed=args.seed,
-        eps_cov=args.eps_cov,
-    )
-    outcome = run_match(tree, target, config)
+    outcome = run_match(tree, target, args.target_clusters, args.seed, args.eps_cov)
     selection = outcome.selection
 
-    manifest = Manifest._of_strings(
+    manifest = Manifest(
         _entries(server, selection.sample_rows),
         {
             "tool": f"bmm/{__version__}",
@@ -165,17 +150,20 @@ def _cmd_match(args) -> int:
             "selected_nodes": ",".join(str(n) for n in selection.selected_nodes),
         },
     )
-    write_manifest(manifest, args.out)
-
     payload = match_report_payload(
         selection, tree, outcome.assignment.total_cost, server.dataset_labels
     )
     text = render_match_report(payload, warn_fid=args.warn_fid)
+    cost = cost_matrix(tree, outcome.stats, args.eps_cov) if args.cost_csv else None
+
+    # Every output is computed first and the manifest written last, so a run
+    # that cannot write one of its outputs leaves no manifest.
     base = args.report if args.report is not None else f"{args.out}.report"
     Path(f"{base}.txt").write_text(text, encoding="utf-8")
     Path(f"{base}.json").write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    if args.cost_csv:
-        write_cost_matrix_csv(args.cost_csv, outcome.cost)
+    if cost is not None:
+        write_cost_matrix_csv(args.cost_csv, cost)
+    write_manifest(manifest, args.out)
     sys.stdout.write(text)
     print(f"manifest written to {args.out}")
     return 0
@@ -274,7 +262,7 @@ def _cmd_prune(args) -> int:
             "prune_seed": str(args.seed),
         }
     )
-    write_manifest(Manifest._of_strings(entries, metadata), args.out)
+    write_manifest(Manifest(entries, metadata), args.out)
     print(f"kept {len(entries)} of {len(manifest.entries)} entries -> {args.out}")
     return 0
 

@@ -11,7 +11,9 @@ Feature matrices are stored in one of two formats:
   data row per sample.
 
 Manifests are UTF-8 text files: ``# key=value`` metadata lines followed by
-one ``sample_id,dataset_label`` line per selected sample.
+one ``sample_id,dataset_label`` line per selected sample. A `Manifest` holds
+(str, str) entries; its one constructor checks only that no sample id
+repeats, with the same check as `FeatureMatrix`.
 
 Readers reject invalid files instead of repairing them; the binary format is
 endianness-pinned and read-then-write is byte identical. A string block whose
@@ -24,6 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +61,7 @@ class FeatureMatrix:
                 f"row count {n} does not match {len(self.sample_ids)} ids / "
                 f"{len(self.dataset_labels)} labels"
             )
-        if len(set(self.sample_ids)) != n:
-            seen: set[str] = set()
-            for sid in self.sample_ids:
-                if sid in seen:
-                    raise ValidationError(f"duplicate sample_id {sid!r}")
-                seen.add(sid)
+        _refuse_repeats(self.sample_ids)
 
     @property
     def n(self) -> int:
@@ -86,26 +84,17 @@ class Manifest:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.entries = [(str(s), str(l)) for s, l in self.entries]
-        self._refuse_repeats()
+        _refuse_repeats([sid for sid, _ in self.entries], " in manifest")
 
-    @classmethod
-    def _of_strings(cls, entries: list[tuple[str, str]], metadata: dict[str, str]) -> "Manifest":
-        """A manifest of entries that are (str, str) pairs already, as the rows of
-        a FeatureMatrix or a manifest that was read are: the repeated-id check
-        runs, the per-entry str() coercion of the public constructor does not."""
-        manifest = object.__new__(cls)
-        manifest.entries, manifest.metadata = entries, metadata
-        manifest._refuse_repeats()
-        return manifest
 
-    def _refuse_repeats(self) -> None:
-        if len({sid for sid, _ in self.entries}) != len(self.entries):
-            seen: set[str] = set()
-            for sid, _ in self.entries:
-                if sid in seen:
-                    raise ValidationError(f"duplicate sample_id {sid!r} in manifest")
-                seen.add(sid)
+def _refuse_repeats(ids: Sequence[str], where: str = "") -> None:
+    """Name the first sample id that repeats in `ids`, if one does."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValidationError(f"duplicate sample_id {sid!r}{where}")
+            seen.add(sid)
 
 
 def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
@@ -316,11 +305,7 @@ def read_manifest(path: str | Path) -> Manifest:
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
         labels.setdefault(parts[0], parts[1])
-    # the entries are str and their ids distinct already, so skip Manifest.__post_init__
-    manifest = object.__new__(Manifest)
-    manifest.entries = list(zip(ids, names)) if bulk else list(labels.items())
-    manifest.metadata = metadata
-    return manifest
+    return Manifest(list(zip(ids, names)) if bulk else list(labels.items()), metadata)
 
 
 def write_manifest(m: Manifest, path: str | Path) -> None:

@@ -10,9 +10,11 @@ non-symmetric product Cov_a Cov_b; negative eigenvalues from rounding are
 clamped to zero and near-singular covariances get an eps ridge before use.
 
 One kernel, `_fid_row`, computes every distance, from one mode to a stack of
-ridged modes; `fid`, `cost_matrix` and `NodeCosts` all call it, serially (no
-BMM_THREADS). Every stacked operation in it works node by node, so a row over
-a subset of node columns is bit-equal to those columns of the full row.
+ridged modes; `fid`, `cost_matrix` and `NodeCosts` all call it, serially. Its
+bytes do not depend on the BLAS thread count (the tests compare a run with
+OPENBLAS_NUM_THREADS=1 against the default). Every stacked operation in it
+works node by node, so a row over a subset of node columns is bit-equal to
+those columns of the full row. It is also the one place that checks eps.
 
 `NodeCosts.lower_bounds` bounds every (target, node) cost from below without
 the kernel, from the eigenvalues that decide the ridge. By von Neumann's trace

@@ -6,15 +6,19 @@ only for the pairs that their lower bounds cannot rule out of the optimal
 assignment. Benchmark runs compare the full hierarchical candidate set
 against leaves-only matching and the greedy direct-match baseline on a
 planted world, on the full cost matrix.
+
+Each stage takes the parameters it reads and checks those it is the first to
+need: the leaf count J in `build_server_tree`, the target mode count L
+against J in `run_match` and `run_bench`. eps is checked by the Fréchet
+kernel (`gap`) and the linkage by `build_hierarchy`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .clustering import FlatClustering, fit_balanced_kmeans, fit_kmeans
 from .errors import ParameterError
 from .features import FeatureMatrix
 from .gap import DEFAULT_EPS, ModeStats, NodeCosts, cost_matrix, fid, gaussian_stats
-from .hierarchy import LINKAGES, ModeTree, build_hierarchy
+from .hierarchy import ModeTree, build_hierarchy
 from .matching import (
     Assignment,
     SelectionResult,
@@ -40,54 +44,47 @@ BENCH_VARIANTS = ("bmm_hier", "bmm_flat", "dm_dup")
 CANDIDATES = 4
 
 
-@dataclass
-class PipelineConfig:
-    leaves: int = 128
-    target_clusters: int = 20
-    seed: int = 0
-    linkage: str = "centroid"
-    eps_cov: float = DEFAULT_EPS
-
-    def __post_init__(self) -> None:
-        if self.leaves < 1:
-            raise ParameterError(f"leaf count J={self.leaves} must be at least 1")
-        if not self.leaves >= self.target_clusters >= 1:
-            raise ParameterError(
-                f"need leaves >= target_clusters >= 1, got {self.leaves} and "
-                f"{self.target_clusters}"
-            )
-        if not 0.0 < self.eps_cov < np.inf:  # NaN fails too
-            raise ParameterError(f"eps_cov must be finite and positive, got {self.eps_cov}")
-        if self.linkage not in LINKAGES:
-            raise ParameterError(f"unknown linkage {self.linkage!r}, expected one of {LINKAGES}")
+def _check_leaves(leaves: int) -> None:
+    if leaves < 1:
+        raise ParameterError(f"leaf count J={leaves} must be at least 1")
 
 
-def build_server_tree(server: FeatureMatrix, config: PipelineConfig) -> ModeTree:
+def _check_target_clusters(leaves: int, clusters: int) -> None:
+    if not leaves >= clusters >= 1:
+        raise ParameterError(
+            f"need leaves >= target_clusters >= 1, got {leaves} and {clusters}"
+        )
+
+
+def build_server_tree(
+    server: FeatureMatrix, leaves: int, seed: int = 0, linkage: str = "centroid"
+) -> ModeTree:
     """Balanced leaves then bottom-up merging: the one-time server build.
 
-    J is at most n // 2, as each leaf needs 2 rows for its Gaussian statistics.
+    J is at least 1 and at most n // 2, as each leaf needs 2 rows for its
+    Gaussian statistics.
     """
-    if config.leaves > server.n // 2:
+    _check_leaves(leaves)
+    if leaves > server.n // 2:
         raise ParameterError(
-            f"leaf count J={config.leaves} must be at most n // 2 = {server.n // 2} "
+            f"leaf count J={leaves} must be at most n // 2 = {server.n // 2} "
             f"for n={server.n} server rows"
         )
-    leaves = fit_balanced_kmeans(server, config.leaves, config.seed)
-    return build_hierarchy(leaves, server, linkage=config.linkage)
+    return build_hierarchy(fit_balanced_kmeans(server, leaves, seed), server, linkage=linkage)
 
 
 def target_mode_stats(
-    target: FeatureMatrix, config: PipelineConfig
+    target: FeatureMatrix, clusters: int, seed: int = 0
 ) -> tuple[FlatClustering, list[ModeStats]]:
-    """Flat-cluster the target and fit Gaussian stats per cluster."""
-    clustering = fit_kmeans(target, config.target_clusters, config.seed)
+    """Flat-cluster the target into `clusters` modes and fit Gaussian stats per mode."""
+    clustering = fit_kmeans(target, clusters, seed)
     stats = []
     for c in range(clustering.k):
         rows = clustering.cluster_rows(c)
         if rows.size < 2:
             raise ParameterError(
                 f"target mode {c} has {rows.size} samples; use a smaller "
-                f"--target-clusters than {config.target_clusters}"
+                f"--target-clusters than {clusters}"
             )
         stats.append(gaussian_stats(target, rows))
     return clustering, stats
@@ -95,15 +92,13 @@ def target_mode_stats(
 
 @dataclass
 class MatchOutcome:
+    """A target's clustering, its per-mode stats (the rows of
+    `cost_matrix(tree, stats, eps)`), the assignment and the selected rows."""
+
     clustering: FlatClustering
+    stats: list[ModeStats]
     assignment: Assignment
     selection: SelectionResult
-    full_cost: Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def cost(self) -> np.ndarray:
-        """The full L x H cost matrix, target mode i against tree node j; computed on first use."""
-        return self.full_cost()
 
 
 def match_modes(
@@ -170,15 +165,16 @@ def _stats_keys(means: Sequence[np.ndarray], covs: Sequence[np.ndarray]) -> np.n
     return np.concatenate([np.stack(means), np.stack(covs).reshape(len(covs), -1)], axis=1)
 
 
-def run_match(tree: ModeTree, target: FeatureMatrix, config: PipelineConfig) -> MatchOutcome:
-    """Cluster the target, solve the one-to-one matching, select the rows."""
-    clustering, stats = target_mode_stats(target, config)
-    assignment, cost = match_modes(tree, stats, config.eps_cov)
+def run_match(
+    tree: ModeTree, target: FeatureMatrix, clusters: int, seed: int = 0, eps: float = DEFAULT_EPS
+) -> MatchOutcome:
+    """Cluster the target into 1 <= L <= J modes, solve the one-to-one
+    matching, select the rows."""
+    _check_target_clusters(tree.leaf_count, clusters)
+    clustering, stats = target_mode_stats(target, clusters, seed)
+    assignment, cost = match_modes(tree, stats, eps)
     selection = select_training_set(tree, assignment, cost)
-    return MatchOutcome(
-        clustering=clustering, assignment=assignment, selection=selection,
-        full_cost=partial(cost_matrix, tree, stats, eps=config.eps_cov),
-    )
+    return MatchOutcome(clustering, stats, assignment, selection)
 
 
 def evaluate_gap(
@@ -206,29 +202,24 @@ def run_bench(
 
     Emits one row per (variant, J) cell with the selected-set gap, the
     matching precision against the planted truth, and the cell's wall time.
-    The target clustering, its truth alignment and the whole-target stats
-    do not depend on J and are computed once; each J gets its own config,
-    tree and all-node cost matrix, shared across variants (bmm_flat takes
-    the matrix's leaf columns). `runtime` covers the cell's matching,
-    selection, selected-set gap and precision.
+    Every J is checked against L before any fit. The target clustering, its
+    truth alignment and the whole-target stats do not depend on J and are
+    computed once; each J gets its own tree and all-node cost matrix, shared
+    across variants (bmm_flat takes the matrix's leaf columns). `runtime`
+    covers the cell's matching, selection, selected-set gap and precision.
     """
     server, target, truth = generate(world)
-    configs = [
-        PipelineConfig(
-            leaves=leaves, target_clusters=target_clusters, seed=seed,
-            linkage=linkage, eps_cov=eps,
-        )
-        for leaves in leaves_sweep
-    ]
-    if not configs:
+    for leaves in leaves_sweep:
+        _check_leaves(leaves)
+        _check_target_clusters(leaves, target_clusters)
+    if not leaves_sweep:
         return []
-    # target_mode_stats reads only target_clusters and seed, which every config shares
-    clustering, stats = target_mode_stats(target, configs[0])
+    clustering, stats = target_mode_stats(target, target_clusters, seed)
     aligned = align_truth(truth, clustering)
     whole_target = gaussian_stats(target, np.arange(target.n))
     rows: list[dict] = []
-    for config in configs:
-        tree = build_server_tree(server, config)
+    for leaves in leaves_sweep:
+        tree = build_server_tree(server, leaves, seed, linkage)
         shared = cost_matrix(tree, stats, eps=eps)
         for variant in BENCH_VARIANTS:
             started = time.perf_counter()
@@ -243,7 +234,7 @@ def run_bench(
             rows.append(
                 {
                     "variant": variant,
-                    "J": config.leaves,
+                    "J": leaves,
                     "L": target_clusters,
                     "fid": fid(selected, whole_target, eps=eps),
                     "precision": matching_precision(selection, aligned, tree),

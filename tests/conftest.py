@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bmm
 from bmm import FeatureMatrix, ModeTree
 from bmm.clustering import FlatClustering
 from bmm.synth import PlantedWorld, SubMode, SuperMode, TargetMode
@@ -19,6 +25,17 @@ def make_features(values, prefix="p", label="set-a") -> FeatureMatrix:
         sample_ids=[f"{prefix}{i}" for i in range(n)],
         dataset_labels=[label] * n,
     )
+
+
+def one_blas_thread(*argv: str) -> bytes:
+    """The stdout of `python *argv` run with OPENBLAS_NUM_THREADS=1, which only
+    takes effect when set before numpy loads, and with this bmm importable."""
+    src = str(Path(bmm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
 
 
 @pytest.fixture

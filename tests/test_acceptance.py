@@ -13,6 +13,8 @@ from bmm import (
     Budget,
     ModeStats,
     build_hierarchy,
+    build_server_tree,
+    cost_matrix,
     direct_match,
     evaluate_gap,
     fid,
@@ -27,7 +29,6 @@ from bmm import (
 from bmm.cli import main
 from bmm.hierarchy import validate_tree
 from bmm.matching import selection_from_matches
-from bmm.pipeline import PipelineConfig, build_server_tree
 from bmm.synth import (
     align_truth,
     granularity_probe_world,
@@ -35,7 +36,9 @@ from bmm.synth import (
     random_subset_world,
 )
 
-from conftest import cluster_sizes, make_features, shared_nearest_world, unmatched
+from conftest import (
+    cluster_sizes, make_features, one_blas_thread, shared_nearest_world, unmatched,
+)
 from oracles import (
     oracle_assignment, oracle_balanced_partition, oracle_direct_match_no_duplicates,
 )
@@ -175,9 +178,8 @@ def test_c05_gap_reduction_reproduction():
     for seed in range(20):
         world = random_subset_world(seed=seed, include_whole_super=False)
         server, target, _ = generate(world)
-        config = PipelineConfig(leaves=16, target_clusters=len(world.targets), seed=0)
-        tree = build_server_tree(server, config)
-        outcome = run_match(tree, target, config)
+        tree = build_server_tree(server, 16)
+        outcome = run_match(tree, target, len(world.targets))
         gap_selected, gap_server = evaluate_gap(server, target, outcome.selection.sample_rows)
         if gap_selected < gap_server:
             wins += 1
@@ -214,14 +216,14 @@ def test_c06_granularity_robustness():
 def test_c07_bmm_vs_direct_match():
     world = shared_nearest_world(seed=0)
     server, target, truth = generate(world)
-    config = PipelineConfig(leaves=3, target_clusters=3, seed=0)
-    tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, config)
+    tree = build_server_tree(server, 3)
+    outcome = run_match(tree, target, 3)
     aligned = align_truth(truth, outcome.clustering)
 
-    dm_dup = direct_match(outcome.cost)
-    dm_dup_sel = selection_from_matches(tree, dm_dup, outcome.cost)
-    dm_nodup = oracle_direct_match_no_duplicates(outcome.cost)
+    cost = cost_matrix(tree, outcome.stats)
+    dm_dup = direct_match(cost)
+    dm_dup_sel = selection_from_matches(tree, dm_dup, cost)
+    dm_nodup = oracle_direct_match_no_duplicates(cost)
 
     bmm_distinct = len(outcome.selection.selected_nodes)
     dm_distinct = len(dm_dup_sel.selected_nodes)
@@ -316,7 +318,7 @@ def test_c09_pruning_contracts():
     )
 
 
-def test_c10_end_to_end_determinism(tmp_path, monkeypatch):
+def test_c10_end_to_end_determinism(tmp_path):
     world = random_subset_world(seed=2, per_sub=50, per_target=60, n_target_modes=2,
                                 include_whole_super=False)
     server, target, _ = generate(world)
@@ -326,19 +328,21 @@ def test_c10_end_to_end_determinism(tmp_path, monkeypatch):
     write_features(target, target_path)
 
     artifacts = {}
-    for run, threads in (("first", "1"), ("second", "4")):
-        monkeypatch.setenv("BMM_THREADS", threads)
-        tree_path = tmp_path / f"tree_{run}.json"
+    for run in ("first", "second"):
+        tree_path = tmp_path / f"tree_{run}.bmmt"
         manifest_path = tmp_path / f"sel_{run}.manifest"
-        assert main([
-            "build-server", "--server-features", str(server_path), "--leaves", "8",
-            "--seed", "0", "--tree", str(tree_path),
-        ]) == 0
-        assert main([
-            "match", "--tree", str(tree_path), "--server-features", str(server_path),
-            "--target-features", str(target_path), "--target-clusters", "2",
-            "--seed", "0", "--out", str(manifest_path),
-        ]) == 0
+        commands = [
+            ["build-server", "--server-features", str(server_path), "--leaves", "8",
+             "--seed", "0", "--tree", str(tree_path)],
+            ["match", "--tree", str(tree_path), "--server-features", str(server_path),
+             "--target-features", str(target_path), "--target-clusters", "2",
+             "--seed", "0", "--out", str(manifest_path)],
+        ]
+        for argv in commands:
+            if run == "first":  # OpenBLAS at its default thread count
+                assert main(argv) == 0
+            else:
+                one_blas_thread("-m", "bmm.cli", *argv)
         artifacts[run] = (tree_path.read_bytes(), manifest_path.read_bytes())
 
     trees_same = artifacts["first"][0] == artifacts["second"][0]
@@ -348,5 +352,5 @@ def test_c10_end_to_end_determinism(tmp_path, monkeypatch):
         "end-to-end determinism",
         trees_same and manifests_same,
         f"tree bytes identical: {trees_same}, manifest bytes identical: {manifests_same} "
-        f"(across reruns and BMM_THREADS 1 vs 4)",
+        f"(across reruns and OPENBLAS_NUM_THREADS 1 vs the default)",
     )

@@ -10,7 +10,7 @@ import pytest
 
 import bmm
 from bmm import (
-    BmmError, Manifest, PipelineConfig, cost_matrix, generate, load_tree, read_manifest,
+    BmmError, cost_matrix, generate, load_tree, read_manifest,
     save_world, write_features, write_manifest,
 )
 from bmm import cli
@@ -18,7 +18,7 @@ from bmm.cli import main
 from bmm.pipeline import target_mode_stats
 from bmm.synth import random_subset_world
 
-from conftest import shared_nearest_world
+from conftest import one_blas_thread, shared_nearest_world
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def test_build_server_rejects_oversized_j(tmp_path, world_files, capsys):
     _, server, _, server_path, _ = world_files
     code = main([
         "build-server", "--server-features", str(server_path),
-        "--leaves", str(10_000), "--tree", str(tmp_path / "t.json"),
+        "--leaves", str(10_000), "--tree", str(tmp_path / "t.bmmt"),
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -134,16 +134,23 @@ def test_match_outputs_and_rerun_identical(tmp_path, world_files):
     assert (tmp_path / "sel_a.manifest.report.txt").exists()
 
 
-def test_match_thread_count_does_not_change_outputs(tmp_path, world_files, monkeypatch):
+def test_match_thread_count_does_not_change_outputs(tmp_path, world_files):
+    """A match with OpenBLAS held to one thread writes the bytes of one at its
+    default thread count."""
     _, _, _, server_path, target_path = world_files
     code, tree_path = run_build(tmp_path, server_path)
-    monkeypatch.setenv("BMM_THREADS", "1")
-    out_serial = tmp_path / "serial.manifest"
-    assert main(match_args(tree_path, server_path, target_path, out_serial)) == 0
-    monkeypatch.setenv("BMM_THREADS", "4")
-    out_threaded = tmp_path / "threaded.manifest"
-    assert main(match_args(tree_path, server_path, target_path, out_threaded)) == 0
-    assert out_serial.read_bytes() == out_threaded.read_bytes()
+    outputs = {}
+    for run in ("serial", "default"):
+        out = tmp_path / f"{run}.manifest"
+        argv = match_args(tree_path, server_path, target_path, out)
+        argv += ["--cost-csv", str(tmp_path / f"{run}.csv")]
+        if run == "serial":
+            one_blas_thread("-m", "bmm.cli", *argv)
+        else:
+            assert main(argv) == 0
+        paths = (out, tmp_path / f"{run}.manifest.report.json", tmp_path / f"{run}.csv")
+        outputs[run] = [path.read_bytes() for path in paths]
+    assert outputs["serial"] == outputs["default"]
 
 
 def test_match_cost_csv_dump(tmp_path, world_files):
@@ -570,7 +577,7 @@ def test_match_huge_node_covariance_is_the_full_matrix_error(
     _, _, target, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
     tree_path.write_bytes(_v3(lambda h, l, r: _set(r["cov"], 3, np.eye(h[4]) * 1e308))(tree_blob))
-    _, stats = target_mode_stats(target, PipelineConfig(leaves=8, target_clusters=2, seed=0))
+    _, stats = target_mode_stats(target, 2)
     with pytest.raises(BmmError) as full:
         cost_matrix(load_tree(tree_path), stats)
     with warnings.catch_warnings(record=True) as caught:
@@ -583,7 +590,12 @@ def test_match_huge_node_covariance_is_the_full_matrix_error(
 
 
 def eps_argv(tmp_path, world_files, tree_blob, command, out):
-    """`match` or `evaluate` (over the whole server) writing to `out`."""
+    """`match`, `evaluate` (over the whole server) or `bench` writing to `out`."""
+    if command == "bench":
+        world_path = tmp_path / "world.json"
+        save_world(shared_nearest_world(seed=0, per_mode=10), world_path)
+        return ["bench", "--world", str(world_path), "--leaves", "4", "--target-clusters", "3",
+                "--out", str(out)]
     _, server, _, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
     tree_path.write_bytes(tree_blob)
@@ -616,25 +628,39 @@ def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, comma
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["match", "evaluate"])
+@pytest.mark.parametrize("command", ["match", "evaluate", "bench"])
 def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsys):
+    """Every command refuses the same eps values with one message, from the kernel."""
     out = tmp_path / "out"
     argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
-    for eps in ("nan", "inf"):
+    for eps in ("0", "nan", "inf"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv + ["--eps-cov", eps])
         err = capsys.readouterr().err
         assert code == 2, eps
-        assert err.startswith("error: ") and "finite and positive" in err
+        assert err == f"error: eps must be finite and positive, got {float(eps)}\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--cost-csv", "--report"])
+def test_match_writes_no_manifest_when_an_output_fails(tmp_path, world_files, flag, capsys):
+    _, _, _, server_path, target_path = world_files
+    _, tree_path = run_build(tmp_path, server_path)
+    out = tmp_path / "sel.manifest"
+    unwritable = str(tmp_path / "missing" / "out")
+    code = main(match_args(tree_path, server_path, target_path, out) + [flag, unwritable])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_file_is_parameter_error(tmp_path, capsys):
     code = main([
         "build-server", "--server-features", str(tmp_path / "missing.bmmf"),
-        "--tree", str(tmp_path / "t.json"),
+        "--tree", str(tmp_path / "t.bmmt"),
     ])
     assert code == 2
 
@@ -675,24 +701,3 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, world_files, capsys):
             assert exit_.value.code == 0 and out.out == f"bmm {bmm.__version__}\n"
         else:
             assert exit_.value.code == fresh.value.code == 2 and out == usage
-
-
-def test_cli_manifests_skip_the_public_constructor(tmp_path, world_files, monkeypatch):
-    """match and prune build manifests of strings they already hold, so the
-    public constructor's per-entry str() coercion never runs."""
-    _, _, _, server_path, target_path = world_files
-    code, tree_path = run_build(tmp_path, server_path)
-    assert code == 0
-
-    def refuse(self):
-        raise AssertionError("Manifest.__post_init__ ran")
-
-    monkeypatch.setattr(Manifest, "__post_init__", refuse)
-    manifest = tmp_path / "sel.manifest"
-    assert main(match_args(tree_path, server_path, target_path, manifest)) == 0
-    features = ["--tree", str(tree_path), "--server-features", str(server_path)]
-    for strategy in ("uniform", "stratified"):
-        out = tmp_path / f"{strategy}.manifest"
-        assert main(["prune", "--manifest", str(manifest), "--budget-frac", "0.5",
-                     "--strategy", strategy, *features, "--out", str(out)]) == 0
-        assert 0 < len(read_manifest(out).entries) < len(read_manifest(manifest).entries)

@@ -198,13 +198,13 @@ def test_manifest_rejects_duplicate_construction():
         Manifest(entries=[("a", "x"), ("a", "y")])
 
 
-def test_manifest_of_strings_checks_repeats_but_keeps_the_entries():
+def test_manifest_checks_repeats_but_keeps_the_entries():
     entries = [("a", "x"), ("b", "y")]
-    manifest = Manifest._of_strings(entries, {"k": "v"})
+    manifest = Manifest(entries, {"k": "v"})
     assert manifest.entries is entries
-    assert manifest == Manifest(entries=entries, metadata={"k": "v"})
+    assert manifest == Manifest(entries=list(entries), metadata={"k": "v"})
     with pytest.raises(ValidationError, match="duplicate sample_id 'a' in manifest"):
-        Manifest._of_strings([("a", "x"), ("b", "y"), ("a", "z")], {})
+        Manifest([("a", "x"), ("b", "y"), ("a", "z")], {})
 
 
 @pytest.fixture(scope="module")

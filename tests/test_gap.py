@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from bmm import (
 )
 from bmm.gap import NodeCosts, write_cost_matrix_csv
 
-from conftest import make_features
+from conftest import make_features, one_blas_thread
 from oracles import reference_cost_matrix
 
 
@@ -170,12 +171,24 @@ def test_cost_matrix_closed_form_1d():
             assert cost[y, x] == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
-def test_cost_matrix_thread_invariance(rng, monkeypatch):
-    """Bit-identical to the per-pair reference, whatever BMM_THREADS says.
+# Prints the cost matrix bytes of each pickled (tree, targets) case.
+COST_BYTES = """
+import pickle, sys
+from pathlib import Path
+from bmm import cost_matrix
+for tree, targets in pickle.loads(Path(sys.argv[1]).read_bytes()):
+    sys.stdout.buffer.write(cost_matrix(tree, targets).tobytes())
+"""
+
+
+def test_cost_matrix_thread_invariance(rng, tmp_path):
+    """Bit-identical to the per-pair reference, and the same bytes with
+    OpenBLAS held to one thread as at its default thread count.
 
     d=9 and d=33 run numpy's unrolled and pairwise sums; node 0's zero
     covariance and the rank-1 first target take the ridge path.
     """
+    cases, default = [], []
     for d in (2, 9, 33):
         fm = make_features(rng.normal(size=(12, d)))
         tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
@@ -183,12 +196,13 @@ def test_cost_matrix_thread_invariance(rng, monkeypatch):
         direction = rng.normal(size=(d, 1))
         rank_one = ModeStats(mean=rng.normal(size=d), cov=direction @ direction.T, count=5)
         targets = [rank_one] + [random_stats(rng, d) for _ in range(3)]
-        monkeypatch.setenv("BMM_THREADS", "1")
-        serial = cost_matrix(tree, targets)
-        monkeypatch.setenv("BMM_THREADS", "3")
-        threaded = cost_matrix(tree, targets)
-        assert serial.tobytes() == threaded.tobytes()
-        assert serial.tobytes() == reference_cost_matrix(tree, targets).tobytes()
+        cost = cost_matrix(tree, targets)
+        assert cost.tobytes() == reference_cost_matrix(tree, targets).tobytes()
+        cases.append((tree, targets))
+        default.append(cost.tobytes())
+    path = tmp_path / "cases.pkl"
+    path.write_bytes(pickle.dumps(cases))
+    assert one_blas_thread("-c", COST_BYTES, str(path)) == b"".join(default)
 
 
 def test_cost_matrix_csv_dump(tmp_path, rng):

@@ -14,7 +14,6 @@ from bmm import (
     InfeasibleMatchError,
     ModeStats,
     ParameterError,
-    PipelineConfig,
     build_hierarchy,
     build_server_tree,
     cost_matrix,
@@ -41,23 +40,37 @@ def small_world():
     return world, server, target, truth
 
 
-def test_config_invariants():
-    with pytest.raises(ParameterError):
-        PipelineConfig(leaves=4, target_clusters=5)
-    with pytest.raises(ParameterError):
-        PipelineConfig(leaves=0, target_clusters=0)
+def test_stage_parameter_invariants(small_world):
+    """Each stage refuses the parameters it is the first to read."""
+    world, server, target, truth = small_world
+    tree = build_server_tree(server, 4)
+    with pytest.raises(ParameterError, match="got 4 and 5"):
+        run_match(tree, target, 5)
+    with pytest.raises(ParameterError, match="got 4 and 5"):
+        run_bench(world, [4], target_clusters=5)
+    with pytest.raises(ParameterError, match="J=0 must be at least 1"):
+        build_server_tree(server, 0)
+    with pytest.raises(ParameterError, match="J=0 must be at least 1"):
+        run_bench(world, [0], target_clusters=0)
+    with pytest.raises(ParameterError, match="got 4 and 0"):
+        run_match(tree, target, 0)
     for eps in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ParameterError):
-            PipelineConfig(eps_cov=eps)
-    with pytest.raises(ParameterError):
-        PipelineConfig(linkage="single")
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
+            run_match(tree, target, 2, eps=eps)
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
+            run_bench(world, [4], target_clusters=2, eps=eps)
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
+            evaluate_gap(server, target, np.arange(server.n), eps=eps)
+    with pytest.raises(ParameterError, match="unknown linkage 'single'"):
+        build_server_tree(server, 4, linkage="single")
+    with pytest.raises(ParameterError, match="unknown linkage 'single'"):
+        run_bench(world, [4], target_clusters=2, linkage="single")
 
 
 def test_match_flow_on_planted_world(small_world):
     world, server, target, truth = small_world
-    config = PipelineConfig(leaves=8, target_clusters=2, seed=0)
-    tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, config)
+    tree = build_server_tree(server, 8)
+    outcome = run_match(tree, target, 2)
     assert len(outcome.assignment.sigma) == 2
     assert outcome.selection.sample_rows.size > 0
     assert np.isfinite(outcome.assignment.total_cost)
@@ -67,15 +80,14 @@ def test_match_flow_on_planted_world(small_world):
 
 def test_target_copy_of_leaf_matches_it(small_world):
     world, server, target, truth = small_world
-    config = PipelineConfig(leaves=8, target_clusters=1, seed=0)
-    tree = build_server_tree(server, config)
+    tree = build_server_tree(server, 8)
     leaf = tree.node(3)
     copy = FeatureMatrix(
         values=server.values[tree.members(leaf.node_id)],
         sample_ids=[f"copy-{i}" for i in range(leaf.size)],
         dataset_labels=["target"] * leaf.size,
     )
-    outcome = run_match(tree, copy, config)
+    outcome = run_match(tree, copy, 1)
     node_id, value = outcome.selection.per_target[0]
     assert value <= 1e-6
     assert node_id == leaf.node_id
@@ -85,9 +97,8 @@ def test_target_copy_of_leaf_matches_it(small_world):
 def test_more_target_clusters_than_structure(small_world):
     """L larger than the real mode count still yields an injective match."""
     world, server, target, truth = small_world
-    config = PipelineConfig(leaves=8, target_clusters=4, seed=0)
-    tree = build_server_tree(server, config)
-    outcome = run_match(tree, target, config)
+    tree = build_server_tree(server, 8)
+    outcome = run_match(tree, target, 4)
     assert len(set(outcome.assignment.sigma)) == 4
 
 
@@ -98,17 +109,15 @@ def test_tiny_target_mode_is_advised(small_world):
         sample_ids=[f"t{i}" for i in range(3)],
         dataset_labels=["target"] * 3,
     )
-    config = PipelineConfig(leaves=8, target_clusters=3, seed=0)
-    tree = build_server_tree(server, config)
+    tree = build_server_tree(server, 8)
     with pytest.raises(ParameterError, match="target-clusters"):
-        run_match(tree, few, config)
+        run_match(tree, few, 3)
 
 
 def test_leaf_candidates_restriction(small_world):
     world, server, target, truth = small_world
-    config = PipelineConfig(leaves=8, target_clusters=2, seed=0)
-    tree = build_server_tree(server, config)
-    _, stats = target_mode_stats(target, config)
+    tree = build_server_tree(server, 8)
+    _, stats = target_mode_stats(target, 2)
     full = cost_matrix(tree, stats)
     assert full.shape == (2, 15)
     # bench's bmm_flat takes the first J columns: the leaves are nodes 0..J-1
@@ -208,8 +217,7 @@ def test_match_computes_few_exact_pairs_on_the_query_world(monkeypatch):
                  per_target=200)
     base = random_subset_world(0, **sizes)
     server, _, _ = generate(base)
-    config = PipelineConfig(leaves=64, target_clusters=12, seed=0)
-    tree = build_server_tree(server, config)
+    tree = build_server_tree(server, 64)
     kernel = bmm.gap._fid_row
     pairs = []
 
@@ -222,9 +230,9 @@ def test_match_computes_few_exact_pairs_on_the_query_world(monkeypatch):
         other = random_subset_world(1000 + t, **sizes)
         _, target, _ = generate(dataclasses.replace(base, targets=other.targets))
         pairs.clear()
-        outcome = run_match(tree, target, config)
+        outcome = run_match(tree, target, 12)
         computed = sum(pairs)
         assert computed <= 0.10 * 12 * tree.node_count, (t, computed)
-        full = outcome.cost  # the whole matrix, computed on access
+        full = cost_matrix(tree, outcome.stats)
         assert sum(pairs) == computed + full.size
         assert outcome.assignment.sigma == solve_assignment(full).sigma
