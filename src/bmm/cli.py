@@ -122,17 +122,24 @@ def _cmd_build_server(args) -> int:
     return 0
 
 
-def _check_tree_rows(tree: ModeTree, server: FeatureMatrix) -> None:
+def _check_server(tree: ModeTree, server: FeatureMatrix) -> None:
+    """The server must be the one the tree was built from: same rows, ids,
+    labels and float32 values."""
     if server.n != tree.leaf_labels.size:
         raise ValidationError(
             f"server features have {server.n} rows but the tree covers {tree.leaf_labels.size}"
+        )
+    if server.sha256 != tree.server_sha256:
+        raise ValidationError(
+            f"server features (SHA-256 {server.sha256.hex()[:16]}...) are not the server "
+            f"the tree was built from ({tree.server_sha256.hex()[:16]}...)"
         )
 
 
 def _cmd_match(args) -> int:
     tree = load_tree(args.tree)
     server = read_features(args.server_features, args.format)
-    _check_tree_rows(tree, server)
+    _check_server(tree, server)
     target = read_features(args.target_features, args.format)
     outcome = run_match(tree, target, args.target_clusters, args.seed, args.eps_cov)
     selection = outcome.selection
@@ -148,6 +155,7 @@ def _cmd_match(args) -> int:
             "eps_cov": repr(args.eps_cov),
             "total_cost": repr(outcome.assignment.total_cost),
             "selected_nodes": ",".join(str(n) for n in selection.selected_nodes),
+            "tree_sha256": tree.sha256.hex(),
         },
     )
     payload = match_report_payload(
@@ -210,6 +218,16 @@ def _selection_from_manifest(
     manifest: Manifest, tree: ModeTree, features: FeatureMatrix
 ) -> SelectionResult:
     """Rebuild match-time strata from a manifest plus its tree and features."""
+    matched = manifest.metadata.get("tree_sha256")
+    if matched is None:
+        raise ValidationError(
+            "manifest lacks 'tree_sha256' metadata; it was not produced by 'bmm match'"
+        )
+    if matched != tree.sha256.hex():
+        raise ValidationError(
+            f"manifest was matched against tree {matched[:16]}..., "
+            f"not this tree ({tree.sha256.hex()[:16]}...)"
+        )
     raw = manifest.metadata.get("selected_nodes")
     if raw is None:
         raise ValidationError(
@@ -222,7 +240,7 @@ def _selection_from_manifest(
         raise ValidationError(f"manifest 'selected_nodes' metadata {raw!r} repeats a node id")
     if max(selected) >= tree.node_count:
         raise ValidationError(f"manifest references unknown node {max(selected)}")
-    _check_tree_rows(tree, features)
+    _check_server(tree, features)
     rows = _manifest_rows(manifest, features)
     strata = node_strata(tree, selected, rows)
     covered = sum(stratum.size for stratum in strata.values())

@@ -16,15 +16,20 @@ one ``sample_id,dataset_label`` line per selected sample. A `Manifest` holds
 repeats, with the same check as `FeatureMatrix`.
 
 Readers reject invalid files instead of repairing them; the binary format is
-endianness-pinned and read-then-write is byte identical. A string block whose
+endianness-pinned and read-then-write is byte identical. `FeatureMatrix.sha256`
+identifies a server by its content; it refuses ids and labels that a manifest
+line cannot hold (a comma, ``\n`` or ``\r``), so that every server a tree is
+built from or matched against can write its manifest. A string block whose
 length prefixes are all equal and whose payload is ASCII is read with one
 decode, any other block one string at a time; the format is the same.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -74,6 +79,25 @@ class FeatureMatrix:
     def row_index(self) -> dict[str, int]:
         """Map sample_id -> row number."""
         return dict(zip(self.sample_ids, range(self.n)))
+
+    @cached_property
+    def sha256(self) -> bytes:
+        """SHA-256 of the ``<QI`` shape (n, d), the little-endian float32
+        values and the newline-joined ids then labels, as UTF-8.
+
+        Raises ValidationError for an id or label that holds a comma or a
+        newline: a manifest could not list it, and it would make the join
+        ambiguous.
+        """
+        text = "\n".join(self.sample_ids + self.dataset_labels)
+        if "," in text or "\r" in text or text.count("\n") != 2 * self.n - 1:
+            for sid, label in zip(self.sample_ids, self.dataset_labels):
+                _csv_safe(sid, "sample_id")
+                _csv_safe(label, "dataset_label")
+        digest = hashlib.sha256(struct.pack("<QI", self.n, self.d))
+        digest.update(np.ascontiguousarray(self.values, dtype="<f4"))
+        digest.update(text.encode("utf-8"))
+        return digest.digest()
 
 
 @dataclass

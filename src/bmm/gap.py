@@ -16,6 +16,10 @@ OPENBLAS_NUM_THREADS=1 against the default). Every stacked operation in it
 works node by node, so a row over a subset of node columns is bit-equal to
 those columns of the full row. It is also the one place that checks eps.
 
+A tree stores each node covariance's eigenvalues (`ModeTree.spectra`, from
+the build's stacked eigvalsh), so `NodeCosts` ridges the nodes from them and
+runs no eigvalsh of its own; only target covariances are decomposed per match.
+
 `NodeCosts.lower_bounds` bounds every (target, node) cost from below without
 the kernel, from the eigenvalues that decide the ridge. By von Neumann's trace
 inequality, Tr((A^1/2 B A^1/2)^1/2) <= sum_i sqrt(a_i b_i) over the
@@ -102,10 +106,10 @@ def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) 
     return ModeStats(mean=mean, cov=cov, count=int(idx.size))
 
 
-def _ridged(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _ridged(covs: np.ndarray, eigs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(covs, one matrix or a stack, with an eps*I ridge on each matrix whose
-    smallest eigenvalue is below eps; the ridged matrices' eigenvalues, ascending)."""
-    eigs = np.linalg.eigvalsh(covs)
+    smallest eigenvalue in `eigs` (eigvalsh(covs), ascending) is below eps;
+    the ridged matrices' eigenvalues, ascending)."""
     low = eigs.min(axis=-1) < eps
     ridged = np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
     return ridged, eigs + np.where(low, eps, 0.0)[..., None]
@@ -117,13 +121,16 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def _stacked(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ridged covariances, their traces, their eigenvalues) of a stack of covariances."""
+def _stacked(
+    covs: np.ndarray, eigs: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ridged covariances, their traces, their eigenvalues) of a stack of
+    covariances and their eigvalsh spectra."""
     if not 0.0 < eps < np.inf:  # NaN fails too
         raise ParameterError(f"eps must be finite and positive, got {eps}")
     # a huge eps overflows the traces to inf; `_fid_row` reports the result
     with np.errstate(over="ignore", invalid="ignore"):
-        covs, eigs = _ridged(covs, eps)
+        covs, eigs = _ridged(covs, eigs, eps)
         traces = np.trace(covs, axis1=1, axis2=2)
     return covs, traces, eigs
 
@@ -136,7 +143,7 @@ def _fid_row(
         raise ParameterError(f"dimension mismatch: {a.d} vs {means.shape[1]}")
     # huge but finite stats overflow to inf or nan here; the check below reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        cov_a = _ridged(a.cov, eps)[0]
+        cov_a = _ridged(a.cov, np.linalg.eigvalsh(a.cov), eps)[0]
         try:
             root_a = _psd_sqrt(cov_a)
             inner = root_a @ covs @ root_a
@@ -166,7 +173,7 @@ def _fid_row(
 
 def fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
     """Fréchet distance between two Gaussian modes; clamped to be >= 0."""
-    covs, traces, _ = _stacked(b.cov[None], eps)
+    covs, traces, _ = _stacked(b.cov[None], np.linalg.eigvalsh(b.cov[None]), eps)
     return float(_fid_row(a, covs, traces, b.mean[None], eps)[0])
 
 
@@ -184,13 +191,14 @@ def thread_limit() -> int:
 class NodeCosts:
     """A tree's ridged node statistics, for Fréchet costs from any target mode.
 
-    The node covariances are ridged together once, by one stacked eigvalsh;
-    each exact row then costs one square root and one stacked eigvalsh over
-    the columns asked for.
+    The ridge decisions, the ridged eigenvalues and the traces come from the
+    spectra the tree stores, so building one runs no eigvalsh; each exact row
+    then costs one square root and one stacked eigvalsh over the columns
+    asked for.
     """
 
     def __init__(self, tree: "ModeTree", eps: float) -> None:
-        self.covs, self.traces, self.eigs = _stacked(tree.covs, eps)
+        self.covs, self.traces, self.eigs = _stacked(tree.covs, tree.spectra, eps)
         self.means = tree.means
         self.eps = eps
 
@@ -203,20 +211,20 @@ class NodeCosts:
         Neumann bound, clamped at 0.
 
         None when the bound is not shown to hold: a dimension mismatch, a
-        non-finite or asymmetric covariance, a ridged covariance that is not
-        PSD up to rounding, or inputs so large that the kernel could overflow.
-        The full matrix then reports any error.
+        non-finite or asymmetric target covariance (tree covariances are
+        symmetric), a ridged covariance that is not PSD up to rounding, or
+        inputs so large that the kernel could overflow. The full matrix then
+        reports any error.
         """
         d = self.means.shape[1]
         if not modes or any(m.d != d for m in modes):
             return None
         covs = np.stack([m.cov for m in modes])
-        if not (np.array_equal(covs, covs.transpose(0, 2, 1))
-                and np.array_equal(self.covs, self.covs.transpose(0, 2, 1))):
-            return None  # the kernel uses (B + B^T) / 2; eigvalsh reads one triangle
+        if not np.array_equal(covs, covs.transpose(0, 2, 1)):
+            return None  # eigvalsh reads one triangle
         means = np.stack([m.mean for m in modes])
         with np.errstate(over="ignore", invalid="ignore"):
-            eigs_a, eigs_b = _ridged(covs, self.eps)[1], self.eigs
+            eigs_a, eigs_b = _ridged(covs, np.linalg.eigvalsh(covs), self.eps)[1], self.eigs
             # NaN fails every comparison, so it falls back too
             if not all((e.min(axis=1) >= -_BOUND_NEGATIVE / d * e.max(axis=1)).all()
                        for e in (eigs_a, eigs_b)):

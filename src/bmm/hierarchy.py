@@ -13,30 +13,52 @@ stacked means and counts, and a merge recomputes only the rows whose
 nearest neighbour it removed (see `build_hierarchy`).
 
 `ModeTree` holds the tree as the arrays its file stores, in node-id order:
-`children` (H x 2, -1 for a leaf), `counts`, `means`, `covs` and one leaf
-label per server row; `parents` is derived from `children`, and
-`ModeTree.node(i)` builds a `ModeNode` view on demand. A node's rows are
-those whose leaf lies in its subtree, derived on demand, never stored.
+`children` (H x 2, -1 for a leaf), `counts`, `means`, `covs`, `spectra` (each
+covariance's eigenvalues, ascending) and one leaf label per server row, plus
+the build's provenance: `linkage`, `seed` and `server_sha256`
+(`FeatureMatrix.sha256` of the server). `parents` is derived from
+`children`, and `ModeTree.node(i)` builds a `ModeNode` view on demand. A
+node's rows are those whose leaf lies in its subtree, derived on demand,
+never stored.
 
-Trees persist as a little-endian binary file (version 3):
+Trees persist as a little-endian binary file (version 4):
 
-* header ``<4sHQII``: magic ``BMMT``, ``u16`` version 3, ``u64`` row count
-  ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``;
+* header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 4,
+  ``u64`` row count ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``,
+  ``u64`` build seed (modulo 2**63, as k-means reads it), ``u16`` linkage
+  (its index in `LINKAGES`), the server's 32-byte SHA-256;
 * ``n`` int32 leaf labels;
 * ``2J-1`` node records in node-id order: two int32 child ids (-1 for a
-  leaf), an int64 count, ``d`` float64 mean values and ``d*d`` float64
-  covariance values in row-major order.
+  leaf), an int64 count, ``d`` float64 mean values, the ``d(d+1)/2`` float64
+  covariance values of the row-major upper triangle, and the ``d`` float64
+  eigenvalues of the covariance, ascending;
+* the 32-byte SHA-256 of everything before it, which is also the tree's
+  identity (`ModeTree.sha256`; `match` writes it into the manifest).
 
-Persist is one record write and load a size check plus array copies; the
-round trip is exact at the bit level, and so is re-persisting a loaded file.
-The loader refuses JSON trees (versions 1-2), other versions, a size that
-disagrees with the header, non-finite statistics and broken structure.
+Packing loses nothing: every covariance is exactly symmetric, as
+`gaussian_stats` symmetrizes and each term `_pooled` adds is symmetric, and
+`persist_tree` refuses one that is not. The spectra are the stacked
+`np.linalg.eigvalsh(covs)` of the build, so the Fréchet kernel reads its
+ridge decisions and bounds from the file instead of recomputing them, and the
+unpacked covariances give the same eigenvalues bit for bit. The digest, not a
+loader eigvalsh (which would cost what the stored spectra save), guards them:
+a spectrum cannot drift from its covariance unless the file is written so on
+purpose.
+
+Persist is one record write and load a size and digest check plus array
+copies; the round trip is exact at the bit level, and so is re-persisting a
+loaded file. The loader refuses JSON trees (versions 1-2), other versions
+(version 3 stored full covariances and no spectra), a size that disagrees
+with the header, a digest mismatch, an unknown linkage, non-finite or
+unsorted statistics and broken structure.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -50,8 +72,10 @@ if TYPE_CHECKING:
     from .features import FeatureMatrix
 
 TREE_MAGIC = b"BMMT"
-TREE_VERSION = 3
-_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
+TREE_VERSION = 4
+# magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
+_HEADER = struct.Struct("<4sHQIIQH32s")
+_DIGEST = 32  # bytes of the trailing SHA-256
 
 LINKAGES = ("centroid", "ward")
 _BLOCK_VALUES = 1 << 20  # gap values per block of linkage rows (8 MB)
@@ -82,8 +106,12 @@ class ModeTree:
     children: np.ndarray  # (H, 2) int64 child ids, -1 for a leaf
     counts: np.ndarray  # (H,) int64 member row counts
     means: np.ndarray  # (H, d) float64
-    covs: np.ndarray  # (H, d, d) float64
+    covs: np.ndarray  # (H, d, d) float64, exactly symmetric
+    spectra: np.ndarray  # (H, d) float64 eigenvalues of each covariance, ascending
     leaf_labels: np.ndarray  # (n,) int64 leaf node id of every server row
+    linkage: str  # one of LINKAGES
+    seed: int  # the leaf k-means seed, modulo 2**63
+    server_sha256: bytes  # FeatureMatrix.sha256 of the server
     parents: np.ndarray = field(init=False)  # (H,) int64, -1 for the root
 
     def __post_init__(self) -> None:
@@ -92,6 +120,11 @@ class ModeTree:
         linked = (self.children >= 0) & (self.children < ids[:, None])
         self.parents = np.full(self.node_count, -1, dtype=np.int64)
         self.parents[self.children[linked]] = np.repeat(ids, 2)[linked.ravel()]
+
+    @cached_property
+    def sha256(self) -> bytes:
+        """The tree's identity: the SHA-256 its file ends with."""
+        return hashlib.sha256(_payload(self)).digest()
 
     @property
     def node_count(self) -> int:
@@ -174,7 +207,8 @@ def _pooled(
 
 
 def build_hierarchy(
-    leaves: "FlatClustering", features: "FeatureMatrix", linkage: str = "centroid"
+    leaves: "FlatClustering", features: "FeatureMatrix", linkage: str = "centroid",
+    seed: int = 0,
 ) -> ModeTree:
     """Merge the J leaf clusters bottom-up into a 2J-1 node tree.
 
@@ -188,9 +222,13 @@ def build_hierarchy(
     algorithm of Müllner 2011, arXiv:1109.2378). After a merge the rows whose
     nearest was a child are recomputed; any other row keeps its nearest
     unless the new node, whose id is the highest, is strictly closer.
+
+    The tree records the linkage, `seed` (the seed `leaves` were fitted
+    with) and `features.sha256`, which refuses ids a manifest cannot hold.
     """
     if linkage not in LINKAGES:
         raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    server_sha256 = features.sha256
     j, d = leaves.k, features.d
     total = 2 * j - 1
 
@@ -246,7 +284,10 @@ def build_hierarchy(
         if stale.any():
             refresh(ids[stale])
 
-    tree = ModeTree(children, counts, means, covs, leaves.assignment)
+    tree = ModeTree(
+        children, counts, means, covs, np.linalg.eigvalsh(covs), leaves.assignment,
+        linkage, seed % 2**63, server_sha256,
+    )
     validate_tree(tree)
     return tree
 
@@ -283,19 +324,34 @@ def validate_tree(tree: ModeTree) -> None:
 
 
 def _record_dtype(d: int) -> np.dtype:
-    """One node record: child ids (-1, -1 for a leaf), count, mean, covariance."""
-    return np.dtype(
-        [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
+    """One node record: child ids (-1, -1 for a leaf), count, mean, packed
+    covariance (row-major upper triangle), spectrum."""
+    return np.dtype([
+        ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
+        ("cov", "<f8", (d * (d + 1) // 2,)), ("spectrum", "<f8", (d,)),
+    ])
+
+
+def _payload(tree: ModeTree) -> bytes:
+    """The file's bytes before its digest."""
+    d = tree.means.shape[1]
+    rows, cols = np.triu_indices(d)
+    upper = tree.covs[:, rows, cols]
+    if upper.tobytes() != tree.covs[:, cols, rows].tobytes():
+        raise ValidationError("node covariances must be exactly symmetric to be stored packed")
+    records = np.zeros(tree.node_count, dtype=_record_dtype(d))
+    records["children"], records["count"] = tree.children, tree.counts
+    records["mean"], records["cov"], records["spectrum"] = tree.means, upper, tree.spectra
+    header = _HEADER.pack(
+        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, tree.leaf_count, d, tree.seed,
+        LINKAGES.index(tree.linkage), tree.server_sha256,
     )
+    return header + tree.leaf_labels.astype("<i4").tobytes() + records.tobytes()
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
-    d = tree.means.shape[1]
-    records = np.zeros(tree.node_count, dtype=_record_dtype(d))
-    records["children"], records["count"] = tree.children, tree.counts
-    records["mean"], records["cov"] = tree.means, tree.covs
-    header = _HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, tree.leaf_count, d)
-    Path(path).write_bytes(header + tree.leaf_labels.astype("<i4").tobytes() + records.tobytes())
+    data = _payload(tree)
+    Path(path).write_bytes(data + hashlib.sha256(data).digest())
 
 
 def load_tree(path: str | Path) -> ModeTree:
@@ -307,32 +363,50 @@ def load_tree(path: str | Path) -> ModeTree:
                 f"(reads binary version {TREE_VERSION})"
             )
         raise TreeFormatError(f"{path}: missing {TREE_MAGIC!r} magic; not a bmm tree")
-    if len(data) < _HEADER.size:
+    if len(data) < 6:
         raise TreeFormatError(f"{path}: truncated tree header")
-    _, version, n, j, d = _HEADER.unpack_from(data)
+    version = int.from_bytes(data[4:6], "little")
     if version != TREE_VERSION:
         raise TreeFormatError(
             f"{path}: tree version {version} is incompatible with this build (reads {TREE_VERSION})"
         )
+    if len(data) < _HEADER.size:
+        raise TreeFormatError(f"{path}: truncated tree header")
+    _, _, n, j, d, seed, linkage, server_sha256 = _HEADER.unpack_from(data)
     if j < 1 or d < 1:
         raise TreeFormatError(f"{path}: header declares {j} leaves of dimension {d}")
     total = 2 * j - 1
     # in Python integers, before any array is sized from the header
-    expected = _HEADER.size + 4 * n + total * (16 + 8 * d + 8 * d * d)
+    expected = _HEADER.size + 4 * n + total * (16 + 4 * d * (d + 5)) + _DIGEST
     if len(data) != expected:
         raise TreeFormatError(
             f"{path}: {len(data)} bytes, but n={n}, J={j}, d={d} take {expected}"
         )
+    digest = data[-_DIGEST:]
+    if hashlib.sha256(memoryview(data)[:-_DIGEST]).digest() != digest:
+        raise TreeFormatError(f"{path}: contents do not match the tree's SHA-256; file is corrupt")
+    if linkage >= len(LINKAGES):
+        raise TreeFormatError(f"{path}: unknown linkage index {linkage}")
     records = np.frombuffer(data, _record_dtype(d), total, _HEADER.size + 4 * n)
+    rows, cols = np.triu_indices(d)
+    packed_at = np.empty((d, d), dtype=np.intp)  # packed position of each (row, col) entry
+    packed_at[rows, cols] = packed_at[cols, rows] = np.arange(rows.size)
+    # np.take keeps the stack C-contiguous, as built; the kernel's matmul bits
+    # depend on the layout, and `records["cov"][:, packed_at]` would not be
+    covs = np.take(records["cov"], packed_at, axis=1)
     tree = ModeTree(
         records["children"].astype(np.int64), records["count"].astype(np.int64),
-        records["mean"].astype(np.float64), records["cov"].astype(np.float64),
+        records["mean"].astype(np.float64), covs, records["spectrum"].astype(np.float64),
         np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64),
+        LINKAGES[linkage], seed, server_sha256,
     )
-    if not (np.isfinite(tree.means).all() and np.isfinite(tree.covs).all()):
-        raise TreeFormatError(f"{path}: non-finite node mean or covariance")
+    if not all(np.isfinite(a).all() for a in (tree.means, covs, tree.spectra)):
+        raise TreeFormatError(f"{path}: non-finite node mean, covariance or spectrum")
+    if (np.diff(tree.spectra, axis=1) < 0).any():
+        raise TreeFormatError(f"{path}: a node spectrum is not in ascending order")
     try:
         validate_tree(tree)
     except ValidationError as exc:
         raise TreeFormatError(f"{path}: {exc}") from exc
+    tree.sha256 = digest  # re-persisting the loaded tree writes the same bytes
     return tree

@@ -70,7 +70,10 @@ def build_server_tree(
             f"leaf count J={leaves} must be at most n // 2 = {server.n // 2} "
             f"for n={server.n} server rows"
         )
-    return build_hierarchy(fit_balanced_kmeans(server, leaves, seed), server, linkage=linkage)
+    _ = server.sha256  # refuses ids a manifest cannot hold before the fit; the tree reuses it
+    return build_hierarchy(
+        fit_balanced_kmeans(server, leaves, seed), server, linkage=linkage, seed=seed
+    )
 
 
 def target_mode_stats(

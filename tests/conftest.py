@@ -54,13 +54,14 @@ def unmatched(matches: list[int | None]) -> list[int]:
 
 
 def trees_equal(a: ModeTree, b: ModeTree) -> bool:
-    """Structural equality: links, leaf labels, and bit-exact cached stats."""
-    fields = ("children", "parents", "counts", "means", "covs", "leaf_labels")
+    """Structural equality: links, leaf labels, bit-exact cached stats and
+    spectra, and the same provenance."""
+    fields = ("children", "parents", "counts", "means", "covs", "spectra", "leaf_labels")
     return all(
         getattr(a, f).shape == getattr(b, f).shape
         and getattr(a, f).tobytes() == getattr(b, f).tobytes()
         for f in fields
-    )
+    ) and (a.linkage, a.seed, a.server_sha256) == (b.linkage, b.seed, b.server_sha256)
 
 
 def shared_nearest_world(seed: int = 0, d: int = 8, per_mode: int = 200) -> PlantedWorld:

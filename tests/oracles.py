@@ -3,7 +3,9 @@
 The oracles enumerate exhaustively and refuse instances beyond their stated
 limits instead of approximating. `reference_fid` is the per-pair Fréchet
 distance, written out one pair at a time, that the stacked kernel behind
-`bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit.
+`bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit, and
+`oracle_node_costs` the per-match eigvalsh of the node covariances that
+`gap.NodeCosts`, which reads the tree's stored spectra, must equal bit for bit.
 `oracle_balanced_assign` is the greedy over one global stable sort of all
 (point, cluster) distances that `clustering._balanced_assign` must equal
 exactly, and `oracle_cluster_means` the row-by-row `np.add.at` sum that
@@ -68,6 +70,16 @@ def reference_fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float
         - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum()
     )
     return max(value, 0.0)
+
+
+def oracle_node_costs(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ridged covariances, traces, ridged eigenvalues) of a stack of node
+    covariances from one stacked eigvalsh of them, as every match computed
+    them before trees stored their spectra."""
+    eigs = np.linalg.eigvalsh(covs)
+    low = eigs.min(axis=-1) < eps
+    ridged = np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
+    return ridged, np.trace(ridged, axis1=1, axis2=2), eigs + np.where(low, eps, 0.0)[..., None]
 
 
 def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -249,7 +261,10 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
             dist[min(other, new_id), max(other, new_id)] = value
         active[new_id] = True
 
-    tree = ModeTree(children, counts, means, covs, leaves.assignment)
+    tree = ModeTree(
+        children, counts, means, covs, np.linalg.eigvalsh(covs), leaves.assignment,
+        linkage, 0, features.sha256,
+    )
     validate_tree(tree)
     return tree
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import warnings
@@ -10,12 +11,13 @@ import pytest
 
 import bmm
 from bmm import (
-    BmmError, cost_matrix, generate, load_tree, read_manifest,
+    BmmError, FeatureMatrix, cost_matrix, generate, load_tree, persist_tree, read_manifest,
     save_world, write_features, write_manifest,
 )
 from bmm import cli
 from bmm.cli import main
-from bmm.pipeline import target_mode_stats
+from bmm.hierarchy import LINKAGES
+from bmm.pipeline import build_server_tree, target_mode_stats
 from bmm.synth import random_subset_world
 
 from conftest import one_blas_thread, shared_nearest_world
@@ -52,6 +54,29 @@ def test_build_server_writes_tree(tmp_path, world_files, capsys):
     tree = load_tree(tree_path)
     assert tree.node_count == 15
     assert tree.node(tree.root_id).size == server.n
+
+
+def test_tree_records_how_and_from_what_it_was_built(tmp_path, world_files):
+    _, server, _, server_path, _ = world_files
+    tree_path = tmp_path / "tree.bmmt"
+    assert main([
+        "build-server", "--server-features", str(server_path), "--leaves", "8",
+        "--seed", "-1", "--linkage", "ward", "--tree", str(tree_path),
+    ]) == 0
+    tree = load_tree(tree_path)
+    # the seed as the k-means generator reads it
+    assert (tree.seed, tree.linkage, tree.server_sha256) == (2**63 - 1, "ward", server.sha256)
+
+
+def test_loaded_tree_gives_the_built_trees_cost_bits(tmp_path, world_files):
+    """The kernel's matmul bits depend on the covariance stack's memory
+    layout, so the unpacked stack must be laid out as the built one."""
+    _, server, target, _, _ = world_files
+    tree = build_server_tree(server, 8)
+    persist_tree(tree, tmp_path / "tree.bmmt")
+    _, stats = target_mode_stats(target, 4)
+    loaded = cost_matrix(load_tree(tmp_path / "tree.bmmt"), stats)
+    assert loaded.tobytes() == cost_matrix(tree, stats).tobytes()
 
 
 def test_build_server_rejects_oversized_j(tmp_path, world_files, capsys):
@@ -424,6 +449,92 @@ def test_match_rejects_mismatched_server(tmp_path, world_files, capsys):
     assert "covers" in capsys.readouterr().err
 
 
+def stratified_args(manifest_path, tree_path, server_path, out_path):
+    return [
+        "prune", "--manifest", str(manifest_path), "--budget-frac", "0.5",
+        "--strategy", "stratified", "--tree", str(tree_path),
+        "--server-features", str(server_path), "--out", str(out_path),
+    ]
+
+
+def test_match_and_prune_bind_the_tree_to_its_server(tmp_path, world_files, capsys):
+    """A server with the tree's row count but one other float32 value, id or
+    label is not the tree's server, for match and for stratified prune."""
+    _, server, _, server_path, target_path = world_files
+    _, tree_path = run_build(tmp_path, server_path)
+    manifest = tmp_path / "sel.manifest"
+    assert main(match_args(tree_path, server_path, target_path, manifest)) == 0
+    values = server.values.copy()
+    values[7, 0] = np.nextafter(values[7, 0], np.float32(np.inf))
+    ids, labels = list(server.sample_ids), list(server.dataset_labels)
+    others = {
+        "value": FeatureMatrix(values, ids, labels),
+        "id": FeatureMatrix(server.values, ids[:3] + [ids[3] + "x"] + ids[4:], labels),
+        "label": FeatureMatrix(server.values, ids, labels[:-1] + [labels[-1] + "x"]),
+    }
+    for name, other in others.items():
+        path = tmp_path / f"{name}.bmmf"
+        write_features(other, path)
+        out = tmp_path / f"{name}.manifest"
+        assert main(match_args(tree_path, path, target_path, out)) == 2, name
+        assert "not the server the tree was built from" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / f"{name}.manifest.report.txt").exists()
+        assert main(stratified_args(manifest, tree_path, path, out)) == 2, name
+        assert "not the server the tree was built from" in capsys.readouterr().err
+
+
+def test_match_writes_the_tree_digest_and_prune_checks_it(tmp_path, world_files, capsys):
+    _, _, _, server_path, target_path = world_files
+    _, tree_path = run_build(tmp_path, server_path)
+    out = tmp_path / "sel.manifest"
+    assert main(match_args(tree_path, server_path, target_path, out)) == 0
+    manifest = read_manifest(out)
+    assert manifest.metadata["tree_sha256"] == tree_path.read_bytes()[-32:].hex()
+    pruned = tmp_path / "pruned.manifest"
+    assert main(stratified_args(out, tree_path, server_path, pruned)) == 0
+    assert read_manifest(pruned).metadata["tree_sha256"] == manifest.metadata["tree_sha256"]
+
+    # the same server under another seed is another tree
+    (tmp_path / "other").mkdir()
+    _, other_tree = run_build(tmp_path / "other", server_path, seed=1)
+    assert main(stratified_args(out, other_tree, server_path, pruned)) == 2
+    assert "not this tree" in capsys.readouterr().err
+    del manifest.metadata["tree_sha256"]
+    write_manifest(manifest, out)
+    assert main(stratified_args(out, tree_path, server_path, pruned)) == 2
+    assert "lacks 'tree_sha256' metadata" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["sample_ids", "dataset_labels"])
+def test_ids_a_manifest_cannot_hold_are_refused_before_any_output(
+    tmp_path, monkeypatch, field, capsys
+):
+    """A server id with a comma or a label with a newline could never be
+    written to a manifest: build-server refuses it, and so does match, before
+    it writes any report, against a tree built without the check."""
+    values = np.random.default_rng(0).normal(size=(40, 3))
+    columns = {"sample_ids": [f"a{i}" for i in range(40)], "dataset_labels": ["set"] * 40}
+    columns[field] = [f"a,{i}" for i in range(40)] if field == "sample_ids" else ["x\ny"] * 40
+    server_path, target_path = tmp_path / "server.bmmf", tmp_path / "target.bmmf"
+    write_features(FeatureMatrix(values, **columns), server_path)
+    write_features(
+        FeatureMatrix(values[:20], [f"t{i}" for i in range(20)], ["target"] * 20), target_path
+    )
+    code, tree_path = run_build(tmp_path, server_path, leaves=4)
+    assert code == 2
+    assert "may not contain commas or newlines" in capsys.readouterr().err
+    assert not tree_path.exists()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bmm.features, "_csv_safe", lambda text, what: text)
+        assert run_build(tmp_path, server_path, leaves=4)[0] == 0
+    capsys.readouterr()
+    code = main(match_args(tree_path, server_path, target_path, tmp_path / "sel.manifest"))
+    assert code == 2
+    assert "may not contain commas or newlines" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["server.bmmf", "target.bmmf", "tree.bmmt"]
+
+
 
 @pytest.fixture(scope="module")
 def tree_blob(tmp_path_factory, world_files):
@@ -432,20 +543,52 @@ def tree_blob(tmp_path_factory, world_files):
     return tree_path.read_bytes()
 
 
-TREE_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
+# magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
+TREE_HEADER = struct.Struct("<4sHQIIQH32s")
+V3_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
 
 
 def tree_parts(blob: bytes):
-    """The header fields, leaf labels and node records of a version-3 tree, as
-    writable copies."""
+    """The header fields, leaf labels and node records of a version-4 tree, as
+    writable copies; the trailing digest is dropped."""
     header = list(TREE_HEADER.unpack_from(blob))
-    _, _, n, j, d = header
-    record = np.dtype(
-        [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
-    )
+    n, j, d = header[2:5]
+    record = np.dtype([
+        ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
+        ("cov", "<f8", (d * (d + 1) // 2,)), ("spectrum", "<f8", (d,)),
+    ])
     labels = np.frombuffer(blob, "<i4", n, TREE_HEADER.size).copy()
     records = np.frombuffer(blob, record, 2 * j - 1, TREE_HEADER.size + 4 * n).copy()
     return header, labels, records
+
+
+def full_covs(records) -> np.ndarray:
+    """The records' packed row-major upper triangles as full symmetric matrices."""
+    d = records["mean"].shape[1]
+    rows, cols = np.triu_indices(d)
+    covs = np.empty((len(records), d, d))
+    covs[:, rows, cols] = covs[:, cols, rows] = records["cov"]
+    return covs
+
+
+def v4_bytes(header, labels, records) -> bytes:
+    """A version-4 tree file from its parts, ending with the SHA-256 of the bytes before it."""
+    data = TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes()
+    return data + hashlib.sha256(data).digest()
+
+
+def v3_bytes(blob: bytes) -> bytes:
+    """The tree as version 3 wrote it: full covariances, no spectra, provenance or digest."""
+    header, labels, records = tree_parts(blob)
+    n, j, d = header[2:5]
+    record = np.dtype(
+        [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
+    )
+    old = np.zeros(len(records), dtype=record)
+    for name in ("children", "count", "mean"):
+        old[name] = records[name]
+    old["cov"] = full_covs(records)
+    return V3_HEADER.pack(b"BMMT", 3, n, j, d) + labels.tobytes() + old.tobytes()
 
 
 def v2_payload(blob: bytes) -> dict:
@@ -453,6 +596,7 @@ def v2_payload(blob: bytes) -> dict:
     header, labels, records = tree_parts(blob)
     children = [[c for c in rec.tolist() if c >= 0] for rec in records["children"]]
     parents = {c: i for i, pair in enumerate(children) for c in pair}
+    covs = full_covs(records)
     return {
         "format": "bmm-mode-tree",
         "version": 2,
@@ -464,7 +608,7 @@ def v2_payload(blob: bytes) -> dict:
                 "parent_id": parents.get(i),
                 "child_ids": children[i],
                 "mean": records["mean"][i].tolist(),
-                "covariance": records["cov"][i].tolist(),
+                "covariance": covs[i].tolist(),
                 "count": int(records["count"][i]),
             }
             for i in range(len(records))
@@ -476,12 +620,23 @@ def _set(record, key, value):
     record[key] = value
 
 
-def _v3(change):
-    """A mutation that edits the parsed header list, labels and records in place."""
+def _v4(change):
+    """A mutation that edits the parsed header list, labels and records in
+    place, then writes them with a fresh digest, so that the loader's checks
+    behind the digest see the edit."""
     def apply(blob):
         header, labels, records = tree_parts(blob)
         change(header, labels, records)
-        return TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes()
+        return v4_bytes(header, labels, records)
+    return apply
+
+
+def _flip(offset: int):
+    """A mutation that flips the low bit of the byte at `offset` (from the end
+    when negative), keeping the stored digest."""
+    def apply(blob):
+        at = offset % len(blob)
+        return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
     return apply
 
 
@@ -494,37 +649,48 @@ def _json(change):
     return apply
 
 
-# Each mutation maps the bytes of a valid version-3 tree (built with J=8, so
+# Each mutation maps the bytes of a valid version-4 tree (built with J=8, so
 # records 0..7 are leaves and record 14 is the root) to the bytes to load.
 # The JSON mutations break one rule of the earlier version-2 JSON format;
-# like an intact JSON tree, they must be refused as incompatible.
+# like an intact JSON tree or a version-3 file, they must be refused as
+# incompatible.
 MALFORMED_TREES = {
     "bad-magic": lambda blob: b"BMMX" + blob[4:],
-    "version-99": _v3(lambda h, l, r: _set(h, 1, 99)),
-    "version-2": _v3(lambda h, l, r: _set(h, 1, 2)),
+    "version-99": _v4(lambda h, l, r: _set(h, 1, 99)),
+    "version-2": _v4(lambda h, l, r: _set(h, 1, 2)),
     "v2-json": _json(lambda p: None),
     "truncated-one-byte": lambda blob: blob[:-1],
     "trailing-byte": lambda blob: blob + b"\0",
-    "leaf-count-zero": _v3(lambda h, l, r: _set(h, 3, 0)),
-    "dimension-zero": _v3(lambda h, l, r: _set(h, 4, 0)),
-    "rows-one-more": _v3(lambda h, l, r: _set(h, 2, h[2] + 1)),
-    "nan-leaf-covariance": _v3(lambda h, l, r: _set(r["cov"][3], (0, 1), np.nan)),
-    "inf-merged-mean": _v3(lambda h, l, r: _set(r["mean"][10], 0, np.inf)),
-    "leaf-label-at-j": _v3(lambda h, l, r: _set(l, 0, 8)),
-    "leaf-label-negative": _v3(lambda h, l, r: _set(l, 0, -1)),
-    "label-moved": _v3(lambda h, l, r: _set(l, np.flatnonzero(l == 0)[0], 1)),
-    "child-id-at-parent": _v3(lambda h, l, r: _set(r["children"][14], 0, 14)),
-    "child-id-above-parent": _v3(lambda h, l, r: _set(r["children"][8], 0, 12)),
-    "child-id-minus-two": _v3(lambda h, l, r: _set(r["children"][14], 0, -2)),
-    "leaf-with-children": _v3(lambda h, l, r: _set(r["children"], 3, (0, 1))),
-    "merged-without-children": _v3(lambda h, l, r: _set(r["children"], 10, (-1, -1))),
-    "half-leaf-children": _v3(lambda h, l, r: _set(r["children"][12], 0, -1)),
-    "repeated-child": _v3(lambda h, l, r: _set(r["children"][14], 1, r["children"][14][0])),
-    "child-shared-by-two-parents": _v3(
+    "leaf-count-zero": _v4(lambda h, l, r: _set(h, 3, 0)),
+    "dimension-zero": _v4(lambda h, l, r: _set(h, 4, 0)),
+    "rows-one-more": _v4(lambda h, l, r: _set(h, 2, h[2] + 1)),
+    # packed index 1 is the (0, 1) entry
+    "nan-leaf-covariance": _v4(lambda h, l, r: _set(r["cov"][3], 1, np.nan)),
+    "nan-spectrum": _v4(lambda h, l, r: _set(r["spectrum"][5], 0, np.nan)),
+    "inf-spectrum": _v4(lambda h, l, r: _set(r["spectrum"][12], -1, np.inf)),
+    "unsorted-spectrum": _v4(lambda h, l, r: _set(r["spectrum"], 5, r["spectrum"][5][::-1])),
+    "linkage-unknown": _v4(lambda h, l, r: _set(h, 6, len(LINKAGES))),
+    "version-3": v3_bytes,
+    "flipped-seed-byte": _flip(22),
+    "flipped-server-digest-byte": _flip(40),
+    "flipped-payload-byte": _flip(-100),
+    "flipped-digest-byte": _flip(-1),
+    "inf-merged-mean": _v4(lambda h, l, r: _set(r["mean"][10], 0, np.inf)),
+    "leaf-label-at-j": _v4(lambda h, l, r: _set(l, 0, 8)),
+    "leaf-label-negative": _v4(lambda h, l, r: _set(l, 0, -1)),
+    "label-moved": _v4(lambda h, l, r: _set(l, np.flatnonzero(l == 0)[0], 1)),
+    "child-id-at-parent": _v4(lambda h, l, r: _set(r["children"][14], 0, 14)),
+    "child-id-above-parent": _v4(lambda h, l, r: _set(r["children"][8], 0, 12)),
+    "child-id-minus-two": _v4(lambda h, l, r: _set(r["children"][14], 0, -2)),
+    "leaf-with-children": _v4(lambda h, l, r: _set(r["children"], 3, (0, 1))),
+    "merged-without-children": _v4(lambda h, l, r: _set(r["children"], 10, (-1, -1))),
+    "half-leaf-children": _v4(lambda h, l, r: _set(r["children"][12], 0, -1)),
+    "repeated-child": _v4(lambda h, l, r: _set(r["children"][14], 1, r["children"][14][0])),
+    "child-shared-by-two-parents": _v4(
         lambda h, l, r: _set(r["children"][9], 0, r["children"][8][0])
     ),
-    "leaf-count-off": _v3(lambda h, l, r: _set(r["count"], 0, r["count"][0] + 1)),
-    "root-count-off": _v3(lambda h, l, r: _set(r["count"], 14, r["count"][14] - 1)),
+    "leaf-count-off": _v4(lambda h, l, r: _set(r["count"], 0, r["count"][0] + 1)),
+    "root-count-off": _v4(lambda h, l, r: _set(r["count"], 14, r["count"][14] - 1)),
     "no-leaf-labels": _json(lambda p: p.pop("leaf_labels")),
     "no-nodes": _json(lambda p: p.pop("nodes")),
     "no-child-ids": _json(lambda p: p["nodes"][14].pop("child_ids")),
@@ -543,6 +709,20 @@ MALFORMED_TREES = {
 }
 
 
+# The check that must refuse a mutation, where more than one could.
+MALFORMED_TREE_ERRORS = {
+    "version-3": "tree version 3 is incompatible",
+    "nan-spectrum": "non-finite",
+    "inf-spectrum": "non-finite",
+    "unsorted-spectrum": "ascending",
+    "linkage-unknown": "unknown linkage",
+    "flipped-seed-byte": "SHA-256",
+    "flipped-server-digest-byte": "SHA-256",
+    "flipped-payload-byte": "SHA-256",
+    "flipped-digest-byte": "SHA-256",
+}
+
+
 @pytest.mark.parametrize("mutation", sorted(MALFORMED_TREES))
 def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation, capsys):
     _, _, _, server_path, target_path = world_files
@@ -553,12 +733,18 @@ def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(tree_path) in err.splitlines()[0]
+    assert MALFORMED_TREE_ERRORS.get(mutation, "") in err
+
+
+def test_v4_mutation_helpers_rebuild_the_tree_exactly(tree_blob):
+    """The table's parser and writer are exact, so each mutation changes only what it names."""
+    assert v4_bytes(*tree_parts(tree_blob)) == tree_blob
 
 
 def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blob, capsys):
     _, _, _, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
-    tree_path.write_bytes(_v3(lambda h, l, r: _set(r["mean"][14], 0, 1e200))(tree_blob))
+    tree_path.write_bytes(_v4(lambda h, l, r: _set(r["mean"][14], 0, 1e200))(tree_blob))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
@@ -576,7 +762,12 @@ def test_match_huge_node_covariance_is_the_full_matrix_error(
     match still exits 2 with the message of the full cost matrix."""
     _, _, target, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
-    tree_path.write_bytes(_v3(lambda h, l, r: _set(r["cov"], 3, np.eye(h[4]) * 1e308))(tree_blob))
+    def huge_leaf(h, l, r):
+        # the covariance 1e308 * I, packed, and its spectrum, as a build would store them
+        r["cov"][3] = (np.eye(h[4]) * 1e308)[np.triu_indices(h[4])]
+        r["spectrum"][3] = 1e308
+
+    tree_path.write_bytes(_v4(huge_leaf)(tree_blob))
     _, stats = target_mode_stats(target, 2)
     with pytest.raises(BmmError) as full:
         cost_matrix(load_tree(tree_path), stats)

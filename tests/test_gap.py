@@ -193,6 +193,7 @@ def test_cost_matrix_thread_invariance(rng, tmp_path):
         fm = make_features(rng.normal(size=(12, d)))
         tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
         tree.covs[0] = 0.0
+        tree.spectra = np.linalg.eigvalsh(tree.covs)
         direction = rng.normal(size=(d, 1))
         rank_one = ModeStats(mean=rng.normal(size=d), cov=direction @ direction.T, count=5)
         targets = [rank_one] + [random_stats(rng, d) for _ in range(3)]
@@ -270,8 +271,9 @@ def bound_case(rng, case: str, d: int) -> tuple[ModeStats, list[ModeStats]]:
 
 
 def node_costs(nodes: list[ModeStats], eps: float) -> NodeCosts:
+    covs = np.stack([n.cov for n in nodes])
     stack = SimpleNamespace(
-        means=np.stack([n.mean for n in nodes]), covs=np.stack([n.cov for n in nodes])
+        means=np.stack([n.mean for n in nodes]), covs=covs, spectra=np.linalg.eigvalsh(covs)
     )
     return NodeCosts(stack, eps)
 

@@ -20,10 +20,11 @@ from bmm import (
 )
 from bmm.clustering import FlatClustering
 from bmm import hierarchy
+from bmm.gap import NodeCosts
 from bmm.hierarchy import LINKAGES, validate_tree
 
 from conftest import make_features, trees_equal
-from oracles import oracle_build_hierarchy
+from oracles import oracle_build_hierarchy, oracle_node_costs
 
 
 def quad_features():
@@ -114,7 +115,7 @@ def assert_equals_oracle(leaves, fm, linkage):
     tree = build_hierarchy(leaves, fm, linkage=linkage)
     oracle = oracle_build_hierarchy(leaves, fm, linkage=linkage)
     assert tree.node_count == oracle.node_count
-    for field in ("children", "parents", "counts", "means", "covs"):
+    for field in ("children", "parents", "counts", "means", "covs", "spectra"):
         assert getattr(tree, field).tobytes() == getattr(oracle, field).tobytes(), field
 
 
@@ -221,6 +222,48 @@ def test_persist_roundtrip(tmp_path, rng, j):
     again = tmp_path / "again.bmmt"
     persist_tree(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def tree_file_size(n: int, j: int, d: int) -> int:
+    """Bytes of a version-4 tree: the 64-byte header, n int32 leaf labels,
+    2J-1 node records (two int32 child ids, an int64 count, a float64 mean,
+    packed upper triangle and spectrum) and the 32-byte digest."""
+    return 64 + 4 * n + (2 * j - 1) * (4 * 2 + 8 + 8 * d + 8 * d * (d + 1) // 2 + 8 * d) + 32
+
+
+def test_benchmark_tree_sizes():
+    """The benchmark's build, query and sweep trees (n, J, d) in bytes; version 3
+    took 599,942, 1,095,430 and 80,774."""
+    shapes = [(10_240, 128, 16), (5_120, 64, 32), (3_200, 16, 16)]
+    assert [tree_file_size(*shape) for shape in shapes] == [387_856, 624_080, 55_056]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(tie_heavy_leaves(), st.sampled_from(LINKAGES))
+def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, case, linkage):
+    """A tree's stored spectra give NodeCosts the bits that one eigvalsh of
+    its covariances per match gave, at the default eps and at one that ridges
+    every node; rank-deficient and zero covariances are common here. The
+    file has the size its header formula gives, and persist -> load ->
+    persist writes the same bytes."""
+    leaves, fm = case
+    tree = build_hierarchy(leaves, fm, linkage=linkage)
+    path = tmp_path_factory.mktemp("v4") / "tree.bmmt"
+    persist_tree(tree, path)
+    blob = path.read_bytes()
+    assert len(blob) == tree_file_size(fm.n, tree.leaf_count, fm.d)
+    back = load_tree(path)
+    assert trees_equal(tree, back)
+    assert back.sha256 == tree.sha256 == blob[-32:]
+    persist_tree(back, path)
+    assert path.read_bytes() == blob
+    ridge_all = 2.0 * float(back.spectra.max()) + 1.0
+    for eps in (1e-6, ridge_all):
+        costs = NodeCosts(back, eps)
+        oracle = oracle_node_costs(back.covs, eps)
+        for got, want in zip((costs.covs, costs.traces, costs.eigs), oracle):
+            assert got.tobytes() == want.tobytes()
+    assert (back.spectra.min(axis=1) < ridge_all).all()
 
 
 def test_version_mismatch_rejected(tmp_path, rng):

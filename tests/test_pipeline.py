@@ -164,6 +164,7 @@ def bounded_match_case(rng, kind: str):
     if kind == "integer-ties":
         tree.means[:] = rng.integers(0, 3, size=(h, 1))
         tree.covs[:] = rng.choice([1.0, 4.0, 9.0], size=(h, 1, 1))
+    tree.spectra = np.linalg.eigvalsh(tree.covs)  # as a tree with these covariances stores
     stats = []
     for _ in range(int(rng.integers(1, h + 1))):
         x = int(rng.integers(0, h))
