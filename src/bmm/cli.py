@@ -27,7 +27,7 @@ from .features import (
 )
 from .gap import DEFAULT_EPS, cost_matrix, write_cost_matrix_csv
 from .hierarchy import ModeTree, load_tree, persist_tree
-from .matching import SelectionResult, match_report_payload, node_strata, render_match_report
+from .matching import match_report_payload, node_strata, render_match_report
 from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
 from .pruning import Budget, prune
 from .synth import load_world
@@ -214,9 +214,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _selection_from_manifest(
+def _manifest_strata(
     manifest: Manifest, tree: ModeTree, features: FeatureMatrix
-) -> SelectionResult:
+) -> list[np.ndarray]:
     """Rebuild match-time strata from a manifest plus its tree and features."""
     matched = manifest.metadata.get("tree_sha256")
     if matched is None:
@@ -243,12 +243,12 @@ def _selection_from_manifest(
     _check_server(tree, features)
     rows = _manifest_rows(manifest, features)
     strata = node_strata(tree, selected, rows)
-    covered = sum(stratum.size for stratum in strata.values())
+    covered = sum(stratum.size for stratum in strata)
     if covered != rows.size:
         raise ValidationError(
             f"selected nodes cover {covered} of the manifest's {rows.size} rows"
         )
-    return SelectionResult(selected_nodes=selected, sample_rows=rows, strata=strata)
+    return strata
 
 
 def _cmd_prune(args) -> int:
@@ -263,12 +263,10 @@ def _cmd_prune(args) -> int:
             raise ParameterError("stratified pruning needs --tree and --server-features")
         features = read_features(args.server_features, args.format)
         tree = load_tree(args.tree)
-        selection = _selection_from_manifest(manifest, tree, features)
-        pruned = prune(selection, budget, "stratified", args.seed)
+        pruned = prune(_manifest_strata(manifest, tree, features), budget, args.seed)
         entries = _entries(features, pruned.sample_rows)
     else:
-        everything = SelectionResult([], np.arange(len(manifest.entries), dtype=np.int64))
-        pruned = prune(everything, budget, "uniform", args.seed)
+        pruned = prune([np.arange(len(manifest.entries))], budget, args.seed)
         entries = list(map(manifest.entries.__getitem__, pruned.sample_rows.tolist()))
 
     metadata = dict(manifest.metadata)

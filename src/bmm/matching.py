@@ -10,7 +10,8 @@ potentials can still miss it among targets with equal rows or nodes with
 equal columns; `lex_smallest_relabeling` settles those ties exactly.
 
 The greedy per-target argmin baseline (direct match, where targets may share
-a node) and the deduplicating training-set selection live here as well.
+a node), the deduplicating training-set selection and its per-node strata
+(`node_strata`, which a stratified prune draws from) live here as well.
 Every stage takes a bare L x H cost matrix: row i is target mode i (reported
 as mode-i) and column j is tree node j, so no label lists travel with it.
 The matrix is `gap.cost_matrix`, or from `pipeline.match_modes` one that is
@@ -189,14 +190,13 @@ def direct_match(cost: np.ndarray) -> list[int]:
 class SelectionResult:
     """The searched training set: matched nodes and their deduplicated rows.
 
-    per_target holds each target mode's (node id, cost) in target order;
-    strata maps each selected node to its rows (a pruned result has none).
+    per_target holds each target mode's (node id, cost) in target order; a
+    pruned result holds only its rows.
     """
 
     selected_nodes: list[int]
     sample_rows: np.ndarray
     per_target: list[tuple[int, float]] = field(default_factory=list)
-    strata: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def count_labels(labels: Iterable[str]) -> dict[str, int]:
@@ -206,8 +206,8 @@ def count_labels(labels: Iterable[str]) -> dict[str, int]:
 
 def node_strata(
     tree: "ModeTree", selected: Sequence[int], rows: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Split sorted rows into per-node strata for the selected nodes, in order.
+) -> list[np.ndarray]:
+    """Split sorted rows into per-node strata, one per selected node, in order.
 
     Each leaf is owned by the first selected node whose subtree holds it, and
     each row goes to its leaf's owner; rows under no selected node are left out.
@@ -216,7 +216,7 @@ def node_strata(
     for node_id in selected:
         owner[tree.subtree_leaves(node_id) & (owner < 0)] = node_id
     row_owner = owner[tree.leaf_labels[rows]]
-    return {node_id: rows[row_owner == node_id] for node_id in selected}
+    return [rows[row_owner == node_id] for node_id in selected]
 
 
 def selection_from_matches(
@@ -236,10 +236,8 @@ def selection_from_matches(
     per_target = [(int(m), float(cost[i, m])) for i, m in enumerate(matches)]
     selected = list(dict.fromkeys(node_id for node_id, _ in per_target))
     strata = node_strata(tree, selected, np.arange(tree.leaf_labels.size))
-    taken = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *strata.values()]))
-    return SelectionResult(
-        selected_nodes=selected, sample_rows=taken, per_target=per_target, strata=strata
-    )
+    taken = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *strata]))
+    return SelectionResult(selected_nodes=selected, sample_rows=taken, per_target=per_target)
 
 
 def select_training_set(

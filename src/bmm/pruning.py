@@ -1,24 +1,22 @@
 """Budgeted subsampling of a searched training set.
 
-Budgets are either a fraction of the selection or an absolute sample count.
-The uniform strategy draws from all selected rows at once; the stratified
-strategy allocates the budget across the matched nodes' strata with
-largest-remainder rounding, keeping the composition proportional to within
-one sample per stratum. Both are deterministic for a fixed seed. A pruned
-selection keeps the input's matched nodes and per-target matches with the
-kept rows; its strata are not rebuilt.
+Budgets are either a fraction of the rows or an absolute sample count.
+`prune` splits the budget across disjoint strata of rows by largest
+remainder, proportional to within one sample per stratum, and draws each
+non-empty stratum without replacement, in order, from one seeded generator.
+A uniform prune is one stratum of every row; a stratified prune passes the
+matched nodes' `matching.node_strata`. A pruned result holds only its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 from .matching import SelectionResult
-
-STRATEGIES = ("uniform", "stratified")
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,6 @@ class Budget:
             if m > size:
                 raise ParameterError(f"absolute budget {m} exceeds selection size {size}")
             return m
-        if self.value == 1.0:
-            return size
         return min(size, max(1, int(self.value * size + 0.5)))
 
 
@@ -61,30 +57,15 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return alloc
 
 
-def prune(
-    selection: SelectionResult, budget: Budget, strategy: str = "uniform", seed: int = 0
-) -> SelectionResult:
-    """Subsample the selection to the budget; output rows are a sorted subset."""
-    if strategy not in STRATEGIES:
-        raise ParameterError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    size = int(selection.sample_rows.size)
-    m = budget.resolve(size)
-    if m == size:
-        return selection
-    rng = np.random.default_rng(seed % 2**63)
-    if strategy == "uniform":
-        kept = np.sort(rng.choice(selection.sample_rows, size=m, replace=False))
-    else:
-        node_order = [nid for nid in selection.selected_nodes if selection.strata[nid].size]
-        sizes = np.array([selection.strata[nid].size for nid in node_order], dtype=np.int64)
+def prune(strata: Sequence[np.ndarray], budget: Budget, seed: int = 0) -> SelectionResult:
+    """Subsample the union of disjoint row strata to the budget, in proportion;
+    output rows are a sorted subset (the whole union when the budget keeps it)."""
+    parts = [stratum for stratum in strata if stratum.size]
+    sizes = np.array([part.size for part in parts], dtype=np.int64)
+    m = budget.resolve(int(sizes.sum()))
+    if m < sizes.sum():
+        rng = np.random.default_rng(seed % 2**63)
         alloc = largest_remainder(sizes, m)
-        parts = [
-            np.sort(rng.choice(selection.strata[nid], size=int(take), replace=False))
-            for nid, take in zip(node_order, alloc)
-        ]
-        kept = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-    return SelectionResult(
-        selected_nodes=list(selection.selected_nodes),
-        sample_rows=kept,
-        per_target=list(selection.per_target),
-    )
+        parts = [rng.choice(part, int(take), replace=False) for part, take in zip(parts, alloc)]
+    kept = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+    return SelectionResult(selected_nodes=[], sample_rows=kept)

@@ -27,13 +27,18 @@ def make_features(values, prefix="p", label="set-a") -> FeatureMatrix:
     )
 
 
-def one_blas_thread(*argv: str) -> bytes:
-    """The stdout of `python *argv` run with OPENBLAS_NUM_THREADS=1, which only
-    takes effect when set before numpy loads, and with this bmm importable."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """`python *argv` run with OPENBLAS_NUM_THREADS=1, which only takes effect
+    when set before numpy loads, and with this bmm importable."""
     src = str(Path(bmm.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+
+
+def one_blas_thread(*argv: str) -> bytes:
+    """The stdout of run_python(*argv), which must exit 0."""
+    done = run_python(*argv)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout
 

@@ -20,7 +20,6 @@ from bmm import (
     fid,
     fit_balanced_kmeans,
     generate,
-    prune,
     run_bench,
     run_match,
     solve_assignment,
@@ -280,7 +279,7 @@ def test_c08_dedup_exactness():
 
 
 def test_c09_pruning_contracts():
-    from test_pruning import selection_with_strata
+    from test_pruning import consecutive_strata, draw
 
     rng = np.random.default_rng(909)
     cardinality_fails = 0
@@ -288,24 +287,24 @@ def test_c09_pruning_contracts():
     determinism_fails = 0
     for trial in range(50):
         sizes = [int(rng.integers(1, 50)) for _ in range(int(rng.integers(1, 6)))]
-        sel = selection_with_strata(sizes)
-        total = sel.sample_rows.size
+        rows, strata = consecutive_strata(sizes)
+        total = rows.size
         budget = (
             Budget("fraction", float(rng.uniform(0.05, 1.0)))
             if trial % 2
             else Budget("absolute", int(rng.integers(1, total + 1)))
         )
         strategy = "stratified" if trial % 3 else "uniform"
-        out = prune(sel, budget, strategy, seed=trial)
+        out = draw(rows, strata, budget, strategy, seed=trial)
         m = budget.resolve(total)
-        if out.sample_rows.size != m or not np.isin(out.sample_rows, sel.sample_rows).all():
+        if out.sample_rows.size != m or not np.isin(out.sample_rows, rows).all():
             cardinality_fails += 1
         if strategy == "stratified":
             for node_id, size in enumerate(sizes):
-                kept = np.intersect1d(out.sample_rows, sel.strata[node_id]).size
+                kept = np.intersect1d(out.sample_rows, strata[node_id]).size
                 if abs(kept - m * size / total) >= 1.0:
                     proportion_fails += 1
-        again = prune(sel, budget, strategy, seed=trial)
+        again = draw(rows, strata, budget, strategy, seed=trial)
         if not np.array_equal(out.sample_rows, again.sample_rows):
             determinism_fails += 1
     ok = cardinality_fails == 0 and proportion_fails == 0 and determinism_fails == 0

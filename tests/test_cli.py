@@ -20,7 +20,7 @@ from bmm.hierarchy import LINKAGES
 from bmm.pipeline import build_server_tree, target_mode_stats
 from bmm.synth import random_subset_world
 
-from conftest import one_blas_thread, shared_nearest_world
+from conftest import one_blas_thread, run_python, shared_nearest_world
 
 
 @pytest.fixture(scope="module")
@@ -309,9 +309,15 @@ def test_prune_stratified_requires_tree(tmp_path, world_files, capsys):
     assert "stratified" in capsys.readouterr().err
 
 
+# Each mutation maps the matched manifest's selected_nodes value ("7,3": two
+# disjoint leaves of the J=8 tree, whose nodes are 0..14) to the value to
+# write, None dropping the line, and names a fragment of the refusal.
 BAD_SELECTED_NODES = {
-    "not-an-integer": lambda raw: "abc",
-    "repeated-id": lambda raw: f"{raw},{raw}",
+    "not-an-integer": (lambda raw: "abc", "'selected_nodes' metadata"),
+    "repeated-id": (lambda raw: f"{raw},{raw}", "'selected_nodes' metadata"),
+    "missing": (lambda raw: None, "lacks 'selected_nodes' metadata"),
+    "id-at-node-count": (lambda raw: "15", "unknown node 15"),
+    "first-node-only": (lambda raw: raw.split(",")[0], "selected nodes cover 80 of the"),
 }
 
 
@@ -322,8 +328,10 @@ def test_prune_stratified_rejects_bad_selected_nodes(tmp_path, world_files, muta
     out = tmp_path / "sel.manifest"
     assert main(match_args(tree_path, server_path, target_path, out)) == 0
     manifest = read_manifest(out)
-    raw = manifest.metadata["selected_nodes"]
-    manifest.metadata["selected_nodes"] = BAD_SELECTED_NODES[mutation](raw)
+    edit, fragment = BAD_SELECTED_NODES[mutation]
+    value = edit(manifest.metadata.pop("selected_nodes"))
+    if value is not None:
+        manifest.metadata["selected_nodes"] = value
     write_manifest(manifest, out)
     code = main([
         "prune", "--manifest", str(out), "--budget-frac", "0.5", "--strategy", "stratified",
@@ -333,7 +341,7 @@ def test_prune_stratified_rejects_bad_selected_nodes(tmp_path, world_files, muta
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "'selected_nodes' metadata" in err
+    assert fragment in err
 
 
 def test_bench_csv(tmp_path, capsys):
@@ -671,6 +679,7 @@ MALFORMED_TREES = {
     "unsorted-spectrum": _v4(lambda h, l, r: _set(r["spectrum"], 5, r["spectrum"][5][::-1])),
     "linkage-unknown": _v4(lambda h, l, r: _set(h, 6, len(LINKAGES))),
     "version-3": v3_bytes,
+    "header-cut": lambda blob: blob[:5],
     "flipped-seed-byte": _flip(22),
     "flipped-server-digest-byte": _flip(40),
     "flipped-payload-byte": _flip(-100),
@@ -712,6 +721,7 @@ MALFORMED_TREES = {
 # The check that must refuse a mutation, where more than one could.
 MALFORMED_TREE_ERRORS = {
     "version-3": "tree version 3 is incompatible",
+    "header-cut": "truncated tree header",
     "nan-spectrum": "non-finite",
     "inf-spectrum": "non-finite",
     "unsorted-spectrum": "ascending",
@@ -892,3 +902,20 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, world_files, capsys):
             assert exit_.value.code == 0 and out.out == f"bmm {bmm.__version__}\n"
         else:
             assert exit_.value.code == fresh.value.code == 2 and out == usage
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m bmm.cli` runs cli.entrypoint, which exits with main's code."""
+    version = run_python("-m", "bmm.cli", "--version")
+    assert version.returncode == 0, version.stderr.decode()
+    assert version.stdout.decode() == f"bmm {bmm.__version__}\n"
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("p0,set-a\n", encoding="utf-8")
+    refused = run_python(
+        "-m", "bmm.cli", "prune", "--manifest", str(manifest), "--budget-n", "0",
+        "--out", str(tmp_path / "o.manifest"),
+    )
+    err = refused.stderr.decode()
+    assert refused.returncode == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "absolute budget" in err

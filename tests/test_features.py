@@ -91,11 +91,12 @@ def test_binary_rejects_truncation(tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: raw[:10], "truncated file while reading row count"),
+    (lambda raw: raw[:6] + struct.pack("<Q", 0) + raw[14:], "invalid shape 0x1"),
     (lambda raw: raw[:49], "truncated file while reading dataset label length 1"),
     (lambda raw: raw[:53], "truncated file while reading dataset label 1"),
     (lambda raw: raw[:30] + b"\xff" + raw[31:], "sample id 0 is not valid UTF-8"),
     (lambda raw: raw + b"\x00", "trailing bytes after string blocks"),
-], ids=["header", "string-length", "string", "utf-8", "trailing"])
+], ids=["header", "zero-rows", "string-length", "string", "utf-8", "trailing"])
 def test_binary_errors_name_what_failed(tmp_path, edit, message):
     # 18 header bytes, 8 value bytes, ids at 26..38 ("p0", "p1"), labels at 38..56
     path = tmp_path / "f.bmmf"

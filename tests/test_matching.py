@@ -13,7 +13,12 @@ from bmm import (
     select_training_set,
     solve_assignment,
 )
-from bmm.matching import match_report_payload, render_match_report, selection_from_matches
+from bmm.matching import (
+    match_report_payload,
+    node_strata,
+    render_match_report,
+    selection_from_matches,
+)
 
 from conftest import make_features, unmatched
 from oracles import oracle_assignment, oracle_direct_match_no_duplicates
@@ -172,7 +177,8 @@ def test_selection_parent_child_dedup(rng):
     assert sel.sample_rows.size == parent.size
     assert np.array_equal(sel.sample_rows, tree.members(parent.node_id))
     # ownership: the parent was selected first, so the child stratum is empty
-    assert sel.strata[child.node_id].size == 0
+    strata = dict(zip(sel.selected_nodes, node_strata(tree, sel.selected_nodes, sel.sample_rows)))
+    assert strata[child.node_id].size == 0
 
 
 def test_selection_matches_naive_union_oracle(rng):
@@ -188,7 +194,8 @@ def test_selection_matches_naive_union_oracle(rng):
         assert set(sel.sample_rows.tolist()) == naive
         assert sel.sample_rows.size == len(naive)
         # strata partition the selection
-        merged = np.sort(np.concatenate(list(sel.strata.values())))
+        strata = node_strata(tree, sel.selected_nodes, np.arange(tree.leaf_labels.size))
+        merged = np.sort(np.concatenate(strata))
         assert np.array_equal(merged, sel.sample_rows)
 
 
