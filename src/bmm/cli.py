@@ -214,25 +214,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _match_metadata(manifest: Manifest, key: str) -> str:
+    value = manifest.metadata.get(key)
+    if value is None:
+        raise ValidationError(
+            f"manifest lacks {key!r} metadata; it was not produced by 'bmm match'"
+        )
+    return value
+
+
 def _manifest_strata(
     manifest: Manifest, tree: ModeTree, features: FeatureMatrix
 ) -> list[np.ndarray]:
     """Rebuild match-time strata from a manifest plus its tree and features."""
-    matched = manifest.metadata.get("tree_sha256")
-    if matched is None:
-        raise ValidationError(
-            "manifest lacks 'tree_sha256' metadata; it was not produced by 'bmm match'"
-        )
+    matched = _match_metadata(manifest, "tree_sha256")
     if matched != tree.sha256.hex():
         raise ValidationError(
             f"manifest was matched against tree {matched[:16]}..., "
             f"not this tree ({tree.sha256.hex()[:16]}...)"
         )
-    raw = manifest.metadata.get("selected_nodes")
-    if raw is None:
-        raise ValidationError(
-            "manifest lacks 'selected_nodes' metadata; it was not produced by 'bmm match'"
-        )
+    raw = _match_metadata(manifest, "selected_nodes")
     if not all(tok.isascii() and tok.isdigit() for tok in raw.split(",")):
         raise ValidationError(f"manifest 'selected_nodes' metadata {raw!r} must list node ids")
     selected = [int(tok) for tok in raw.split(",")]

@@ -117,10 +117,8 @@ def _repair_empty_clusters(
         point_sse[far] = 0.0
 
 
-def _lloyd(x, k, rng):
-    n = x.shape[0]
-    squared_distances = _squared_distance_kernel(x, k)
-    centroids = _kmeans_pp_init(x, k, rng)
+def _lloyd(x, centroids, squared_distances):
+    n, k = x.shape[0], centroids.shape[0]
     history: list[float] = []
     prev = None
     for _ in range(MAX_ITER):
@@ -137,10 +135,7 @@ def _lloyd(x, k, rng):
         centroids = new_centroids
         if movement < MOVEMENT_TOL:
             break
-    centroids = _cluster_means(x, prev, k)
-    sse = recompute_sse(x, prev, centroids)
-    history.append(sse)
-    return prev, centroids, sse, history
+    return prev, history
 
 
 def _balanced_assign(d2: np.ndarray) -> np.ndarray:
@@ -265,10 +260,8 @@ def _swap_refine(x, assignment, k, history, max_steps=200):
     return assignment
 
 
-def _balanced_lloyd(x, k, rng):
-    n = x.shape[0]
-    squared_distances = _squared_distance_kernel(x, k)
-    centroids = _kmeans_pp_init(x, k, rng)
+def _balanced_lloyd(x, centroids, squared_distances):
+    n, k = x.shape[0], centroids.shape[0]
     d2 = squared_distances(centroids)
     assignment = _balanced_assign(d2)
     history = [float(d2[np.arange(n), assignment].sum())]
@@ -288,10 +281,7 @@ def _balanced_lloyd(x, k, rng):
             break
     if 1 < k and n <= SWAP_REFINE_LIMIT:
         assignment = _swap_refine(x, assignment, k, history)
-    centroids = _cluster_means(x, assignment, k)
-    sse = recompute_sse(x, assignment, centroids)
-    history.append(sse)
-    return assignment, centroids, sse, history
+    return assignment, history
 
 
 def _check_k(k: int, n: int) -> None:
@@ -310,12 +300,18 @@ def _rng_for(seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, restart])
 
 
-def _fit(features, k, seed, runner) -> FlatClustering:
+def _fit(features, k, seed, loop) -> FlatClustering:
+    """Per restart: k-means++ seeds, the variant's loop, then the final means and SSE."""
     x = features.values.astype(np.float64)
     _check_k(k, x.shape[0])
+    squared_distances = _squared_distance_kernel(x, k)
     best = None
     for r in range(_restart_count(x.shape[0])):
-        assignment, centroids, sse, history = runner(x, k, _rng_for(seed, r))
+        centroids = _kmeans_pp_init(x, k, _rng_for(seed, r))
+        assignment, history = loop(x, centroids, squared_distances)
+        centroids = _cluster_means(x, assignment, k)
+        sse = recompute_sse(x, assignment, centroids)
+        history.append(sse)
         if best is None or sse < best.sse:
             best = FlatClustering(
                 k=k, assignment=assignment, centroids=centroids, sse=sse, sse_history=history

@@ -300,8 +300,9 @@ def _refuse(broken: np.ndarray, message: str, *columns: np.ndarray) -> None:
 
 
 def validate_tree(tree: ModeTree) -> None:
-    """Structural checks: leaves first, links, single root, and counts that agree with
-    the leaf labels, so the nodes partition the rows; errors name the lowest bad node."""
+    """Structural checks: leaves first, links (so the root is the one node without a
+    parent), and counts that agree with the leaf labels, so the nodes partition the
+    rows; errors name the lowest bad node."""
     j, labels = tree.leaf_count, tree.leaf_labels
     if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < j):
         raise ValidationError(f"leaf labels must be row labels in [0, {j})")
@@ -318,9 +319,6 @@ def validate_tree(tree: ModeTree) -> None:
     _refuse(leaf_rows == 0, "leaf {} holds no rows", ids)
     expected = np.concatenate([leaf_rows, tree.counts[a] + tree.counts[b]])
     _refuse(tree.counts != expected, "node {} count {} != {} rows", ids, tree.counts, expected)
-    roots = np.flatnonzero(tree.parents < 0).tolist()
-    if roots != [tree.root_id]:
-        raise ValidationError(f"expected single root {tree.root_id}, found {roots}")
 
 
 def _record_dtype(d: int) -> np.dtype:
@@ -363,16 +361,13 @@ def load_tree(path: str | Path) -> ModeTree:
                 f"(reads binary version {TREE_VERSION})"
             )
         raise TreeFormatError(f"{path}: missing {TREE_MAGIC!r} magic; not a bmm tree")
-    if len(data) < 6:
+    if len(data) < _HEADER.size:
         raise TreeFormatError(f"{path}: truncated tree header")
-    version = int.from_bytes(data[4:6], "little")
+    _, version, n, j, d, seed, linkage, server_sha256 = _HEADER.unpack_from(data)
     if version != TREE_VERSION:
         raise TreeFormatError(
             f"{path}: tree version {version} is incompatible with this build (reads {TREE_VERSION})"
         )
-    if len(data) < _HEADER.size:
-        raise TreeFormatError(f"{path}: truncated tree header")
-    _, _, n, j, d, seed, linkage, server_sha256 = _HEADER.unpack_from(data)
     if j < 1 or d < 1:
         raise TreeFormatError(f"{path}: header declares {j} leaves of dimension {d}")
     total = 2 * j - 1

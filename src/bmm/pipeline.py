@@ -8,9 +8,9 @@ against leaves-only matching and the greedy direct-match baseline on a
 planted world, on the full cost matrix.
 
 Each stage takes the parameters it reads and checks those it is the first to
-need: the leaf count J in `build_server_tree`, the target mode count L
-against J in `run_match` and `run_bench`. eps is checked by the Fréchet
-kernel (`gap`) and the linkage by `build_hierarchy`.
+need: the leaf count J against the server rows in `build_server_tree`, the
+target mode count L against J in `run_match`, and both in `run_bench`. eps
+is checked by the Fréchet kernel (`gap`) and the linkage by `build_hierarchy`.
 """
 
 from __future__ import annotations
@@ -44,9 +44,14 @@ BENCH_VARIANTS = ("bmm_hier", "bmm_flat", "dm_dup")
 CANDIDATES = 4
 
 
-def _check_leaves(leaves: int) -> None:
+def _check_leaves(leaves: int, n: int) -> None:
+    """1 <= J <= n // 2, as each leaf needs 2 rows for its Gaussian statistics."""
     if leaves < 1:
         raise ParameterError(f"leaf count J={leaves} must be at least 1")
+    if leaves > n // 2:
+        raise ParameterError(
+            f"leaf count J={leaves} must be at most n // 2 = {n // 2} for n={n} server rows"
+        )
 
 
 def _check_target_clusters(leaves: int, clusters: int) -> None:
@@ -59,17 +64,8 @@ def _check_target_clusters(leaves: int, clusters: int) -> None:
 def build_server_tree(
     server: FeatureMatrix, leaves: int, seed: int = 0, linkage: str = "centroid"
 ) -> ModeTree:
-    """Balanced leaves then bottom-up merging: the one-time server build.
-
-    J is at least 1 and at most n // 2, as each leaf needs 2 rows for its
-    Gaussian statistics.
-    """
-    _check_leaves(leaves)
-    if leaves > server.n // 2:
-        raise ParameterError(
-            f"leaf count J={leaves} must be at most n // 2 = {server.n // 2} "
-            f"for n={server.n} server rows"
-        )
+    """Balanced leaves then bottom-up merging: the one-time server build."""
+    _check_leaves(leaves, server.n)
     _ = server.sha256  # refuses ids a manifest cannot hold before the fit; the tree reuses it
     return build_hierarchy(
         fit_balanced_kmeans(server, leaves, seed), server, linkage=linkage, seed=seed
@@ -205,15 +201,15 @@ def run_bench(
 
     Emits one row per (variant, J) cell with the selected-set gap, the
     matching precision against the planted truth, and the cell's wall time.
-    Every J is checked against L before any fit. The target clustering, its
-    truth alignment and the whole-target stats do not depend on J and are
-    computed once; each J gets its own tree and all-node cost matrix, shared
-    across variants (bmm_flat takes the matrix's leaf columns). `runtime`
+    Every J is checked against L and n // 2 before any fit. The target
+    clustering, its truth alignment and the whole-target stats do not depend
+    on J and are computed once; each J gets its own tree and all-node cost
+    matrix, shared across variants (bmm_flat takes its leaf columns). `runtime`
     covers the cell's matching, selection, selected-set gap and precision.
     """
     server, target, truth = generate(world)
     for leaves in leaves_sweep:
-        _check_leaves(leaves)
+        _check_leaves(leaves, server.n)
         _check_target_clusters(leaves, target_clusters)
     if not leaves_sweep:
         return []

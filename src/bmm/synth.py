@@ -12,6 +12,7 @@ dataclasses below (see load_world / save_world).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -315,17 +316,20 @@ def save_world(world: PlantedWorld, path: str | Path) -> None:
 
 
 def _spread_centers(rng: np.random.Generator, count: int, d: int, radius: float) -> np.ndarray:
-    """Well-separated random directions scaled to a radius.
+    """Well-separated random centers at a radius.
 
-    When count <= d the directions are orthonormalized, pinning pairwise
-    distances to radius * sqrt(2); otherwise they are only normalized.
+    When count <= d they are orthonormalized random directions, pinning
+    pairwise distances to radius * sqrt(2). Otherwise they are the first
+    count points of a d-dimensional grid of spacing radius, centered and
+    randomly rotated, so no two are closer than radius.
     """
-    centers = rng.normal(size=(count, d))
     if count <= d:
-        q, _ = np.linalg.qr(centers.T)
+        q, _ = np.linalg.qr(rng.normal(size=(count, d)).T)
         return q.T[:count] * radius
-    norms = np.sqrt((centers * centers).sum(axis=1, keepdims=True))
-    return centers / np.where(norms == 0, 1.0, norms) * radius
+    side = next(m for m in itertools.count(2) if m**d >= count)
+    grid = np.array(list(itertools.islice(itertools.product(range(side), repeat=d), count)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (grid - grid.mean(axis=0)) @ q * radius
 
 
 def _spread_supers(

@@ -18,7 +18,7 @@ from bmm import cli
 from bmm.cli import main
 from bmm.hierarchy import LINKAGES
 from bmm.pipeline import build_server_tree, target_mode_stats
-from bmm.synth import random_subset_world
+from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import one_blas_thread, run_python, shared_nearest_world
 
@@ -108,6 +108,21 @@ def test_leaf_count_above_half_the_rows_is_named(tmp_path, world_files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"must be at most n // 2 = {rows // 2}" in err and "Traceback" not in err
+
+
+def test_bench_refuses_an_oversized_j_before_fitting_any_tree(tmp_path, monkeypatch, capsys):
+    world_path = tmp_path / "world.json"
+    save_world(granularity_probe_world(seed=0), world_path)
+    fits = []
+    monkeypatch.setattr(bmm.pipeline, "fit_balanced_kmeans", lambda *a: fits.append(a))
+    code = main([
+        "bench", "--world", str(world_path), "--leaves", "16,32,64,128,5000",
+        "--target-clusters", "6", "--out", str(tmp_path / "bench.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: leaf count J=5000 must be at most n // 2 = 1600 for n=3200 server rows\n"
+    assert fits == [] and not (tmp_path / "bench.csv").exists()
 
 
 def test_leaf_count_below_one_is_named(tmp_path, world_files, capsys):
@@ -398,7 +413,20 @@ def _sub_count(value):
     return mutate
 
 
+def _set_key(*path, value):
+    """A mutation that sets the entry at path (keys and indexes) to value."""
+    def mutate(payload: dict) -> dict:
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+    return mutate
+
+
 # Each mutation takes a valid world config and returns the document to write.
+# The valid world has d=8, supers 0 (subs 0, 1) and 1 (sub 0), and targets 0
+# and 1 on sub (0, 0) and target 2 on sub (1, 0).
 MALFORMED_WORLDS = {
     # 10**12 rows: numpy refuses the allocation at once
     "count-huge": _sub_count(lambda count: 10**12),
@@ -411,6 +439,27 @@ MALFORMED_WORLDS = {
     "top-level-list": lambda p: [p],
     "offset-too-short": _short_offset,
     "mean-shift-too-short": _short_mean_shift,
+    "dimension-zero": _set_key("dimension", value=0),
+    "no-target-modes": _set_key("target_modes", value=[]),
+    "center-too-short": _set_key("super_modes", 0, "center", value=[0.0] * 7),
+    "super-without-subs": _set_key("super_modes", 1, "sub_modes", value=[]),
+    "unknown-super": _set_key("target_modes", 2, "super", value=2),
+    "unknown-sub": _set_key("target_modes", 0, "sub", value=2),
+    "target-count-one": _set_key("target_modes", 1, "count", value=1),
+    "scale-multiplier-zero": _set_key("target_modes", 2, "scale_multiplier", value=0.0),
+}
+
+
+# The refusal of each world that parses but breaks a rule of PlantedWorld.validate.
+MALFORMED_WORLD_ERRORS = {
+    "dimension-zero": "dimension must be >= 1, got 0",
+    "no-target-modes": "a world needs at least one super mode and one target mode",
+    "center-too-short": "super 0 center has the wrong dimension",
+    "super-without-subs": "super 1 has no sub modes",
+    "unknown-super": "target mode 2 references unknown super 2",
+    "unknown-sub": "target mode 0 references unknown sub 2",
+    "target-count-one": "target mode 1 needs count >= 2, got 1",
+    "scale-multiplier-zero": "target mode 2 has degenerate scale multiplier",
 }
 
 
@@ -427,6 +476,7 @@ def test_bench_rejects_malformed_world(tmp_path, mutation, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert MALFORMED_WORLD_ERRORS.get(mutation, "") in err
 
 
 def test_csv_feature_format_end_to_end(tmp_path, world_files):
@@ -680,6 +730,10 @@ MALFORMED_TREES = {
     "linkage-unknown": _v4(lambda h, l, r: _set(h, 6, len(LINKAGES))),
     "version-3": v3_bytes,
     "header-cut": lambda blob: blob[:5],
+    "header-cut-6-bytes": lambda blob: blob[:6],
+    "header-cut-63-bytes": lambda blob: blob[:63],
+    # a header cut before its end is truncated, whatever its version field holds
+    "version-99-cut-63-bytes": lambda blob: MALFORMED_TREES["version-99"](blob)[:63],
     "flipped-seed-byte": _flip(22),
     "flipped-server-digest-byte": _flip(40),
     "flipped-payload-byte": _flip(-100),
@@ -722,6 +776,9 @@ MALFORMED_TREES = {
 MALFORMED_TREE_ERRORS = {
     "version-3": "tree version 3 is incompatible",
     "header-cut": "truncated tree header",
+    "header-cut-6-bytes": "truncated tree header",
+    "header-cut-63-bytes": "truncated tree header",
+    "version-99-cut-63-bytes": "truncated tree header",
     "nan-spectrum": "non-finite",
     "inf-spectrum": "non-finite",
     "unsorted-spectrum": "ascending",

@@ -282,6 +282,49 @@ def test_version_mismatch_rejected(tmp_path, rng):
         load_tree(path)
 
 
+@st.composite
+def child_arrays(draw):
+    """(H, 2) child ids for H = 1..16 nodes: a random valid merge order, then
+    up to three entries overwritten with ids in [-2, H], or one row dropped."""
+    j = draw(st.integers(1, 8))
+    pool = list(range(j))
+    children = [(-1, -1)] * j
+    for node in range(j, 2 * j - 1):
+        a = pool.pop(draw(st.integers(0, len(pool) - 1)))
+        b = pool.pop(draw(st.integers(0, len(pool) - 1)))
+        children.append((a, b))
+        pool.append(node)
+    children = np.array(children, dtype=np.int64).reshape(-1, 2)
+    if draw(st.booleans()) and len(children) > 1:
+        children = children[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(children) - 1))
+        children[row, draw(st.integers(0, 1))] = draw(st.integers(-2, len(children)))
+    return children
+
+
+CHILD_CHECKS = ("must be the leaves", "needs two distinct lower child ids", "does not point back")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(child_arrays())
+def test_child_checks_leave_one_root(children):
+    """Whenever validate_tree's child checks pass, the root is the one node
+    without a parent, so the tree needs no separate single-root check."""
+    h = len(children)
+    j = (h + 1) // 2
+    tree = hierarchy.ModeTree(
+        children, np.ones(h, dtype=np.int64), np.zeros((h, 1)), np.zeros((h, 1, 1)),
+        np.zeros((h, 1)), np.arange(j), "centroid", 0, bytes(32),
+    )
+    try:
+        validate_tree(tree)
+    except ValidationError as exc:
+        if any(check in str(exc) for check in CHILD_CHECKS):
+            return
+    assert np.flatnonzero(tree.parents < 0).tolist() == [tree.root_id]
+
+
 def test_load_rejects_non_finite_stats(tmp_path, rng):
     fm = make_features(rng.normal(size=(12, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)

@@ -149,6 +149,18 @@ def test_generate_matches_row_by_row_oracle(make_world, seed):
     assert got[2].target_pairs == want[2].target_pairs
 
 
+@pytest.mark.parametrize("n_supers", [4, 8])
+def test_more_supers_than_dimensions_are_spread_apart(n_supers):
+    """Super centers sit at least a grid spacing (four times the validator's
+    gap) apart when there are more supers than dimensions."""
+    for seed in range(100):
+        world = random_subset_world(seed, d=2, n_supers=n_supers, per_sub=4, per_target=4)
+        world.validate()
+        centers = np.array([sup.center for sup in world.supers])
+        gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=2))
+        assert gaps[np.triu_indices(n_supers, 1)].min() >= 4 * 8.0 * 0.7 * (1 - 1e-12)
+
+
 def test_oracle_assignment_known_cases():
     a = oracle_assignment(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
     assert a.sigma == [1, 0] and a.total_cost == 4.0
