@@ -8,10 +8,18 @@ result is that of the greedy over all (point, cluster) pairs in one stable
 sort by distance, computed without that sort: in rounds where every
 unassigned point proposes its nearest open cluster and the proposals are
 accepted in distance order up to the first that names a cluster with no
-room left (see `_balanced_assign`).
+room left (see `_balanced_assign`). The proposals left after a round keep
+their (distance, point) order, and one stable sort merges in the
+re-proposals of the points whose cluster closed.
 
-A fit sums the row norms once and writes every Lloyd iteration's n x k
-squared distances into the same two buffers (`_squared_distance_kernel`).
+Seeding holds the rows column-major (d x n): each pick's distances are
+contiguous ops of length n, summed over the d rows in numpy's pairwise
+order (`_pairwise_row_sum`), and the next pick is drawn inline as
+`Generator.choice` draws it, so the picks keep every bit of the row-major
+loop. A fit seeds first, then sums the row norms once and writes every
+Lloyd iteration's n x k squared distances into the same two buffers
+(`_squared_distance_kernel`), so the seeding's buffers are freed before
+those exist.
 """
 
 from __future__ import annotations
@@ -71,26 +79,68 @@ def _squared_distance_kernel(x: np.ndarray, k: int):
     return squared_distances
 
 
+def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum the d rows of a (d, n) array in place, in the order of numpy's
+    pairwise sum over d contiguous values (`.sum(axis=1)` of the transpose),
+    and return the row holding the sums.
+
+    Below 8 rows a running sum; up to 128, eight accumulators over the full
+    blocks of eight, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the rest in order; above 128, each half so, split at d // 2 rounded
+    down to a multiple of 8.
+    """
+    d = rows.shape[0]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        np.add(_pairwise_row_sum(rows[:half]), _pairwise_row_sum(rows[half:]), out=rows[0])
+        return rows[0]
+    rest = 1
+    if d >= 8:
+        rest = d - d % 8
+        for i in range(8, rest, 8):
+            rows[:8] += rows[i:i + 8]
+        rows[0:8:2] += rows[1:8:2]
+        rows[0:8:4] += rows[2:8:4]
+        rows[0] += rows[4]
+    for i in range(rest, d):
+        rows[0] += rows[i]
+    return rows[0]
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007) for the rows of x.
+
+    Bit for bit those of `((x - x[i]) ** 2).sum(axis=1)` per pick and
+    `rng.choice(n, p=closest / total)`. The draw leaves out `choice`'s
+    checks on p, which cannot fail: float32 rows cannot overflow a float64
+    squared distance.
+    """
     n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    chosen = np.zeros(n, dtype=bool)
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
-    chosen[first] = True
-    closest = ((x - x[first]) ** 2).sum(axis=1)
-    for i in range(1, k):
+    xt = np.array(x.T, dtype=np.float64, order="C")
+    buf = np.empty_like(xt)
+    cdf = np.empty(n)
+
+    def squared_distances(i: int) -> np.ndarray:
+        np.subtract(xt, xt[:, i, None], out=buf)
+        np.multiply(buf, buf, out=buf)
+        return _pairwise_row_sum(buf)
+
+    picks = [int(rng.integers(n))]
+    # a copy: every later pick's distances overwrite the buffer
+    closest = squared_distances(picks[0]).copy()
+    for _ in range(1, k):
         total = float(closest.sum())
         if total > 0.0:
-            idx = int(rng.choice(n, p=closest / total))
+            np.divide(closest, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            picks.append(int(cdf.searchsorted(rng.random(), side="right")))
         else:
             # remaining mass is zero: every point coincides with a chosen
             # centroid; fall back to the lowest unchosen index
-            idx = int(np.flatnonzero(~chosen)[0])
-        centroids[i] = x[idx]
-        chosen[idx] = True
-        np.minimum(closest, ((x - x[idx]) ** 2).sum(axis=1), out=closest)
-    return centroids
+            picks.append(int(np.setdiff1d(np.arange(n), picks)[0]))
+        np.minimum(closest, squared_distances(picks[-1]), out=closest)
+    return xt[:, picks].T.copy()
 
 
 def _cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
@@ -168,16 +218,18 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
     # radix sort whenever k <= 65536
     choice = d2.argmin(axis=1).astype(np.min_scalar_type(k - 1))
     sizes = np.zeros(k, dtype=np.int64)
-    is_open = np.ones(k, dtype=bool)
     assignment = np.full(n, -1, dtype=np.int64)
-    pending = np.arange(n)
+    points = np.arange(n)
+    dist = d2[points, choice]
     while True:
-        moved = pending[~is_open[choice[pending]]]
-        if moved.size:
-            open_ids = np.flatnonzero(is_open)
-            choice[moved] = open_ids[d2[np.ix_(moved, open_ids)].argmin(axis=1)]
-        # pending is ascending, so the stable sort breaks distance ties by point
-        points = pending[np.argsort(d2[pending, choice[pending]], kind="stable")]
+        # points is in (distance, point) order up to the re-proposals appended
+        # by point, so the stable sort breaks a distance tie by point unless it
+        # puts a kept proposal before the tied re-proposal of a lower point
+        order = np.argsort(dist, kind="stable")
+        points, dist = points[order], dist[order]
+        if ((dist[1:] == dist[:-1]) & (points[1:] < points[:-1])).any():
+            order = np.lexsort((points, dist))
+            points, dist = points[order], dist[order]
         clusters = choice[points]
         # the size of each proposal's cluster before it: sizes plus the number
         # of the round's earlier proposals naming the same cluster
@@ -197,7 +249,14 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
         sizes += np.bincount(clusters[:stop], minlength=k)
         extras -= int(ceil[:stop].sum())
         is_open = sizes < base + (extras > 0)
-        pending = np.sort(points[stop:])
+        # the proposals left keep their order; the points whose cluster
+        # closed propose again, appended by point
+        kept = is_open[clusters[stop:]]
+        moved = np.sort(points[stop:][~kept])
+        open_ids = np.flatnonzero(is_open)
+        choice[moved] = open_ids[d2[np.ix_(moved, open_ids)].argmin(axis=1)]
+        points = np.concatenate([points[stop:][kept], moved])
+        dist = np.concatenate([dist[stop:][kept], d2[moved, choice[moved]]])
 
 
 SWAP_REFINE_LIMIT = 384
@@ -302,12 +361,15 @@ def _rng_for(seed: int, restart: int) -> np.random.Generator:
 
 def _fit(features, k, seed, loop) -> FlatClustering:
     """Per restart: k-means++ seeds, the variant's loop, then the final means and SSE."""
+    _check_k(k, features.n)
+    # seeds before the float64 rows and the distance buffers are made
+    centroids = _kmeans_pp_init(features.values, k, _rng_for(seed, 0))
     x = features.values.astype(np.float64)
-    _check_k(k, x.shape[0])
     squared_distances = _squared_distance_kernel(x, k)
     best = None
     for r in range(_restart_count(x.shape[0])):
-        centroids = _kmeans_pp_init(x, k, _rng_for(seed, r))
+        if r:
+            centroids = _kmeans_pp_init(features.values, k, _rng_for(seed, r))
         assignment, history = loop(x, centroids, squared_distances)
         centroids = _cluster_means(x, assignment, k)
         sse = recompute_sse(x, assignment, centroids)

@@ -362,6 +362,11 @@ def random_subset_world(
     scale: float = 0.7,
 ) -> PlantedWorld:
     """A world whose target covers a strict subset of the planted server modes."""
+    if not 1 <= n_target_modes <= n_supers * subs_per_super:
+        raise ParameterError(
+            f"n_target_modes must be in 1..{n_supers * subs_per_super} "
+            f"({n_supers} supers x {subs_per_super} subs), got {n_target_modes}"
+        )
     rng = np.random.default_rng([seed % 2**63, 101])
     supers = _spread_supers(rng, d, n_supers, subs_per_super, per_sub, scale)
     all_pairs = [(s, b) for s in range(n_supers) for b in range(subs_per_super)]

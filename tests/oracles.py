@@ -8,8 +8,11 @@ distance, written out one pair at a time, that the stacked kernel behind
 `gap.NodeCosts`, which reads the tree's stored spectra, must equal bit for bit.
 `oracle_balanced_assign` is the greedy over one global stable sort of all
 (point, cluster) distances that `clustering._balanced_assign` must equal
-exactly, and `oracle_cluster_means` the row-by-row `np.add.at` sum that
-`clustering._cluster_means` must reproduce bit for bit.
+exactly, `oracle_cluster_means` the row-by-row `np.add.at` sum that
+`clustering._cluster_means` must reproduce bit for bit, and
+`oracle_kmeans_pp` the k-means++ loop over row-major rows with
+`Generator.choice` whose picks and bits `clustering._kmeans_pp_init` must
+reproduce.
 `oracle_squared_distances` is the one-expression distance kernel that the
 buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
@@ -189,6 +192,29 @@ def oracle_balanced_assign(d2: np.ndarray) -> np.ndarray:
         if remaining == 0:
             break
     return np.asarray(assignment, dtype=np.int64)
+
+
+def oracle_kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds, one pick at a time: each pick's squared distances as
+    row sums of the broadcast difference, the next pick drawn with
+    Generator.choice(n, p=...), or the lowest unchosen row when no mass is left."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    chosen[first] = True
+    closest = ((x - x[first]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = float(closest.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(np.flatnonzero(~chosen)[0])
+        centroids[i] = x[idx]
+        chosen[idx] = True
+        np.minimum(closest, ((x - x[idx]) ** 2).sum(axis=1), out=closest)
+    return centroids
 
 
 def oracle_cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from bmm import (
     fit_kmeans,
 )
 from bmm.clustering import (
-    _balanced_assign, _cluster_means, _squared_distance_kernel, recompute_sse,
+    _balanced_assign, _cluster_means, _kmeans_pp_init, _pairwise_row_sum, _squared_distance_kernel,
+    recompute_sse,
 )
 
 from conftest import cluster_sizes, make_features
 from oracles import (
-    oracle_balanced_assign, oracle_balanced_partition, oracle_cluster_means,
+    oracle_balanced_assign, oracle_balanced_partition, oracle_cluster_means, oracle_kmeans_pp,
     oracle_squared_distances,
 )
 
@@ -206,11 +208,22 @@ def test_squared_distances_equal_oracle_bit_for_bit(case):
 
 def crowded(prefs, order):
     """Point i's nearest cluster is prefs[i], the proposals come in the given
-    point order, and every other cluster ranks by index behind it."""
+    point order, and every other cluster ranks by index behind it. Cases
+    with order None give the distances as prefs."""
     n, k = len(prefs), max(prefs) + 1
     d2 = 1.0 + np.arange(k)[None, :] + np.zeros((n, 1))
     d2[order, np.asarray(prefs)[order]] = np.arange(n) / (2.0 * n)
     return d2
+
+
+TIED_REPROPOSAL = np.array([
+    [0.1, 2.0, 3.0],
+    [0.2, 2.0, 3.0],
+    [0.3, 0.5, 0.9],
+    [2.0, 0.5, 0.9],
+    [2.0, 0.05, 3.0],
+    [2.0, 3.0, 0.01],
+])
 
 
 @pytest.mark.parametrize("prefs, order", [
@@ -227,13 +240,59 @@ def crowded(prefs, order):
     ([0, 0, 0, 1], [3, 0, 1, 2]),
     # every slot is taken in one round and nothing is refused
     ([0, 0, 0, 1, 1, 1, 2, 2], range(8)),
+    # the distances themselves: the first round stops at point 2's third
+    # proposal to cluster 0, and point 2 proposes again to cluster 1, at the
+    # distance of point 3's kept proposal there, for the one row left; the
+    # lower point takes it, whether it re-proposed or was kept
+    pytest.param(TIED_REPROPOSAL, None, id="reproposal-of-lower-point-ties-kept"),
+    pytest.param(TIED_REPROPOSAL[[0, 1, 3, 2, 4, 5]], None,
+                 id="reproposal-of-higher-point-ties-kept"),
 ])
 def test_balanced_assign_rounds_that_fill_several_clusters(prefs, order):
-    d2 = crowded(prefs, list(order))
+    d2 = np.asarray(prefs) if order is None else crowded(prefs, list(order))
     assert np.array_equal(_balanced_assign(d2), oracle_balanced_assign(d2))
     # the same rows with every proposal tied: the greedy breaks ties by point
     tied = np.where(d2 < 1.0, 0.0, d2)
     assert np.array_equal(_balanced_assign(tied), oracle_balanced_assign(tied))
+
+
+def test_pairwise_row_sum_equals_numpy_row_sums_bit_for_bit():
+    # squares spread over twelve decades, so a change of order moves the last bits
+    rng = np.random.default_rng(0)
+    for d in range(1, 301):
+        for n in (1, 33):
+            squares = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=d)) ** 2
+            assert _pairwise_row_sum(squares.T.copy()).tobytes() == squares.sum(axis=1).tobytes()
+
+
+@st.composite
+def seeding_cases(draw):
+    """float32 rows with d below 8, from 8 to 128 or above 128, of scaled
+    normals, small integers or copies of a few distinct rows (so that no
+    mass can be left), k being 1, n or any of 1..n, and a generator seed."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.sampled_from([130, 257])))
+    k = draw(st.sampled_from([1, n, None])) or draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "duplicated"]))
+    if kind == "normal":
+        x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, d))
+    elif kind == "integer":
+        x = rng.integers(-2, 3, size=(n, d))
+    else:
+        distinct = rng.normal(size=(draw(st.integers(1, 3)), d))
+        x = distinct[rng.integers(0, len(distinct), size=n)]
+    return x.astype(np.float32), k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(seeding_cases())
+def test_kmeans_pp_init_equals_oracle_bit_for_bit(case):
+    values, k, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    seeds = _kmeans_pp_init(values, k, rng)
+    assert seeds.tobytes() == oracle_kmeans_pp(values.astype(np.float64), k, oracle_rng).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @st.composite
@@ -266,3 +325,23 @@ def test_balanced_fit_equals_greedy_oracle_fit(seed, monkeypatch):
     greedy = fit_balanced_kmeans(fm, 32, seed)
     assert np.array_equal(fast.assignment, greedy.assignment)
     assert fast.sse_history == greedy.sse_history
+
+
+# The traced peak of each fit while its seeding still broadcast row-major
+# differences, in bytes (Python 3.11, numpy 2.4). Seeding before the fit's
+# float64 rows and distance buffers exist keeps it there; 2% is the margin.
+@pytest.mark.parametrize("fit, n, d, k, modes, reference_peak", [
+    (fit_balanced_kmeans, 10_240, 16, 128, 256, 25_103_399),
+    (fit_kmeans, 3_000, 32, 12, 12, 2_934_625),
+], ids=["balanced-10240x16-k128", "flat-3000x32-k12"])
+def test_fit_traced_peak_stays_flat(fit, n, d, k, modes, reference_peak):
+    rng = np.random.default_rng(0)
+    centers = rng.normal(scale=4.0, size=(modes, d))
+    fm = make_features(centers[rng.integers(0, modes, size=n)] + rng.normal(size=(n, d)))
+    tracemalloc.start()
+    try:
+        fit(fm, k, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * reference_peak

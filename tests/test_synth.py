@@ -284,3 +284,16 @@ def test_world_integers_are_json_integers(tmp_path, key, value):
     (tmp_path / "world.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=f"{key} must be an integer"):
         load_world(tmp_path / "world.json")
+
+
+@pytest.mark.parametrize("n_target_modes", [0, -1, 17])
+def test_random_subset_world_refuses_target_modes_it_cannot_pick(n_target_modes):
+    with pytest.raises(ParameterError, match=rf"n_target_modes must be in 1\.\.16 .*got {n_target_modes}"):
+        random_subset_world(0, n_target_modes=n_target_modes)
+
+
+@pytest.mark.parametrize("n_target_modes", [1, 16])
+def test_random_subset_world_picks_up_to_every_sub_mode(n_target_modes):
+    world = random_subset_world(0, n_target_modes=n_target_modes)
+    picked = {(tm.super_idx, tm.sub_idx) for tm in world.targets}
+    assert len(world.targets) == len(picked) == n_target_modes
