@@ -2,12 +2,13 @@
 
 The solver finds the injective map sigma minimizing the total pairwise
 distance over an L x H cost matrix (L <= H) via shortest augmenting paths
-with dual potentials, working directly on the rectangular matrix. Costs are
-carried as (distance, tie_weight) pairs where the integer tie weight encodes
-positional preference, so among equal-cost optima the lexicographically
-smallest sigma is the unique optimum rather than a post-hoc repair. Float
-potentials can still miss it among targets with equal rows or nodes with
-equal columns; `lex_smallest_relabeling` settles those ties exactly.
+with dual potentials, working directly on the rectangular matrix. It runs on
+exact integers: each float64 cost scaled to a common power of two, with an
+integer tie weight in the low bits that encodes positional preference. So
+the answer is one stated optimum for every input: the lexicographically
+smallest sigma among those whose exact total, the real sum of the float64
+entries, is least. The reported total_cost is the float sum in target order,
+which on a near tie can be one ulp above another assignment's float sum.
 
 The greedy per-target argmin baseline (direct match, where targets may share
 a node), the deduplicating training-set selection and its per-node strata
@@ -39,11 +40,6 @@ def _checked(cost: np.ndarray) -> np.ndarray:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise ValidationError(f"cost matrix must be 2-D and non-empty, got {cost.shape}")
-    n_targets, n_nodes = cost.shape
-    if n_targets > n_nodes:
-        raise InfeasibleMatchError(
-            f"{n_targets} target modes cannot match one-to-one into {n_nodes} candidate nodes"
-        )
     if not np.isfinite(cost).all():
         y, x = np.argwhere(~np.isfinite(cost))[0]
         raise ValidationError(f"non-finite cost at target {y}, node column {x}")
@@ -66,54 +62,65 @@ class Assignment:
             raise ValidationError(f"assignment is not one-to-one: {self.sigma}")
 
 
-def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
-    """Rectangular assignment by shortest augmenting paths over (cost, tie) pairs."""
+def _exact_integers(cost: np.ndarray) -> list[list[int]]:
+    """Each cost as an exact integer whose low bits hold its tie weight.
+
+    A float64 is an integer mantissa times a power of two (`np.frexp`), so
+    shifting every mantissa to the matrix's smallest exponent makes every cost
+    an integer and every sum exact. k*L more bits, with k bits per column
+    index, make room below the cost for the tie weight j << k*(L-1-i): over an
+    assignment the weights spell sigma in base 2**k and sum below one unit of
+    cost, so they order only assignments of equal exact total.
+    """
     n_rows, n_cols = cost.shape
-    base = n_cols + 1
-    place = [base ** (n_rows - 1 - i) for i in range(n_rows)]
-    INF = (math.inf, 0)
-    ZERO = (0.0, 0)
-    rows = cost.tolist()
+    mantissa, exponent = np.frexp(cost)
+    low = exponent.min(where=mantissa != 0, initial=exponent.max())
+    k = n_cols.bit_length()
+    ints = (mantissa * 2.0**53).astype(np.int64).astype(object)
+    shifts = (np.maximum(exponent - low, 0) + k * n_rows).astype(object)  # a zero has exponent 0
+    places = (k * np.arange(n_rows - 1, -1, -1)).astype(object)
+    return ((ints << shifts) + (np.arange(n_cols).astype(object) << places[:, None])).tolist()
+
+
+def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
+    """Rectangular assignment by shortest augmenting paths on exact integers."""
+    n_rows, n_cols = cost.shape
+    rows = [[0, *row] for row in _exact_integers(cost)]  # 1-based like the columns
 
     # 1-based arrays; column 0 is the virtual start of each augmenting path
-    u = [ZERO] * (n_rows + 1)
-    v = [ZERO] * (n_cols + 1)
+    u = [0] * (n_rows + 1)
+    v = [0] * (n_cols + 1)
     matched_row = [0] * (n_cols + 1)
     way = [0] * (n_cols + 1)
 
     for i in range(1, n_rows + 1):
         matched_row[0] = i
         j0 = 0
-        minv = [INF] * (n_cols + 1)
+        minv = [math.inf] * (n_cols + 1)  # each unused column's is an int after one scan
         used = [False] * (n_cols + 1)
         while True:
             used[j0] = True
             i0 = matched_row[j0]
             row = rows[i0 - 1]
-            weight = place[i0 - 1]
-            u0, u1 = u[i0]
-            delta = INF
+            u0 = u[i0]
+            delta = math.inf
             j_next = 0
             for j in range(1, n_cols + 1):
                 if used[j]:
                     continue
-                v0, v1 = v[j]
-                cur = (row[j - 1] - u0 - v0, (j - 1) * weight - u1 - v1)
+                cur = row[j] - u0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j_next = j
-            d0, d1 = delta
             for j in range(n_cols + 1):
                 if used[j]:
-                    r = matched_row[j]
-                    u[r] = (u[r][0] + d0, u[r][1] + d1)
-                    v[j] = (v[j][0] - d0, v[j][1] - d1)
+                    u[matched_row[j]] += delta
+                    v[j] -= delta
                 else:
-                    m = minv[j]
-                    minv[j] = (m[0] - d0, m[1] - d1)
+                    minv[j] -= delta
             j0 = j_next
             if matched_row[j0] == 0:
                 break
@@ -129,55 +136,25 @@ def _solve_lex_hungarian(cost: np.ndarray) -> list[int]:
     return sigma
 
 
-def _classes(keys: np.ndarray) -> list[int]:
-    """Each key row's class: the index of the first row with the same bytes."""
-    first: dict[bytes, int] = {}
-    return [first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)]
+def solve_assignment(cost: np.ndarray) -> Assignment:
+    """Globally optimal one-to-one matching of L <= H targets: the
+    lexicographically smallest sigma among those whose exact total (the real
+    sum of the float64 entries) is least.
 
-
-def lex_smallest_relabeling(
-    sigma: Sequence[int], row_keys: np.ndarray, col_keys: np.ndarray
-) -> list[int]:
-    """The lexicographically smallest injective map that gives each class of
-    equal rows as many columns of each class of equal columns as sigma does.
-
-    Rows with equal keys are interchangeable targets and columns with equal
-    keys interchangeable nodes (keys are compared by their bytes), so every
-    such map costs what sigma costs. The solver's float potentials alone do
-    not always return the smallest one. Each target in turn takes the lowest
-    unused column among the column classes its row class still needs.
+    total_cost is the float sum in target order, so on a near tie it can be
+    one ulp above another assignment's float sum.
     """
-    rows, cols = _classes(row_keys), _classes(col_keys)
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        return list(sigma)
-    need = Counter((rows[i], cols[j]) for i, j in enumerate(sigma))
-    members: dict[int, list[int]] = {}
-    for j, c in enumerate(cols):
-        members.setdefault(c, []).append(j)
-    used = Counter()  # columns taken from each class, lowest first
-    relabeled = []
-    for r in rows:
-        _, c = min((members[k][used[k]], k) for (q, k), n in need.items() if q == r and n)
-        relabeled.append(members[c][used[c]])
-        used[c] += 1
-        need[r, c] -= 1
-    return relabeled
-
-
-def assignment_on(cost: np.ndarray, sigma: Sequence[int]) -> Assignment:
-    """sigma with its total cost, summed in target order."""
+    cost = _checked(cost)
+    n_targets, n_nodes = cost.shape
+    if n_targets > n_nodes:
+        raise InfeasibleMatchError(
+            f"{n_targets} target modes cannot match one-to-one into {n_nodes} candidate nodes"
+        )
+    sigma = _solve_lex_hungarian(cost)
     total = 0.0
     for i, j in enumerate(sigma):
         total += float(cost[i, j])
-    return Assignment(sigma=list(sigma), total_cost=total)
-
-
-def solve_assignment(cost: np.ndarray) -> Assignment:
-    """Globally optimal one-to-one matching; equal-cost ties break to the
-    lexicographically smallest sigma."""
-    cost = _checked(cost)
-    sigma = _solve_lex_hungarian(cost)
-    return assignment_on(cost, lex_smallest_relabeling(sigma, cost, cost.T))
+    return Assignment(sigma=sigma, total_cost=total)
 
 
 def direct_match(cost: np.ndarray) -> list[int]:

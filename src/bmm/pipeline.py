@@ -15,7 +15,6 @@ is checked by the Fréchet kernel (`gap`) and the linkage by `build_hierarchy`.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,9 +29,7 @@ from .hierarchy import ModeTree, build_hierarchy
 from .matching import (
     Assignment,
     SelectionResult,
-    assignment_on,
     direct_match,
-    lex_smallest_relabeling,
     selection_from_matches,
     select_training_set,
     solve_assignment,
@@ -107,19 +104,14 @@ def match_modes(
     only for the pairs that their lower bounds cannot rule out; also a cost
     matrix that is exact at every matched pair and may hold bounds elsewhere.
 
-    The mixed matrix holds exact costs where computed and bounds elsewhere, so
-    it is at most the exact matrix entry by entry. Each target first gets its
-    CANDIDATES lowest-bound columns, and any bound of 0, exactly; after each
-    solve, every matched pair that is still a bound is computed and the matrix
-    solved again. Once the solution uses only exact entries its cost is exact
-    and no assignment costs less. Any other exact optimum then costs the same
-    on the mixed matrix, so it uses no bound below its exact cost: it lies on
-    computed entries, as every bound above 0 sits below the cost it bounds.
-    The last solve keeps only the computed entries, so its lexicographic
-    tie-break works on exact values, as it does on the full matrix. Target
-    modes (nodes) with equal statistics have equal exact rows (columns), so
-    sigma is relabeled among them as `solve_assignment` relabels among equal
-    rows and columns.
+    Each target first gets its CANDIDATES lowest-bound columns, and any bound
+    of 0, exactly; after each solve, every matched pair that is still a bound
+    is computed and the matrix solved again. The loop ends when sigma uses
+    only exact entries. The mixed matrix is at most the exact one entry by
+    entry, so any exact optimum sigma' costs no more than sigma on the mixed
+    matrix and is a mixed optimum too. The solver returns the
+    lexicographically smallest mixed optimum, so sigma <= sigma': it is the
+    full matrix's answer.
 
     The full matrix is computed instead where the bounds do not apply (more
     target modes than nodes, or statistics outside the bound's proven range),
@@ -141,27 +133,10 @@ def match_modes(
             cols = np.flatnonzero(todo[y])
             mixed[y, cols] = nodes.row(stats[y], cols)
         exact |= todo
-        sigma = solve_assignment(mixed).sigma
+        assignment = solve_assignment(mixed)
         todo[:] = False
-        todo[targets, sigma] = ~exact[targets, sigma]
-    # The columns with computed entries; any other entry costs more than the
-    # optimum in `known`, and as an integer it keeps integer costs exact.
-    used = np.flatnonzero(exact.any(axis=0))
-    ceiling = 2.0 * math.ceil(assignment_on(mixed, sigma).total_cost) + 1.0
-    known = np.where(exact[:, used], mixed[:, used], ceiling)
-    sigma = lex_smallest_relabeling(
-        used[solve_assignment(known).sigma],
-        _stats_keys([t.mean for t in stats], [t.cov for t in stats]),
-        _stats_keys(tree.means, tree.covs),
-    )
-    for y in np.flatnonzero(~exact[targets, sigma]):
-        mixed[y, sigma[y]] = nodes.row(stats[y], sigma[y:y + 1])[0]
-    return assignment_on(mixed, sigma), mixed
-
-
-def _stats_keys(means: Sequence[np.ndarray], covs: Sequence[np.ndarray]) -> np.ndarray:
-    """One row per mode holding its mean and covariance: equal rows, equal costs."""
-    return np.concatenate([np.stack(means), np.stack(covs).reshape(len(covs), -1)], axis=1)
+        todo[targets, assignment.sigma] = ~exact[targets, assignment.sigma]
+    return assignment, mixed
 
 
 def run_match(

@@ -17,8 +17,10 @@ reproduce.
 buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
 matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
-equal node for node. `oracle_direct_match_no_duplicates` is the greedy
-direct match that leaves a target unmatched when an earlier target already
+equal node for node. `oracle_exact_assignment` is the exhaustive
+assignment over exact `Fraction` totals whose answer `bmm.solve_assignment`
+must return on every input, near ties included, and
+`oracle_direct_match_no_duplicates` the greedy direct match that leaves a target unmatched when an earlier target already
 claimed its nearest node, and `oracle_generate` the planted-world sampler
 that draws whole-super target rows one row at a time, which `bmm.generate`
 must reproduce bit for bit. `oracle_string_block`, `oracle_read_manifest` and
@@ -29,6 +31,7 @@ the bulk ones in `bmm.features` must equal, outputs and error messages alike.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +116,33 @@ def oracle_assignment(cost: np.ndarray) -> Assignment:
             best_total = total
             best_sigma = perm
     return Assignment(sigma=list(best_sigma), total_cost=best_total)
+
+
+def oracle_exact_assignment(cost: np.ndarray) -> Assignment:
+    """Exhaustive minimum of the exact totals (`Fraction` sums of the float64
+    entries) over all injective maps; lexicographically first on ties. The
+    total_cost is the float sum of that map in target order."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n_rows, n_cols = cost.shape
+    if n_rows > ORACLE_ASSIGN_MAX_TARGETS or n_cols > ORACLE_ASSIGN_MAX_NODES:
+        raise ParameterError(
+            f"oracle refuses {n_rows}x{n_cols}; limits are "
+            f"{ORACLE_ASSIGN_MAX_TARGETS}x{ORACLE_ASSIGN_MAX_NODES}"
+        )
+    if n_rows > n_cols:
+        raise ParameterError(f"need at least as many nodes as targets, got {n_rows}x{n_cols}")
+    rows = [[Fraction(x) for x in row] for row in cost.tolist()]
+    best_sigma = None
+    best_total = None
+    for perm in itertools.permutations(range(n_cols), n_rows):
+        total = sum(rows[i][perm[i]] for i in range(n_rows))
+        if best_total is None or total < best_total:
+            best_total = total
+            best_sigma = perm
+    float_total = 0.0
+    for i, j in enumerate(best_sigma):
+        float_total += float(cost[i, j])
+    return Assignment(sigma=list(best_sigma), total_cost=float_total)
 
 
 def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:

@@ -21,7 +21,11 @@ from bmm.matching import (
 )
 
 from conftest import make_features, unmatched
-from oracles import oracle_assignment, oracle_direct_match_no_duplicates
+from oracles import (
+    oracle_assignment,
+    oracle_direct_match_no_duplicates,
+    oracle_exact_assignment,
+)
 
 
 def problem_of(cost) -> np.ndarray:
@@ -55,7 +59,7 @@ def test_lexicographic_tie_breaks():
 
 def test_equal_float_columns_break_ties_lexicographically():
     """Copies of a float column tie every assignment that swaps targets among
-    them; the solver's float potentials alone do not always pick the smallest."""
+    them exactly; the lexicographically smallest one wins."""
     rng = np.random.default_rng(2024)
     for _ in range(400):
         n_rows = int(rng.integers(2, 6))
@@ -83,6 +87,69 @@ def test_equal_float_rows_take_their_columns_in_order():
         mine = solve_assignment(problem_of(cost))
         assert mine.sigma[source] < mine.sigma[copy]
         assert mine.total_cost == pytest.approx(oracle_assignment(cost).total_cost, rel=1e-12)
+
+
+def assert_exact_optimum(cost) -> None:
+    mine = solve_assignment(problem_of(cost))
+    ref = oracle_exact_assignment(cost)
+    assert mine.sigma == ref.sigma
+    assert np.float64(mine.total_cost).tobytes() == np.float64(ref.total_cost).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_near_ties_follow_the_exact_total(scale):
+    """c[i, j] = a_i + b_j: every order of the same columns ties in real
+    arithmetic, so only the rounding of each float64 entry tells them apart."""
+    rng = np.random.default_rng(int(scale))
+    for _ in range(150):
+        n_rows = int(rng.integers(2, 6))
+        n_cols = int(rng.integers(n_rows, 7))
+        a, b = rng.random(n_rows) * scale, rng.random(n_cols) * scale
+        assert_exact_optimum(a[:, None] + b[None, :])
+
+
+def test_equal_rows_and_columns_follow_the_exact_total():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n_rows = int(rng.integers(2, 6))
+        n_cols = int(rng.integers(n_rows, 7))
+        if trial % 2:
+            cost = rng.integers(0, 4, size=(n_rows, n_cols)).astype(float)
+        else:
+            cost = rng.random((n_rows, n_cols)) * 10
+        source, copy = rng.choice(n_rows, 2, replace=False)
+        cost[copy] = cost[source]
+        source, copy = rng.choice(n_cols, 2, replace=False)
+        cost[:, copy] = cost[:, source]
+        assert_exact_optimum(cost)
+
+
+EXTREMES = [0.0, 5e-324, 1e-323, 1e-300, 0.1, 1.0, 3.0, 1e300, 1.6e308, 1.7e308]
+
+
+@pytest.mark.parametrize(
+    "cost, sigma",
+    [
+        ([[0.0]], [0]),
+        (np.zeros((3, 4)), [0, 1, 2]),
+        ([[5e-324, 0.0], [0.0, 5e-324]], [1, 0]),
+        ([[1.7e308, 1.7e308, 0.0], [1.7e308, 1.6e308, 1.7e308]], [2, 1]),
+        # the float sums tie at 1e300; the exact totals differ by 1e-300
+        ([[1e-300, 1e300], [0.0, 1e300]], [1, 0]),
+    ],
+    ids=["zero", "all-zero", "subnormal", "largest", "1e-300-next-to-1e300"],
+)
+def test_extreme_entries_convert_exactly(cost, sigma):
+    assert solve_assignment(problem_of(cost)).sigma == sigma
+    assert_exact_optimum(problem_of(cost))
+
+
+def test_extreme_entries_follow_the_exact_total():
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        n_rows = int(rng.integers(1, 5))
+        n_cols = int(rng.integers(n_rows, 6))
+        assert_exact_optimum(rng.choice(EXTREMES, size=(n_rows, n_cols)))
 
 
 def test_matches_oracle_on_random_instances(rng):
@@ -133,6 +200,11 @@ def test_direct_match_duplicates():
     nodup = oracle_direct_match_no_duplicates(p)
     assert nodup == [0, None]
     assert unmatched(nodup) == [1]
+
+
+def test_direct_match_takes_more_targets_than_nodes():
+    """Targets may share a node, so L > H needs no one-to-one room."""
+    assert direct_match(problem_of([[1.0, 2.0], [3.0, 1.0], [0.5, 0.7]])) == [0, 1, 0]
 
 
 def test_direct_match_lower_bounds_optimal(rng):

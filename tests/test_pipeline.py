@@ -184,7 +184,8 @@ def bounded_match_case(rng, kind: str):
     kind=st.sampled_from(["random", "duplicate-leaves", "integer-ties"]),
     seed=st.integers(0, 2**32 - 1),
 )
-# the solver alone breaks these ties wrongly: two equal leaves, then two equal target modes
+# exact ties between two equal leaves, then two equal target modes: the bounded
+# match must return the full solve's lexicographically smallest sigma
 @example(kind="duplicate-leaves", seed=143465352)
 @example(kind="duplicate-leaves", seed=10307)
 def test_bounded_match_equals_the_full_matrix_solve(kind, seed):
