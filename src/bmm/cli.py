@@ -26,7 +26,7 @@ from .features import (
     write_manifest,
 )
 from .gap import DEFAULT_EPS, cost_matrix, write_cost_matrix_csv
-from .hierarchy import ModeTree, load_tree, persist_tree
+from .hierarchy import LINKAGES, ModeTree, load_tree, persist_tree
 from .matching import match_report_payload, node_strata, render_match_report
 from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
 from .pruning import Budget, prune
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server-features", required=True)
     p.add_argument("--leaves", type=int, default=128, help="leaf cluster count J (default 128)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--linkage", choices=("centroid", "ward"), default="centroid")
+    p.add_argument("--linkage", choices=LINKAGES, default="centroid")
     p.add_argument("--tree", required=True, help="output path for the persisted tree")
     _add_feature_format(p)
 
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-clusters", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
-    p.add_argument("--linkage", choices=("centroid", "ward"), default="centroid")
+    p.add_argument("--linkage", choices=LINKAGES, default="centroid")
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
 

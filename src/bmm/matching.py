@@ -15,9 +15,9 @@ a node), the deduplicating training-set selection and its per-node strata
 (`node_strata`, which a stratified prune draws from) live here as well.
 Every stage takes a bare L x H cost matrix: row i is target mode i (reported
 as mode-i) and column j is tree node j, so no label lists travel with it.
-The matrix is `gap.cost_matrix`, or from `pipeline.match_modes` one that is
-exact at the matched pairs and may hold lower bounds elsewhere, which is all
-that selection reads. Every target mode is matched to a node.
+`pipeline.match_modes` runs the solver and the direct match on matrices that
+hold lower bounds where a cost is not needed; selection reads only the
+matched pairs, which are exact. Every target mode is matched to a node.
 """
 
 from __future__ import annotations

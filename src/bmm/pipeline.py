@@ -2,10 +2,10 @@
 
 The tree build is the expensive offline step; matching a target against a
 persisted tree is cheap and repeatable. A match computes exact Fréchet costs
-only for the pairs that their lower bounds cannot rule out of the optimal
-assignment. Benchmark runs compare the full hierarchical candidate set
-against leaves-only matching and the greedy direct-match baseline on a
-planted world, on the full cost matrix.
+only for the pairs that their lower bounds cannot rule out of its answer.
+Benchmark runs compare the full hierarchical candidate set against
+leaves-only matching and the greedy direct-match baseline on a planted
+world, each through the same bounded match.
 
 Each stage takes the parameters it reads and checks those it is the first to
 need: the leaf count J against the server rows in `build_server_tree`, the
@@ -37,7 +37,7 @@ from .matching import (
 from .synth import PlantedWorld, align_truth, generate, matching_precision
 
 BENCH_VARIANTS = ("bmm_hier", "bmm_flat", "dm_dup")
-# Exact costs computed for each target mode, at its smallest bounds, before the first solve.
+# Exact costs computed for each target mode, at its smallest bounds, before the first pick.
 CANDIDATES = 4
 
 
@@ -88,8 +88,8 @@ def target_mode_stats(
 
 @dataclass
 class MatchOutcome:
-    """A target's clustering, its per-mode stats (the rows of
-    `cost_matrix(tree, stats, eps)`), the assignment and the selected rows."""
+    """A target's clustering, its per-mode stats, the assignment (that of the
+    full `cost_matrix(tree, stats, eps)`, found from bounds) and the selected rows."""
 
     clustering: FlatClustering
     stats: list[ModeStats]
@@ -98,34 +98,43 @@ class MatchOutcome:
 
 
 def match_modes(
-    tree: ModeTree, stats: Sequence[ModeStats], eps: float = DEFAULT_EPS
-) -> tuple[Assignment, np.ndarray]:
+    tree: ModeTree, stats: Sequence[ModeStats], eps: float = DEFAULT_EPS,
+    variant: str = BENCH_VARIANTS[0],
+) -> tuple[Assignment | list[int], np.ndarray]:
     """solve_assignment(cost_matrix(tree, stats, eps)), computing exact costs
     only for the pairs that their lower bounds cannot rule out; also a cost
     matrix that is exact at every matched pair and may hold bounds elsewhere.
+    A bench `variant` sets the columns (bmm_flat's are the leaves, node ids
+    0..J-1) and the pick (dm_dup returns direct_match's node ids).
 
     Each target first gets its CANDIDATES lowest-bound columns, and any bound
-    of 0, exactly; after each solve, every matched pair that is still a bound
-    is computed and the matrix solved again. The loop ends when sigma uses
+    of 0, exactly; after each pick, every picked pair that is still a bound
+    is computed and the matrix picked again. The loop ends when the pick uses
     only exact entries. The mixed matrix is at most the exact one entry by
     entry, so any exact optimum sigma' costs no more than sigma on the mixed
     matrix and is a mixed optimum too. The solver returns the
     lexicographically smallest mixed optimum, so sigma <= sigma': it is the
-    full matrix's answer.
+    full matrix's answer. Likewise no exact entry is below an exact mixed row
+    minimum, nor equal to it in a lower column: it is direct_match's pick.
 
-    The full matrix is computed instead where the bounds do not apply (more
-    target modes than nodes, or statistics outside the bound's proven range),
-    so every error reads as it does from `cost_matrix`.
+    The variant's columns of the full matrix are computed instead where the
+    bounds do not apply (more target modes than one-to-one columns, or
+    statistics outside the bound's proven range), so every error reads as it
+    does from `cost_matrix`.
     """
+    if variant not in BENCH_VARIANTS:
+        raise ParameterError(f"unknown variant {variant!r}, expected one of {BENCH_VARIANTS}")
+    width = tree.leaf_count if variant == "bmm_flat" else tree.node_count
+    pick = direct_match if variant == "dm_dup" else solve_assignment
     nodes = NodeCosts(tree, eps)
-    bounds = nodes.lower_bounds(stats) if len(stats) <= tree.node_count else None
+    bounds = None if variant != "dm_dup" and len(stats) > width else nodes.lower_bounds(stats)
     if bounds is None:
-        cost = cost_matrix(tree, stats, eps=eps)
-        return solve_assignment(cost), cost
-    mixed = bounds.copy()
-    exact = np.zeros(bounds.shape, dtype=bool)
-    todo = bounds == 0.0
-    lowest = np.argsort(bounds, axis=1, kind="stable")[:, :CANDIDATES]
+        cost = cost_matrix(tree, stats, eps=eps)[:, :width]
+        return pick(cost), cost
+    mixed = bounds[:, :width].copy()
+    exact = np.zeros(mixed.shape, dtype=bool)
+    todo = mixed == 0.0
+    lowest = np.argsort(mixed, axis=1, kind="stable")[:, :CANDIDATES]
     np.put_along_axis(todo, lowest, True, axis=1)
     targets = np.arange(len(stats))
     while todo.any():
@@ -133,10 +142,11 @@ def match_modes(
             cols = np.flatnonzero(todo[y])
             mixed[y, cols] = nodes.row(stats[y], cols)
         exact |= todo
-        assignment = solve_assignment(mixed)
+        result = pick(mixed)
+        sigma = result if variant == "dm_dup" else result.sigma
         todo[:] = False
-        todo[targets, assignment.sigma] = ~exact[targets, assignment.sigma]
-    return assignment, mixed
+        todo[targets, sigma] = ~exact[targets, sigma]
+    return result, mixed
 
 
 def run_match(
@@ -178,9 +188,9 @@ def run_bench(
     matching precision against the planted truth, and the cell's wall time.
     Every J is checked against L and n // 2 before any fit. The target
     clustering, its truth alignment and the whole-target stats do not depend
-    on J and are computed once; each J gets its own tree and all-node cost
-    matrix, shared across variants (bmm_flat takes its leaf columns). `runtime`
-    covers the cell's matching, selection, selected-set gap and precision.
+    on J and are computed once; each J gets its own tree, and each variant
+    its own bounded `match_modes`. `runtime` covers the cell's matching,
+    selection, selected-set gap and precision.
     """
     server, target, truth = generate(world)
     for leaves in leaves_sweep:
@@ -194,16 +204,11 @@ def run_bench(
     rows: list[dict] = []
     for leaves in leaves_sweep:
         tree = build_server_tree(server, leaves, seed, linkage)
-        shared = cost_matrix(tree, stats, eps=eps)
         for variant in BENCH_VARIANTS:
             started = time.perf_counter()
-            # leaves are nodes 0..J-1, so the flat variant's columns are the first J
-            cost = shared[:, : tree.leaf_count] if variant == "bmm_flat" else shared
-            if variant == "dm_dup":
-                selection = selection_from_matches(tree, direct_match(cost), cost)
-            else:
-                assignment = solve_assignment(cost)
-                selection = select_training_set(tree, assignment, cost)
+            result, cost = match_modes(tree, stats, eps, variant)
+            matches = result if variant == "dm_dup" else result.sigma
+            selection = selection_from_matches(tree, matches, cost)
             selected = gaussian_stats(server, selection.sample_rows)
             rows.append(
                 {

@@ -59,6 +59,13 @@ class PlantedWorld:
     targets: list[TargetMode]
     seed: int = 0
 
+    def _check_vector(self, value, what: str) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        if value.size != self.dimension:
+            raise ValidationError(f"{what} has the wrong dimension")
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{what} is not finite")
+
     def validate(self) -> None:
         if self.dimension < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
@@ -66,14 +73,12 @@ class PlantedWorld:
             raise ParameterError("a world needs at least one super mode and one target mode")
         max_scale = 0.0
         for s, sup in enumerate(self.supers):
-            if np.asarray(sup.center).size != self.dimension:
-                raise ValidationError(f"super {s} center has the wrong dimension")
+            self._check_vector(sup.center, f"super {s} center")
             if not sup.subs:
                 raise ValidationError(f"super {s} has no sub modes")
             for b, sub in enumerate(sup.subs):
-                if np.asarray(sub.offset).size != self.dimension:
-                    raise ValidationError(f"sub mode ({s},{b}) offset has the wrong dimension")
-                if sub.scale <= 0:
+                self._check_vector(sub.offset, f"sub mode ({s},{b}) offset")
+                if not 0 < sub.scale < np.inf:
                     raise ParameterError(f"sub mode ({s},{b}) has degenerate scale {sub.scale}")
                 if sub.count < 2:
                     raise ParameterError(f"sub mode ({s},{b}) needs count >= 2, got {sub.count}")
@@ -93,11 +98,11 @@ class PlantedWorld:
             subs = self.supers[tm.super_idx].subs
             if tm.sub_idx is not None and not 0 <= tm.sub_idx < len(subs):
                 raise ValidationError(f"target mode {m} references unknown sub {tm.sub_idx}")
-            if tm.mean_shift is not None and np.asarray(tm.mean_shift).size != self.dimension:
-                raise ValidationError(f"target mode {m} mean shift has the wrong dimension")
+            if tm.mean_shift is not None:
+                self._check_vector(tm.mean_shift, f"target mode {m} mean shift")
             if tm.count < 2:
                 raise ParameterError(f"target mode {m} needs count >= 2, got {tm.count}")
-            if tm.scale_multiplier <= 0:
+            if not 0 < tm.scale_multiplier < np.inf:
                 raise ParameterError(f"target mode {m} has degenerate scale multiplier")
 
 

@@ -17,31 +17,36 @@ reproduce.
 buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
 matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
-equal node for node. `oracle_exact_assignment` is the exhaustive
-assignment over exact `Fraction` totals whose answer `bmm.solve_assignment`
-must return on every input, near ties included, and
-`oracle_direct_match_no_duplicates` the greedy direct match that leaves a target unmatched when an earlier target already
-claimed its nearest node, and `oracle_generate` the planted-world sampler
-that draws whole-super target rows one row at a time, which `bmm.generate`
-must reproduce bit for bit. `oracle_string_block`, `oracle_read_manifest` and
-`oracle_write_manifest` are the one-string-at-a-time readers and writer that
-the bulk ones in `bmm.features` must equal, outputs and error messages alike.
+equal node for node. `oracle_assignment` is the exhaustive assignment over
+exact integer totals whose answer `bmm.solve_assignment` must return on
+every input, near ties included, and `oracle_direct_match_no_duplicates`
+the greedy direct match that leaves a target unmatched when an earlier
+target already claimed its nearest node. `oracle_bench` is the bench sweep
+on each J's full cost matrix, whose fid and precision columns the bounded
+`bmm.run_bench` must equal bit for bit, and `oracle_generate` the
+planted-world sampler that draws whole-super target rows one row at a time,
+which `bmm.generate` must reproduce bit for bit. `oracle_string_block`,
+`oracle_read_manifest` and `oracle_write_manifest` are the
+one-string-at-a-time readers and writer that the bulk ones in `bmm.features`
+must equal, outputs and error messages alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from bmm import (
     Assignment, FeatureMatrix, FormatError, Manifest, ModeStats, ModeTree, ParameterError,
-    ValidationError, WorldTruth,
+    ValidationError, WorldTruth, align_truth, build_server_tree, cost_matrix, direct_match, fid,
+    generate, matching_precision, solve_assignment,
 )
 from bmm.gap import DEFAULT_EPS, gaussian_stats
 from bmm.hierarchy import LINKAGES, _pooled, validate_tree
+from bmm.matching import selection_from_matches
+from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 
 ORACLE_ASSIGN_MAX_TARGETS = 7
 ORACLE_ASSIGN_MAX_NODES = 10
@@ -95,32 +100,10 @@ def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> 
 
 
 def oracle_assignment(cost: np.ndarray) -> Assignment:
-    """Exhaustive minimum over all injective maps; lexicographically first on ties."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    if n_rows > ORACLE_ASSIGN_MAX_TARGETS or n_cols > ORACLE_ASSIGN_MAX_NODES:
-        raise ParameterError(
-            f"oracle refuses {n_rows}x{n_cols}; limits are "
-            f"{ORACLE_ASSIGN_MAX_TARGETS}x{ORACLE_ASSIGN_MAX_NODES}"
-        )
-    if n_rows > n_cols:
-        raise ParameterError(f"need at least as many nodes as targets, got {n_rows}x{n_cols}")
-    rows = cost.tolist()
-    best_sigma = None
-    best_total = None
-    for perm in itertools.permutations(range(n_cols), n_rows):
-        total = 0.0
-        for i in range(n_rows):
-            total += rows[i][perm[i]]
-        if best_total is None or total < best_total:
-            best_total = total
-            best_sigma = perm
-    return Assignment(sigma=list(best_sigma), total_cost=best_total)
-
-
-def oracle_exact_assignment(cost: np.ndarray) -> Assignment:
-    """Exhaustive minimum of the exact totals (`Fraction` sums of the float64
-    entries) over all injective maps; lexicographically first on ties. The
+    """Exhaustive minimum of the exact totals over all injective maps;
+    lexicographically first on ties. Each float64 entry is an integer ratio
+    whose denominator is a power of two, so scaled to the matrix's largest
+    denominator every entry, and every total, is an exact Python int. The
     total_cost is the float sum of that map in target order."""
     cost = np.asarray(cost, dtype=np.float64)
     n_rows, n_cols = cost.shape
@@ -131,11 +114,13 @@ def oracle_exact_assignment(cost: np.ndarray) -> Assignment:
         )
     if n_rows > n_cols:
         raise ParameterError(f"need at least as many nodes as targets, got {n_rows}x{n_cols}")
-    rows = [[Fraction(x) for x in row] for row in cost.tolist()]
+    ratios = [[x.as_integer_ratio() for x in row] for row in cost.tolist()]
+    scale = max(den for row in ratios for _, den in row)
+    rows = [[num * (scale // den) for num, den in row] for row in ratios]
     best_sigma = None
     best_total = None
     for perm in itertools.permutations(range(n_cols), n_rows):
-        total = sum(rows[i][perm[i]] for i in range(n_rows))
+        total = sum(map(list.__getitem__, rows, perm))
         if best_total is None or total < best_total:
             best_total = total
             best_sigma = perm
@@ -159,6 +144,39 @@ def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:
         claimed.add(j)
         matches.append(j)
     return matches
+
+
+def oracle_bench(
+    world, leaves_sweep, target_clusters: int, seed: int = 0, eps: float = DEFAULT_EPS,
+    linkage: str = "centroid",
+) -> list[dict]:
+    """The bench rows without `runtime`, every variant of a J read from one
+    full all-node cost matrix: bmm_flat solves its first J (leaf) columns,
+    bmm_hier all of them, and dm_dup takes its direct match."""
+    server, target, truth = generate(world)
+    clustering, stats = target_mode_stats(target, target_clusters, seed)
+    aligned = align_truth(truth, clustering)
+    whole_target = gaussian_stats(target, np.arange(target.n))
+    rows = []
+    for leaves in leaves_sweep:
+        tree = build_server_tree(server, leaves, seed, linkage)
+        full = cost_matrix(tree, stats, eps=eps)
+        for variant in BENCH_VARIANTS:
+            cost = full[:, : tree.leaf_count] if variant == "bmm_flat" else full
+            if variant == "dm_dup":
+                matches = direct_match(cost)
+            else:
+                matches = solve_assignment(cost).sigma
+            selection = selection_from_matches(tree, matches, cost)
+            selected = gaussian_stats(server, selection.sample_rows)
+            rows.append({
+                "variant": variant,
+                "J": leaves,
+                "L": target_clusters,
+                "fid": fid(selected, whole_target, eps=eps),
+                "precision": matching_precision(selection, aligned, tree),
+            })
+    return rows
 
 
 def oracle_balanced_partition(features: FeatureMatrix, k: int) -> float:

@@ -447,6 +447,14 @@ MALFORMED_WORLDS = {
     "unknown-sub": _set_key("target_modes", 0, "sub", value=2),
     "target-count-one": _set_key("target_modes", 1, "count", value=1),
     "scale-multiplier-zero": _set_key("target_modes", 2, "scale_multiplier", value=0.0),
+    # json writes these as NaN and Infinity, which json reads back
+    "center-nan": _set_key("super_modes", 1, "center", 3, value=float("nan")),
+    "offset-inf": _set_key("super_modes", 0, "sub_modes", 1, "offset", 0, value=float("-inf")),
+    "scale-nan": _set_key("super_modes", 0, "sub_modes", 1, "scale", value=float("nan")),
+    "scale-inf": _set_key("super_modes", 1, "sub_modes", 0, "scale", value=float("inf")),
+    "mean-shift-nan": _set_key("target_modes", 1, "mean_shift", value=[float("nan")] * 8),
+    "scale-multiplier-inf": _set_key("target_modes", 0, "scale_multiplier", value=float("inf")),
+    "scale-multiplier-nan": _set_key("target_modes", 2, "scale_multiplier", value=float("nan")),
 }
 
 
@@ -460,6 +468,13 @@ MALFORMED_WORLD_ERRORS = {
     "unknown-sub": "target mode 0 references unknown sub 2",
     "target-count-one": "target mode 1 needs count >= 2, got 1",
     "scale-multiplier-zero": "target mode 2 has degenerate scale multiplier",
+    "center-nan": "super 1 center is not finite",
+    "offset-inf": "sub mode (0,1) offset is not finite",
+    "scale-nan": "sub mode (0,1) has degenerate scale nan",
+    "scale-inf": "sub mode (1,0) has degenerate scale inf",
+    "mean-shift-nan": "target mode 1 mean shift is not finite",
+    "scale-multiplier-inf": "target mode 0 has degenerate scale multiplier",
+    "scale-multiplier-nan": "target mode 2 has degenerate scale multiplier",
 }
 
 

@@ -17,6 +17,7 @@ from bmm import (
     build_hierarchy,
     build_server_tree,
     cost_matrix,
+    direct_match,
     evaluate_gap,
     fit_balanced_kmeans,
     generate,
@@ -27,9 +28,10 @@ from bmm import (
 )
 from bmm.gap import NodeCosts
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
-from bmm.synth import random_subset_world
+from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import make_features, shared_nearest_world
+from oracles import oracle_bench
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +142,42 @@ def test_bench_rows_and_variants(monkeypatch):
     monkeypatch.setattr(bmm.pipeline, "cost_matrix", counting_cost_matrix)
     world = shared_nearest_world(seed=0, per_mode=60)
     rows = run_bench(world, [4], target_clusters=3, seed=0)
-    assert built_for == [4]  # one cost matrix per J, shared by every variant
+    assert built_for == []  # every variant matches from the bounds: no full cost matrix
     assert len(rows) == 3
     assert [r["variant"] for r in rows] == list(BENCH_VARIANTS)
     for row in rows:
         assert row["J"] == 4 and row["L"] == 3
         assert np.isfinite(row["fid"]) and 0.0 <= row["precision"] <= 1.0
         assert row["runtime"] >= 0.0
+
+
+BENCH_WORLDS = {
+    "shared-nearest": (shared_nearest_world(seed=0, per_mode=60), [3, 4], 3),
+    "quick-start": (granularity_probe_world(seed=0), [16, 32, 64, 128], 6),
+}
+
+
+@pytest.mark.parametrize("bounds", ["bounded", "fallback"])
+@pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
+def test_bench_equals_the_full_matrix_oracle(name, bounds, monkeypatch):
+    """Every cell's fid and precision are the full cost matrix's, bit for bit,
+    from the bounds and from the full-matrix fallback alike."""
+    world, sweep, clusters = BENCH_WORLDS[name]
+    if bounds == "fallback":
+        monkeypatch.setattr(NodeCosts, "lower_bounds", lambda self, modes: None)
+    rows = run_bench(world, sweep, target_clusters=clusters, seed=0)
+    got = [(r["variant"], r["J"], r["L"], repr(r["fid"]), repr(r["precision"])) for r in rows]
+    want = [(r["variant"], r["J"], r["L"], repr(r["fid"]), repr(r["precision"]))
+            for r in oracle_bench(world, sweep, target_clusters=clusters, seed=0)]
+    assert got == want
+
+
+def test_match_modes_refuses_an_unknown_variant(small_world):
+    world, server, target, truth = small_world
+    tree = build_server_tree(server, 4)
+    _, stats = target_mode_stats(target, 2)
+    with pytest.raises(ParameterError, match="unknown variant 'snp'"):
+        match_modes(tree, stats, variant="snp")
 
 
 def bounded_match_case(rng, kind: str):
@@ -189,15 +220,27 @@ def bounded_match_case(rng, kind: str):
 @example(kind="duplicate-leaves", seed=143465352)
 @example(kind="duplicate-leaves", seed=10307)
 def test_bounded_match_equals_the_full_matrix_solve(kind, seed):
+    """Each variant's bounded match is its full-matrix pick: bmm_hier solves
+    every column, bmm_flat the leaf columns 0..J-1, and dm_dup takes each
+    row's lowest-column minimum of every column."""
     tree, stats = bounded_match_case(np.random.default_rng(seed), kind)
     assert NodeCosts(tree, 1e-6).lower_bounds(stats) is not None
-    assignment, cost = match_modes(tree, stats)
     full = cost_matrix(tree, stats)
-    expected = solve_assignment(full)
-    assert assignment.sigma == expected.sigma
-    assert np.float64(assignment.total_cost).tobytes() == np.float64(expected.total_cost).tobytes()
+    flat = stats[: tree.leaf_count]  # a one-to-one match into the leaves takes at most J
+    for variant, modes, expected in [
+        ("bmm_hier", stats, solve_assignment(full)),
+        ("bmm_flat", flat, solve_assignment(full[: len(flat), : tree.leaf_count])),
+    ]:
+        assignment, cost = match_modes(tree, modes, variant=variant)
+        assert assignment.sigma == expected.sigma
+        assert (np.float64(assignment.total_cost).tobytes()
+                == np.float64(expected.total_cost).tobytes())
+        targets = np.arange(len(modes))
+        assert cost[targets, expected.sigma].tobytes() == full[targets, expected.sigma].tobytes()
+    matches, cost = match_modes(tree, stats, variant="dm_dup")
+    assert matches == direct_match(full)
     targets = np.arange(len(stats))
-    assert cost[targets, expected.sigma].tobytes() == full[targets, expected.sigma].tobytes()
+    assert cost[targets, matches].tobytes() == full[targets, matches].tobytes()
 
 
 def test_bounded_match_keeps_the_full_matrix_errors(rng):
@@ -208,8 +251,19 @@ def test_bounded_match_keeps_the_full_matrix_errors(rng):
     with pytest.raises(InfeasibleMatchError) as bounded:
         match_modes(tree, too_many)
     assert str(bounded.value) == str(full.value)
-    with pytest.raises(ParameterError, match="at least one target mode"):
-        match_modes(tree, [])
+    leaves = stats[:1] * (tree.leaf_count + 1)
+    with pytest.raises(InfeasibleMatchError) as full:
+        solve_assignment(cost_matrix(tree, leaves)[:, : tree.leaf_count])
+    with pytest.raises(InfeasibleMatchError) as bounded:
+        match_modes(tree, leaves, variant="bmm_flat")
+    assert str(bounded.value) == str(full.value)
+    # targets may share a node, so direct match takes more targets than nodes
+    assert match_modes(tree, too_many, variant="dm_dup")[0] == direct_match(
+        cost_matrix(tree, too_many)
+    )
+    for variant in BENCH_VARIANTS:
+        with pytest.raises(ParameterError, match="at least one target mode"):
+            match_modes(tree, [], variant=variant)
 
 
 def test_match_computes_few_exact_pairs_on_the_query_world(monkeypatch):
