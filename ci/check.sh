@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Every check after the install, in one script: the tier-1 tests, the
-# benchmark's checks at seeds 0 and 9973, and the README quick start.
+# benchmark's checks at seeds 0 and 9973, and the README quick start. It also
+# prints the src/ line count, which ROADMAP.md tracks as a metric.
 # Run it from anywhere, as `bash ci/check.sh`. The quick start uses the
 # installed `bmm` script; outside CI, without one, it runs `python3 -m bmm.cli`
 # from src/.
@@ -8,6 +9,9 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
+
+echo "== src/ line count"
+cat src/bmm/*.py | wc -l
 
 echo "== tier-1 tests"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

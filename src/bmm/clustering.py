@@ -17,9 +17,9 @@ contiguous ops of length n, summed over the d rows in numpy's pairwise
 order (`_pairwise_row_sum`), and the next pick is drawn inline as
 `Generator.choice` draws it, so the picks keep every bit of the row-major
 loop. A fit seeds first, then sums the row norms once and writes every
-Lloyd iteration's n x k squared distances into the same two buffers
+Lloyd iteration's n x k squared distances into the same buffer
 (`_squared_distance_kernel`), so the seeding's buffers are freed before
-those exist.
+that exists.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 
 MAX_ITER = 300
 MOVEMENT_TOL = 1e-6
+_BLOCK_VALUES = 1 << 15  # norm sums per block of squared distances (256 KB)
 
 
 @dataclass(eq=False)
@@ -61,18 +62,23 @@ def _squared_distance_kernel(x: np.ndarray, k: int):
     """The squared distances from the rows of x to k centroids, for one fit.
 
     The row norms are summed once, and every call evaluates
-    (|x|^2 + |c|^2) - 2 x.c into the same two n x k buffers, in that order,
-    then clips at zero. A returned array is overwritten by the next call.
+    (|x|^2 + |c|^2) - 2 x.c in that order into one n x k buffer: 2 x.c is
+    formed there, then each block of rows is subtracted from its norm sums,
+    which only a small temporary holds, and clipped at zero. A returned array
+    is overwritten by the next call.
     """
+    n = x.shape[0]
     xx = (x * x).sum(axis=1)[:, None]
-    d2 = np.empty((x.shape[0], k))
-    cross = np.empty_like(d2)
+    d2 = np.empty((n, k))
+    step = max(1, _BLOCK_VALUES // k)
 
     def squared_distances(centroids: np.ndarray) -> np.ndarray:
-        np.add(xx, (centroids * centroids).sum(axis=1)[None, :], out=d2)
-        np.matmul(x, centroids.T, out=cross)
-        np.multiply(cross, 2.0, out=cross)
-        np.subtract(d2, cross, out=d2)
+        cc = (centroids * centroids).sum(axis=1)[None, :]
+        np.matmul(x, centroids.T, out=d2)
+        np.multiply(d2, 2.0, out=d2)
+        for start in range(0, n, step):
+            block = d2[start:start + step]
+            np.subtract(xx[start:start + step] + cc, block, out=block)
         np.clip(d2, 0.0, None, out=d2)
         return d2
 
@@ -144,8 +150,11 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _cluster_means(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    # bincount adds each column in row order from 0.0, exactly as np.add.at would
-    sums = np.stack([np.bincount(assignment, weights=col, minlength=k) for col in x.T], axis=1)
+    # one bincount over (cluster, column) bins adds each bin's values in row
+    # order from 0.0, exactly as np.add.at would
+    d = x.shape[1]
+    bins = (assignment[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
     counts = np.bincount(assignment, minlength=k).astype(np.float64)
     return sums / counts[:, None]
 

@@ -12,45 +12,49 @@ higher-id neighbour, linkage rows are computed in blocks against the
 stacked means and counts, and a merge recomputes only the rows whose
 nearest neighbour it removed (see `build_hierarchy`).
 
-`ModeTree` holds the tree as the arrays its file stores, in node-id order:
-`children` (H x 2, -1 for a leaf), `counts`, `means`, `covs`, `spectra` (each
-covariance's eigenvalues, ascending) and one leaf label per server row, plus
-the build's provenance: `linkage`, `seed` and `server_sha256`
-(`FeatureMatrix.sha256` of the server). `parents` is derived from
-`children`, and `ModeTree.node(i)` builds a `ModeNode` view on demand. A
-node's rows are those whose leaf lies in its subtree, derived on demand,
-never stored.
+`ModeTree` holds the tree as arrays in node-id order: `children` (H x 2,
+-1 for a leaf), `counts`, `means`, `covs`, `spectra` (each covariance's
+eigenvalues, ascending) and one leaf label per server row, plus the build's
+provenance: `linkage`, `seed` and `server_sha256` (`FeatureMatrix.sha256` of
+the server). `parents` is derived from `children`, and `ModeTree.node(i)`
+builds a `ModeNode` view on demand. A node's rows are those whose leaf lies
+in its subtree, derived on demand, never stored; nor are merged nodes'
+covariances: `build_hierarchy` and `load_tree` both pool them from the
+leaves' with `_pooled_covs`.
 
-Trees persist as a little-endian binary file (version 4):
+Trees persist as a little-endian binary file (version 5):
 
-* header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 4,
+* header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 5,
   ``u64`` row count ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``,
   ``u64`` build seed (modulo 2**63, as k-means reads it), ``u16`` linkage
   (its index in `LINKAGES`), the server's 32-byte SHA-256;
 * ``n`` int32 leaf labels;
 * ``2J-1`` node records in node-id order: two int32 child ids (-1 for a
-  leaf), an int64 count, ``d`` float64 mean values, the ``d(d+1)/2`` float64
-  covariance values of the row-major upper triangle, and the ``d`` float64
+  leaf), an int64 count, ``d`` float64 mean values and the ``d`` float64
   eigenvalues of the covariance, ascending;
+* ``J`` leaf covariances in leaf order, each the ``d(d+1)/2`` float64 values
+  of its row-major upper triangle;
 * the 32-byte SHA-256 of everything before it, which is also the tree's
   identity (`ModeTree.sha256`; `match` writes it into the manifest).
 
 Packing loses nothing: every covariance is exactly symmetric, as
-`gaussian_stats` symmetrizes and each term `_pooled` adds is symmetric, and
-`persist_tree` refuses one that is not. The spectra are the stacked
+`gaussian_stats` symmetrizes and each term the pool adds is symmetric. The
+pool is exact while every product of two child counts is below 2**53 (as for
+ward's linkage), so the loader's pool is the build's, bit for bit, and
+`persist_tree` refuses an asymmetric leaf covariance or a merged one that is
+not its children's pool. The spectra are the stacked
 `np.linalg.eigvalsh(covs)` of the build, so the Fréchet kernel reads its
-ridge decisions and bounds from the file instead of recomputing them, and the
-unpacked covariances give the same eigenvalues bit for bit. The digest, not a
-loader eigvalsh (which would cost what the stored spectra save), guards them:
-a spectrum cannot drift from its covariance unless the file is written so on
-purpose.
+ridge decisions and bounds from the file instead of recomputing them. The
+digest, not a loader eigvalsh (which would cost what the stored spectra
+save), guards them: a spectrum cannot drift from its covariance unless the
+file is written so on purpose.
 
-Persist is one record write and load a size and digest check plus array
-copies; the round trip is exact at the bit level, and so is re-persisting a
-loaded file. The loader refuses JSON trees (versions 1-2), other versions
-(version 3 stored full covariances and no spectra), a size that disagrees
-with the header, a digest mismatch, an unknown linkage, non-finite or
-unsorted statistics and broken structure.
+The round trip is exact at the bit level, and so is re-persisting a loaded
+file. The loader refuses JSON trees (versions 1-2), other versions (version 3
+stored full covariances and no spectra, version 4 a packed covariance for
+every node), a size that disagrees with the header, a digest mismatch, an
+unknown linkage, broken structure, and non-finite (stored or pooled) or
+unsorted statistics.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ if TYPE_CHECKING:
     from .features import FeatureMatrix
 
 TREE_MAGIC = b"BMMT"
-TREE_VERSION = 4
+TREE_VERSION = 5
 # magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
 _HEADER = struct.Struct("<4sHQIIQH32s")
 _DIGEST = 32  # bytes of the trailing SHA-256
@@ -106,7 +110,7 @@ class ModeTree:
     children: np.ndarray  # (H, 2) int64 child ids, -1 for a leaf
     counts: np.ndarray  # (H,) int64 member row counts
     means: np.ndarray  # (H, d) float64
-    covs: np.ndarray  # (H, d, d) float64, exactly symmetric
+    covs: np.ndarray  # (H, d, d) float64, exactly symmetric; merged ones pooled
     spectra: np.ndarray  # (H, d) float64 eigenvalues of each covariance, ascending
     leaf_labels: np.ndarray  # (n,) int64 leaf node id of every server row
     linkage: str  # one of LINKAGES
@@ -191,19 +195,45 @@ def _linkage(
     return counts_a * counts_b / (counts_a + counts_b) * sq
 
 
-def _pooled(
-    counts: np.ndarray, means: np.ndarray, covs: np.ndarray, a: int, b: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Exact (count, mean, covariance) of the union of the disjoint rows of
-    nodes a and b from their own moments (Chan, Golub & LeVeque 1979); no
-    row is read again."""
-    count_a, count_b = int(counts[a]), int(counts[b])
-    n = count_a + count_b
-    delta = means[b] - means[a]
-    mean = means[a] + delta * (count_b / n)
-    scatter = (count_a - 1) * covs[a] + (count_b - 1) * covs[b]
-    cov = (scatter + np.outer(delta, delta) * (count_a * count_b / n)) / (n - 1)
-    return n, mean, cov
+def _pooled_covs(
+    children: np.ndarray, counts: np.ndarray, means: np.ndarray, leaf_covs: np.ndarray
+) -> np.ndarray:
+    """The (H, d, d) covariances of all nodes from the J packed leaf covariances.
+
+    A merged node pools its children a and b (Chan, Golub & LeVeque 1979):
+    ((ca-1) A + (cb-1) B + dd^T (ca cb / n)) / (n-1), with d the mean
+    difference and n = ca + cb. The nodes of one merge level (a leaf is level
+    0, a merged node one above its higher child) are pooled in one stacked
+    step on the packed upper triangles, by one merge's elementwise operations
+    in their order. Each value has the bits of that formula in Python
+    integers while every ca * cb is below 2**53, so that the counts and their
+    products are exact in float64. Children must have lower ids
+    (`validate_tree`); an overflow gives non-finite values, which the callers
+    refuse.
+    """
+    j, d = len(leaf_covs), means.shape[1]
+    rows, cols = np.triu_indices(d)
+    packed = np.empty((len(children), rows.size))
+    packed[:j] = leaf_covs
+    level = [0] * len(children)
+    for node, (a, b) in enumerate(children[j:].tolist(), j):
+        level[node] = 1 + max(level[a], level[b])
+    level = np.array(level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, level.max() + 1):
+            nodes = np.flatnonzero(level == step)
+            a, b = children[nodes].T
+            count_a, count_b = counts[a][:, None], counts[b][:, None]
+            n = count_a + count_b
+            delta = means[b] - means[a]
+            scatter = (count_a - 1) * packed[a] + (count_b - 1) * packed[b]
+            outer = delta[:, rows] * delta[:, cols]
+            packed[nodes] = (scatter + outer * (count_a * count_b / n)) / (n - 1)
+    at = np.empty((d, d), dtype=np.intp)  # packed position of each (row, col) entry
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    # np.take keeps the stack C-contiguous; the kernel's matmul bits depend on
+    # the layout, and `packed[:, at]` would not be
+    return np.take(packed, at, axis=1)
 
 
 def build_hierarchy(
@@ -214,7 +244,9 @@ def build_hierarchy(
 
     At every step the closest active pair under the chosen linkage is merged;
     equidistant pairs resolve to the lowest (node_id, node_id) pair. Leaf
-    statistics are fitted to the leaf rows; a merged node pools its children's.
+    statistics are fitted to the leaf rows. A merge pools its children's count
+    and mean, which the linkage needs; the merged covariances are pooled after
+    the loop, one merge level at a time (`_pooled_covs`, as `load_tree` does).
 
     No distance matrix is kept. Each active node a caches `nearest[a]`, the
     lowest-id active node b > a at the smallest linkage value `best[a]`, so
@@ -235,13 +267,14 @@ def build_hierarchy(
     children = np.full((total, 2), -1, dtype=np.int64)
     counts = np.empty(total, dtype=np.int64)
     means = np.empty((total, d), dtype=np.float64)
-    covs = np.empty((total, d, d), dtype=np.float64)
+    leaf_covs = np.empty((j, d * (d + 1) // 2), dtype=np.float64)
+    upper = np.triu_indices(d)
     for c in range(j):
         rows = leaves.cluster_rows(c)
         if rows.size == 0:
             raise ValidationError(f"leaf cluster {c} is empty")
         stats = gaussian_stats(features, rows)
-        counts[c], means[c], covs[c] = stats.count, stats.mean, stats.cov
+        counts[c], means[c], leaf_covs[c] = stats.count, stats.mean, stats.cov[upper]
     active = np.zeros(total, dtype=bool)
     active[:j] = True
     nearest = np.full(total, -1, dtype=np.int64)
@@ -270,7 +303,9 @@ def build_hierarchy(
         a = int(best.argmin())  # the lowest row holding the minimum, then its first
         b = int(nearest[a])
         children[new_id] = a, b
-        counts[new_id], means[new_id], covs[new_id] = _pooled(counts, means, covs, a, b)
+        count_a, count_b = int(counts[a]), int(counts[b])
+        counts[new_id] = count_a + count_b
+        means[new_id] = means[a] + (means[b] - means[a]) * (count_b / (count_a + count_b))
         active[a] = active[b] = False
         best[a] = best[b] = np.inf
         ids = np.flatnonzero(active)
@@ -284,6 +319,7 @@ def build_hierarchy(
         if stale.any():
             refresh(ids[stale])
 
+    covs = _pooled_covs(children, counts, means, leaf_covs)
     tree = ModeTree(
         children, counts, means, covs, np.linalg.eigvalsh(covs), leaves.assignment,
         linkage, seed % 2**63, server_sha256,
@@ -322,29 +358,32 @@ def validate_tree(tree: ModeTree) -> None:
 
 
 def _record_dtype(d: int) -> np.dtype:
-    """One node record: child ids (-1, -1 for a leaf), count, mean, packed
-    covariance (row-major upper triangle), spectrum."""
+    """One node record: child ids (-1, -1 for a leaf), count, mean, spectrum."""
     return np.dtype([
         ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
-        ("cov", "<f8", (d * (d + 1) // 2,)), ("spectrum", "<f8", (d,)),
+        ("spectrum", "<f8", (d,)),
     ])
 
 
 def _payload(tree: ModeTree) -> bytes:
     """The file's bytes before its digest."""
-    d = tree.means.shape[1]
+    j, d = tree.leaf_count, tree.means.shape[1]
     rows, cols = np.triu_indices(d)
-    upper = tree.covs[:, rows, cols]
-    if upper.tobytes() != tree.covs[:, cols, rows].tobytes():
-        raise ValidationError("node covariances must be exactly symmetric to be stored packed")
+    leaf_covs = tree.covs[:j, rows, cols]
+    if leaf_covs.tobytes() != tree.covs[:j, cols, rows].tobytes():
+        raise ValidationError("leaf covariances must be exactly symmetric to be stored packed")
+    pooled = _pooled_covs(tree.children, tree.counts, tree.means, leaf_covs)
+    if pooled.tobytes() != tree.covs.tobytes():
+        raise ValidationError("merged covariances must be their children's pool to be stored")
     records = np.zeros(tree.node_count, dtype=_record_dtype(d))
     records["children"], records["count"] = tree.children, tree.counts
-    records["mean"], records["cov"], records["spectrum"] = tree.means, upper, tree.spectra
+    records["mean"], records["spectrum"] = tree.means, tree.spectra
     header = _HEADER.pack(
-        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, tree.leaf_count, d, tree.seed,
+        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, j, d, tree.seed,
         LINKAGES.index(tree.linkage), tree.server_sha256,
     )
-    return header + tree.leaf_labels.astype("<i4").tobytes() + records.tobytes()
+    labels = tree.leaf_labels.astype("<i4").tobytes()
+    return header + labels + records.tobytes() + leaf_covs.astype("<f8").tobytes()
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
@@ -370,9 +409,9 @@ def load_tree(path: str | Path) -> ModeTree:
         )
     if j < 1 or d < 1:
         raise TreeFormatError(f"{path}: header declares {j} leaves of dimension {d}")
-    total = 2 * j - 1
+    total, packed = 2 * j - 1, d * (d + 1) // 2
     # in Python integers, before any array is sized from the header
-    expected = _HEADER.size + 4 * n + total * (16 + 4 * d * (d + 5)) + _DIGEST
+    expected = _HEADER.size + 4 * n + total * (16 + 16 * d) + j * 8 * packed + _DIGEST
     if len(data) != expected:
         raise TreeFormatError(
             f"{path}: {len(data)} bytes, but n={n}, J={j}, d={d} take {expected}"
@@ -383,25 +422,22 @@ def load_tree(path: str | Path) -> ModeTree:
     if linkage >= len(LINKAGES):
         raise TreeFormatError(f"{path}: unknown linkage index {linkage}")
     records = np.frombuffer(data, _record_dtype(d), total, _HEADER.size + 4 * n)
-    rows, cols = np.triu_indices(d)
-    packed_at = np.empty((d, d), dtype=np.intp)  # packed position of each (row, col) entry
-    packed_at[rows, cols] = packed_at[cols, rows] = np.arange(rows.size)
-    # np.take keeps the stack C-contiguous, as built; the kernel's matmul bits
-    # depend on the layout, and `records["cov"][:, packed_at]` would not be
-    covs = np.take(records["cov"], packed_at, axis=1)
+    leaf_covs = np.frombuffer(data, "<f8", j * packed, _HEADER.size + 4 * n + records.nbytes)
     tree = ModeTree(
         records["children"].astype(np.int64), records["count"].astype(np.int64),
-        records["mean"].astype(np.float64), covs, records["spectrum"].astype(np.float64),
+        records["mean"].astype(np.float64), np.empty((0, d, d)),  # pooled once links are checked
+        records["spectrum"].astype(np.float64),
         np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64),
         LINKAGES[linkage], seed, server_sha256,
     )
-    if not all(np.isfinite(a).all() for a in (tree.means, covs, tree.spectra)):
-        raise TreeFormatError(f"{path}: non-finite node mean, covariance or spectrum")
-    if (np.diff(tree.spectra, axis=1) < 0).any():
-        raise TreeFormatError(f"{path}: a node spectrum is not in ascending order")
     try:
         validate_tree(tree)
     except ValidationError as exc:
         raise TreeFormatError(f"{path}: {exc}") from exc
+    tree.covs = _pooled_covs(tree.children, tree.counts, tree.means, leaf_covs.reshape(j, packed))
+    if not all(np.isfinite(a).all() for a in (tree.means, tree.covs, tree.spectra)):
+        raise TreeFormatError(f"{path}: non-finite node mean, covariance or spectrum")
+    if (np.diff(tree.spectra, axis=1) < 0).any():
+        raise TreeFormatError(f"{path}: a node spectrum is not in ascending order")
     tree.sha256 = digest  # re-persisting the loaded tree writes the same bytes
     return tree

@@ -17,7 +17,9 @@ reproduce.
 buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
 matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
-equal node for node. `oracle_assignment` is the exhaustive assignment over
+equal node for node; it pools each merged node's moments as it merges, with
+`oracle_pooled`, whose covariances the level-batched pool in `bmm.hierarchy`
+must equal bit for bit. `oracle_assignment` is the exhaustive assignment over
 exact integer totals whose answer `bmm.solve_assignment` must return on
 every input, near ties included, and `oracle_direct_match_no_duplicates`
 the greedy direct match that leaves a target unmatched when an earlier
@@ -44,7 +46,7 @@ from bmm import (
     generate, matching_precision, solve_assignment,
 )
 from bmm.gap import DEFAULT_EPS, gaussian_stats
-from bmm.hierarchy import LINKAGES, _pooled, validate_tree
+from bmm.hierarchy import LINKAGES, validate_tree
 from bmm.matching import selection_from_matches
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 
@@ -292,6 +294,22 @@ def _linkage_value(linkage: str, count_a, mean_a, count_b, mean_b) -> float:
     return float(count_a * count_b / (count_a + count_b) * (gap @ gap))
 
 
+def oracle_pooled(
+    counts: np.ndarray, means: np.ndarray, covs: np.ndarray, a: int, b: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Exact (count, mean, covariance) of the union of the disjoint rows of
+    nodes a and b from their own moments (Chan, Golub & LeVeque 1979), one
+    merge at a time in Python integers; `hierarchy._pooled_covs` must give
+    these covariances bit for bit."""
+    count_a, count_b = int(counts[a]), int(counts[b])
+    n = count_a + count_b
+    delta = means[b] - means[a]
+    mean = means[a] + delta * (count_b / n)
+    scatter = (count_a - 1) * covs[a] + (count_b - 1) * covs[b]
+    cov = (scatter + np.outer(delta, delta) * (count_a * count_b / n)) / (n - 1)
+    return n, mean, cov
+
+
 def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "centroid") -> ModeTree:
     """The merge loop over a full (2J-1)^2 distance matrix: every step copies
     the active block and takes its row-major first minimum."""
@@ -325,7 +343,7 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
         a = int(ids[flat // ids.size])
         b = int(ids[flat % ids.size])
         children[new_id] = a, b
-        counts[new_id], means[new_id], covs[new_id] = _pooled(counts, means, covs, a, b)
+        counts[new_id], means[new_id], covs[new_id] = oracle_pooled(counts, means, covs, a, b)
         active[a] = False
         active[b] = False
         for other in np.flatnonzero(active):

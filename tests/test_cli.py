@@ -16,6 +16,7 @@ from bmm import (
 )
 from bmm import cli
 from bmm.cli import main
+from bmm import hierarchy
 from bmm.hierarchy import LINKAGES
 from bmm.pipeline import build_server_tree, target_mode_stats
 from bmm.synth import granularity_probe_world, random_subset_world
@@ -622,37 +623,38 @@ V3_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimens
 
 
 def tree_parts(blob: bytes):
-    """The header fields, leaf labels and node records of a version-4 tree, as
-    writable copies; the trailing digest is dropped."""
+    """The header fields, leaf labels, node records and packed leaf
+    covariances (J x d(d+1)/2) of a version-5 tree, as writable copies; the
+    trailing digest is dropped."""
     header = list(TREE_HEADER.unpack_from(blob))
     n, j, d = header[2:5]
     record = np.dtype([
         ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
-        ("cov", "<f8", (d * (d + 1) // 2,)), ("spectrum", "<f8", (d,)),
+        ("spectrum", "<f8", (d,)),
     ])
     labels = np.frombuffer(blob, "<i4", n, TREE_HEADER.size).copy()
     records = np.frombuffer(blob, record, 2 * j - 1, TREE_HEADER.size + 4 * n).copy()
-    return header, labels, records
+    packed = d * (d + 1) // 2
+    covs = np.frombuffer(blob, "<f8", j * packed, TREE_HEADER.size + 4 * n + records.nbytes)
+    return header, labels, records, covs.reshape(j, packed).copy()
 
 
-def full_covs(records) -> np.ndarray:
-    """The records' packed row-major upper triangles as full symmetric matrices."""
-    d = records["mean"].shape[1]
-    rows, cols = np.triu_indices(d)
-    covs = np.empty((len(records), d, d))
-    covs[:, rows, cols] = covs[:, cols, rows] = records["cov"]
-    return covs
+def full_covs(records, covs) -> np.ndarray:
+    """Every node's full covariance: the leaves' unpacked, the merged ones pooled."""
+    return hierarchy._pooled_covs(
+        records["children"].astype(np.int64), records["count"], records["mean"], covs
+    )
 
 
-def v4_bytes(header, labels, records) -> bytes:
-    """A version-4 tree file from its parts, ending with the SHA-256 of the bytes before it."""
-    data = TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes()
+def v5_bytes(header, labels, records, covs) -> bytes:
+    """A version-5 tree file from its parts, ending with the SHA-256 of the bytes before it."""
+    data = TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes() + covs.tobytes()
     return data + hashlib.sha256(data).digest()
 
 
 def v3_bytes(blob: bytes) -> bytes:
     """The tree as version 3 wrote it: full covariances, no spectra, provenance or digest."""
-    header, labels, records = tree_parts(blob)
+    header, labels, records, covs = tree_parts(blob)
     n, j, d = header[2:5]
     record = np.dtype(
         [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
@@ -660,16 +662,34 @@ def v3_bytes(blob: bytes) -> bytes:
     old = np.zeros(len(records), dtype=record)
     for name in ("children", "count", "mean"):
         old[name] = records[name]
-    old["cov"] = full_covs(records)
+    old["cov"] = full_covs(records, covs)
     return V3_HEADER.pack(b"BMMT", 3, n, j, d) + labels.tobytes() + old.tobytes()
+
+
+def v4_bytes(blob: bytes) -> bytes:
+    """The tree as version 4 wrote it: a packed covariance in every node record."""
+    header, labels, records, covs = tree_parts(blob)
+    d = header[4]
+    record = np.dtype([
+        ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
+        ("cov", "<f8", (d * (d + 1) // 2,)), ("spectrum", "<f8", (d,)),
+    ])
+    old = np.zeros(len(records), dtype=record)
+    for name in ("children", "count", "mean", "spectrum"):
+        old[name] = records[name]
+    rows, cols = np.triu_indices(d)
+    old["cov"] = full_covs(records, covs)[:, rows, cols]
+    header[1] = 4
+    data = TREE_HEADER.pack(*header) + labels.tobytes() + old.tobytes()
+    return data + hashlib.sha256(data).digest()
 
 
 def v2_payload(blob: bytes) -> dict:
     """The tree as the earlier JSON format (version 2) wrote it."""
-    header, labels, records = tree_parts(blob)
+    header, labels, records, covs = tree_parts(blob)
     children = [[c for c in rec.tolist() if c >= 0] for rec in records["children"]]
     parents = {c: i for i, pair in enumerate(children) for c in pair}
-    covs = full_covs(records)
+    covs = full_covs(records, covs)
     return {
         "format": "bmm-mode-tree",
         "version": 2,
@@ -693,14 +713,14 @@ def _set(record, key, value):
     record[key] = value
 
 
-def _v4(change):
-    """A mutation that edits the parsed header list, labels and records in
-    place, then writes them with a fresh digest, so that the loader's checks
-    behind the digest see the edit."""
+def _v5(change):
+    """A mutation that edits the parsed header list, labels, records and leaf
+    covariances in place, then writes them with a fresh digest, so that the
+    loader's checks behind the digest see the edit."""
     def apply(blob):
-        header, labels, records = tree_parts(blob)
-        change(header, labels, records)
-        return v4_bytes(header, labels, records)
+        parts = tree_parts(blob)
+        change(*parts)
+        return v5_bytes(*parts)
     return apply
 
 
@@ -722,28 +742,31 @@ def _json(change):
     return apply
 
 
-# Each mutation maps the bytes of a valid version-4 tree (built with J=8, so
+# Each mutation maps the bytes of a valid version-5 tree (built with J=8, so
 # records 0..7 are leaves and record 14 is the root) to the bytes to load.
 # The JSON mutations break one rule of the earlier version-2 JSON format;
-# like an intact JSON tree or a version-3 file, they must be refused as
-# incompatible.
+# like an intact JSON tree or a version-3 or version-4 file, they must be
+# refused as incompatible.
 MALFORMED_TREES = {
     "bad-magic": lambda blob: b"BMMX" + blob[4:],
-    "version-99": _v4(lambda h, l, r: _set(h, 1, 99)),
-    "version-2": _v4(lambda h, l, r: _set(h, 1, 2)),
+    "version-99": _v5(lambda h, l, r, c: _set(h, 1, 99)),
+    "version-2": _v5(lambda h, l, r, c: _set(h, 1, 2)),
     "v2-json": _json(lambda p: None),
     "truncated-one-byte": lambda blob: blob[:-1],
     "trailing-byte": lambda blob: blob + b"\0",
-    "leaf-count-zero": _v4(lambda h, l, r: _set(h, 3, 0)),
-    "dimension-zero": _v4(lambda h, l, r: _set(h, 4, 0)),
-    "rows-one-more": _v4(lambda h, l, r: _set(h, 2, h[2] + 1)),
+    "leaf-count-zero": _v5(lambda h, l, r, c: _set(h, 3, 0)),
+    "dimension-zero": _v5(lambda h, l, r, c: _set(h, 4, 0)),
+    "rows-one-more": _v5(lambda h, l, r, c: _set(h, 2, h[2] + 1)),
     # packed index 1 is the (0, 1) entry
-    "nan-leaf-covariance": _v4(lambda h, l, r: _set(r["cov"][3], 1, np.nan)),
-    "nan-spectrum": _v4(lambda h, l, r: _set(r["spectrum"][5], 0, np.nan)),
-    "inf-spectrum": _v4(lambda h, l, r: _set(r["spectrum"][12], -1, np.inf)),
-    "unsorted-spectrum": _v4(lambda h, l, r: _set(r["spectrum"], 5, r["spectrum"][5][::-1])),
-    "linkage-unknown": _v4(lambda h, l, r: _set(h, 6, len(LINKAGES))),
+    "nan-leaf-covariance": _v5(lambda h, l, r, c: _set(c[3], 1, np.nan)),
+    # leaf 3 holds more than two rows, so (count - 1) * 1e308 overflows in its parent's pool
+    "huge-leaf-covariance-pools-to-inf": _v5(lambda h, l, r, c: _set(c, 3, 1e308)),
+    "nan-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"][5], 0, np.nan)),
+    "inf-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"][12], -1, np.inf)),
+    "unsorted-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"], 5, r["spectrum"][5][::-1])),
+    "linkage-unknown": _v5(lambda h, l, r, c: _set(h, 6, len(LINKAGES))),
     "version-3": v3_bytes,
+    "version-4": v4_bytes,
     "header-cut": lambda blob: blob[:5],
     "header-cut-6-bytes": lambda blob: blob[:6],
     "header-cut-63-bytes": lambda blob: blob[:63],
@@ -753,22 +776,22 @@ MALFORMED_TREES = {
     "flipped-server-digest-byte": _flip(40),
     "flipped-payload-byte": _flip(-100),
     "flipped-digest-byte": _flip(-1),
-    "inf-merged-mean": _v4(lambda h, l, r: _set(r["mean"][10], 0, np.inf)),
-    "leaf-label-at-j": _v4(lambda h, l, r: _set(l, 0, 8)),
-    "leaf-label-negative": _v4(lambda h, l, r: _set(l, 0, -1)),
-    "label-moved": _v4(lambda h, l, r: _set(l, np.flatnonzero(l == 0)[0], 1)),
-    "child-id-at-parent": _v4(lambda h, l, r: _set(r["children"][14], 0, 14)),
-    "child-id-above-parent": _v4(lambda h, l, r: _set(r["children"][8], 0, 12)),
-    "child-id-minus-two": _v4(lambda h, l, r: _set(r["children"][14], 0, -2)),
-    "leaf-with-children": _v4(lambda h, l, r: _set(r["children"], 3, (0, 1))),
-    "merged-without-children": _v4(lambda h, l, r: _set(r["children"], 10, (-1, -1))),
-    "half-leaf-children": _v4(lambda h, l, r: _set(r["children"][12], 0, -1)),
-    "repeated-child": _v4(lambda h, l, r: _set(r["children"][14], 1, r["children"][14][0])),
-    "child-shared-by-two-parents": _v4(
-        lambda h, l, r: _set(r["children"][9], 0, r["children"][8][0])
+    "inf-merged-mean": _v5(lambda h, l, r, c: _set(r["mean"][10], 0, np.inf)),
+    "leaf-label-at-j": _v5(lambda h, l, r, c: _set(l, 0, 8)),
+    "leaf-label-negative": _v5(lambda h, l, r, c: _set(l, 0, -1)),
+    "label-moved": _v5(lambda h, l, r, c: _set(l, np.flatnonzero(l == 0)[0], 1)),
+    "child-id-at-parent": _v5(lambda h, l, r, c: _set(r["children"][14], 0, 14)),
+    "child-id-above-parent": _v5(lambda h, l, r, c: _set(r["children"][8], 0, 12)),
+    "child-id-minus-two": _v5(lambda h, l, r, c: _set(r["children"][14], 0, -2)),
+    "leaf-with-children": _v5(lambda h, l, r, c: _set(r["children"], 3, (0, 1))),
+    "merged-without-children": _v5(lambda h, l, r, c: _set(r["children"], 10, (-1, -1))),
+    "half-leaf-children": _v5(lambda h, l, r, c: _set(r["children"][12], 0, -1)),
+    "repeated-child": _v5(lambda h, l, r, c: _set(r["children"][14], 1, r["children"][14][0])),
+    "child-shared-by-two-parents": _v5(
+        lambda h, l, r, c: _set(r["children"][9], 0, r["children"][8][0])
     ),
-    "leaf-count-off": _v4(lambda h, l, r: _set(r["count"], 0, r["count"][0] + 1)),
-    "root-count-off": _v4(lambda h, l, r: _set(r["count"], 14, r["count"][14] - 1)),
+    "leaf-count-off": _v5(lambda h, l, r, c: _set(r["count"], 0, r["count"][0] + 1)),
+    "root-count-off": _v5(lambda h, l, r, c: _set(r["count"], 14, r["count"][14] - 1)),
     "no-leaf-labels": _json(lambda p: p.pop("leaf_labels")),
     "no-nodes": _json(lambda p: p.pop("nodes")),
     "no-child-ids": _json(lambda p: p["nodes"][14].pop("child_ids")),
@@ -790,6 +813,9 @@ MALFORMED_TREES = {
 # The check that must refuse a mutation, where more than one could.
 MALFORMED_TREE_ERRORS = {
     "version-3": "tree version 3 is incompatible",
+    "version-4": "tree version 4 is incompatible",
+    "nan-leaf-covariance": "non-finite",
+    "huge-leaf-covariance-pools-to-inf": "non-finite",
     "header-cut": "truncated tree header",
     "header-cut-6-bytes": "truncated tree header",
     "header-cut-63-bytes": "truncated tree header",
@@ -818,15 +844,15 @@ def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation
     assert MALFORMED_TREE_ERRORS.get(mutation, "") in err
 
 
-def test_v4_mutation_helpers_rebuild_the_tree_exactly(tree_blob):
+def test_v5_mutation_helpers_rebuild_the_tree_exactly(tree_blob):
     """The table's parser and writer are exact, so each mutation changes only what it names."""
-    assert v4_bytes(*tree_parts(tree_blob)) == tree_blob
+    assert v5_bytes(*tree_parts(tree_blob)) == tree_blob
 
 
 def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blob, capsys):
     _, _, _, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
-    tree_path.write_bytes(_v4(lambda h, l, r: _set(r["mean"][14], 0, 1e200))(tree_blob))
+    tree_path.write_bytes(_v5(lambda h, l, r, c: _set(r["mean"][14], 0, 1e200))(tree_blob))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
@@ -841,24 +867,28 @@ def test_match_huge_node_covariance_is_the_full_matrix_error(
 ):
     """A leaf covariance that overflows the kernel gives that leaf a bound far
     above the others, so a bounded search would never compute its cost; the
-    match still exits 2 with the message of the full cost matrix."""
+    match still exits 2 with the message of the full cost matrix. The file
+    stores leaf covariances only, so the leaf's must pool to finite values:
+    1e306 * I over its 80 rows does (79e306 < 1.8e308), and a target ridged at
+    eps 1e3 takes its product past the float range."""
     _, _, target, server_path, target_path = world_files
     tree_path = tmp_path / "tree.bmmt"
-    def huge_leaf(h, l, r):
-        # the covariance 1e308 * I, packed, and its spectrum, as a build would store them
-        r["cov"][3] = (np.eye(h[4]) * 1e308)[np.triu_indices(h[4])]
-        r["spectrum"][3] = 1e308
+    def huge_leaf(h, l, r, c):
+        # the covariance 1e306 * I, packed, and its spectrum, as a build would store them
+        c[3] = (np.eye(h[4]) * 1e306)[np.triu_indices(h[4])]
+        r["spectrum"][3] = 1e306
 
-    tree_path.write_bytes(_v4(huge_leaf)(tree_blob))
+    tree_path.write_bytes(_v5(huge_leaf)(tree_blob))
     _, stats = target_mode_stats(target, 2)
     with pytest.raises(BmmError) as full:
-        cost_matrix(load_tree(tree_path), stats)
+        cost_matrix(load_tree(tree_path), stats, eps=1e3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
+        argv = match_args(tree_path, server_path, target_path, tmp_path / "x.manifest")
+        code = main(argv + ["--eps-cov", "1e3"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {full.value}\n"
-    assert "node column 3" in str(full.value)
+    assert "overflows for node column 3" in str(full.value)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

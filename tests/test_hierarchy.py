@@ -24,7 +24,7 @@ from bmm.gap import NodeCosts
 from bmm.hierarchy import LINKAGES, validate_tree
 
 from conftest import make_features, trees_equal
-from oracles import oracle_build_hierarchy, oracle_node_costs
+from oracles import oracle_build_hierarchy, oracle_node_costs, oracle_pooled
 
 
 def quad_features():
@@ -225,17 +225,88 @@ def test_persist_roundtrip(tmp_path, rng, j):
 
 
 def tree_file_size(n: int, j: int, d: int) -> int:
-    """Bytes of a version-4 tree: the 64-byte header, n int32 leaf labels,
-    2J-1 node records (two int32 child ids, an int64 count, a float64 mean,
-    packed upper triangle and spectrum) and the 32-byte digest."""
-    return 64 + 4 * n + (2 * j - 1) * (4 * 2 + 8 + 8 * d + 8 * d * (d + 1) // 2 + 8 * d) + 32
+    """Bytes of a version-5 tree: the 64-byte header, n int32 leaf labels,
+    2J-1 node records (two int32 child ids, an int64 count, a float64 mean
+    and spectrum), J packed leaf covariances and the 32-byte digest."""
+    return 64 + 4 * n + (2 * j - 1) * (4 * 2 + 8 + 8 * d + 8 * d) + j * 8 * d * (d + 1) // 2 + 32
 
 
 def test_benchmark_tree_sizes():
     """The benchmark's build, query and sweep trees (n, J, d) in bytes; version 3
-    took 599,942, 1,095,430 and 80,774."""
+    took 599,942, 1,095,430 and 80,774, and version 4 387,856, 624,080 and 55,056."""
     shapes = [(10_240, 128, 16), (5_120, 64, 32), (3_200, 16, 16)]
-    assert [tree_file_size(*shape) for shape in shapes] == [387_856, 624_080, 55_056]
+    assert [tree_file_size(*shape) for shape in shapes] == [249_680, 357_968, 38_736]
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+@pytest.mark.parametrize("j, d", [(1, 3), (2, 1), (7, 5), (16, 3), (24, 12)])
+def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, linkage, j, d):
+    """The loader pools the merged covariances the build pooled: every array
+    of the loaded tree has the built one's bytes, and re-persisting the loaded
+    tree writes the file again."""
+    fm = make_features(rng.normal(size=(6 * j + 1, d)) * rng.uniform(0.1, 10.0, size=d))
+    tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=j), fm, linkage=linkage)
+    path = tmp_path / "tree.bmmt"
+    persist_tree(tree, path)
+    blob = path.read_bytes()
+    assert len(blob) == tree_file_size(fm.n, j, d)
+    back = load_tree(path)
+    for field in ("children", "parents", "counts", "means", "covs", "spectra", "leaf_labels"):
+        assert getattr(back, field).tobytes() == getattr(tree, field).tobytes(), field
+    assert back.covs.flags.c_contiguous
+    persist_tree(back, path)
+    assert path.read_bytes() == blob
+
+
+def random_merges(rng, j: int, d: int):
+    """(children, counts, means, covs) of a random 2J-1 node tree: a random
+    merge order, leaf counts of 1 to 10**6, and random means and symmetric
+    leaf covariances of mixed scales; merged nodes pooled one at a time."""
+    total = 2 * j - 1
+    children = np.full((total, 2), -1, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    counts[:j] = rng.integers(1, 10**6, size=j, endpoint=True)
+    means = np.zeros((total, d))
+    means[:j] = rng.normal(size=(j, d)) * 10.0 ** rng.integers(-3, 4, size=(j, 1))
+    covs = np.zeros((total, d, d))
+    for c in range(j):
+        half = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4)
+        covs[c] = (half @ half.T + (half @ half.T).T) / 2.0
+    pool = list(range(j))
+    for new_id in range(j, total):
+        a, b = sorted(pool.pop(int(rng.integers(len(pool)))) for _ in range(2))
+        children[new_id] = a, b
+        pool.append(new_id)
+        counts[new_id], means[new_id], covs[new_id] = oracle_pooled(counts, means, covs, a, b)
+    return children, counts, means, covs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_level_batched_pool_equals_the_per_merge_oracle(seed):
+    rng = np.random.default_rng(seed)
+    j, d = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+    children, counts, means, covs = random_merges(rng, j, d)
+    rows, cols = np.triu_indices(d)
+    pooled = hierarchy._pooled_covs(children, counts, means, covs[:j, rows, cols])
+    assert pooled.tobytes() == covs.tobytes()
+    assert pooled.flags.c_contiguous
+
+
+def test_persist_refuses_a_merged_covariance_that_is_not_the_pool(tmp_path, rng):
+    fm = make_features(rng.normal(size=(40, 3)))
+    tree = build_hierarchy(fit_balanced_kmeans(fm, 5, seed=0), fm)
+    path = tmp_path / "tree.bmmt"
+    node = tree.leaf_count + 2
+    tree.covs[node] = np.nextafter(tree.covs[node], np.inf)
+    with pytest.raises(ValidationError, match="merged covariances must be their children's pool"):
+        persist_tree(tree, path)
+    tree.covs[node, 0, 1] = 1.0  # asymmetric too: still refused as not pooled
+    with pytest.raises(ValidationError, match="children's pool"):
+        persist_tree(tree, path)
+    tree.covs[1, 0, 1] += 1.0  # an asymmetric leaf cannot be stored packed
+    with pytest.raises(ValidationError, match="exactly symmetric"):
+        persist_tree(tree, path)
+    assert not path.exists()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -248,7 +319,7 @@ def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, c
     persist writes the same bytes."""
     leaves, fm = case
     tree = build_hierarchy(leaves, fm, linkage=linkage)
-    path = tmp_path_factory.mktemp("v4") / "tree.bmmt"
+    path = tmp_path_factory.mktemp("v5") / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
     assert len(blob) == tree_file_size(fm.n, tree.leaf_count, fm.d)
@@ -272,7 +343,7 @@ def test_version_mismatch_rejected(tmp_path, rng):
     path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
-    for version in (99, 2):  # the header's u16 version follows the 4-byte magic
+    for version in (99, 4, 2):  # the header's u16 version follows the 4-byte magic
         path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
         with pytest.raises(TreeFormatError, match=f"version {version} "):
             load_tree(path)
@@ -326,14 +397,21 @@ def test_child_checks_leave_one_root(children):
 
 
 def test_load_rejects_non_finite_stats(tmp_path, rng):
+    """A non-finite stored value, or a finite leaf covariance whose pool
+    overflows, is refused on load."""
     fm = make_features(rng.normal(size=(12, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
     path = tmp_path / "tree.bmmt"
-    for node_id, field, value in ((1, "covs", np.nan), (tree.root_id, "means", np.inf)):
-        stats = getattr(tree, field)[node_id]
-        saved = stats.copy()
-        stats.flat[0] = value
+    rows, cols = np.triu_indices(2)
+    for node_id, field, value in ((1, "covs", np.nan), (tree.root_id, "means", np.inf),
+                                  (1, "covs", 1e308)):
+        saved = getattr(tree, field).copy()
+        getattr(tree, field)[node_id].flat[0] = value
+        # the file stores leaf covariances only, so the merged ones must be their pool
+        tree.covs = hierarchy._pooled_covs(
+            tree.children, tree.counts, tree.means, tree.covs[:3, rows, cols]
+        )
         persist_tree(tree, path)
-        stats[...] = saved
+        setattr(tree, field, saved)
         with pytest.raises(TreeFormatError, match="non-finite"):
             load_tree(path)
