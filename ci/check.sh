@@ -45,6 +45,16 @@ PY
 "${bmm[@]}" build-server --server-features server.bmmf --leaves 16 --seed 0 --tree tree.bmmt
 "${bmm[@]}" match --tree tree.bmmt --server-features server.bmmf \
     --target-features target.bmmf --target-clusters 6 --seed 0 --out selection.manifest
+echo "== build-server and match again with OpenBLAS on one thread: the same bytes"
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" build-server --server-features server.bmmf --leaves 16 \
+    --seed 0 --tree tree1.bmmt > /dev/null
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" match --tree tree1.bmmt --server-features server.bmmf \
+    --target-features target.bmmf --target-clusters 6 --seed 0 --out selection1.manifest \
+    > /dev/null
+cmp tree.bmmt tree1.bmmt
+cmp selection.manifest selection1.manifest
+cmp selection.manifest.report.txt selection1.manifest.report.txt
+cmp selection.manifest.report.json selection1.manifest.report.json
 "${bmm[@]}" evaluate --manifest selection.manifest --server-features server.bmmf \
     --target-features target.bmmf
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy stratified \

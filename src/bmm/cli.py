@@ -122,24 +122,9 @@ def _cmd_build_server(args) -> int:
     return 0
 
 
-def _check_server(tree: ModeTree, server: FeatureMatrix) -> None:
-    """The server must be the one the tree was built from: same rows, ids,
-    labels and float32 values."""
-    if server.n != tree.leaf_labels.size:
-        raise ValidationError(
-            f"server features have {server.n} rows but the tree covers {tree.leaf_labels.size}"
-        )
-    if server.sha256 != tree.server_sha256:
-        raise ValidationError(
-            f"server features (SHA-256 {server.sha256.hex()[:16]}...) are not the server "
-            f"the tree was built from ({tree.server_sha256.hex()[:16]}...)"
-        )
-
-
 def _cmd_match(args) -> int:
-    tree = load_tree(args.tree)
     server = read_features(args.server_features, args.format)
-    _check_server(tree, server)
+    tree = load_tree(args.tree, server)
     target = read_features(args.target_features, args.format)
     outcome = run_match(tree, target, args.target_clusters, args.seed, args.eps_cov)
     selection = outcome.selection
@@ -223,10 +208,8 @@ def _match_metadata(manifest: Manifest, key: str) -> str:
     return value
 
 
-def _manifest_strata(
-    manifest: Manifest, tree: ModeTree, features: FeatureMatrix
-) -> list[np.ndarray]:
-    """Rebuild match-time strata from a manifest plus its tree and features."""
+def _manifest_strata(manifest: Manifest, tree: ModeTree) -> list[np.ndarray]:
+    """Rebuild match-time strata from a manifest plus its tree, bound to the server."""
     matched = _match_metadata(manifest, "tree_sha256")
     if matched != tree.sha256.hex():
         raise ValidationError(
@@ -241,8 +224,7 @@ def _manifest_strata(
         raise ValidationError(f"manifest 'selected_nodes' metadata {raw!r} repeats a node id")
     if max(selected) >= tree.node_count:
         raise ValidationError(f"manifest references unknown node {max(selected)}")
-    _check_server(tree, features)
-    rows = _manifest_rows(manifest, features)
+    rows = _manifest_rows(manifest, tree.server)
     strata = node_strata(tree, selected, rows)
     covered = sum(stratum.size for stratum in strata)
     if covered != rows.size:
@@ -263,8 +245,8 @@ def _cmd_prune(args) -> int:
         if not args.tree or not args.server_features:
             raise ParameterError("stratified pruning needs --tree and --server-features")
         features = read_features(args.server_features, args.format)
-        tree = load_tree(args.tree)
-        pruned = prune(_manifest_strata(manifest, tree, features), budget, args.seed)
+        tree = load_tree(args.tree, features)
+        pruned = prune(_manifest_strata(manifest, tree), budget, args.seed)
         entries = _entries(features, pruned.sample_rows)
     else:
         pruned = prune([np.arange(len(manifest.entries))], budget, args.seed)

@@ -2,59 +2,55 @@
 
 Leaves are the balanced k-means clusters of the server feature set; internal
 nodes come from bottom-up agglomerative merging of the closest pair at each
-step, so J leaves always produce H = 2J-1 nodes. Every node caches the
-Gaussian statistics of its member rows and is a candidate for matching, the
-root included. Leaf statistics are fitted to the leaf rows; a merged node
-pools the exact moments of its two children, so no row is read twice.
+step, so J leaves always produce H = 2J-1 nodes. Every node, the root
+included, is a candidate for matching with its rows' Gaussian statistics.
 
 The merging keeps no distance matrix: each node caches its nearest
 higher-id neighbour, linkage rows are computed in blocks against the
 stacked means and counts, and a merge recomputes only the rows whose
 nearest neighbour it removed (see `build_hierarchy`).
 
-`ModeTree` holds the tree as arrays in node-id order: `children` (H x 2,
--1 for a leaf), `counts`, `means`, `covs`, `spectra` (each covariance's
-eigenvalues, ascending) and one leaf label per server row, plus the build's
-provenance: `linkage`, `seed` and `server_sha256` (`FeatureMatrix.sha256` of
-the server). `parents` is derived from `children`, and `ModeTree.node(i)`
-builds a `ModeNode` view on demand. A node's rows are those whose leaf lies
-in its subtree, derived on demand, never stored; nor are merged nodes'
-covariances: `build_hierarchy` and `load_tree` both pool them from the
-leaves' with `_pooled_covs`.
+`ModeTree` holds the tree's structure in node-id order: `children` (H x 2,
+-1 for a leaf), `spectra` (each covariance's eigenvalues, ascending), one
+leaf label per server row, the build's `linkage` and `seed`, and `server`,
+the `FeatureMatrix` it is bound to. It derives `parents` from `children`,
+`counts` from the labels and `children` (reading no feature value), and
+`means` and `covs` from the server rows on first read: each leaf's in one
+stacked step per distinct leaf size (`_leaf_moments`, bit-equal to
+`gaussian_stats` over its rows), then each merged node's from its
+children's, one merge level at a time (`_pool`). Stratified `prune` reads
+only labels and links, so it never derives them. A node's rows (those whose
+leaf lies in its subtree) and `ModeTree.node(i)` views are derived on demand.
 
-Trees persist as a little-endian binary file (version 5):
+Trees persist as a little-endian binary file (version 6):
 
-* header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 5,
+* header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 6,
   ``u64`` row count ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``,
   ``u64`` build seed (modulo 2**63, as k-means reads it), ``u16`` linkage
   (its index in `LINKAGES`), the server's 32-byte SHA-256;
-* ``n`` int32 leaf labels;
-* ``2J-1`` node records in node-id order: two int32 child ids (-1 for a
-  leaf), an int64 count, ``d`` float64 mean values and the ``d`` float64
-  eigenvalues of the covariance, ascending;
-* ``J`` leaf covariances in leaf order, each the ``d(d+1)/2`` float64 values
-  of its row-major upper triangle;
+* ``n`` leaf labels in the narrowest unsigned type that holds J-1: ``u1`` up
+  to J=256, ``u2`` up to J=65,536, then ``u4``;
+* ``J-1`` merges in node-id order, two int32 child ids each (the leaves are
+  nodes 0..J-1 and store none);
+* ``2J-1`` spectra in node-id order, ``d`` float64 eigenvalues each;
 * the 32-byte SHA-256 of everything before it, which is also the tree's
   identity (`ModeTree.sha256`; `match` writes it into the manifest).
 
-Packing loses nothing: every covariance is exactly symmetric, as
-`gaussian_stats` symmetrizes and each term the pool adds is symmetric. The
-pool is exact while every product of two child counts is below 2**53 (as for
-ward's linkage), so the loader's pool is the build's, bit for bit, and
-`persist_tree` refuses an asymmetric leaf covariance or a merged one that is
-not its children's pool. The spectra are the stacked
-`np.linalg.eigvalsh(covs)` of the build, so the Fréchet kernel reads its
-ridge decisions and bounds from the file instead of recomputing them. The
-digest, not a loader eigvalsh (which would cost what the stored spectra
-save), guards them: a spectrum cannot drift from its covariance unless the
-file is written so on purpose.
+That is ``64 + n w + 8(J-1) + 8d(2J-1) + 32`` bytes for labels of w bytes.
+`load_tree(path, server)` refuses a server whose row count or
+`FeatureMatrix.sha256` is not the header's, so the statistics it derives are
+the build's, bit for bit, and finite: `FeatureMatrix` refuses non-finite
+values, and a leaf holds at least 2 rows. The spectra are the build's stacked
+`np.linalg.eigvalsh(covs)`, stored because an eigvalsh per load costs
+milliseconds; the Fréchet kernel reads its ridge decisions and bounds from
+them. The digest guards them: a spectrum cannot drift from its covariance
+unless the file is written so on purpose.
 
 The round trip is exact at the bit level, and so is re-persisting a loaded
-file. The loader refuses JSON trees (versions 1-2), other versions (version 3
-stored full covariances and no spectra, version 4 a packed covariance for
-every node), a size that disagrees with the header, a digest mismatch, an
-unknown linkage, broken structure, and non-finite (stored or pooled) or
-unsorted statistics.
+file. The loader refuses JSON trees (versions 1-2), other versions (3-5
+stored statistics), a size that disagrees with the header, a digest
+mismatch, another server, an unknown linkage, broken structure, a leaf of
+fewer than 2 rows, and non-finite or unsorted spectra.
 """
 
 from __future__ import annotations
@@ -69,20 +65,21 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParameterError, TreeFormatError, ValidationError
-from .gap import ModeStats, gaussian_stats
+from .gap import ModeStats
 
 if TYPE_CHECKING:
     from .clustering import FlatClustering
     from .features import FeatureMatrix
 
 TREE_MAGIC = b"BMMT"
-TREE_VERSION = 5
+TREE_VERSION = 6
 # magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
 _HEADER = struct.Struct("<4sHQIIQH32s")
 _DIGEST = 32  # bytes of the trailing SHA-256
 
 LINKAGES = ("centroid", "ward")
 _BLOCK_VALUES = 1 << 20  # gap values per block of linkage rows (8 MB)
+_SMALL_LEAF = "leaf {} is empty or a single row ({} rows); its covariance needs 2"
 
 
 @dataclass(eq=False)
@@ -105,17 +102,14 @@ class ModeNode:
 
 @dataclass(eq=False)
 class ModeTree:
-    """The 2J-1 node tree as the arrays its file stores, in node-id order."""
+    """The 2J-1 node tree's structure in node-id order, bound to its server."""
 
     children: np.ndarray  # (H, 2) int64 child ids, -1 for a leaf
-    counts: np.ndarray  # (H,) int64 member row counts
-    means: np.ndarray  # (H, d) float64
-    covs: np.ndarray  # (H, d, d) float64, exactly symmetric; merged ones pooled
     spectra: np.ndarray  # (H, d) float64 eigenvalues of each covariance, ascending
     leaf_labels: np.ndarray  # (n,) int64 leaf node id of every server row
     linkage: str  # one of LINKAGES
     seed: int  # the leaf k-means seed, modulo 2**63
-    server_sha256: bytes  # FeatureMatrix.sha256 of the server
+    server: "FeatureMatrix" = field(repr=False)  # the rows every statistic comes from
     parents: np.ndarray = field(init=False)  # (H,) int64, -1 for the root
 
     def __post_init__(self) -> None:
@@ -129,6 +123,24 @@ class ModeTree:
     def sha256(self) -> bytes:
         """The tree's identity: the SHA-256 its file ends with."""
         return hashlib.sha256(_payload(self)).digest()
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(H,) int64 member row counts, from the leaf labels and the links alone."""
+        counts = np.bincount(self.leaf_labels, minlength=self.node_count)
+        for node, (a, b) in enumerate(self.children[self.leaf_count:].tolist(), self.leaf_count):
+            counts[node] = counts[a] + counts[b]
+        return counts
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(means, covs) of every node, derived from the server rows on first read."""
+        means, covs = _leaf_moments(self.server.values, self.leaf_labels, self.counts)
+        _pool(self.children, self.counts, means, covs)
+        return means, covs
+
+    means = property(lambda self: self._moments[0])  # (H, d) float64
+    covs = property(lambda self: self._moments[1])  # (H, d, d) float64, exactly symmetric
 
     @property
     def node_count(self) -> int:
@@ -195,45 +207,57 @@ def _linkage(
     return counts_a * counts_b / (counts_a + counts_b) * sq
 
 
-def _pooled_covs(
-    children: np.ndarray, counts: np.ndarray, means: np.ndarray, leaf_covs: np.ndarray
-) -> np.ndarray:
-    """The (H, d, d) covariances of all nodes from the J packed leaf covariances.
+def _leaf_moments(
+    values: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H, d) means and (H, d, d) covariances, the J leaves' filled in with
+    `gaussian_stats` over their rows, bit for bit: the leaves of one size take
+    one stacked step of its operations on their ascending rows. `mean(axis=1)`
+    adds rows in the order `mean(axis=0)` does, and the stacked `c.T @ c`
+    makes the one BLAS call per leaf that the single one makes."""
+    h, d = len(counts), values.shape[1]
+    sizes = counts[:(h + 1) // 2]
+    means, covs = np.empty((h, d)), np.empty((h, d, d))
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist():
+        leaves = np.flatnonzero(sizes == size)
+        x = values[order[starts[leaves, None] + np.arange(size)]].astype(np.float64)
+        means[leaves] = mean = x.mean(axis=1)
+        centered = x - mean[:, None]
+        cov = centered.transpose(0, 2, 1) @ centered / (size - 1)
+        covs[leaves] = (cov + cov.transpose(0, 2, 1)) / 2.0
+    return means, covs
+
+
+def _pool(children: np.ndarray, counts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
+    """Fill in every merged node's mean and covariance from its children's.
 
     A merged node pools its children a and b (Chan, Golub & LeVeque 1979):
-    ((ca-1) A + (cb-1) B + dd^T (ca cb / n)) / (n-1), with d the mean
-    difference and n = ca + cb. The nodes of one merge level (a leaf is level
-    0, a merged node one above its higher child) are pooled in one stacked
-    step on the packed upper triangles, by one merge's elementwise operations
-    in their order. Each value has the bits of that formula in Python
-    integers while every ca * cb is below 2**53, so that the counts and their
-    products are exact in float64. Children must have lower ids
-    (`validate_tree`); an overflow gives non-finite values, which the callers
-    refuse.
+    the mean ma + d (cb / n) and the covariance ((ca-1) A + (cb-1) B +
+    dd^T (ca cb / n)) / (n-1), with d = mb - ma and n = ca + cb. The mean is
+    the build's merge-loop formula. The nodes of one merge level (a leaf is
+    level 0, a merged node one above its higher child) are pooled in one
+    stacked step, by one merge's elementwise operations in their order. Each
+    value has the bits of that formula in Python integers while every ca * cb
+    is below 2**53, so that the counts and their products are exact in
+    float64. Children must have lower ids (`validate_tree`).
     """
-    j, d = len(leaf_covs), means.shape[1]
-    rows, cols = np.triu_indices(d)
-    packed = np.empty((len(children), rows.size))
-    packed[:j] = leaf_covs
+    j = (len(children) + 1) // 2
     level = [0] * len(children)
     for node, (a, b) in enumerate(children[j:].tolist(), j):
         level[node] = 1 + max(level[a], level[b])
     level = np.array(level)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, level.max() + 1):
-            nodes = np.flatnonzero(level == step)
-            a, b = children[nodes].T
-            count_a, count_b = counts[a][:, None], counts[b][:, None]
-            n = count_a + count_b
-            delta = means[b] - means[a]
-            scatter = (count_a - 1) * packed[a] + (count_b - 1) * packed[b]
-            outer = delta[:, rows] * delta[:, cols]
-            packed[nodes] = (scatter + outer * (count_a * count_b / n)) / (n - 1)
-    at = np.empty((d, d), dtype=np.intp)  # packed position of each (row, col) entry
-    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
-    # np.take keeps the stack C-contiguous; the kernel's matmul bits depend on
-    # the layout, and `packed[:, at]` would not be
-    return np.take(packed, at, axis=1)
+    for step in range(1, level.max() + 1):
+        nodes = np.flatnonzero(level == step)
+        a, b = children[nodes].T
+        count_a, count_b = counts[a][:, None], counts[b][:, None]
+        n = count_a + count_b
+        delta = means[b] - means[a]
+        means[nodes] = means[a] + delta * (count_b / n)
+        scatter = (count_a - 1)[:, None] * covs[a] + (count_b - 1)[:, None] * covs[b]
+        outer = delta[:, :, None] * delta[:, None, :]
+        covs[nodes] = (scatter + outer * (count_a * count_b / n)[:, None]) / (n - 1)[:, None]
 
 
 def build_hierarchy(
@@ -244,9 +268,10 @@ def build_hierarchy(
 
     At every step the closest active pair under the chosen linkage is merged;
     equidistant pairs resolve to the lowest (node_id, node_id) pair. Leaf
-    statistics are fitted to the leaf rows. A merge pools its children's count
-    and mean, which the linkage needs; the merged covariances are pooled after
-    the loop, one merge level at a time (`_pooled_covs`, as `load_tree` does).
+    statistics are fitted to the leaf rows (`_leaf_moments`). A merge pools
+    its children's count and mean, which the linkage needs; the merged
+    covariances are pooled after the loop, one merge level at a time
+    (`_pool`, which a loaded tree derives its statistics with too).
 
     No distance matrix is kept. Each active node a caches `nearest[a]`, the
     lowest-id active node b > a at the smallest linkage value `best[a]`, so
@@ -256,25 +281,20 @@ def build_hierarchy(
     unless the new node, whose id is the highest, is strictly closer.
 
     The tree records the linkage, `seed` (the seed `leaves` were fitted
-    with) and `features.sha256`, which refuses ids a manifest cannot hold.
+    with) and `features`, whose `sha256` refuses ids a manifest cannot hold.
     """
     if linkage not in LINKAGES:
         raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
-    server_sha256 = features.sha256
+    _ = features.sha256  # refuses unlistable ids before the work; the tree reuses it
     j, d = leaves.k, features.d
     total = 2 * j - 1
 
     children = np.full((total, 2), -1, dtype=np.int64)
-    counts = np.empty(total, dtype=np.int64)
-    means = np.empty((total, d), dtype=np.float64)
-    leaf_covs = np.empty((j, d * (d + 1) // 2), dtype=np.float64)
-    upper = np.triu_indices(d)
-    for c in range(j):
-        rows = leaves.cluster_rows(c)
-        if rows.size == 0:
-            raise ValidationError(f"leaf cluster {c} is empty")
-        stats = gaussian_stats(features, rows)
-        counts[c], means[c], leaf_covs[c] = stats.count, stats.mean, stats.cov[upper]
+    counts = np.zeros(total, dtype=np.int64)
+    _check_labels(leaves.assignment, j)
+    counts[:j] = np.bincount(leaves.assignment, minlength=j)
+    _refuse(counts[:j] < 2, _SMALL_LEAF, np.arange(j), counts)
+    means, covs = _leaf_moments(features.values, leaves.assignment, counts)
     active = np.zeros(total, dtype=bool)
     active[:j] = True
     nearest = np.full(total, -1, dtype=np.int64)
@@ -319,11 +339,11 @@ def build_hierarchy(
         if stale.any():
             refresh(ids[stale])
 
-    covs = _pooled_covs(children, counts, means, leaf_covs)
+    _pool(children, counts, means, covs)  # its means have the loop's bits
     tree = ModeTree(
-        children, counts, means, covs, np.linalg.eigvalsh(covs), leaves.assignment,
-        linkage, seed % 2**63, server_sha256,
+        children, np.linalg.eigvalsh(covs), leaves.assignment, linkage, seed % 2**63, features
     )
+    tree.counts, tree._moments = counts, (means, covs)  # what the tree would derive
     validate_tree(tree)
     return tree
 
@@ -335,13 +355,17 @@ def _refuse(broken: np.ndarray, message: str, *columns: np.ndarray) -> None:
         raise ValidationError(message.format(*(column[hits[0]] for column in columns)))
 
 
-def validate_tree(tree: ModeTree) -> None:
-    """Structural checks: leaves first, links (so the root is the one node without a
-    parent), and counts that agree with the leaf labels, so the nodes partition the
-    rows; errors name the lowest bad node."""
-    j, labels = tree.leaf_count, tree.leaf_labels
+def _check_labels(labels: np.ndarray, j: int) -> None:
     if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < j):
         raise ValidationError(f"leaf labels must be row labels in [0, {j})")
+
+
+def validate_tree(tree: ModeTree) -> None:
+    """Structural checks: leaves first, links (so the root is the one node without a
+    parent), and leaves of at least 2 rows, so every node has statistics; errors
+    name the lowest bad node."""
+    j = tree.leaf_count
+    _check_labels(tree.leaf_labels, j)
     ids = np.arange(tree.node_count)
     is_leaf = (tree.children == -1).all(axis=1)
     _refuse(is_leaf != (ids < j), f"nodes 0..{j - 1} must be the leaves; node {{}} is not", ids)
@@ -351,39 +375,21 @@ def validate_tree(tree: ModeTree) -> None:
             "node {} needs two distinct lower child ids", merged)
     for child in (a, b):
         _refuse(tree.parents[child] != merged, "child {} does not point back to {}", child, merged)
-    leaf_rows = np.bincount(labels, minlength=j)
-    _refuse(leaf_rows == 0, "leaf {} holds no rows", ids)
-    expected = np.concatenate([leaf_rows, tree.counts[a] + tree.counts[b]])
-    _refuse(tree.counts != expected, "node {} count {} != {} rows", ids, tree.counts, expected)
-
-
-def _record_dtype(d: int) -> np.dtype:
-    """One node record: child ids (-1, -1 for a leaf), count, mean, spectrum."""
-    return np.dtype([
-        ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
-        ("spectrum", "<f8", (d,)),
-    ])
+    _refuse(tree.counts[:j] < 2, _SMALL_LEAF, ids, tree.counts)
 
 
 def _payload(tree: ModeTree) -> bytes:
     """The file's bytes before its digest."""
-    j, d = tree.leaf_count, tree.means.shape[1]
-    rows, cols = np.triu_indices(d)
-    leaf_covs = tree.covs[:j, rows, cols]
-    if leaf_covs.tobytes() != tree.covs[:j, cols, rows].tobytes():
-        raise ValidationError("leaf covariances must be exactly symmetric to be stored packed")
-    pooled = _pooled_covs(tree.children, tree.counts, tree.means, leaf_covs)
-    if pooled.tobytes() != tree.covs.tobytes():
-        raise ValidationError("merged covariances must be their children's pool to be stored")
-    records = np.zeros(tree.node_count, dtype=_record_dtype(d))
-    records["children"], records["count"] = tree.children, tree.counts
-    records["mean"], records["spectrum"] = tree.means, tree.spectra
+    j = tree.leaf_count
+    labels = np.min_scalar_type(j - 1).newbyteorder("<")  # the narrowest that holds J-1
     header = _HEADER.pack(
-        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, j, d, tree.seed,
-        LINKAGES.index(tree.linkage), tree.server_sha256,
+        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, j, tree.spectra.shape[1], tree.seed,
+        LINKAGES.index(tree.linkage), tree.server.sha256,
     )
-    labels = tree.leaf_labels.astype("<i4").tobytes()
-    return header + labels + records.tobytes() + leaf_covs.astype("<f8").tobytes()
+    return b"".join([
+        header, tree.leaf_labels.astype(labels).tobytes(),
+        tree.children[j:].astype("<i4").tobytes(), tree.spectra.astype("<f8").tobytes(),
+    ])
 
 
 def persist_tree(tree: ModeTree, path: str | Path) -> None:
@@ -391,7 +397,9 @@ def persist_tree(tree: ModeTree, path: str | Path) -> None:
     Path(path).write_bytes(data + hashlib.sha256(data).digest())
 
 
-def load_tree(path: str | Path) -> ModeTree:
+def load_tree(path: str | Path, server: "FeatureMatrix") -> ModeTree:
+    """The tree at path, bound to `server`, which must be the server it was
+    built from: the same rows, ids, labels and float32 values."""
     data = Path(path).read_bytes()
     if data[:4] != TREE_MAGIC:
         if data.lstrip()[:1] == b"{":
@@ -409,9 +417,11 @@ def load_tree(path: str | Path) -> ModeTree:
         )
     if j < 1 or d < 1:
         raise TreeFormatError(f"{path}: header declares {j} leaves of dimension {d}")
-    total, packed = 2 * j - 1, d * (d + 1) // 2
+    total, labels = 2 * j - 1, np.min_scalar_type(j - 1).newbyteorder("<")
     # in Python integers, before any array is sized from the header
-    expected = _HEADER.size + 4 * n + total * (16 + 16 * d) + j * 8 * packed + _DIGEST
+    merges = _HEADER.size + labels.itemsize * n
+    spectra = merges + 8 * (j - 1)
+    expected = spectra + 8 * d * total + _DIGEST
     if len(data) != expected:
         raise TreeFormatError(
             f"{path}: {len(data)} bytes, but n={n}, J={j}, d={d} take {expected}"
@@ -419,24 +429,28 @@ def load_tree(path: str | Path) -> ModeTree:
     digest = data[-_DIGEST:]
     if hashlib.sha256(memoryview(data)[:-_DIGEST]).digest() != digest:
         raise TreeFormatError(f"{path}: contents do not match the tree's SHA-256; file is corrupt")
+    if server.n != n:
+        raise ValidationError(f"server features have {server.n} rows but the tree covers {n}")
+    if server.sha256 != server_sha256:
+        raise ValidationError(
+            f"server features (SHA-256 {server.sha256.hex()[:16]}...) are not the server "
+            f"the tree was built from ({server_sha256.hex()[:16]}...)"
+        )
     if linkage >= len(LINKAGES):
         raise TreeFormatError(f"{path}: unknown linkage index {linkage}")
-    records = np.frombuffer(data, _record_dtype(d), total, _HEADER.size + 4 * n)
-    leaf_covs = np.frombuffer(data, "<f8", j * packed, _HEADER.size + 4 * n + records.nbytes)
+    children = np.full((total, 2), -1, dtype=np.int64)
+    children[j:] = np.frombuffer(data, "<i4", 2 * (j - 1), merges).reshape(-1, 2)
     tree = ModeTree(
-        records["children"].astype(np.int64), records["count"].astype(np.int64),
-        records["mean"].astype(np.float64), np.empty((0, d, d)),  # pooled once links are checked
-        records["spectrum"].astype(np.float64),
-        np.frombuffer(data, "<i4", n, _HEADER.size).astype(np.int64),
-        LINKAGES[linkage], seed, server_sha256,
+        children, np.frombuffer(data, "<f8", total * d, spectra).reshape(total, d).astype(float),
+        np.frombuffer(data, labels, n, _HEADER.size).astype(np.int64), LINKAGES[linkage], seed,
+        server,
     )
     try:
         validate_tree(tree)
     except ValidationError as exc:
         raise TreeFormatError(f"{path}: {exc}") from exc
-    tree.covs = _pooled_covs(tree.children, tree.counts, tree.means, leaf_covs.reshape(j, packed))
-    if not all(np.isfinite(a).all() for a in (tree.means, tree.covs, tree.spectra)):
-        raise TreeFormatError(f"{path}: non-finite node mean, covariance or spectrum")
+    if not np.isfinite(tree.spectra).all():
+        raise TreeFormatError(f"{path}: non-finite node spectrum")
     if (np.diff(tree.spectra, axis=1) < 0).any():
         raise TreeFormatError(f"{path}: a node spectrum is not in ascending order")
     tree.sha256 = digest  # re-persisting the loaded tree writes the same bytes

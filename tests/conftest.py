@@ -66,7 +66,7 @@ def trees_equal(a: ModeTree, b: ModeTree) -> bool:
         getattr(a, f).shape == getattr(b, f).shape
         and getattr(a, f).tobytes() == getattr(b, f).tobytes()
         for f in fields
-    ) and (a.linkage, a.seed, a.server_sha256) == (b.linkage, b.seed, b.server_sha256)
+    ) and (a.linkage, a.seed, a.server.sha256) == (b.linkage, b.seed, b.server.sha256)
 
 
 def shared_nearest_world(seed: int = 0, d: int = 8, per_mode: int = 200) -> PlantedWorld:

@@ -18,12 +18,12 @@ buffered one in `clustering` must reproduce bit for bit, and
 `oracle_build_hierarchy` the merge loop over a full pairwise distance
 matrix, one scalar linkage value at a time, that `bmm.build_hierarchy` must
 equal node for node; it pools each merged node's moments as it merges, with
-`oracle_pooled`, whose covariances the level-batched pool in `bmm.hierarchy`
-must equal bit for bit. `oracle_assignment` is the exhaustive assignment over
-exact integer totals whose answer `bmm.solve_assignment` must return on
-every input, near ties included, and `oracle_direct_match_no_duplicates`
-the greedy direct match that leaves a target unmatched when an earlier
-target already claimed its nearest node. `oracle_bench` is the bench sweep
+`oracle_pooled`, whose means and covariances the level-batched pool in
+`bmm.hierarchy` must equal bit for bit. `oracle_assignment` is the
+exhaustive assignment over exact integer totals whose answer
+`bmm.solve_assignment` must return on every input, near ties included, and
+`oracle_direct_match_no_duplicates` the greedy direct match that leaves a
+target unmatched when an earlier target already claimed its nearest node. `oracle_bench` is the bench sweep
 on each J's full cost matrix, whose fid and precision columns the bounded
 `bmm.run_bench` must equal bit for bit, and `oracle_generate` the
 planted-world sampler that draws whole-super target rows one row at a time,
@@ -299,8 +299,8 @@ def oracle_pooled(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Exact (count, mean, covariance) of the union of the disjoint rows of
     nodes a and b from their own moments (Chan, Golub & LeVeque 1979), one
-    merge at a time in Python integers; `hierarchy._pooled_covs` must give
-    these covariances bit for bit."""
+    merge at a time in Python integers; `hierarchy._pool` must give these
+    means and covariances bit for bit."""
     count_a, count_b = int(counts[a]), int(counts[b])
     n = count_a + count_b
     delta = means[b] - means[a]
@@ -354,9 +354,9 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
         active[new_id] = True
 
     tree = ModeTree(
-        children, counts, means, covs, np.linalg.eigvalsh(covs), leaves.assignment,
-        linkage, 0, features.sha256,
+        children, np.linalg.eigvalsh(covs), leaves.assignment, linkage, 0, features
     )
+    tree.counts, tree._moments = counts, (means, covs)  # the oracle's own, not derived
     validate_tree(tree)
     return tree
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 import bmm
 from bmm import (
-    BmmError, FeatureMatrix, cost_matrix, generate, load_tree, persist_tree, read_manifest,
+    FeatureMatrix, cost_matrix, generate, load_tree, persist_tree, read_manifest,
     save_world, write_features, write_manifest,
 )
 from bmm import cli
@@ -24,12 +25,18 @@ from bmm.synth import granularity_probe_world, random_subset_world
 from conftest import one_blas_thread, run_python, shared_nearest_world
 
 
+@functools.cache
+def world_features():
+    """The (server, target) features of the tests' world."""
+    world = random_subset_world(seed=5, per_sub=40, per_target=50, n_target_modes=2,
+                                include_whole_super=False)
+    return generate(world)[:2]
+
+
 @pytest.fixture(scope="module")
 def world_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    world = random_subset_world(seed=5, per_sub=40, per_target=50, n_target_modes=2,
-                                include_whole_super=False)
-    server, target, _ = generate(world)
+    server, target = world_features()
     server_path = root / "server.bmmf"
     target_path = root / "target.bmmf"
     write_features(server, server_path)
@@ -52,7 +59,7 @@ def test_build_server_writes_tree(tmp_path, world_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "leaves (J): 8" in out and "nodes (H): 15" in out
-    tree = load_tree(tree_path)
+    tree = load_tree(tree_path, server)
     assert tree.node_count == 15
     assert tree.node(tree.root_id).size == server.n
 
@@ -64,19 +71,19 @@ def test_tree_records_how_and_from_what_it_was_built(tmp_path, world_files):
         "build-server", "--server-features", str(server_path), "--leaves", "8",
         "--seed", "-1", "--linkage", "ward", "--tree", str(tree_path),
     ]) == 0
-    tree = load_tree(tree_path)
+    tree = load_tree(tree_path, server)
     # the seed as the k-means generator reads it
-    assert (tree.seed, tree.linkage, tree.server_sha256) == (2**63 - 1, "ward", server.sha256)
+    assert (tree.seed, tree.linkage, tree.server.sha256) == (2**63 - 1, "ward", server.sha256)
 
 
 def test_loaded_tree_gives_the_built_trees_cost_bits(tmp_path, world_files):
     """The kernel's matmul bits depend on the covariance stack's memory
-    layout, so the unpacked stack must be laid out as the built one."""
+    layout, so the derived stack must be laid out as the built one."""
     _, server, target, _, _ = world_files
     tree = build_server_tree(server, 8)
     persist_tree(tree, tmp_path / "tree.bmmt")
     _, stats = target_mode_stats(target, 4)
-    loaded = cost_matrix(load_tree(tmp_path / "tree.bmmt"), stats)
+    loaded = cost_matrix(load_tree(tmp_path / "tree.bmmt", server), stats)
     assert loaded.tobytes() == cost_matrix(tree, stats).tobytes()
 
 
@@ -195,7 +202,7 @@ def test_match_thread_count_does_not_change_outputs(tmp_path, world_files):
 
 
 def test_match_cost_csv_dump(tmp_path, world_files):
-    _, _, _, server_path, target_path = world_files
+    _, server, _, server_path, target_path = world_files
     code, tree_path = run_build(tmp_path, server_path)
     out = tmp_path / "sel.manifest"
     cost_csv = tmp_path / "cost.csv"
@@ -203,7 +210,7 @@ def test_match_cost_csv_dump(tmp_path, world_files):
                 + ["--cost-csv", str(cost_csv)]) == 0
     lines = cost_csv.read_text().strip().splitlines()
     assert len(lines) == 3  # header + L rows
-    node_count = load_tree(tree_path).node_count
+    node_count = load_tree(tree_path, server).node_count
     assert lines[0] == "target_id," + ",".join(f"node_{j}" for j in range(node_count))
     assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
 
@@ -298,7 +305,7 @@ def test_prune_stratified_matches_allocation(tmp_path, world_files):
     pruned = read_manifest(pruned_path)
     assert len(pruned.entries) == round(0.5 * len(original.entries))
 
-    tree = load_tree(tree_path)
+    tree = load_tree(tree_path, server)
     index = {sid: i for i, sid in enumerate(server.sample_ids)}
     kept_rows = {index[sid] for sid, _ in pruned.entries}
     total_rows = {index[sid] for sid, _ in original.entries}
@@ -623,38 +630,44 @@ V3_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimens
 
 
 def tree_parts(blob: bytes):
-    """The header fields, leaf labels, node records and packed leaf
-    covariances (J x d(d+1)/2) of a version-5 tree, as writable copies; the
-    trailing digest is dropped."""
+    """The header fields, leaf labels (one byte each, as J=8), merges (J-1 x 2
+    int32 child ids) and spectra ((2J-1) x d) of a version-6 tree, as writable
+    copies; the trailing digest is dropped."""
     header = list(TREE_HEADER.unpack_from(blob))
     n, j, d = header[2:5]
-    record = np.dtype([
+    labels = np.frombuffer(blob, "<u1", n, TREE_HEADER.size).copy()
+    merges = np.frombuffer(blob, "<i4", 2 * (j - 1), TREE_HEADER.size + n).reshape(-1, 2).copy()
+    spectra = np.frombuffer(blob, "<f8", (2 * j - 1) * d, TREE_HEADER.size + n + merges.nbytes)
+    return header, labels, merges, spectra.reshape(-1, d).copy()
+
+
+def v6_bytes(header, labels, merges, spectra) -> bytes:
+    """A version-6 tree file from its parts, ending with the SHA-256 of the bytes before it."""
+    data = TREE_HEADER.pack(*header) + labels.tobytes() + merges.tobytes() + spectra.tobytes()
+    return data + hashlib.sha256(data).digest()
+
+
+def node_records(blob: bytes):
+    """The header fields, int32 leaf labels, node records (child ids, count,
+    mean, spectrum) and full covariances of a version-6 tree's nodes, with the
+    statistics derived from the world's server rows."""
+    header, labels, merges, spectra = tree_parts(blob)
+    j, d = header[3:5]
+    children = np.concatenate([np.full((j, 2), -1), merges]).astype(np.int64)
+    labels = labels.astype(np.int64)
+    tree = hierarchy.ModeTree(children, spectra, labels, "centroid", 0, world_features()[0])
+    records = np.zeros(len(children), dtype=[
         ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
         ("spectrum", "<f8", (d,)),
     ])
-    labels = np.frombuffer(blob, "<i4", n, TREE_HEADER.size).copy()
-    records = np.frombuffer(blob, record, 2 * j - 1, TREE_HEADER.size + 4 * n).copy()
-    packed = d * (d + 1) // 2
-    covs = np.frombuffer(blob, "<f8", j * packed, TREE_HEADER.size + 4 * n + records.nbytes)
-    return header, labels, records, covs.reshape(j, packed).copy()
-
-
-def full_covs(records, covs) -> np.ndarray:
-    """Every node's full covariance: the leaves' unpacked, the merged ones pooled."""
-    return hierarchy._pooled_covs(
-        records["children"].astype(np.int64), records["count"], records["mean"], covs
-    )
-
-
-def v5_bytes(header, labels, records, covs) -> bytes:
-    """A version-5 tree file from its parts, ending with the SHA-256 of the bytes before it."""
-    data = TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes() + covs.tobytes()
-    return data + hashlib.sha256(data).digest()
+    records["children"], records["count"] = children, tree.counts
+    records["mean"], records["spectrum"] = tree.means, spectra
+    return header, labels.astype("<i4"), records, tree.covs
 
 
 def v3_bytes(blob: bytes) -> bytes:
     """The tree as version 3 wrote it: full covariances, no spectra, provenance or digest."""
-    header, labels, records, covs = tree_parts(blob)
+    header, labels, records, covs = node_records(blob)
     n, j, d = header[2:5]
     record = np.dtype(
         [("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d))]
@@ -662,13 +675,13 @@ def v3_bytes(blob: bytes) -> bytes:
     old = np.zeros(len(records), dtype=record)
     for name in ("children", "count", "mean"):
         old[name] = records[name]
-    old["cov"] = full_covs(records, covs)
+    old["cov"] = covs
     return V3_HEADER.pack(b"BMMT", 3, n, j, d) + labels.tobytes() + old.tobytes()
 
 
 def v4_bytes(blob: bytes) -> bytes:
     """The tree as version 4 wrote it: a packed covariance in every node record."""
-    header, labels, records, covs = tree_parts(blob)
+    header, labels, records, covs = node_records(blob)
     d = header[4]
     record = np.dtype([
         ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
@@ -678,18 +691,29 @@ def v4_bytes(blob: bytes) -> bytes:
     for name in ("children", "count", "mean", "spectrum"):
         old[name] = records[name]
     rows, cols = np.triu_indices(d)
-    old["cov"] = full_covs(records, covs)[:, rows, cols]
+    old["cov"] = covs[:, rows, cols]
     header[1] = 4
     data = TREE_HEADER.pack(*header) + labels.tobytes() + old.tobytes()
     return data + hashlib.sha256(data).digest()
 
 
+def v5_bytes(blob: bytes) -> bytes:
+    """The tree as version 5 wrote it: int32 labels, a record per node and
+    the J leaf covariances' packed upper triangles."""
+    header, labels, records, covs = node_records(blob)
+    j, d = header[3:5]
+    header[1] = 5
+    rows, cols = np.triu_indices(d)
+    data = TREE_HEADER.pack(*header) + labels.tobytes() + records.tobytes()
+    data += covs[:j, rows, cols].tobytes()
+    return data + hashlib.sha256(data).digest()
+
+
 def v2_payload(blob: bytes) -> dict:
     """The tree as the earlier JSON format (version 2) wrote it."""
-    header, labels, records, covs = tree_parts(blob)
+    header, labels, records, covs = node_records(blob)
     children = [[c for c in rec.tolist() if c >= 0] for rec in records["children"]]
     parents = {c: i for i, pair in enumerate(children) for c in pair}
-    covs = full_covs(records, covs)
     return {
         "format": "bmm-mode-tree",
         "version": 2,
@@ -713,14 +737,14 @@ def _set(record, key, value):
     record[key] = value
 
 
-def _v5(change):
-    """A mutation that edits the parsed header list, labels, records and leaf
-    covariances in place, then writes them with a fresh digest, so that the
+def _v6(change):
+    """A mutation that edits the parsed header list, labels, merges and
+    spectra in place, then writes them with a fresh digest, so that the
     loader's checks behind the digest see the edit."""
     def apply(blob):
         parts = tree_parts(blob)
         change(*parts)
-        return v5_bytes(*parts)
+        return v6_bytes(*parts)
     return apply
 
 
@@ -742,31 +766,35 @@ def _json(change):
     return apply
 
 
-# Each mutation maps the bytes of a valid version-5 tree (built with J=8, so
-# records 0..7 are leaves and record 14 is the root) to the bytes to load.
-# The JSON mutations break one rule of the earlier version-2 JSON format;
-# like an intact JSON tree or a version-3 or version-4 file, they must be
-# refused as incompatible.
+def _cut_labels(blob):
+    """The tree with its last leaf label dropped and a fresh digest."""
+    header, labels, merges, spectra = tree_parts(blob)
+    return v6_bytes(header, labels[:-1], merges, spectra)
+
+
+# Each mutation maps the bytes of a valid version-6 tree (built with J=8, so
+# nodes 0..7 are the leaves, merge m is node 8 + m and node 14, merge 6, is
+# the root) to the bytes to load. The JSON mutations break one rule of the
+# earlier version-2 JSON format; like an intact JSON tree or a version-3, 4
+# or 5 file, they must be refused as incompatible.
 MALFORMED_TREES = {
     "bad-magic": lambda blob: b"BMMX" + blob[4:],
-    "version-99": _v5(lambda h, l, r, c: _set(h, 1, 99)),
-    "version-2": _v5(lambda h, l, r, c: _set(h, 1, 2)),
+    "version-99": _v6(lambda h, l, m, s: _set(h, 1, 99)),
+    "version-2": _v6(lambda h, l, m, s: _set(h, 1, 2)),
     "v2-json": _json(lambda p: None),
     "truncated-one-byte": lambda blob: blob[:-1],
     "trailing-byte": lambda blob: blob + b"\0",
-    "leaf-count-zero": _v5(lambda h, l, r, c: _set(h, 3, 0)),
-    "dimension-zero": _v5(lambda h, l, r, c: _set(h, 4, 0)),
-    "rows-one-more": _v5(lambda h, l, r, c: _set(h, 2, h[2] + 1)),
-    # packed index 1 is the (0, 1) entry
-    "nan-leaf-covariance": _v5(lambda h, l, r, c: _set(c[3], 1, np.nan)),
-    # leaf 3 holds more than two rows, so (count - 1) * 1e308 overflows in its parent's pool
-    "huge-leaf-covariance-pools-to-inf": _v5(lambda h, l, r, c: _set(c, 3, 1e308)),
-    "nan-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"][5], 0, np.nan)),
-    "inf-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"][12], -1, np.inf)),
-    "unsorted-spectrum": _v5(lambda h, l, r, c: _set(r["spectrum"], 5, r["spectrum"][5][::-1])),
-    "linkage-unknown": _v5(lambda h, l, r, c: _set(h, 6, len(LINKAGES))),
+    "leaf-count-zero": _v6(lambda h, l, m, s: _set(h, 3, 0)),
+    "dimension-zero": _v6(lambda h, l, m, s: _set(h, 4, 0)),
+    "rows-one-more": _v6(lambda h, l, m, s: _set(h, 2, h[2] + 1)),
+    "labels-cut-one-byte": _cut_labels,
+    "nan-spectrum": _v6(lambda h, l, m, s: _set(s[5], 0, np.nan)),
+    "inf-spectrum": _v6(lambda h, l, m, s: _set(s[12], -1, np.inf)),
+    "unsorted-spectrum": _v6(lambda h, l, m, s: _set(s, 5, s[5][::-1])),
+    "linkage-unknown": _v6(lambda h, l, m, s: _set(h, 6, len(LINKAGES))),
     "version-3": v3_bytes,
     "version-4": v4_bytes,
+    "version-5": v5_bytes,
     "header-cut": lambda blob: blob[:5],
     "header-cut-6-bytes": lambda blob: blob[:6],
     "header-cut-63-bytes": lambda blob: blob[:63],
@@ -776,22 +804,19 @@ MALFORMED_TREES = {
     "flipped-server-digest-byte": _flip(40),
     "flipped-payload-byte": _flip(-100),
     "flipped-digest-byte": _flip(-1),
-    "inf-merged-mean": _v5(lambda h, l, r, c: _set(r["mean"][10], 0, np.inf)),
-    "leaf-label-at-j": _v5(lambda h, l, r, c: _set(l, 0, 8)),
-    "leaf-label-negative": _v5(lambda h, l, r, c: _set(l, 0, -1)),
-    "label-moved": _v5(lambda h, l, r, c: _set(l, np.flatnonzero(l == 0)[0], 1)),
-    "child-id-at-parent": _v5(lambda h, l, r, c: _set(r["children"][14], 0, 14)),
-    "child-id-above-parent": _v5(lambda h, l, r, c: _set(r["children"][8], 0, 12)),
-    "child-id-minus-two": _v5(lambda h, l, r, c: _set(r["children"][14], 0, -2)),
-    "leaf-with-children": _v5(lambda h, l, r, c: _set(r["children"], 3, (0, 1))),
-    "merged-without-children": _v5(lambda h, l, r, c: _set(r["children"], 10, (-1, -1))),
-    "half-leaf-children": _v5(lambda h, l, r, c: _set(r["children"][12], 0, -1)),
-    "repeated-child": _v5(lambda h, l, r, c: _set(r["children"][14], 1, r["children"][14][0])),
-    "child-shared-by-two-parents": _v5(
-        lambda h, l, r, c: _set(r["children"][9], 0, r["children"][8][0])
-    ),
-    "leaf-count-off": _v5(lambda h, l, r, c: _set(r["count"], 0, r["count"][0] + 1)),
-    "root-count-off": _v5(lambda h, l, r, c: _set(r["count"], 14, r["count"][14] - 1)),
+    # J in the one-byte label block
+    "leaf-label-at-j": _v6(lambda h, l, m, s: _set(l, 0, 8)),
+    # the byte of a -1: labels are unsigned, so it reads as 255
+    "leaf-label-negative": _v6(lambda h, l, m, s: _set(l, 0, 255)),
+    # all but one of leaf 0's rows moved to leaf 1
+    "label-moved": _v6(lambda h, l, m, s: _set(l, np.flatnonzero(l == 0)[1:], 1)),
+    "child-id-at-parent": _v6(lambda h, l, m, s: _set(m[6], 0, 14)),
+    "child-id-above-parent": _v6(lambda h, l, m, s: _set(m[0], 0, 12)),
+    "child-id-minus-two": _v6(lambda h, l, m, s: _set(m[6], 0, -2)),
+    "merged-without-children": _v6(lambda h, l, m, s: _set(m, 2, (-1, -1))),
+    "half-leaf-children": _v6(lambda h, l, m, s: _set(m[4], 0, -1)),
+    "repeated-child": _v6(lambda h, l, m, s: _set(m[6], 1, m[6][0])),
+    "child-shared-by-two-parents": _v6(lambda h, l, m, s: _set(m[1], 0, m[0][0])),
     "no-leaf-labels": _json(lambda p: p.pop("leaf_labels")),
     "no-nodes": _json(lambda p: p.pop("nodes")),
     "no-child-ids": _json(lambda p: p["nodes"][14].pop("child_ids")),
@@ -814,8 +839,8 @@ MALFORMED_TREES = {
 MALFORMED_TREE_ERRORS = {
     "version-3": "tree version 3 is incompatible",
     "version-4": "tree version 4 is incompatible",
-    "nan-leaf-covariance": "non-finite",
-    "huge-leaf-covariance-pools-to-inf": "non-finite",
+    "version-5": "tree version 5 is incompatible",
+    "labels-cut-one-byte": "bytes, but n=",
     "header-cut": "truncated tree header",
     "header-cut-6-bytes": "truncated tree header",
     "header-cut-63-bytes": "truncated tree header",
@@ -828,6 +853,9 @@ MALFORMED_TREE_ERRORS = {
     "flipped-server-digest-byte": "SHA-256",
     "flipped-payload-byte": "SHA-256",
     "flipped-digest-byte": "SHA-256",
+    "leaf-label-at-j": "leaf labels must be row labels in [0, 8)",
+    "leaf-label-negative": "leaf labels must be row labels in [0, 8)",
+    "label-moved": "leaf 0 is empty or a single row (1 rows)",
 }
 
 
@@ -845,51 +873,41 @@ def test_match_rejects_malformed_tree(tmp_path, world_files, tree_blob, mutation
 
 
 def test_v5_mutation_helpers_rebuild_the_tree_exactly(tree_blob):
-    """The table's parser and writer are exact, so each mutation changes only what it names."""
-    assert v5_bytes(*tree_parts(tree_blob)) == tree_blob
+    """The table's parser and writer are exact, so each mutation changes only
+    what it names, and the version-5 writer writes that layout's size."""
+    assert v6_bytes(*tree_parts(tree_blob)) == tree_blob
+    n, j, d = TREE_HEADER.unpack_from(tree_blob)[2:5]
+    v5_size = 64 + 4 * n + (2 * j - 1) * (16 + 16 * d) + j * 8 * d * (d + 1) // 2 + 32
+    assert len(v5_bytes(tree_blob)) == v5_size
 
 
-def test_match_huge_tree_mean_is_numerical_error(tmp_path, world_files, tree_blob, capsys):
+def test_stratified_prune_never_derives_statistics(tmp_path, world_files, monkeypatch):
+    """Stratified prune reads only the tree's labels and links: with the
+    statistics' derivation broken it writes the same pruned bytes. match
+    derives them exactly once."""
     _, _, _, server_path, target_path = world_files
-    tree_path = tmp_path / "tree.bmmt"
-    tree_path.write_bytes(_v5(lambda h, l, r, c: _set(r["mean"][14], 0, 1e200))(tree_blob))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(match_args(tree_path, server_path, target_path, tmp_path / "x.manifest"))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "non-finite" in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _, tree_path = run_build(tmp_path, server_path)
+    calls = []
 
+    def counted(*args):
+        calls.append(args)
+        return leaf_moments(*args)
 
-def test_match_huge_node_covariance_is_the_full_matrix_error(
-    tmp_path, world_files, tree_blob, capsys
-):
-    """A leaf covariance that overflows the kernel gives that leaf a bound far
-    above the others, so a bounded search would never compute its cost; the
-    match still exits 2 with the message of the full cost matrix. The file
-    stores leaf covariances only, so the leaf's must pool to finite values:
-    1e306 * I over its 80 rows does (79e306 < 1.8e308), and a target ridged at
-    eps 1e3 takes its product past the float range."""
-    _, _, target, server_path, target_path = world_files
-    tree_path = tmp_path / "tree.bmmt"
-    def huge_leaf(h, l, r, c):
-        # the covariance 1e306 * I, packed, and its spectrum, as a build would store them
-        c[3] = (np.eye(h[4]) * 1e306)[np.triu_indices(h[4])]
-        r["spectrum"][3] = 1e306
+    def broken(*args):
+        raise AssertionError("stratified prune derived node statistics")
 
-    tree_path.write_bytes(_v5(huge_leaf)(tree_blob))
-    _, stats = target_mode_stats(target, 2)
-    with pytest.raises(BmmError) as full:
-        cost_matrix(load_tree(tree_path), stats, eps=1e3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        argv = match_args(tree_path, server_path, target_path, tmp_path / "x.manifest")
-        code = main(argv + ["--eps-cov", "1e3"])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {full.value}\n"
-    assert "overflows for node column 3" in str(full.value)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    leaf_moments = hierarchy._leaf_moments
+    monkeypatch.setattr(hierarchy, "_leaf_moments", counted)
+    manifest, pruned = tmp_path / "sel.manifest", tmp_path / "pruned.manifest"
+    assert main(match_args(tree_path, server_path, target_path, manifest)) == 0
+    assert len(calls) == 1
+    assert main(stratified_args(manifest, tree_path, server_path, pruned)) == 0
+    assert len(calls) == 1
+    expected = pruned.read_bytes()
+    pruned.unlink()
+    monkeypatch.setattr(hierarchy, "_leaf_moments", broken)
+    assert main(stratified_args(manifest, tree_path, server_path, pruned)) == 0
+    assert pruned.read_bytes() == expected
 
 
 def eps_argv(tmp_path, world_files, tree_blob, command, out):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from bmm import hierarchy
 from bmm.gap import NodeCosts
 from bmm.hierarchy import LINKAGES, validate_tree
 
-from conftest import make_features, trees_equal
+from conftest import make_features, one_blas_thread, trees_equal
 from oracles import oracle_build_hierarchy, oracle_node_costs, oracle_pooled
+
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def quad_features():
@@ -195,6 +199,16 @@ def test_stats_computed_from_member_rows(rng):
             np.testing.assert_allclose(node.stats.cov, refit.cov, rtol=1e-12)
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_leaf_label_outside_the_leaves_rejected(label):
+    fm = make_features(np.arange(6.0))
+    bogus = FlatClustering(
+        k=2, assignment=np.array([0, 0, 1, 1, label, label]), centroids=np.zeros((2, 1)), sse=0.0
+    )
+    with pytest.raises(ValidationError, match=r"leaf labels must be row labels in \[0, 2\)"):
+        build_hierarchy(bogus, fm)
+
+
 def test_empty_leaf_rejected():
     fm = make_features([0.0, 1.0, 2.0])
     bogus = FlatClustering(
@@ -214,7 +228,7 @@ def test_persist_roundtrip(tmp_path, rng, j):
     tree = build_hierarchy(leaves, fm)
     path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
-    back = load_tree(path)
+    back = load_tree(path, fm)
     assert trees_equal(tree, back)
     # bit-exact stats after the binary round trip
     assert tree.covs.tobytes() == back.covs.tobytes()
@@ -225,24 +239,26 @@ def test_persist_roundtrip(tmp_path, rng, j):
 
 
 def tree_file_size(n: int, j: int, d: int) -> int:
-    """Bytes of a version-5 tree: the 64-byte header, n int32 leaf labels,
-    2J-1 node records (two int32 child ids, an int64 count, a float64 mean
-    and spectrum), J packed leaf covariances and the 32-byte digest."""
-    return 64 + 4 * n + (2 * j - 1) * (4 * 2 + 8 + 8 * d + 8 * d) + j * 8 * d * (d + 1) // 2 + 32
+    """Bytes of a version-6 tree: the 64-byte header, n leaf labels of 1, 2
+    or 4 bytes (the narrowest that holds J-1), J-1 merges of two int32 child
+    ids, 2J-1 float64 spectra and the 32-byte digest."""
+    width = 1 if j <= 256 else 2 if j <= 65_536 else 4
+    return 64 + n * width + 8 * (j - 1) + 8 * d * (2 * j - 1) + 32
 
 
 def test_benchmark_tree_sizes():
     """The benchmark's build, query and sweep trees (n, J, d) in bytes; version 3
-    took 599,942, 1,095,430 and 80,774, and version 4 387,856, 624,080 and 55,056."""
+    took 599,942, 1,095,430 and 80,774, version 4 387,856, 624,080 and 55,056,
+    and version 5 249,680, 357,968 and 38,736."""
     shapes = [(10_240, 128, 16), (5_120, 64, 32), (3_200, 16, 16)]
-    assert [tree_file_size(*shape) for shape in shapes] == [249_680, 357_968, 38_736]
+    assert [tree_file_size(*shape) for shape in shapes] == [43_992, 38_232, 7_384]
 
 
 @pytest.mark.parametrize("linkage", LINKAGES)
 @pytest.mark.parametrize("j, d", [(1, 3), (2, 1), (7, 5), (16, 3), (24, 12)])
 def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, linkage, j, d):
-    """The loader pools the merged covariances the build pooled: every array
-    of the loaded tree has the built one's bytes, and re-persisting the loaded
+    """The loader derives the statistics the build computed: every array of
+    the loaded tree has the built one's bytes, and re-persisting the loaded
     tree writes the file again."""
     fm = make_features(rng.normal(size=(6 * j + 1, d)) * rng.uniform(0.1, 10.0, size=d))
     tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=j), fm, linkage=linkage)
@@ -250,12 +266,34 @@ def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, linkage, j, d):
     persist_tree(tree, path)
     blob = path.read_bytes()
     assert len(blob) == tree_file_size(fm.n, j, d)
-    back = load_tree(path)
+    assert_loads_bit_for_bit(tree, path, fm)
+
+
+def assert_loads_bit_for_bit(tree, path, fm):
+    """Every derived array of the tree loaded from path has the built one's
+    bytes, and re-persisting it writes the file again."""
+    blob = path.read_bytes()
+    back = load_tree(path, fm)
     for field in ("children", "parents", "counts", "means", "covs", "spectra", "leaf_labels"):
         assert getattr(back, field).tobytes() == getattr(tree, field).tobytes(), field
     assert back.covs.flags.c_contiguous
     persist_tree(back, path)
     assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+@pytest.mark.parametrize("j", [256, 257])
+def test_label_width_edges_round_trip(tmp_path, linkage, j):
+    """J=256 is the widest tree whose labels fit one byte; J=257 takes two."""
+    rng = np.random.default_rng(j)
+    labels = rng.permutation(np.arange(3 * j) % j)
+    fm = make_features(rng.normal(size=(3 * j, 2)) * [1.0, 1e3])
+    leaves = FlatClustering(k=j, assignment=labels, centroids=np.zeros((j, 2)), sse=0.0)
+    tree = build_hierarchy(leaves, fm, linkage=linkage)
+    path = tmp_path / "tree.bmmt"
+    persist_tree(tree, path)
+    assert len(path.read_bytes()) == tree_file_size(fm.n, j, 2)
+    assert_loads_bit_for_bit(tree, path, fm)
 
 
 def random_merges(rng, j: int, d: int):
@@ -286,27 +324,88 @@ def test_level_batched_pool_equals_the_per_merge_oracle(seed):
     rng = np.random.default_rng(seed)
     j, d = int(rng.integers(1, 60)), int(rng.integers(1, 9))
     children, counts, means, covs = random_merges(rng, j, d)
-    rows, cols = np.triu_indices(d)
-    pooled = hierarchy._pooled_covs(children, counts, means, covs[:j, rows, cols])
-    assert pooled.tobytes() == covs.tobytes()
-    assert pooled.flags.c_contiguous
+    pooled_means, pooled_covs = means.copy(), covs.copy()
+    pooled_means[j:], pooled_covs[j:] = np.nan, np.nan
+    hierarchy._pool(children, counts, pooled_means, pooled_covs)
+    assert pooled_means.tobytes() == means.tobytes()
+    assert pooled_covs.tobytes() == covs.tobytes()
 
 
-def test_persist_refuses_a_merged_covariance_that_is_not_the_pool(tmp_path, rng):
-    fm = make_features(rng.normal(size=(40, 3)))
-    tree = build_hierarchy(fit_balanced_kmeans(fm, 5, seed=0), fm)
-    path = tmp_path / "tree.bmmt"
-    node = tree.leaf_count + 2
-    tree.covs[node] = np.nextafter(tree.covs[node], np.inf)
-    with pytest.raises(ValidationError, match="merged covariances must be their children's pool"):
-        persist_tree(tree, path)
-    tree.covs[node, 0, 1] = 1.0  # asymmetric too: still refused as not pooled
-    with pytest.raises(ValidationError, match="children's pool"):
-        persist_tree(tree, path)
-    tree.covs[1, 0, 1] += 1.0  # an asymmetric leaf cannot be stored packed
-    with pytest.raises(ValidationError, match="exactly symmetric"):
-        persist_tree(tree, path)
-    assert not path.exists()
+@st.composite
+def stacked_leaves(draw):
+    """Rows of J = 1..12 leaves in d = 1..128, of 2 to 300 rows each (2 and 3
+    drawn often), at column and leaf scales from 1e-3 to 1e20, with shuffled
+    labels."""
+    j, d = draw(st.integers(1, 12)), draw(st.integers(1, 128))
+    sizes = draw(st.lists(st.sampled_from([2, 3, 4, 7, 16, 31, 64]) | st.integers(2, 300),
+                          min_size=j, max_size=j))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = 10.0 ** rng.integers(-3, 11, size=d)
+    leaf = 10.0 ** rng.integers(0, 11, size=(j, 1, 1))
+    centers = rng.normal(size=(j, 1, d)) * leaf * column
+    rows = [c + rng.normal(size=(size, d)) * column * s for c, s, size in zip(centers, leaf, sizes)]
+    labels = np.repeat(np.arange(j), sizes)
+    order = rng.permutation(labels.size)
+    return make_features(np.concatenate(rows)[order]), labels[order]
+
+
+def assert_leaf_moments_equal_gaussian_stats(fm, labels) -> str:
+    """Every stacked leaf mean and covariance has the bytes of `gaussian_stats`
+    over the leaf's rows; returns the SHA-256 of them all."""
+    j = int(labels.max()) + 1
+    counts = np.bincount(labels, minlength=2 * j - 1)
+    means, covs = hierarchy._leaf_moments(fm.values, labels, counts)
+    for leaf in range(j):
+        refit = gaussian_stats(fm, np.flatnonzero(labels == leaf))
+        assert means[leaf].tobytes() == refit.mean.tobytes(), leaf
+        assert covs[leaf].tobytes() == refit.cov.tobytes(), leaf
+    return hashlib.sha256(means[:j].tobytes() + covs[:j].tobytes()).hexdigest()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(stacked_leaves())
+def test_stacked_leaf_moments_equal_gaussian_stats(case):
+    assert_leaf_moments_equal_gaussian_stats(*case)
+
+
+def fixed_stacked_case():
+    """40 leaves of 2 to 299 rows in d=96, labels shuffled."""
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.repeat(np.arange(40), rng.integers(2, 300, size=40)))
+    return make_features(rng.normal(size=(labels.size, 96))), labels
+
+
+STACKED_ONE_THREAD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_hierarchy import assert_leaf_moments_equal_gaussian_stats, fixed_stacked_case
+print(assert_leaf_moments_equal_gaussian_stats(*fixed_stacked_case()))
+"""
+
+
+def test_stacked_leaf_moments_equal_gaussian_stats_on_one_blas_thread():
+    """The same bytes with OpenBLAS held to one thread as at its default."""
+    digest = assert_leaf_moments_equal_gaussian_stats(*fixed_stacked_case())
+    assert one_blas_thread("-c", STACKED_ONE_THREAD, TESTS).decode().strip() == digest
+
+
+def test_pooled_means_equal_the_merge_loop_means(monkeypatch):
+    """The build's merge loop pools each mean as it merges; the level-batched
+    pool, which a loaded tree derives its means with, gives the same bits."""
+    loop_means = []
+
+    def keep_loop_means(children, counts, means, covs):
+        loop_means.append(means.copy())
+        pool(children, counts, means, covs)
+
+    pool = hierarchy._pool
+    monkeypatch.setattr(hierarchy, "_pool", keep_loop_means)
+    rng = np.random.default_rng(11)
+    for linkage in LINKAGES:
+        for j, d in [(2, 1), (9, 3), (40, 8)]:
+            fm = make_features(rng.normal(size=(5 * j, d)) * 10.0 ** rng.integers(-3, 4, size=d))
+            tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=0), fm, linkage=linkage)
+            assert tree.means.tobytes() == loop_means.pop().tobytes()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -319,11 +418,11 @@ def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, c
     persist writes the same bytes."""
     leaves, fm = case
     tree = build_hierarchy(leaves, fm, linkage=linkage)
-    path = tmp_path_factory.mktemp("v5") / "tree.bmmt"
+    path = tmp_path_factory.mktemp("v6") / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
     assert len(blob) == tree_file_size(fm.n, tree.leaf_count, fm.d)
-    back = load_tree(path)
+    back = load_tree(path, fm)
     assert trees_equal(tree, back)
     assert back.sha256 == tree.sha256 == blob[-32:]
     persist_tree(back, path)
@@ -343,14 +442,14 @@ def test_version_mismatch_rejected(tmp_path, rng):
     path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
-    for version in (99, 4, 2):  # the header's u16 version follows the 4-byte magic
+    for version in (99, 5, 4, 2):  # the header's u16 version follows the 4-byte magic
         path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
         with pytest.raises(TreeFormatError, match=f"version {version} "):
-            load_tree(path)
+            load_tree(path, fm)
     # versions 1 and 2 were JSON documents
     path.write_text(json.dumps({"format": "bmm-mode-tree", "version": 2, "nodes": []}, indent=1))
     with pytest.raises(TreeFormatError, match="JSON tree .* incompatible"):
-        load_tree(path)
+        load_tree(path, fm)
 
 
 @st.composite
@@ -384,9 +483,9 @@ def test_child_checks_leave_one_root(children):
     without a parent, so the tree needs no separate single-root check."""
     h = len(children)
     j = (h + 1) // 2
+    labels = np.repeat(np.arange(j), 2)
     tree = hierarchy.ModeTree(
-        children, np.ones(h, dtype=np.int64), np.zeros((h, 1)), np.zeros((h, 1, 1)),
-        np.zeros((h, 1)), np.arange(j), "centroid", 0, bytes(32),
+        children, np.zeros((h, 1)), labels, "centroid", 0, make_features(labels)
     )
     try:
         validate_tree(tree)
@@ -397,21 +496,15 @@ def test_child_checks_leave_one_root(children):
 
 
 def test_load_rejects_non_finite_stats(tmp_path, rng):
-    """A non-finite stored value, or a finite leaf covariance whose pool
-    overflows, is refused on load."""
+    """The spectra are the one stored statistic: a non-finite one is refused
+    on load. Means and covariances are derived from finite float32 rows."""
     fm = make_features(rng.normal(size=(12, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 3, seed=0), fm)
     path = tmp_path / "tree.bmmt"
-    rows, cols = np.triu_indices(2)
-    for node_id, field, value in ((1, "covs", np.nan), (tree.root_id, "means", np.inf),
-                                  (1, "covs", 1e308)):
-        saved = getattr(tree, field).copy()
-        getattr(tree, field)[node_id].flat[0] = value
-        # the file stores leaf covariances only, so the merged ones must be their pool
-        tree.covs = hierarchy._pooled_covs(
-            tree.children, tree.counts, tree.means, tree.covs[:3, rows, cols]
-        )
+    for node_id, value in ((1, np.nan), (tree.root_id, np.inf), (0, -np.inf)):
+        saved = tree.spectra.copy()
+        tree.spectra[node_id, -1] = value
         persist_tree(tree, path)
-        setattr(tree, field, saved)
-        with pytest.raises(TreeFormatError, match="non-finite"):
-            load_tree(path)
+        tree.spectra = saved
+        with pytest.raises(TreeFormatError, match="non-finite node spectrum"):
+            load_tree(path, fm)
