@@ -56,9 +56,17 @@ cmp selection.manifest selection1.manifest
 cmp selection.manifest.report.txt selection1.manifest.report.txt
 cmp selection.manifest.report.json selection1.manifest.report.json
 "${bmm[@]}" evaluate --manifest selection.manifest --server-features server.bmmf \
-    --target-features target.bmmf
+    --target-features target.bmmf --out gap.json
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy stratified \
     --tree tree.bmmt --server-features server.bmmf --out pruned.manifest
+echo "== evaluate and the stratified prune again with OpenBLAS on one thread: the same bytes"
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" evaluate --manifest selection1.manifest \
+    --server-features server.bmmf --target-features target.bmmf --out gap1.json > /dev/null
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" prune --manifest selection1.manifest --budget-frac 0.2 \
+    --strategy stratified --tree tree1.bmmt --server-features server.bmmf \
+    --out pruned1.manifest > /dev/null
+cmp gap.json gap1.json
+cmp pruned.manifest pruned1.manifest
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy uniform \
     --out uniform.manifest
 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 --target-clusters 6 --out bench.csv

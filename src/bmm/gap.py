@@ -10,7 +10,7 @@ non-symmetric product Cov_a Cov_b; negative eigenvalues from rounding are
 clamped to zero and near-singular covariances get an eps ridge before use.
 
 One kernel, `_fid_row`, computes every distance, from one mode to a stack of
-ridged modes; `fid`, `cost_matrix` and `NodeCosts` all call it, serially. Its
+ridged modes; `fid` and `NodeCosts` (so `cost_matrix`) call it, serially. Its
 bytes do not depend on the BLAS thread count (the tests compare a run with
 OPENBLAS_NUM_THREADS=1 against the default). Every stacked operation in it
 works node by node, so a row over a subset of node columns is bit-equal to
@@ -60,13 +60,13 @@ DEFAULT_EPS = 1e-6
 # modes; eps 1e-14..1) the largest shortfall was half the noise term.
 _BOUND_REL = 1e-9
 _BOUND_NOISE = 4.0
-# Bound inputs at or above this fall back to the full matrix: the kernel's
-# covariance product (<= d * lmax_a * lmax_b) or its sums could overflow.
+# Bound inputs at or above this give no bound, so every cost is computed exactly:
+# the kernel's covariance product (<= d * lmax_a * lmax_b) or its sums could overflow.
 _BOUND_LIMIT = 1e300
 # A ridged covariance may have negative eigenvalues down to -_BOUND_NEGATIVE / d
 # times its largest (rounding in a rank-deficient covariance); they count as 0.
 # The kernel's value then drops by at most their sum, 1e-10 * lmax, a tenth of
-# the relative slack. A more negative eigenvalue falls back to the full matrix.
+# the relative slack. With a more negative eigenvalue every cost is computed exactly.
 _BOUND_NEGATIVE = 1e-10
 
 
@@ -135,9 +135,13 @@ def _stacked(
     return covs, traces, eigs
 
 
-def _fid_row(
-    a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarray, eps: float
-) -> np.ndarray:
+def _at(columns: np.ndarray | None, ok: np.ndarray) -> str:
+    """' for node column x', x the first of `columns` not `ok`; '' without columns (fid)."""
+    return "" if columns is None else f" for node column {columns[np.flatnonzero(~ok)[0]]}"
+
+
+def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarray, eps: float,
+             columns: np.ndarray | None = None) -> np.ndarray:
     """Fréchet distances from mode a to each stacked mode; clamped to be >= 0."""
     if a.d != means.shape[1]:
         raise ParameterError(f"dimension mismatch: {a.d} vs {means.shape[1]}")
@@ -149,10 +153,9 @@ def _fid_row(
             inner = root_a @ covs @ root_a
             finite = np.isfinite(inner).all(axis=(1, 2))
             if not finite.all():
-                x = int(np.flatnonzero(~finite)[0])
                 raise NumericalError(
-                    f"covariance product Cov_a^1/2 Cov_b Cov_a^1/2 overflows for node column "
-                    f"{x} (d={a.d}): a covariance or the eps ridge is too large"
+                    f"covariance product Cov_a^1/2 Cov_b Cov_a^1/2 overflows{_at(columns, finite)}"
+                    f" (d={a.d}): a covariance or the eps ridge is too large"
                 )
             cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
         except np.linalg.LinAlgError as exc:
@@ -164,9 +167,9 @@ def _fid_row(
         row = (
             gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
         )
-    if not np.isfinite(row).all():
-        x = int(np.flatnonzero(~np.isfinite(row))[0])
-        raise NumericalError(f"non-finite Fréchet distance to node column {x} (d={a.d})")
+    finite = np.isfinite(row)
+    if not finite.all():
+        raise NumericalError(f"non-finite Fréchet distance{_at(columns, finite)} (d={a.d})")
     row[row < 0.0] = 0.0
     return row
 
@@ -202,19 +205,25 @@ class NodeCosts:
         self.means = tree.means
         self.eps = eps
 
-    def row(self, a: ModeStats, cols: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Fréchet distances from mode a to the node columns `cols`."""
-        return _fid_row(a, self.covs[cols], self.traces[cols], self.means[cols], self.eps)
+    def fill(self, modes: Sequence[ModeStats], cost: np.ndarray, todo: np.ndarray) -> None:
+        """Set cost[y, x] to the distance from modes[y] to node x wherever todo[y, x]."""
+        for y in np.flatnonzero(todo.any(axis=1)):
+            x = np.flatnonzero(todo[y])
+            try:
+                cost[y, x] = _fid_row(modes[y], self.covs[x], self.traces[x], self.means[x],
+                                      self.eps, x)
+            except NumericalError as exc:
+                raise NumericalError(f"target mode {y}: {exc}") from exc
 
     def lower_bounds(self, modes: Sequence[ModeStats]) -> np.ndarray | None:
-        """L x H lower bounds on the values `row` computes: the deflated von
+        """L x H lower bounds on the values `fill` computes: the deflated von
         Neumann bound, clamped at 0.
 
         None when the bound is not shown to hold: a dimension mismatch, a
         non-finite or asymmetric target covariance (tree covariances are
         symmetric), a ridged covariance that is not PSD up to rounding, or
-        inputs so large that the kernel could overflow. The full matrix then
-        reports any error.
+        inputs so large that the kernel could overflow. Every cost is then
+        computed exactly, and `fill` reports any error.
         """
         d = self.means.shape[1]
         if not modes or any(m.d != d for m in modes):
@@ -225,7 +234,7 @@ class NodeCosts:
         means = np.stack([m.mean for m in modes])
         with np.errstate(over="ignore", invalid="ignore"):
             eigs_a, eigs_b = _ridged(covs, np.linalg.eigvalsh(covs), self.eps)[1], self.eigs
-            # NaN fails every comparison, so it falls back too
+            # NaN fails every comparison, so it gives no bound too
             if not all((e.min(axis=1) >= -_BOUND_NEGATIVE / d * e.max(axis=1)).all()
                        for e in (eigs_a, eigs_b)):
                 return None
@@ -247,14 +256,9 @@ def cost_matrix(
     """L x H matrix of Fréchet distances, entry (y, x) = fid(target y, node x)."""
     if len(target_modes) == 0:
         raise ParameterError("need at least one target mode")
-    nodes = NodeCosts(tree, eps)
-    rows = []
-    for y, t in enumerate(target_modes):
-        try:
-            rows.append(nodes.row(t))
-        except NumericalError as exc:
-            raise NumericalError(f"target mode {y}: {exc}") from exc
-    return np.stack(rows)
+    cost = np.empty((len(target_modes), tree.node_count))
+    NodeCosts(tree, eps).fill(target_modes, cost, np.ones(cost.shape, dtype=bool))
+    return cost
 
 
 def write_cost_matrix_csv(path: str | Path, cost: np.ndarray) -> None:

@@ -932,7 +932,7 @@ def eps_argv(tmp_path, world_files, tree_blob, command, out):
     ]
 
 
-@pytest.mark.parametrize("command", ["match", "evaluate"])
+@pytest.mark.parametrize("command", ["match", "evaluate", "bench"])
 def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, command, capsys):
     out = tmp_path / "out"
     argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
@@ -945,6 +945,10 @@ def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, comma
         assert err.startswith("error: ")
         # the ridged covariance product overflows before any eigenvalue solve
         assert "overflows" in err and "did not converge" not in err, err
+        if command == "evaluate":  # selected set against target: no tree node is involved
+            assert "node" not in err and "target mode" not in err, err
+        else:
+            assert err.startswith("error: target mode 0: ") and " for node column 0 " in err, err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 

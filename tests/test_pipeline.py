@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,20 +134,30 @@ def test_evaluate_whole_server_is_identity(small_world):
 
 
 def test_bench_rows_and_variants(monkeypatch):
-    built_for = []
+    """Every cell matches from the bounds: it computes fewer exact pairs than
+    the J x L leaf matrix, let alone the variant's full matrix."""
+    kernel, match = bmm.gap._fid_row, bmm.pipeline.match_modes
+    pairs, cells = [], []
 
-    def counting_cost_matrix(tree, *args, **kwargs):
-        built_for.append(tree.leaf_count)
-        return cost_matrix(tree, *args, **kwargs)
+    def counting_kernel(a, covs, *args):
+        pairs.append(len(covs))
+        return kernel(a, covs, *args)
 
-    monkeypatch.setattr(bmm.pipeline, "cost_matrix", counting_cost_matrix)
+    def counting_match(tree, stats, *args):
+        pairs.clear()
+        result = match(tree, stats, *args)
+        cells.append(sum(pairs))
+        return result
+
+    monkeypatch.setattr(bmm.gap, "_fid_row", counting_kernel)
+    monkeypatch.setattr(bmm.pipeline, "match_modes", counting_match)
     world = shared_nearest_world(seed=0, per_mode=60)
-    rows = run_bench(world, [4], target_clusters=3, seed=0)
-    assert built_for == []  # every variant matches from the bounds: no full cost matrix
-    assert len(rows) == 3
+    rows = run_bench(world, [16], target_clusters=3, seed=0)
+    assert len(cells) == len(rows) == 3
+    assert all(0 < computed < 16 * 3 for computed in cells), cells
     assert [r["variant"] for r in rows] == list(BENCH_VARIANTS)
     for row in rows:
-        assert row["J"] == 4 and row["L"] == 3
+        assert row["J"] == 16 and row["L"] == 3
         assert np.isfinite(row["fid"]) and 0.0 <= row["precision"] <= 1.0
         assert row["runtime"] >= 0.0
 
@@ -161,7 +172,7 @@ BENCH_WORLDS = {
 @pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
 def test_bench_equals_the_full_matrix_oracle(name, bounds, monkeypatch):
     """Every cell's fid and precision are the full cost matrix's, bit for bit,
-    from the bounds and from the full-matrix fallback alike."""
+    from the bounds and from all-zero bounds alike."""
     world, sweep, clusters = BENCH_WORLDS[name]
     if bounds == "fallback":
         monkeypatch.setattr(NodeCosts, "lower_bounds", lambda self, modes: None)
@@ -214,30 +225,36 @@ def bounded_match_case(rng, kind: str):
 @given(
     kind=st.sampled_from(["random", "duplicate-leaves", "integer-ties"]),
     seed=st.integers(0, 2**32 - 1),
+    candidates=st.sampled_from([0, 1, 4]),
 )
 # exact ties between two equal leaves, then two equal target modes: the bounded
 # match must return the full solve's lexicographically smallest sigma
-@example(kind="duplicate-leaves", seed=143465352)
-@example(kind="duplicate-leaves", seed=10307)
-def test_bounded_match_equals_the_full_matrix_solve(kind, seed):
-    """Each variant's bounded match is its full-matrix pick: bmm_hier solves
-    every column, bmm_flat the leaf columns 0..J-1, and dm_dup takes each
-    row's lowest-column minimum of every column."""
+@example(kind="duplicate-leaves", seed=143465352, candidates=4)
+@example(kind="duplicate-leaves", seed=10307, candidates=4)
+# no bound is 0, so with no candidates the first pick is made on bounds alone
+@example(kind="random", seed=4, candidates=0)
+def test_bounded_match_equals_the_full_matrix_solve(kind, seed, candidates):
+    """Each variant's bounded match is its full-matrix pick, whatever the
+    number of up-front candidates: bmm_hier solves every column, bmm_flat the
+    leaf columns 0..J-1, and dm_dup takes each row's lowest-column minimum of
+    every column."""
     tree, stats = bounded_match_case(np.random.default_rng(seed), kind)
     assert NodeCosts(tree, 1e-6).lower_bounds(stats) is not None
     full = cost_matrix(tree, stats)
     flat = stats[: tree.leaf_count]  # a one-to-one match into the leaves takes at most J
-    for variant, modes, expected in [
-        ("bmm_hier", stats, solve_assignment(full)),
-        ("bmm_flat", flat, solve_assignment(full[: len(flat), : tree.leaf_count])),
-    ]:
-        assignment, cost = match_modes(tree, modes, variant=variant)
-        assert assignment.sigma == expected.sigma
-        assert (np.float64(assignment.total_cost).tobytes()
-                == np.float64(expected.total_cost).tobytes())
-        targets = np.arange(len(modes))
-        assert cost[targets, expected.sigma].tobytes() == full[targets, expected.sigma].tobytes()
-    matches, cost = match_modes(tree, stats, variant="dm_dup")
+    with mock.patch.object(bmm.pipeline, "CANDIDATES", candidates):
+        for variant, modes, expected in [
+            ("bmm_hier", stats, solve_assignment(full)),
+            ("bmm_flat", flat, solve_assignment(full[: len(flat), : tree.leaf_count])),
+        ]:
+            assignment, cost = match_modes(tree, modes, variant=variant)
+            assert assignment.sigma == expected.sigma
+            assert (np.float64(assignment.total_cost).tobytes()
+                    == np.float64(expected.total_cost).tobytes())
+            targets = np.arange(len(modes))
+            assert (cost[targets, expected.sigma].tobytes()
+                    == full[targets, expected.sigma].tobytes())
+        matches, cost = match_modes(tree, stats, variant="dm_dup")
     assert matches == direct_match(full)
     targets = np.arange(len(stats))
     assert cost[targets, matches].tobytes() == full[targets, matches].tobytes()
