@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Every check after the install, in one script: the tier-1 tests, the
-# benchmark's checks at seeds 0 and 9973, and the README quick start. It also
+# benchmark's checks at seeds 0 and 9973, and the README quick start, also
+# with a CSV target and a CSV server in place of the binary ones. It also
 # prints the src/ line count, which ROADMAP.md tracks as a metric.
 # Run it from anywhere, as `bash ci/check.sh`. The quick start uses the
 # installed `bmm` script; outside CI, without one, it runs `python3 -m bmm.cli`
@@ -40,6 +41,8 @@ world = granularity_probe_world(seed=0)
 server, target, _ = generate(world)
 write_features(server, "server.bmmf")
 write_features(target, "target.bmmf")
+write_features(server, "server.csv", "csv")
+write_features(target, "target.csv", "csv")
 save_world(world, "world.json")
 PY
 "${bmm[@]}" build-server --server-features server.bmmf --leaves 16 --seed 0 --tree tree.bmmt
@@ -67,6 +70,16 @@ OPENBLAS_NUM_THREADS=1 "${bmm[@]}" prune --manifest selection1.manifest --budget
     --out pruned1.manifest > /dev/null
 cmp gap.json gap1.json
 cmp pruned.manifest pruned1.manifest
+echo "== match with a CSV target and evaluate with a CSV server: the same bytes"
+"${bmm[@]}" match --tree tree.bmmt --server-features server.bmmf \
+    --target-features target.csv --target-clusters 6 --seed 0 --out selection2.manifest \
+    > /dev/null
+cmp selection.manifest selection2.manifest
+cmp selection.manifest.report.txt selection2.manifest.report.txt
+cmp selection.manifest.report.json selection2.manifest.report.json
+"${bmm[@]}" evaluate --manifest selection.manifest --server-features server.csv \
+    --target-features target.bmmf --out gap2.json > /dev/null
+cmp gap.json gap2.json
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy uniform \
     --out uniform.manifest
 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 --target-clusters 6 --out bench.csv

@@ -33,13 +33,6 @@ from .pruning import Budget, prune
 from .synth import load_world
 
 
-def _add_feature_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("binary", "csv"), default="binary",
-        help="feature file format (default: binary)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmm", description="training-set search against a hierarchical data server"
@@ -53,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--linkage", choices=LINKAGES, default="centroid")
     p.add_argument("--tree", required=True, help="output path for the persisted tree")
-    _add_feature_format(p)
 
     p = sub.add_parser("match", help="match target modes against a persisted tree")
     p.add_argument("--tree", required=True)
@@ -67,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-csv", default=None, help="optionally dump the cost matrix as CSV")
     p.add_argument("--warn-fid", type=float, default=None,
                    help="flag matches whose distance exceeds this value")
-    _add_feature_format(p)
 
     p = sub.add_parser("evaluate", help="report the gap of a manifest vs the full server")
     p.add_argument("--manifest", required=True)
@@ -75,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-features", required=True)
     p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", default=None, help="optional JSON output path")
-    _add_feature_format(p)
 
     p = sub.add_parser("prune", help="subsample a manifest to a budget")
     p.add_argument("--manifest", required=True)
@@ -88,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server-features", default=None,
                    help="server features path (required for stratified)")
     p.add_argument("--out", required=True)
-    _add_feature_format(p)
 
     p = sub.add_parser("bench", help="sweep tree sizes and variants on a planted world")
     p.add_argument("--world", required=True, help="world config JSON")
@@ -114,7 +103,7 @@ def _print_tree_summary(tree: ModeTree) -> None:
 
 
 def _cmd_build_server(args) -> int:
-    features = read_features(args.server_features, args.format)
+    features = read_features(args.server_features)
     tree = build_server_tree(features, args.leaves, args.seed, args.linkage)
     persist_tree(tree, args.tree)
     _print_tree_summary(tree)
@@ -123,9 +112,9 @@ def _cmd_build_server(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    server = read_features(args.server_features, args.format)
+    server = read_features(args.server_features)
     tree = load_tree(args.tree, server)
-    target = read_features(args.target_features, args.format)
+    target = read_features(args.target_features)
     outcome = run_match(tree, target, args.target_clusters, args.seed, args.eps_cov)
     selection = outcome.selection
 
@@ -180,8 +169,8 @@ def _manifest_rows(manifest: Manifest, features: FeatureMatrix) -> np.ndarray:
 
 def _cmd_evaluate(args) -> int:
     manifest = read_manifest(args.manifest)
-    server = read_features(args.server_features, args.format)
-    target = read_features(args.target_features, args.format)
+    server = read_features(args.server_features)
+    target = read_features(args.target_features)
     rows = _manifest_rows(manifest, server)
     if rows.size < 2:
         raise ValidationError(f"manifest selects {rows.size} rows; need at least 2")
@@ -244,7 +233,7 @@ def _cmd_prune(args) -> int:
     if args.strategy == "stratified":
         if not args.tree or not args.server_features:
             raise ParameterError("stratified pruning needs --tree and --server-features")
-        features = read_features(args.server_features, args.format)
+        features = read_features(args.server_features)
         tree = load_tree(args.tree, features)
         pruned = prune(_manifest_strata(manifest, tree), budget, args.seed)
         entries = _entries(features, pruned.sample_rows)

@@ -240,23 +240,25 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
             order = np.lexsort((points, dist))
             points, dist = points[order], dist[order]
         clusters = choice[points]
-        # the size of each proposal's cluster before it: sizes plus the number
-        # of the round's earlier proposals naming the same cluster
+        # cluster c's proposals, in order, are by_cluster[starts[c]:][:counts[c]];
+        # the one at index room[c] finds it at floor(n/k) and needs a
+        # ceil-sized slot, and the one after that would pass ceil(n/k). The
+        # round stops at the first pass or the first ceil-sized slot too many.
         by_cluster = np.argsort(clusters, kind="stable")
         counts = np.bincount(clusters, minlength=k)
-        offset = (np.cumsum(counts) - counts - sizes)[clusters[by_cluster]]
-        before = np.empty_like(by_cluster)
-        before[by_cluster] = np.arange(points.size) - offset
-        # one at floor(n/k) takes a ceil-sized slot; the cluster is full if it is
-        # already past that, or no slot is left
-        ceil = before == base
-        full = (before > base) | (ceil & (np.cumsum(ceil) > extras))
-        stop = int(full.argmax()) if full.any() else points.size
+        starts = np.cumsum(counts) - counts
+        room = base - sizes
+        over = counts > room + 1
+        stop = int(by_cluster[starts[over] + room[over] + 1].min(initial=points.size))
+        hit = (counts > room) & (counts > 0)  # a closed cluster's room may be -1
+        ceil = np.sort(by_cluster[starts[hit] + room[hit]])
+        if ceil.size > extras:
+            stop = min(stop, int(ceil[extras]))
         assignment[points[:stop]] = clusters[:stop]
         if stop == points.size:
             return assignment
         sizes += np.bincount(clusters[:stop], minlength=k)
-        extras -= int(ceil[:stop].sum())
+        extras -= int(np.searchsorted(ceil, stop))
         is_open = sizes < base + (extras > 0)
         # the proposals left keep their order; the points whose cluster
         # closed propose again, appended by point

@@ -1,14 +1,16 @@
 """Feature-set and manifest file formats.
 
-Feature matrices are stored in one of two formats:
+Feature matrices are stored in one of two formats, and `read_features` tells
+them apart by the first four bytes:
 
 * ``binary`` -- magic ``BMMF``, little-endian ``u16`` version (currently 1),
   ``u64`` row count ``n``, ``u32`` feature dimension ``d``, then ``n*d``
   little-endian float32 values in row-major order, then two length-prefixed
   UTF-8 string blocks: the ``n`` sample ids followed by the ``n`` dataset
   labels (each string is a ``u32`` byte length plus payload).
-* ``csv`` -- header ``sample_id,dataset_label,f0,...,f{d-1}`` followed by one
-  data row per sample.
+* ``csv`` -- any file without that magic: header
+  ``sample_id,dataset_label,f0,...,f{d-1}`` followed by one data row per
+  sample. Its format errors add that the file had no ``BMMF`` magic.
 
 Manifests are UTF-8 text files: ``# key=value`` metadata lines followed by
 one ``sample_id,dataset_label`` line per selected sample. A `Manifest` holds
@@ -178,13 +180,16 @@ def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str
     return out, offset
 
 
-def read_features(path: str | Path, format: str = "binary") -> FeatureMatrix:
-    """Read a feature matrix from `path` in the given format (binary or csv)."""
-    if format == "binary":
-        return _read_features_binary(path)
-    if format == "csv":
-        return _read_features_csv(path)
-    raise FormatError(f"unknown feature format {format!r} (expected 'binary' or 'csv')")
+def read_features(path: str | Path) -> FeatureMatrix:
+    """Read a feature matrix from `path`: binary when the file starts with
+    the ``BMMF`` magic, CSV otherwise."""
+    data = Path(path).read_bytes()
+    if data.startswith(BINARY_MAGIC):
+        return _read_features_binary(path, data)
+    try:
+        return _read_features_csv(path, _decode(data, path))
+    except FormatError as exc:
+        raise FormatError(f"{exc} (no {BINARY_MAGIC!r} magic, so read as CSV)") from exc
 
 
 def write_features(m: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
@@ -196,13 +201,9 @@ def write_features(m: FeatureMatrix, path: str | Path, format: str = "binary") -
         raise FormatError(f"unknown feature format {format!r} (expected 'binary' or 'csv')")
 
 
-def _read_features_binary(path: str | Path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, offset = _unpack(data, 0, "4s", "magic")
-    if magic != BINARY_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-    version, offset = _unpack(data, offset, "<H", "version")
+def _read_features_binary(path: str | Path, data: bytes) -> FeatureMatrix:
+    """The feature matrix in `data`, which starts with the binary magic."""
+    version, offset = _unpack(data, len(BINARY_MAGIC), "<H", "version")
     if version != BINARY_VERSION:
         raise FormatError(
             f"{path}: unsupported feature-file version {version} (this build reads {BINARY_VERSION})"
@@ -240,16 +241,17 @@ def _write_features_binary(m: FeatureMatrix, path: str | Path) -> None:
         raise OSError(f"cannot write feature file {path}: {exc}") from exc
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents, newlines translated to '\\n' as text mode reads them."""
+def _decode(data: bytes, path: str | Path) -> str:
+    """`data` from the file `path` as UTF-8 text, newlines translated to
+    '\\n' as text mode reads them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: file is not valid UTF-8: {exc}") from exc
 
 
-def _read_features_csv(path: str | Path) -> FeatureMatrix:
-    lines = [line for line in _read_text(path).split("\n") if line.strip()]
+def _read_features_csv(path: str | Path, text: str) -> FeatureMatrix:
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV feature file")
     header = lines[0].split(",")
@@ -298,7 +300,7 @@ def read_manifest(path: str | Path) -> Manifest:
     each holds exactly one comma, none starts with '#' and no id repeats;
     any other file is read line by line, which names the first bad line.
     """
-    text = _read_text(path)
+    text = _decode(Path(path).read_bytes(), path)
     head = 0  # the leading metadata lines end at text[head]
     while text.startswith("#", head):
         head = text.find("\n", head) + 1 or len(text)

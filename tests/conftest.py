@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bmm
-from bmm import FeatureMatrix, ModeTree
+from bmm import FeatureMatrix, ModeStats, ModeTree, WorldTruth, gaussian_stats
 from bmm.clustering import FlatClustering
 from bmm.synth import PlantedWorld, SubMode, SuperMode, TargetMode
 
@@ -67,6 +67,22 @@ def trees_equal(a: ModeTree, b: ModeTree) -> bool:
         and getattr(a, f).tobytes() == getattr(b, f).tobytes()
         for f in fields
     ) and (a.linkage, a.seed, a.server.sha256) == (b.linkage, b.seed, b.server.sha256)
+
+
+def planted_modes_and_union(
+    target: FeatureMatrix, truth: WorldTruth
+) -> tuple[list[ModeStats], np.ndarray]:
+    """Each planted target mode's Gaussian stats over its own target rows, and
+    the planted union: the sorted server rows of every (super, sub) pair a
+    target planted, or of every super a whole-super target planted."""
+    stats = [
+        gaussian_stats(target, np.flatnonzero(truth.target_row_mode == m))
+        for m in range(len(truth.planted_pairs))
+    ]
+    union = np.zeros(truth.server_super.size, dtype=bool)
+    for sup, sub in truth.planted_pairs:
+        union |= (truth.server_super == sup) & ((truth.server_sub == sub) | (sub is None))
+    return stats, np.flatnonzero(union)
 
 
 def shared_nearest_world(seed: int = 0, d: int = 8, per_mode: int = 200) -> PlantedWorld:

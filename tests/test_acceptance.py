@@ -20,6 +20,7 @@ from bmm import (
     fid,
     fit_balanced_kmeans,
     generate,
+    match_modes,
     run_bench,
     run_match,
     solve_assignment,
@@ -36,7 +37,8 @@ from bmm.synth import (
 )
 
 from conftest import (
-    cluster_sizes, make_features, one_blas_thread, shared_nearest_world, unmatched,
+    cluster_sizes, make_features, one_blas_thread, planted_modes_and_union,
+    shared_nearest_world, unmatched,
 )
 from oracles import (
     oracle_assignment, oracle_balanced_partition, oracle_direct_match_no_duplicates,
@@ -352,4 +354,31 @@ def test_c10_end_to_end_determinism(tmp_path):
         trees_same and manifests_same,
         f"tree bytes identical: {trees_same}, manifest bytes identical: {manifests_same} "
         f"(across reruns and OPENBLAS_NUM_THREADS 1 vs the default)",
+    )
+
+
+def test_c11_planted_modes_select_the_planted_union():
+    """Matched with the planted target modes, the tree and the one-to-one
+    match select exactly the planted union, so whatever c05's worlds miss is
+    lost in the target clustering."""
+    started = time.perf_counter()
+    worlds = [random_subset_world(seed=s, include_whole_super=False) for s in range(20)]
+    worlds += [granularity_probe_world(seed=s) for s in range(10)]
+    missed = []
+    for i, world in enumerate(worlds):
+        server, target, truth = generate(world)
+        tree = build_server_tree(server, 16, seed=0)
+        stats, union = planted_modes_and_union(target, truth)
+        assignment, cost = match_modes(tree, stats)
+        rows = selection_from_matches(tree, assignment.sigma, cost).sample_rows
+        if not np.array_equal(rows, union):
+            missed.append(f"{'c05' if i < 20 else 'quick start'} seed {world.seed}")
+    elapsed = time.perf_counter() - started
+    report(
+        11,
+        "planted modes select the planted union",
+        not missed,
+        f"selected rows equal the planted union's in {len(worlds) - len(missed)}/{len(worlds)} "
+        f"worlds (c05's 20 and quick-start seeds 0-9, J=16), {elapsed:.1f}s"
+        + (f"; missed {missed}" if missed else ""),
     )

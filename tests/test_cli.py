@@ -502,24 +502,41 @@ def test_bench_rejects_malformed_world(tmp_path, mutation, capsys):
     assert MALFORMED_WORLD_ERRORS.get(mutation, "") in err
 
 
-def test_csv_feature_format_end_to_end(tmp_path, world_files):
-    _, server, target, _, _ = world_files
-    server_csv = tmp_path / "server.csv"
-    target_csv = tmp_path / "target.csv"
-    write_features(server, server_csv, "csv")
-    write_features(target, target_csv, "csv")
-    tree_path = tmp_path / "tree.bmmt"
+def pipeline_outputs(root, server_format, target_format) -> dict[str, bytes]:
+    """The bytes of every file that build-server, match, evaluate and a
+    stratified prune write for the tests' world, with the server and the
+    target written in the given feature formats."""
+    server, target = world_features()
+    server_path = root / f"server.{server_format}"
+    target_path = root / f"target.{target_format}"
+    write_features(server, server_path, server_format)
+    write_features(target, target_path, target_format)
+    tree = root / "tree.bmmt"
+    manifest = root / "sel.manifest"
     assert main([
-        "build-server", "--server-features", str(server_csv), "--format", "csv",
-        "--leaves", "8", "--tree", str(tree_path),
+        "build-server", "--server-features", str(server_path), "--leaves", "8",
+        "--tree", str(tree),
     ]) == 0
-    out = tmp_path / "sel.manifest"
+    assert main(match_args(tree, server_path, target_path, manifest)) == 0
     assert main([
-        "match", "--tree", str(tree_path), "--server-features", str(server_csv),
-        "--target-features", str(target_csv), "--format", "csv",
-        "--target-clusters", "2", "--out", str(out),
+        "evaluate", "--manifest", str(manifest), "--server-features", str(server_path),
+        "--target-features", str(target_path), "--out", str(root / "gap.json"),
     ]) == 0
-    assert len(read_manifest(out).entries) > 0
+    assert main(stratified_args(manifest, tree, server_path, root / "pruned.manifest")) == 0
+    names = ["tree.bmmt", "sel.manifest", "sel.manifest.report.txt", "sel.manifest.report.json",
+             "gap.json", "pruned.manifest"]
+    return {name: (root / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("target_format", ["binary", "csv"])
+@pytest.mark.parametrize("server_format", ["binary", "csv"])
+def test_csv_feature_format_end_to_end(tmp_path, server_format, target_format):
+    """Each reader tells the formats apart by the binary magic, so any mix of
+    binary and CSV inputs writes the all-binary run's bytes."""
+    (tmp_path / "binary").mkdir()
+    (tmp_path / "mixed").mkdir()
+    expected = pipeline_outputs(tmp_path / "binary", "binary", "binary")
+    assert pipeline_outputs(tmp_path / "mixed", server_format, target_format) == expected
 
 
 def test_match_rejects_mismatched_server(tmp_path, world_files, capsys):

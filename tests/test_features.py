@@ -107,7 +107,7 @@ def test_binary_errors_name_what_failed(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("content, read", [
-    (b"sample_id,dataset_label,f0\np\xff0,set-a,1.0\n", lambda p: read_features(p, format="csv")),
+    (b"sample_id,dataset_label,f0\np\xff0,set-a,1.0\n", read_features),
     (b"# k=v\np\xff0,set-a\n", read_manifest),
 ], ids=["csv", "manifest"])
 def test_text_readers_reject_invalid_utf8(tmp_path, content, read):
@@ -121,7 +121,7 @@ def test_text_readers_reject_invalid_utf8(tmp_path, content, read):
 def test_csv_minimal(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("id,dataset,f0,f1\na,alpha,0.5,1.5\n")
-    m = read_features(path, "csv")
+    m = read_features(path)
     assert m.n == 1 and m.d == 2
     assert m.sample_ids == ("a",)
     assert m.dataset_labels == ("alpha",)
@@ -132,7 +132,7 @@ def test_csv_roundtrip_preserves_float32(tmp_path, rng):
     m = make_features(rng.normal(size=(9, 4)))
     path = tmp_path / "f.csv"
     write_features(m, path, "csv")
-    back = read_features(path, "csv")
+    back = read_features(path)
     assert np.array_equal(back.values, m.values)
     assert back.sample_ids == m.sample_ids
 
@@ -141,14 +141,14 @@ def test_duplicate_sample_ids_rejected(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("sample_id,dataset_label,f0\na,x,1.0\na,x,2.0\n")
     with pytest.raises(ValidationError, match="duplicate"):
-        read_features(path, "csv")
+        read_features(path)
 
 
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("sample_id,dataset_label,f0,f1\na,x,1.0\n")
     with pytest.raises(FormatError, match="columns"):
-        read_features(path, "csv")
+        read_features(path)
 
 
 def test_feature_matrix_invariants():

@@ -101,7 +101,7 @@ def test_fuzz_csv_feature_reader(files):
     def fuzz(mutation):
         (files / "mutated.csv").write_bytes(mutate(blob, mutation))
         check(*run([
-            "build-server", "--format", "csv", "--server-features", str(files / "mutated.csv"),
+            "build-server", "--server-features", str(files / "mutated.csv"),
             "--leaves", "4", "--tree", str(files / "out.bmmt"),
         ]))
 
