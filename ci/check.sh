@@ -2,7 +2,9 @@
 # Every check after the install, in one script: the tier-1 tests, the
 # benchmark's checks at seeds 0 and 9973, and the README quick start, also
 # with a CSV target and a CSV server in place of the binary ones. It also
-# prints the src/ line count, which ROADMAP.md tracks as a metric.
+# prints the src/ line count, the CLI's option count summed over its
+# subcommands and the number of public names in bmm.__all__, which ROADMAP.md
+# tracks as metrics.
 # Run it from anywhere, as `bash ci/check.sh`. The quick start uses the
 # installed `bmm` script; outside CI, without one, it runs `python3 -m bmm.cli`
 # from src/.
@@ -13,6 +15,18 @@ cd "$root"
 
 echo "== src/ line count"
 cat src/bmm/*.py | wc -l
+echo "== CLI option count (summed over the subcommands) and public names (bmm.__all__)"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 - <<'PY'
+import argparse
+
+import bmm
+from bmm import cli
+
+sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(sum(not isinstance(a, argparse._HelpAction)
+          for command in sub.choices.values() for a in command._actions))
+print(len(bmm.__all__))
+PY
 
 echo "== tier-1 tests"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

@@ -22,7 +22,7 @@ from .features import (
     write_features,
     write_manifest,
 )
-from .gap import ModeStats, cost_matrix, fid, gaussian_stats
+from .gap import ModeStats, fid, gaussian_stats
 from .hierarchy import ModeNode, ModeTree, build_hierarchy, load_tree, persist_tree
 from .matching import (
     Assignment,
@@ -78,7 +78,6 @@ __all__ = [
     "align_truth",
     "build_hierarchy",
     "build_server_tree",
-    "cost_matrix",
     "direct_match",
     "evaluate_gap",
     "fid",

@@ -25,7 +25,7 @@ from .features import (
     read_manifest,
     write_manifest,
 )
-from .gap import DEFAULT_EPS, cost_matrix, write_cost_matrix_csv
+from .gap import DEFAULT_EPS
 from .hierarchy import LINKAGES, ModeTree, load_tree, persist_tree
 from .matching import match_report_payload, node_strata, render_match_report
 from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", required=True, help="output manifest path")
     p.add_argument("--report", default=None, help="report base path (default: <out>.report)")
-    p.add_argument("--cost-csv", default=None, help="optionally dump the cost matrix as CSV")
     p.add_argument("--warn-fid", type=float, default=None,
                    help="flag matches whose distance exceeds this value")
 
@@ -136,15 +135,12 @@ def _cmd_match(args) -> int:
         selection, tree, outcome.assignment.total_cost, server.dataset_labels
     )
     text = render_match_report(payload, warn_fid=args.warn_fid)
-    cost = cost_matrix(tree, outcome.stats, args.eps_cov) if args.cost_csv else None
 
     # Every output is computed first and the manifest written last, so a run
     # that cannot write one of its outputs leaves no manifest.
     base = args.report if args.report is not None else f"{args.out}.report"
     Path(f"{base}.txt").write_text(text, encoding="utf-8")
     Path(f"{base}.json").write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    if cost is not None:
-        write_cost_matrix_csv(args.cost_csv, cost)
     write_manifest(manifest, args.out)
     sys.stdout.write(text)
     print(f"manifest written to {args.out}")

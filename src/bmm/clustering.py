@@ -230,7 +230,7 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
     assignment = np.full(n, -1, dtype=np.int64)
     points = np.arange(n)
     dist = d2[points, choice]
-    while True:
+    for _ in range(n):
         # points is in (distance, point) order up to the re-proposals appended
         # by point, so the stable sort breaks a distance tie by point unless it
         # puts a kept proposal before the tied re-proposal of a lower point
@@ -268,6 +268,7 @@ def _balanced_assign(d2: np.ndarray) -> np.ndarray:
         choice[moved] = open_ids[d2[np.ix_(moved, open_ids)].argmin(axis=1)]
         points = np.concatenate([points[stop:][kept], moved])
         dist = np.concatenate([dist[stop:][kept], d2[moved, choice[moved]]])
+    raise RuntimeError("a balanced assignment round accepted no proposal")
 
 
 SWAP_REFINE_LIMIT = 384

@@ -10,11 +10,12 @@ non-symmetric product Cov_a Cov_b; negative eigenvalues from rounding are
 clamped to zero and near-singular covariances get an eps ridge before use.
 
 One kernel, `_fid_row`, computes every distance, from one mode to a stack of
-ridged modes; `fid` and `NodeCosts` (so `cost_matrix`) call it, serially. Its
-bytes do not depend on the BLAS thread count (the tests compare a run with
-OPENBLAS_NUM_THREADS=1 against the default). Every stacked operation in it
-works node by node, so a row over a subset of node columns is bit-equal to
-those columns of the full row. It is also the one place that checks eps.
+ridged modes; `fid` and `cost_matrix`, which computes a match's exact costs,
+call it, serially. Its bytes do not depend on the BLAS thread count (the
+tests compare a run with OPENBLAS_NUM_THREADS=1 against the default). Every
+stacked operation in it works node by node, so a row over a subset of node
+columns is bit-equal to those columns of the full row. It is also the one
+place that checks eps.
 
 A tree stores each node covariance's eigenvalues (`ModeTree.spectra`, from
 the build's stacked eigvalsh), so `NodeCosts` ridges the nodes from them and
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -196,8 +196,8 @@ class NodeCosts:
 
     The ridge decisions, the ridged eigenvalues and the traces come from the
     spectra the tree stores, so building one runs no eigvalsh; each exact row
-    then costs one square root and one stacked eigvalsh over the columns
-    asked for.
+    of `cost_matrix` then costs one square root and one stacked eigvalsh over
+    the columns asked for.
     """
 
     def __init__(self, tree: "ModeTree", eps: float) -> None:
@@ -205,25 +205,15 @@ class NodeCosts:
         self.means = tree.means
         self.eps = eps
 
-    def fill(self, modes: Sequence[ModeStats], cost: np.ndarray, todo: np.ndarray) -> None:
-        """Set cost[y, x] to the distance from modes[y] to node x wherever todo[y, x]."""
-        for y in np.flatnonzero(todo.any(axis=1)):
-            x = np.flatnonzero(todo[y])
-            try:
-                cost[y, x] = _fid_row(modes[y], self.covs[x], self.traces[x], self.means[x],
-                                      self.eps, x)
-            except NumericalError as exc:
-                raise NumericalError(f"target mode {y}: {exc}") from exc
-
     def lower_bounds(self, modes: Sequence[ModeStats]) -> np.ndarray | None:
-        """L x H lower bounds on the values `fill` computes: the deflated von
-        Neumann bound, clamped at 0.
+        """L x H lower bounds on the values `cost_matrix` computes: the
+        deflated von Neumann bound, clamped at 0.
 
         None when the bound is not shown to hold: a dimension mismatch, a
         non-finite or asymmetric target covariance (tree covariances are
         symmetric), a ridged covariance that is not PSD up to rounding, or
         inputs so large that the kernel could overflow. Every cost is then
-        computed exactly, and `fill` reports any error.
+        computed exactly, and `cost_matrix` reports any error.
         """
         d = self.means.shape[1]
         if not modes or any(m.d != d for m in modes):
@@ -250,20 +240,14 @@ class NodeCosts:
         return np.maximum(gap + spread - slack, 0.0)
 
 
-def cost_matrix(
-    tree: "ModeTree", target_modes: Sequence[ModeStats], eps: float = DEFAULT_EPS
-) -> np.ndarray:
-    """L x H matrix of Fréchet distances, entry (y, x) = fid(target y, node x)."""
-    if len(target_modes) == 0:
-        raise ParameterError("need at least one target mode")
-    cost = np.empty((len(target_modes), tree.node_count))
-    NodeCosts(tree, eps).fill(target_modes, cost, np.ones(cost.shape, dtype=bool))
-    return cost
-
-
-def write_cost_matrix_csv(path: str | Path, cost: np.ndarray) -> None:
-    """Dump a cost matrix for inspection: rows mode-0..mode-{L-1}, columns node_0..node_{H-1}."""
-    lines = ["target_id," + ",".join(f"node_{j}" for j in range(cost.shape[1]))]
-    for y, row in enumerate(cost):
-        lines.append(f"mode-{y}," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def cost_matrix(nodes: NodeCosts, modes: Sequence[ModeStats], todo: np.ndarray) -> np.ndarray:
+    """The distances from modes[y] to node x wherever todo[y, x], in row-major order."""
+    rows = []
+    for y in np.flatnonzero(todo.any(axis=1)):
+        x = np.flatnonzero(todo[y])
+        try:
+            rows.append(_fid_row(modes[y], nodes.covs[x], nodes.traces[x], nodes.means[x],
+                                 nodes.eps, x))
+        except NumericalError as exc:
+            raise NumericalError(f"target mode {y}: {exc}") from exc
+    return np.concatenate([np.empty(0), *rows])

@@ -3,7 +3,9 @@
 The oracles enumerate exhaustively and refuse instances beyond their stated
 limits instead of approximating. `reference_fid` is the per-pair Fréchet
 distance, written out one pair at a time, that the stacked kernel behind
-`bmm.fid` and `bmm.cost_matrix` must reproduce bit for bit, and
+`bmm.fid` and `gap.cost_matrix` must reproduce bit for bit;
+`full_cost_matrix` is the whole L x H matrix, every pair asked of
+`gap.cost_matrix`, whose answers the bounded `bmm.match_modes` must give; and
 `oracle_node_costs` the per-match eigvalsh of the node covariances that
 `gap.NodeCosts`, which reads the tree's stored spectra, must equal bit for bit.
 `oracle_balanced_assign` is the greedy over one global stable sort of all
@@ -42,10 +44,10 @@ import numpy as np
 
 from bmm import (
     Assignment, FeatureMatrix, FormatError, Manifest, ModeStats, ModeTree, ParameterError,
-    ValidationError, WorldTruth, align_truth, build_server_tree, cost_matrix, direct_match, fid,
+    ValidationError, WorldTruth, align_truth, build_server_tree, direct_match, fid,
     generate, matching_precision, solve_assignment,
 )
-from bmm.gap import DEFAULT_EPS, gaussian_stats
+from bmm.gap import DEFAULT_EPS, NodeCosts, cost_matrix, gaussian_stats
 from bmm.hierarchy import LINKAGES, validate_tree
 from bmm.matching import selection_from_matches
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
@@ -93,6 +95,12 @@ def oracle_node_costs(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndar
     low = eigs.min(axis=-1) < eps
     ridged = np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
     return ridged, np.trace(ridged, axis1=1, axis2=2), eigs + np.where(low, eps, 0.0)[..., None]
+
+
+def full_cost_matrix(tree: ModeTree, modes, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """L x H matrix of every exact cost, entry (y, x) = fid(modes[y], node x)."""
+    todo = np.ones((len(modes), tree.node_count), dtype=bool)
+    return cost_matrix(NodeCosts(tree, eps), modes, todo).reshape(todo.shape)
 
 
 def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -162,7 +170,7 @@ def oracle_bench(
     rows = []
     for leaves in leaves_sweep:
         tree = build_server_tree(server, leaves, seed, linkage)
-        full = cost_matrix(tree, stats, eps=eps)
+        full = full_cost_matrix(tree, stats, eps)
         for variant in BENCH_VARIANTS:
             cost = full[:, : tree.leaf_count] if variant == "bmm_flat" else full
             if variant == "dm_dup":

@@ -14,7 +14,6 @@ from bmm import (
     ModeStats,
     build_hierarchy,
     build_server_tree,
-    cost_matrix,
     direct_match,
     evaluate_gap,
     fid,
@@ -41,7 +40,8 @@ from conftest import (
     shared_nearest_world, unmatched,
 )
 from oracles import (
-    oracle_assignment, oracle_balanced_partition, oracle_direct_match_no_duplicates,
+    full_cost_matrix, oracle_assignment, oracle_balanced_partition,
+    oracle_direct_match_no_duplicates,
 )
 
 
@@ -221,7 +221,7 @@ def test_c07_bmm_vs_direct_match():
     outcome = run_match(tree, target, 3)
     aligned = align_truth(truth, outcome.clustering)
 
-    cost = cost_matrix(tree, outcome.stats)
+    cost = full_cost_matrix(tree, outcome.stats)
     dm_dup = direct_match(cost)
     dm_dup_sel = selection_from_matches(tree, dm_dup, cost)
     dm_nodup = oracle_direct_match_no_duplicates(cost)

@@ -33,9 +33,8 @@ def test_traced_commands_keep_the_benchmark_contract(tmp_path, monkeypatch, caps
     features = ["--server-features", str(server_path)]
     commands = [
         ["build-server", *features, "--leaves", "8", "--tree", str(tree)],
-        # --cost-csv is the one command path that computes the full cost matrix
         ["match", "--tree", str(tree), *features, "--target-features", str(target_path),
-         "--target-clusters", "2", "--out", str(manifest), "--cost-csv", str(tmp_path / "c.csv")],
+         "--target-clusters", "2", "--out", str(manifest)],
         ["evaluate", "--manifest", str(manifest), *features,
          "--target-features", str(target_path)],
         ["prune", "--manifest", str(manifest), "--budget-frac", "0.5", "--strategy",

@@ -12,7 +12,7 @@ import pytest
 
 import bmm
 from bmm import (
-    FeatureMatrix, cost_matrix, generate, load_tree, persist_tree, read_manifest,
+    FeatureMatrix, generate, load_tree, persist_tree, read_manifest,
     save_world, write_features, write_manifest,
 )
 from bmm import cli
@@ -23,6 +23,7 @@ from bmm.pipeline import build_server_tree, target_mode_stats
 from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import one_blas_thread, run_python, shared_nearest_world
+from oracles import full_cost_matrix
 
 
 @functools.cache
@@ -83,8 +84,8 @@ def test_loaded_tree_gives_the_built_trees_cost_bits(tmp_path, world_files):
     tree = build_server_tree(server, 8)
     persist_tree(tree, tmp_path / "tree.bmmt")
     _, stats = target_mode_stats(target, 4)
-    loaded = cost_matrix(load_tree(tmp_path / "tree.bmmt", server), stats)
-    assert loaded.tobytes() == cost_matrix(tree, stats).tobytes()
+    loaded = full_cost_matrix(load_tree(tmp_path / "tree.bmmt", server), stats)
+    assert loaded.tobytes() == full_cost_matrix(tree, stats).tobytes()
 
 
 def test_build_server_rejects_oversized_j(tmp_path, world_files, capsys):
@@ -191,28 +192,13 @@ def test_match_thread_count_does_not_change_outputs(tmp_path, world_files):
     for run in ("serial", "default"):
         out = tmp_path / f"{run}.manifest"
         argv = match_args(tree_path, server_path, target_path, out)
-        argv += ["--cost-csv", str(tmp_path / f"{run}.csv")]
         if run == "serial":
             one_blas_thread("-m", "bmm.cli", *argv)
         else:
             assert main(argv) == 0
-        paths = (out, tmp_path / f"{run}.manifest.report.json", tmp_path / f"{run}.csv")
+        paths = (out, tmp_path / f"{run}.manifest.report.json")
         outputs[run] = [path.read_bytes() for path in paths]
     assert outputs["serial"] == outputs["default"]
-
-
-def test_match_cost_csv_dump(tmp_path, world_files):
-    _, server, _, server_path, target_path = world_files
-    code, tree_path = run_build(tmp_path, server_path)
-    out = tmp_path / "sel.manifest"
-    cost_csv = tmp_path / "cost.csv"
-    assert main(match_args(tree_path, server_path, target_path, out)
-                + ["--cost-csv", str(cost_csv)]) == 0
-    lines = cost_csv.read_text().strip().splitlines()
-    assert len(lines) == 3  # header + L rows
-    node_count = load_tree(tree_path, server).node_count
-    assert lines[0] == "target_id," + ",".join(f"node_{j}" for j in range(node_count))
-    assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
 
 
 def test_evaluate_full_server_equal_numbers(tmp_path, world_files, capsys):
@@ -986,7 +972,7 @@ def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsy
         assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--cost-csv", "--report"])
+@pytest.mark.parametrize("flag", ["--report"])
 def test_match_writes_no_manifest_when_an_output_fails(tmp_path, world_files, flag, capsys):
     _, _, _, server_path, target_path = world_files
     _, tree_path = run_build(tmp_path, server_path)
@@ -997,6 +983,18 @@ def test_match_writes_no_manifest_when_an_output_fails(tmp_path, world_files, fl
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_match_cost_csv_is_an_unknown_flag(tmp_path, world_files):
+    """`match` has no full-matrix dump: `--cost-csv` ends in argparse's usage error, exit 2."""
+    _, _, _, server_path, target_path = world_files
+    argv = match_args(tmp_path / "t.bmmt", server_path, target_path, tmp_path / "sel.manifest")
+    done = run_python("-m", "bmm.cli", *argv, "--cost-csv", "x")
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert err.startswith("usage: bmm [-h] [--version]")
+    assert err.endswith("error: unrecognized arguments: --cost-csv x\n")
+    assert not (tmp_path / "sel.manifest").exists()
 
 
 def test_missing_file_is_parameter_error(tmp_path, capsys):

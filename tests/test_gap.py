@@ -1,27 +1,28 @@
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bmm import (
     InsufficientSamplesError,
     ModeStats,
     ParameterError,
     build_hierarchy,
-    cost_matrix,
     fid,
     fit_balanced_kmeans,
     gaussian_stats,
 )
-from bmm.gap import NodeCosts, write_cost_matrix_csv
+from bmm.gap import DEFAULT_EPS, NodeCosts, cost_matrix
 
 from conftest import make_features, one_blas_thread
-from oracles import reference_cost_matrix
+from oracles import full_cost_matrix, reference_cost_matrix
 
 
 def stats_1d(mu: float, var: float, count: int = 10) -> ModeStats:
@@ -152,7 +153,7 @@ def test_cost_matrix_identity_case(rng):
     fm = make_features(rng.normal(size=(6, 2)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 1, seed=0), fm)
     target = [tree.node(0).stats]
-    cost = cost_matrix(tree, target)
+    cost = full_cost_matrix(tree, target)
     assert cost.shape == (1, 1)
     assert cost[0, 0] <= 1e-6
 
@@ -161,7 +162,7 @@ def test_cost_matrix_closed_form_1d():
     fm = make_features([0.0, 0.1, 5.0, 5.1])
     tree = build_hierarchy(fit_balanced_kmeans(fm, 2, seed=0), fm)
     targets = [stats_1d(0.0, 1.0), stats_1d(3.0, 0.5)]
-    cost = cost_matrix(tree, targets)
+    cost = full_cost_matrix(tree, targets)
     assert cost.shape == (2, 3)
     for y, t in enumerate(targets):
         for x in range(tree.node_count):
@@ -171,13 +172,14 @@ def test_cost_matrix_closed_form_1d():
             assert cost[y, x] == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
-# Prints the cost matrix bytes of each pickled (tree, targets) case.
+# Prints the cost matrix bytes of each pickled (tree, targets) case; argv[2] is tests/.
 COST_BYTES = """
 import pickle, sys
 from pathlib import Path
-from bmm import cost_matrix
+sys.path.insert(0, sys.argv[2])
+from oracles import full_cost_matrix
 for tree, targets in pickle.loads(Path(sys.argv[1]).read_bytes()):
-    sys.stdout.buffer.write(cost_matrix(tree, targets).tobytes())
+    sys.stdout.buffer.write(full_cost_matrix(tree, targets).tobytes())
 """
 
 
@@ -197,26 +199,38 @@ def test_cost_matrix_thread_invariance(rng, tmp_path):
         direction = rng.normal(size=(d, 1))
         rank_one = ModeStats(mean=rng.normal(size=d), cov=direction @ direction.T, count=5)
         targets = [rank_one] + [random_stats(rng, d) for _ in range(3)]
-        cost = cost_matrix(tree, targets)
+        cost = full_cost_matrix(tree, targets)
         assert cost.tobytes() == reference_cost_matrix(tree, targets).tobytes()
         cases.append((tree, targets))
         default.append(cost.tobytes())
     path = tmp_path / "cases.pkl"
     path.write_bytes(pickle.dumps(cases))
-    assert one_blas_thread("-c", COST_BYTES, str(path)) == b"".join(default)
+    tests = str(Path(__file__).resolve().parent)
+    assert one_blas_thread("-c", COST_BYTES, str(path), tests) == b"".join(default)
 
 
-def test_cost_matrix_csv_dump(tmp_path, rng):
-    fm, tree = build_tiny_tree(rng)
-    targets = [random_stats(rng, 2) for _ in range(2)]
-    cost = cost_matrix(tree, targets)
-    path = tmp_path / "cost.csv"
-    write_cost_matrix_csv(path, cost)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "target_id," + ",".join(f"node_{i}" for i in range(tree.node_count))
-    assert len(lines) == 3
-    assert [line.split(",")[0] for line in lines[1:]] == ["mode-0", "mode-1"]
-    assert float(lines[1].split(",")[1]) == cost[0, 0]
+TODO_SHAPE = (3, 7)  # three target modes against the 7 nodes of a J=4 tree
+ONE_ROW = np.zeros(TODO_SHAPE, dtype=bool)
+ONE_ROW[1, ::2] = True
+
+
+@settings(max_examples=60, deadline=None)
+@given(todo=arrays(bool, TODO_SHAPE), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(todo=np.ones(TODO_SHAPE, dtype=bool), d=3, seed=0)  # every pair
+@example(todo=np.zeros(TODO_SHAPE, dtype=bool), d=3, seed=0)  # none
+@example(todo=np.eye(1, TODO_SHAPE[1], 6, dtype=bool).repeat(3, axis=0), d=2, seed=1)  # a column
+@example(todo=ONE_ROW, d=5, seed=2)  # all-false rows around a partial one
+def test_cost_matrix_gives_the_asked_pairs_in_row_major_order(todo, d, seed):
+    """The costs of the pairs todo selects, bit for bit those of the per-pair
+    reference, one per selected pair; rank-deficient nodes (4 rows in d=5)
+    take the ridge."""
+    rng = np.random.default_rng(seed)
+    fm = make_features(rng.normal(size=(16, d)))
+    tree = build_hierarchy(fit_balanced_kmeans(fm, 4, seed=0), fm)
+    modes = [random_stats(rng, d) for _ in range(TODO_SHAPE[0])]
+    cost = cost_matrix(NodeCosts(tree, DEFAULT_EPS), modes, todo)
+    assert cost.size == todo.sum()
+    assert cost.tobytes() == reference_cost_matrix(tree, modes)[todo].tobytes()
 
 
 def rotation(rng, d: int) -> np.ndarray:
@@ -292,8 +306,7 @@ def test_lower_bound_is_below_the_computed_cost(case, d, log_eps, seed):
     costs = node_costs(nodes, eps)
     bounds = costs.lower_bounds([target])
     assert bounds is not None
-    computed = np.zeros(len(nodes))
-    costs.fill([target], computed[None], np.ones((1, len(nodes)), dtype=bool))
+    computed = cost_matrix(costs, [target], np.ones((1, len(nodes)), dtype=bool))
     assert (bounds[0] <= computed).all(), (bounds[0], computed)
     assert (bounds >= 0.0).all()
     if case in ("identical", "scaled", "commuting-diagonal"):

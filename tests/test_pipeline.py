@@ -17,7 +17,6 @@ from bmm import (
     ParameterError,
     build_hierarchy,
     build_server_tree,
-    cost_matrix,
     direct_match,
     evaluate_gap,
     fit_balanced_kmeans,
@@ -32,7 +31,7 @@ from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import make_features, shared_nearest_world
-from oracles import oracle_bench
+from oracles import full_cost_matrix, oracle_bench
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +120,7 @@ def test_leaf_candidates_restriction(small_world):
     world, server, target, truth = small_world
     tree = build_server_tree(server, 8)
     _, stats = target_mode_stats(target, 2)
-    full = cost_matrix(tree, stats)
+    full = full_cost_matrix(tree, stats)
     assert full.shape == (2, 15)
     # bench's bmm_flat takes the first J columns: the leaves are nodes 0..J-1
     assert [n for n in range(tree.node_count) if tree.node(n).is_leaf] == list(range(8))
@@ -240,7 +239,7 @@ def test_bounded_match_equals_the_full_matrix_solve(kind, seed, candidates):
     every column."""
     tree, stats = bounded_match_case(np.random.default_rng(seed), kind)
     assert NodeCosts(tree, 1e-6).lower_bounds(stats) is not None
-    full = cost_matrix(tree, stats)
+    full = full_cost_matrix(tree, stats)
     flat = stats[: tree.leaf_count]  # a one-to-one match into the leaves takes at most J
     with mock.patch.object(bmm.pipeline, "CANDIDATES", candidates):
         for variant, modes, expected in [
@@ -264,19 +263,19 @@ def test_bounded_match_keeps_the_full_matrix_errors(rng):
     tree, stats = bounded_match_case(rng, "random")
     too_many = stats[:1] * (tree.node_count + 1)
     with pytest.raises(InfeasibleMatchError) as full:
-        solve_assignment(cost_matrix(tree, too_many))
+        solve_assignment(full_cost_matrix(tree, too_many))
     with pytest.raises(InfeasibleMatchError) as bounded:
         match_modes(tree, too_many)
     assert str(bounded.value) == str(full.value)
     leaves = stats[:1] * (tree.leaf_count + 1)
     with pytest.raises(InfeasibleMatchError) as full:
-        solve_assignment(cost_matrix(tree, leaves)[:, : tree.leaf_count])
+        solve_assignment(full_cost_matrix(tree, leaves)[:, : tree.leaf_count])
     with pytest.raises(InfeasibleMatchError) as bounded:
         match_modes(tree, leaves, variant="bmm_flat")
     assert str(bounded.value) == str(full.value)
     # targets may share a node, so direct match takes more targets than nodes
     assert match_modes(tree, too_many, variant="dm_dup")[0] == direct_match(
-        cost_matrix(tree, too_many)
+        full_cost_matrix(tree, too_many)
     )
     for variant in BENCH_VARIANTS:
         with pytest.raises(ParameterError, match="at least one target mode"):
@@ -306,6 +305,6 @@ def test_match_computes_few_exact_pairs_on_the_query_world(monkeypatch):
         outcome = run_match(tree, target, 12)
         computed = sum(pairs)
         assert computed <= 0.10 * 12 * tree.node_count, (t, computed)
-        full = cost_matrix(tree, outcome.stats)
+        full = full_cost_matrix(tree, outcome.stats)
         assert sum(pairs) == computed + full.size
         assert outcome.assignment.sigma == solve_assignment(full).sigma

@@ -1,11 +1,13 @@
-"""The README's library example names only what `bmm` exports."""
+"""The README names only what `bmm` exports and the flags its CLI takes."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
 import bmm
+from bmm import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +20,15 @@ def test_readme_imports_are_exported():
     for name in names:
         assert name in bmm.__all__, name
         assert hasattr(bmm, name), name
+
+
+def test_readme_flags_exist():
+    """Every `--flag` the README names, pip's aside, is an option of some
+    `bmm` subcommand."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for command in sub.choices.values() for flag in command._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-zA-Z][\w-]*", README.read_text(encoding="utf-8")))
+    named.discard("--no-build-isolation")
+    assert "--target-clusters" in named
+    assert sorted(named - options) == []
