@@ -26,7 +26,7 @@ from .features import (
     write_manifest,
 )
 from .gap import DEFAULT_EPS
-from .hierarchy import LINKAGES, ModeTree, load_tree, persist_tree
+from .hierarchy import ModeTree, load_tree, persist_tree
 from .matching import match_report_payload, node_strata, render_match_report
 from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
 from .pruning import Budget, prune
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server-features", required=True)
     p.add_argument("--leaves", type=int, default=128, help="leaf cluster count J (default 128)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--linkage", choices=LINKAGES, default="centroid")
     p.add_argument("--tree", required=True, help="output path for the persisted tree")
 
     p = sub.add_parser("match", help="match target modes against a persisted tree")
@@ -85,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-clusters", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
-    p.add_argument("--linkage", choices=LINKAGES, default="centroid")
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -103,7 +101,7 @@ def _print_tree_summary(tree: ModeTree) -> None:
 
 def _cmd_build_server(args) -> int:
     features = read_features(args.server_features)
-    tree = build_server_tree(features, args.leaves, args.seed, args.linkage)
+    tree = build_server_tree(features, args.leaves, args.seed)
     persist_tree(tree, args.tree)
     _print_tree_summary(tree)
     print(f"tree written to {args.tree}")
@@ -111,6 +109,8 @@ def _cmd_build_server(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    if args.warn_fid is not None and np.isnan(args.warn_fid):  # no distance exceeds NaN
+        raise ParameterError(f"--warn-fid must be a number, got {args.warn_fid}")
     server = read_features(args.server_features)
     tree = load_tree(args.tree, server)
     target = read_features(args.target_features)
@@ -257,10 +257,7 @@ def _cmd_bench(args) -> int:
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ParameterError(f"--leaves {args.leaves!r} must list comma-separated tree sizes")
     sweep = [int(tok) for tok in tokens]
-    rows = run_bench(
-        world, sweep, args.target_clusters, seed=args.seed, eps=args.eps_cov,
-        linkage=args.linkage,
-    )
+    rows = run_bench(world, sweep, args.target_clusters, seed=args.seed, eps=args.eps_cov)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["variant", "J", "L", "fid", "precision", "runtime"])
         writer.writeheader()

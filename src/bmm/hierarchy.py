@@ -6,14 +6,14 @@ step, so J leaves always produce H = 2J-1 nodes. Every node, the root
 included, is a candidate for matching with its rows' Gaussian statistics.
 
 The merging keeps no distance matrix: each node caches its nearest
-higher-id neighbour, linkage rows are computed in blocks against the
-stacked means and counts, and a merge recomputes only the rows whose
-nearest neighbour it removed (see `build_hierarchy`).
+higher-id neighbour, distance rows are computed in blocks against the
+stacked means, and a merge recomputes only the rows whose nearest neighbour
+it removed (see `build_hierarchy`).
 
 `ModeTree` holds the tree's structure in node-id order: `children` (H x 2,
 -1 for a leaf), `spectra` (each covariance's eigenvalues, ascending), one
-leaf label per server row, the build's `linkage` and `seed`, and `server`,
-the `FeatureMatrix` it is bound to. It derives `parents` from `children`,
+leaf label per server row, the build's `seed`, and `server`, the
+`FeatureMatrix` it is bound to. It derives `parents` from `children`,
 `counts` from the labels and `children` (reading no feature value), and
 `means` and `covs` from the server rows on first read: each leaf's in one
 stacked step per distinct leaf size (`_leaf_moments`, bit-equal to
@@ -26,8 +26,8 @@ Trees persist as a little-endian binary file (version 6):
 
 * header ``<4sHQIIQH32s`` (64 bytes): magic ``BMMT``, ``u16`` version 6,
   ``u64`` row count ``n``, ``u32`` leaf count ``J``, ``u32`` dimension ``d``,
-  ``u64`` build seed (modulo 2**63, as k-means reads it), ``u16`` linkage
-  (its index in `LINKAGES`), the server's 32-byte SHA-256;
+  ``u64`` build seed (modulo 2**63, as k-means reads it), a reserved ``u16``
+  that must be 0, the server's 32-byte SHA-256;
 * ``n`` leaf labels in the narrowest unsigned type that holds J-1: ``u1`` up
   to J=256, ``u2`` up to J=65,536, then ``u4``;
 * ``J-1`` merges in node-id order, two int32 child ids each (the leaves are
@@ -49,8 +49,8 @@ unless the file is written so on purpose.
 The round trip is exact at the bit level, and so is re-persisting a loaded
 file. The loader refuses JSON trees (versions 1-2), other versions (3-5
 stored statistics), a size that disagrees with the header, a digest
-mismatch, another server, an unknown linkage, broken structure, a leaf of
-fewer than 2 rows, and non-finite or unsorted spectra.
+mismatch, another server, a nonzero reserved field, broken structure, a
+leaf of fewer than 2 rows, and non-finite or unsorted spectra.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError, TreeFormatError, ValidationError
+from .errors import TreeFormatError, ValidationError
 from .gap import ModeStats
 
 if TYPE_CHECKING:
@@ -73,12 +73,12 @@ if TYPE_CHECKING:
 
 TREE_MAGIC = b"BMMT"
 TREE_VERSION = 6
-# magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
+# magic, version, rows n, leaves J, dimension d, seed, reserved (0), server SHA-256
 _HEADER = struct.Struct("<4sHQIIQH32s")
 _DIGEST = 32  # bytes of the trailing SHA-256
 
-LINKAGES = ("centroid", "ward")
-_BLOCK_VALUES = 1 << 20  # gap values per block of linkage rows (8 MB)
+_BLOCK_VALUES = 1 << 20  # gap values per block of distance rows (8 MB)
+_BLOCK_ROWS = 32  # rows per block, so a block's columns are those above its first row
 _SMALL_LEAF = "leaf {} is empty or a single row ({} rows); its covariance needs 2"
 
 
@@ -107,7 +107,6 @@ class ModeTree:
     children: np.ndarray  # (H, 2) int64 child ids, -1 for a leaf
     spectra: np.ndarray  # (H, d) float64 eigenvalues of each covariance, ascending
     leaf_labels: np.ndarray  # (n,) int64 leaf node id of every server row
-    linkage: str  # one of LINKAGES
     seed: int  # the leaf k-means seed, modulo 2**63
     server: "FeatureMatrix" = field(repr=False)  # the rows every statistic comes from
     parents: np.ndarray = field(init=False)  # (H,) int64, -1 for the root
@@ -191,20 +190,12 @@ class ModeTree:
         return depth
 
 
-def _linkage(
-    linkage: str, means_a: np.ndarray, counts_a: np.ndarray, means_b: np.ndarray,
-    counts_b: np.ndarray,
-) -> np.ndarray:
-    """Linkage values between nodes a and b, broadcast over the leading axes."""
+def _centroid_distance(means_a: np.ndarray, means_b: np.ndarray) -> np.ndarray:
+    """Distances between the means of nodes a and b, broadcast over the leading axes."""
     gap = means_a - means_b
     # a stacked vector.vector matmul adds each gap in the same order as the
     # scalar gap @ gap, so every value keeps its bits (einsum does not)
-    sq = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0]
-    if linkage == "centroid":
-        return np.sqrt(sq)
-    # ward: SSE increase caused by the merge; counts are at most n, so the
-    # int64 product is exact, and so is its float64 value below 2**53
-    return counts_a * counts_b / (counts_a + counts_b) * sq
+    return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
 
 
 def _leaf_moments(
@@ -260,31 +251,26 @@ def _pool(children: np.ndarray, counts: np.ndarray, means: np.ndarray, covs: np.
         covs[nodes] = (scatter + outer * (count_a * count_b / n)[:, None]) / (n - 1)[:, None]
 
 
-def build_hierarchy(
-    leaves: "FlatClustering", features: "FeatureMatrix", linkage: str = "centroid",
-    seed: int = 0,
-) -> ModeTree:
+def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: int = 0) -> ModeTree:
     """Merge the J leaf clusters bottom-up into a 2J-1 node tree.
 
-    At every step the closest active pair under the chosen linkage is merged;
-    equidistant pairs resolve to the lowest (node_id, node_id) pair. Leaf
-    statistics are fitted to the leaf rows (`_leaf_moments`). A merge pools
-    its children's count and mean, which the linkage needs; the merged
-    covariances are pooled after the loop, one merge level at a time
+    At every step the active pair whose means are closest (centroid linkage)
+    is merged; equidistant pairs resolve to the lowest (node_id, node_id)
+    pair. Leaf statistics are fitted to the leaf rows (`_leaf_moments`). A
+    merge pools its children's count and mean, which the distances need; the
+    merged covariances are pooled after the loop, one merge level at a time
     (`_pool`, which a loaded tree derives its statistics with too).
 
     No distance matrix is kept. Each active node a caches `nearest[a]`, the
-    lowest-id active node b > a at the smallest linkage value `best[a]`, so
+    lowest-id active node b > a at the smallest distance `best[a]`, so
     `best.argmin()` and its `nearest` give the lowest pair (the generic
     algorithm of Müllner 2011, arXiv:1109.2378). After a merge the rows whose
     nearest was a child are recomputed; any other row keeps its nearest
     unless the new node, whose id is the highest, is strictly closer.
 
-    The tree records the linkage, `seed` (the seed `leaves` were fitted
-    with) and `features`, whose `sha256` refuses ids a manifest cannot hold.
+    The tree records `seed` (the seed `leaves` were fitted with) and
+    `features`, whose `sha256` refuses ids a manifest cannot hold.
     """
-    if linkage not in LINKAGES:
-        raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
     _ = features.sha256  # refuses unlistable ids before the work; the tree reuses it
     j, d = leaves.k, features.d
     total = 2 * j - 1
@@ -302,17 +288,18 @@ def build_hierarchy(
 
     def refresh(rows: np.ndarray) -> None:
         """Recompute nearest and best of the ascending active rows, each over
-        the active nodes above it; a row with none keeps best = inf."""
-        ids = np.flatnonzero(active)
-        ids = ids[ids > rows[0]]
-        if ids.size == 0:
-            return
-        step = max(1, _BLOCK_VALUES // (ids.size * d))
-        for start in range(0, rows.size, step):
+        the active nodes above it; a row with none keeps best = inf. A block
+        of rows takes the columns above its first row."""
+        active_ids = np.flatnonzero(active)
+        start = 0
+        while start < rows.size:
+            ids = active_ids[active_ids > rows[start]]
+            if ids.size == 0:  # nor above any later row
+                return
+            step = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // (ids.size * d)))
             chunk = rows[start:start + step]
-            block = _linkage(
-                linkage, means[chunk, None], counts[chunk, None], means[ids], counts[ids]
-            )
+            start += step
+            block = _centroid_distance(means[chunk, None], means[ids])
             block[ids[None, :] <= chunk[:, None]] = np.inf
             first = block.argmin(axis=1)
             nearest[chunk] = ids[first]
@@ -329,7 +316,7 @@ def build_hierarchy(
         active[a] = active[b] = False
         best[a] = best[b] = np.inf
         ids = np.flatnonzero(active)
-        row = _linkage(linkage, means[new_id], counts[new_id], means[ids], counts[ids])
+        row = _centroid_distance(means[new_id], means[ids])
         stale = (nearest[ids] == a) | (nearest[ids] == b)
         # new_id is the highest column, so it wins only when strictly closer
         closer = ~stale & (row < best[ids])
@@ -340,9 +327,7 @@ def build_hierarchy(
             refresh(ids[stale])
 
     _pool(children, counts, means, covs)  # its means have the loop's bits
-    tree = ModeTree(
-        children, np.linalg.eigvalsh(covs), leaves.assignment, linkage, seed % 2**63, features
-    )
+    tree = ModeTree(children, np.linalg.eigvalsh(covs), leaves.assignment, seed % 2**63, features)
     tree.counts, tree._moments = counts, (means, covs)  # what the tree would derive
     validate_tree(tree)
     return tree
@@ -383,8 +368,8 @@ def _payload(tree: ModeTree) -> bytes:
     j = tree.leaf_count
     labels = np.min_scalar_type(j - 1).newbyteorder("<")  # the narrowest that holds J-1
     header = _HEADER.pack(
-        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, j, tree.spectra.shape[1], tree.seed,
-        LINKAGES.index(tree.linkage), tree.server.sha256,
+        TREE_MAGIC, TREE_VERSION, tree.leaf_labels.size, j, tree.spectra.shape[1], tree.seed, 0,
+        tree.server.sha256,
     )
     return b"".join([
         header, tree.leaf_labels.astype(labels).tobytes(),
@@ -410,7 +395,7 @@ def load_tree(path: str | Path, server: "FeatureMatrix") -> ModeTree:
         raise TreeFormatError(f"{path}: missing {TREE_MAGIC!r} magic; not a bmm tree")
     if len(data) < _HEADER.size:
         raise TreeFormatError(f"{path}: truncated tree header")
-    _, version, n, j, d, seed, linkage, server_sha256 = _HEADER.unpack_from(data)
+    _, version, n, j, d, seed, reserved, server_sha256 = _HEADER.unpack_from(data)
     if version != TREE_VERSION:
         raise TreeFormatError(
             f"{path}: tree version {version} is incompatible with this build (reads {TREE_VERSION})"
@@ -436,14 +421,16 @@ def load_tree(path: str | Path, server: "FeatureMatrix") -> ModeTree:
             f"server features (SHA-256 {server.sha256.hex()[:16]}...) are not the server "
             f"the tree was built from ({server_sha256.hex()[:16]}...)"
         )
-    if linkage >= len(LINKAGES):
-        raise TreeFormatError(f"{path}: unknown linkage index {linkage}")
+    if reserved != 0:  # a second linkage's trees held 1 here
+        raise TreeFormatError(
+            f"{path}: tree was built with a linkage this build no longer reads; "
+            "rebuild it with build-server"
+        )
     children = np.full((total, 2), -1, dtype=np.int64)
     children[j:] = np.frombuffer(data, "<i4", 2 * (j - 1), merges).reshape(-1, 2)
     tree = ModeTree(
         children, np.frombuffer(data, "<f8", total * d, spectra).reshape(total, d).astype(float),
-        np.frombuffer(data, labels, n, _HEADER.size).astype(np.int64), LINKAGES[linkage], seed,
-        server,
+        np.frombuffer(data, labels, n, _HEADER.size).astype(np.int64), seed, server,
     )
     try:
         validate_tree(tree)

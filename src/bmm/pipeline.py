@@ -10,7 +10,7 @@ world, each through the same bounded match.
 Each stage takes the parameters it reads and checks those it is the first to
 need: the leaf count J against the server rows in `build_server_tree`, the
 target mode count L against J in `run_match`, and both in `run_bench`. eps
-is checked by the Fréchet kernel (`gap`) and the linkage by `build_hierarchy`.
+is checked by the Fréchet kernel (`gap`).
 """
 
 from __future__ import annotations
@@ -59,15 +59,11 @@ def _check_target_clusters(leaves: int, clusters: int) -> None:
         )
 
 
-def build_server_tree(
-    server: FeatureMatrix, leaves: int, seed: int = 0, linkage: str = "centroid"
-) -> ModeTree:
+def build_server_tree(server: FeatureMatrix, leaves: int, seed: int = 0) -> ModeTree:
     """Balanced leaves then bottom-up merging: the one-time server build."""
     _check_leaves(leaves, server.n)
     _ = server.sha256  # refuses ids a manifest cannot hold before the fit; the tree reuses it
-    return build_hierarchy(
-        fit_balanced_kmeans(server, leaves, seed), server, linkage=linkage, seed=seed
-    )
+    return build_hierarchy(fit_balanced_kmeans(server, leaves, seed), server, seed)
 
 
 def target_mode_stats(
@@ -179,7 +175,6 @@ def run_bench(
     target_clusters: int,
     seed: int = 0,
     eps: float = DEFAULT_EPS,
-    linkage: str = "centroid",
 ) -> list[dict]:
     """Sweep tree sizes and matching variants on one planted world.
 
@@ -202,7 +197,7 @@ def run_bench(
     whole_target = gaussian_stats(target, np.arange(target.n))
     rows: list[dict] = []
     for leaves in leaves_sweep:
-        tree = build_server_tree(server, leaves, seed, linkage)
+        tree = build_server_tree(server, leaves, seed)
         for variant in BENCH_VARIANTS:
             started = time.perf_counter()
             result, cost = match_modes(tree, stats, eps, variant)

@@ -48,7 +48,7 @@ from bmm import (
     generate, matching_precision, solve_assignment,
 )
 from bmm.gap import DEFAULT_EPS, NodeCosts, cost_matrix, gaussian_stats
-from bmm.hierarchy import LINKAGES, validate_tree
+from bmm.hierarchy import validate_tree
 from bmm.matching import selection_from_matches
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 
@@ -157,8 +157,7 @@ def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:
 
 
 def oracle_bench(
-    world, leaves_sweep, target_clusters: int, seed: int = 0, eps: float = DEFAULT_EPS,
-    linkage: str = "centroid",
+    world, leaves_sweep, target_clusters: int, seed: int = 0, eps: float = DEFAULT_EPS
 ) -> list[dict]:
     """The bench rows without `runtime`, every variant of a J read from one
     full all-node cost matrix: bmm_flat solves its first J (leaf) columns,
@@ -169,7 +168,7 @@ def oracle_bench(
     whole_target = gaussian_stats(target, np.arange(target.n))
     rows = []
     for leaves in leaves_sweep:
-        tree = build_server_tree(server, leaves, seed, linkage)
+        tree = build_server_tree(server, leaves, seed)
         full = full_cost_matrix(tree, stats, eps)
         for variant in BENCH_VARIANTS:
             cost = full[:, : tree.leaf_count] if variant == "bmm_flat" else full
@@ -294,12 +293,10 @@ def oracle_squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray
     return d2
 
 
-def _linkage_value(linkage: str, count_a, mean_a, count_b, mean_b) -> float:
+def _linkage_value(mean_a, mean_b) -> float:
+    """The centroid distance of two means."""
     gap = mean_a - mean_b
-    if linkage == "centroid":
-        return float(np.sqrt(gap @ gap))
-    # ward: SSE increase caused by the merge
-    return float(count_a * count_b / (count_a + count_b) * (gap @ gap))
+    return float(np.sqrt(gap @ gap))
 
 
 def oracle_pooled(
@@ -318,11 +315,9 @@ def oracle_pooled(
     return n, mean, cov
 
 
-def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "centroid") -> ModeTree:
+def oracle_build_hierarchy(leaves, features: FeatureMatrix) -> ModeTree:
     """The merge loop over a full (2J-1)^2 distance matrix: every step copies
     the active block and takes its row-major first minimum."""
-    if linkage not in LINKAGES:
-        raise ParameterError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
     j = leaves.k
     total = 2 * j - 1
 
@@ -342,7 +337,7 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
     active[:j] = True
     for a in range(j):
         for b in range(a + 1, j):
-            dist[a, b] = _linkage_value(linkage, counts[a], means[a], counts[b], means[b])
+            dist[a, b] = _linkage_value(means[a], means[b])
 
     for new_id in range(j, total):
         ids = np.flatnonzero(active)
@@ -355,15 +350,11 @@ def oracle_build_hierarchy(leaves, features: FeatureMatrix, linkage: str = "cent
         active[a] = False
         active[b] = False
         for other in np.flatnonzero(active):
-            value = _linkage_value(
-                linkage, counts[new_id], means[new_id], counts[other], means[other]
-            )
+            value = _linkage_value(means[new_id], means[other])
             dist[min(other, new_id), max(other, new_id)] = value
         active[new_id] = True
 
-    tree = ModeTree(
-        children, np.linalg.eigvalsh(covs), leaves.assignment, linkage, 0, features
-    )
+    tree = ModeTree(children, np.linalg.eigvalsh(covs), leaves.assignment, 0, features)
     tree.counts, tree._moments = counts, (means, covs)  # the oracle's own, not derived
     validate_tree(tree)
     return tree

@@ -18,7 +18,6 @@ from bmm import (
 from bmm import cli
 from bmm.cli import main
 from bmm import hierarchy
-from bmm.hierarchy import LINKAGES
 from bmm.pipeline import build_server_tree, target_mode_stats
 from bmm.synth import granularity_probe_world, random_subset_world
 
@@ -70,11 +69,11 @@ def test_tree_records_how_and_from_what_it_was_built(tmp_path, world_files):
     tree_path = tmp_path / "tree.bmmt"
     assert main([
         "build-server", "--server-features", str(server_path), "--leaves", "8",
-        "--seed", "-1", "--linkage", "ward", "--tree", str(tree_path),
+        "--seed", "-1", "--tree", str(tree_path),
     ]) == 0
     tree = load_tree(tree_path, server)
     # the seed as the k-means generator reads it
-    assert (tree.seed, tree.linkage, tree.server.sha256) == (2**63 - 1, "ward", server.sha256)
+    assert (tree.seed, tree.server.sha256) == (2**63 - 1, server.sha256)
 
 
 def test_loaded_tree_gives_the_built_trees_cost_bits(tmp_path, world_files):
@@ -627,7 +626,7 @@ def tree_blob(tmp_path_factory, world_files):
     return tree_path.read_bytes()
 
 
-# magic, version, rows n, leaves J, dimension d, seed, linkage index, server SHA-256
+# magic, version, rows n, leaves J, dimension d, seed, reserved (0), server SHA-256
 TREE_HEADER = struct.Struct("<4sHQIIQH32s")
 V3_HEADER = struct.Struct("<4sHQII")  # magic, version, rows n, leaves J, dimension d
 
@@ -658,7 +657,7 @@ def node_records(blob: bytes):
     j, d = header[3:5]
     children = np.concatenate([np.full((j, 2), -1), merges]).astype(np.int64)
     labels = labels.astype(np.int64)
-    tree = hierarchy.ModeTree(children, spectra, labels, "centroid", 0, world_features()[0])
+    tree = hierarchy.ModeTree(children, spectra, labels, 0, world_features()[0])
     records = np.zeros(len(children), dtype=[
         ("children", "<i4", (2,)), ("count", "<i8"), ("mean", "<f8", (d,)),
         ("spectrum", "<f8", (d,)),
@@ -794,7 +793,8 @@ MALFORMED_TREES = {
     "nan-spectrum": _v6(lambda h, l, m, s: _set(s[5], 0, np.nan)),
     "inf-spectrum": _v6(lambda h, l, m, s: _set(s[12], -1, np.inf)),
     "unsorted-spectrum": _v6(lambda h, l, m, s: _set(s, 5, s[5][::-1])),
-    "linkage-unknown": _v6(lambda h, l, m, s: _set(h, 6, len(LINKAGES))),
+    # what a tree built with the earlier Ward linkage holds in the reserved field
+    "linkage-unknown": _v6(lambda h, l, m, s: _set(h, 6, 1)),
     "version-3": v3_bytes,
     "version-4": v4_bytes,
     "version-5": v5_bytes,
@@ -851,7 +851,8 @@ MALFORMED_TREE_ERRORS = {
     "nan-spectrum": "non-finite",
     "inf-spectrum": "non-finite",
     "unsorted-spectrum": "ascending",
-    "linkage-unknown": "unknown linkage",
+    "linkage-unknown": "tree was built with a linkage this build no longer reads; "
+                       "rebuild it with build-server",
     "flipped-seed-byte": "SHA-256",
     "flipped-server-digest-byte": "SHA-256",
     "flipped-payload-byte": "SHA-256",
@@ -997,6 +998,43 @@ def test_match_cost_csv_is_an_unknown_flag(tmp_path, world_files):
     assert not (tmp_path / "sel.manifest").exists()
 
 
+@pytest.mark.parametrize("command, linkage", [("build-server", "centroid"), ("bench", "ward")])
+def test_linkage_is_an_unknown_flag(tmp_path, world_files, command, linkage):
+    """There is one merge rule: `--linkage` ends in argparse's usage error,
+    exit 2, and nothing is written."""
+    _, _, _, server_path, _ = world_files
+    out = tmp_path / "out"
+    if command == "build-server":
+        argv = ["build-server", "--server-features", str(server_path), "--leaves", "4",
+                "--tree", str(out)]
+    else:
+        save_world(shared_nearest_world(seed=0, per_mode=10), tmp_path / "world.json")
+        argv = ["bench", "--world", str(tmp_path / "world.json"), "--leaves", "4",
+                "--target-clusters", "3", "--out", str(out)]
+    done = run_python("-m", "bmm.cli", *argv, "--linkage", linkage)
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert err.startswith("usage: bmm [-h] [--version]") and "Traceback" not in err
+    assert err.endswith(f"error: unrecognized arguments: --linkage {linkage}\n")
+    assert not out.exists()
+
+
+def test_warn_fid_must_be_a_number(tmp_path, world_files, tree_blob, capsys):
+    """No distance exceeds NaN, so `--warn-fid nan` would flag nothing: it is
+    refused before any work. An infinite or negative value keeps its meaning."""
+    _, _, _, server_path, target_path = world_files
+    tree_path = tmp_path / "tree.bmmt"
+    tree_path.write_bytes(tree_blob)
+    out = tmp_path / "sel.manifest"
+    argv = match_args(tree_path, server_path, target_path, out)
+    assert main(argv + ["--warn-fid", "nan"]) == 2
+    assert capsys.readouterr().err == "error: --warn-fid must be a number, got nan\n"
+    assert not list(tmp_path.glob("sel.manifest*"))
+    for value, flagged in (("inf", 0), ("-inf", 2), ("-1", 2)):
+        assert main(argv + [f"--warn-fid={value}"]) == 0
+        assert capsys.readouterr().out.count("  WARN\n") == flagged, value
+
+
 def test_missing_file_is_parameter_error(tmp_path, capsys):
     code = main([
         "build-server", "--server-features", str(tmp_path / "missing.bmmf"),
@@ -1011,7 +1049,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, world_files, capsys):
     argvs = [
         match_args("t", server_path, target_path, "o", seed=7) + ["--warn-fid", "3"],
         ["prune", "--manifest", "m", "--budget-n", "5", "--out", "o"],
-        ["build-server", "--server-features", "s", "--tree", "t", "--linkage", "ward"],
+        ["build-server", "--server-features", "s", "--tree", "t"],
         match_args("t", server_path, target_path, "o"),
         ["prune", "--manifest", "m", "--budget-frac", "0.5", "--strategy", "stratified",
          "--out", "o"],

@@ -23,7 +23,7 @@ from bmm import (
 from bmm.clustering import FlatClustering
 from bmm import hierarchy
 from bmm.gap import NodeCosts
-from bmm.hierarchy import LINKAGES, validate_tree
+from bmm.hierarchy import validate_tree
 
 from conftest import make_features, one_blas_thread, trees_equal
 from oracles import oracle_build_hierarchy, oracle_node_costs, oracle_pooled
@@ -36,17 +36,17 @@ def quad_features():
     return make_features([-0.05, 0.05, 0.95, 1.05, 9.95, 10.05, 10.95, 11.05])
 
 
-def build_quad_tree(linkage="centroid"):
+def build_quad_tree():
     fm = quad_features()
     leaves = fit_balanced_kmeans(fm, 4, seed=0)
-    return fm, build_hierarchy(leaves, fm, linkage=linkage)
+    return fm, build_hierarchy(leaves, fm)
 
 
-def merge_distances(tree, linkage="centroid"):
-    """Linkage value of each merge, in node-id order, recomputed from the
-    children's counts and means."""
+def merge_distances(tree):
+    """Centroid distance of each merge, in node-id order, recomputed from the
+    children's means."""
     a, b = tree.children[tree.leaf_count:].T
-    return hierarchy._linkage(linkage, tree.means[a], tree.counts[a], tree.means[b], tree.counts[b])
+    return hierarchy._centroid_distance(tree.means[a], tree.means[b])
 
 
 def test_single_leaf_tree():
@@ -114,19 +114,19 @@ def tie_heavy_leaves(draw):
     return leaves, make_features(rows[order])
 
 
-def assert_equals_oracle(leaves, fm, linkage):
+def assert_equals_oracle(leaves, fm):
     """Same merges and bit-identical node statistics."""
-    tree = build_hierarchy(leaves, fm, linkage=linkage)
-    oracle = oracle_build_hierarchy(leaves, fm, linkage=linkage)
+    tree = build_hierarchy(leaves, fm)
+    oracle = oracle_build_hierarchy(leaves, fm)
     assert tree.node_count == oracle.node_count
     for field in ("children", "parents", "counts", "means", "covs", "spectra"):
         assert getattr(tree, field).tobytes() == getattr(oracle, field).tobytes(), field
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(tie_heavy_leaves(), st.sampled_from(LINKAGES))
-def test_build_hierarchy_equals_merge_loop_oracle(case, linkage):
-    assert_equals_oracle(*case, linkage)
+@given(tie_heavy_leaves())
+def test_build_hierarchy_equals_merge_loop_oracle(case):
+    assert_equals_oracle(*case)
 
 
 def test_build_hierarchy_equals_oracle_on_random_leaves(monkeypatch):
@@ -139,8 +139,7 @@ def test_build_hierarchy_equals_oracle_on_random_leaves(monkeypatch):
     labels = rng.permutation(np.arange(8 * j) % j)
     fm = make_features(rng.normal(size=(8 * j, d)))
     leaves = FlatClustering(k=j, assignment=labels, centroids=np.zeros((j, d)), sse=0.0)
-    for linkage in LINKAGES:
-        assert_equals_oracle(leaves, fm, linkage)
+    assert_equals_oracle(leaves, fm)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 5, 9])
@@ -161,14 +160,6 @@ def test_partition_property(rng):
         assert np.intersect1d(left, right).size == 0
         assert np.array_equal(np.sort(np.concatenate([left, right])), tree.members(node_id))
     assert np.array_equal(tree.members(tree.root_id), np.arange(40))
-
-
-def test_ward_merges_are_monotone(rng):
-    fm = make_features(rng.normal(size=(48, 3)))
-    leaves = fit_balanced_kmeans(fm, 12, seed=0)
-    tree = build_hierarchy(leaves, fm, linkage="ward")
-    distances = merge_distances(tree, "ward")
-    assert all(b >= a - 1e-9 for a, b in zip(distances, distances[1:]))
 
 
 def test_centroid_merges_monotone_on_collinear_data(rng):
@@ -254,14 +245,17 @@ def test_benchmark_tree_sizes():
     assert [tree_file_size(*shape) for shape in shapes] == [43_992, 38_232, 7_384]
 
 
-@pytest.mark.parametrize("linkage", LINKAGES)
-@pytest.mark.parametrize("j, d", [(1, 3), (2, 1), (7, 5), (16, 3), (24, 12)])
-def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, linkage, j, d):
+SHAPES = [(1, 3), (2, 1), (7, 5), (16, 3), (24, 12)]
+
+
+# each id ends in the merge rule its case builds with
+@pytest.mark.parametrize("j, d", SHAPES, ids=[f"{j}-{d}-centroid" for j, d in SHAPES])
+def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, j, d):
     """The loader derives the statistics the build computed: every array of
-    the loaded tree has the built one's bytes, and re-persisting the loaded
-    tree writes the file again."""
+    the loaded tree has the built one's bytes, re-persisting the loaded tree
+    writes the file again, and the header's reserved field is 0."""
     fm = make_features(rng.normal(size=(6 * j + 1, d)) * rng.uniform(0.1, 10.0, size=d))
-    tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=j), fm, linkage=linkage)
+    tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=j), fm)
     path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
@@ -271,8 +265,10 @@ def test_built_tree_round_trips_bit_for_bit(tmp_path, rng, linkage, j, d):
 
 def assert_loads_bit_for_bit(tree, path, fm):
     """Every derived array of the tree loaded from path has the built one's
-    bytes, and re-persisting it writes the file again."""
+    bytes, the file's reserved header field is 0, and re-persisting the
+    loaded tree writes the file again."""
     blob = path.read_bytes()
+    assert blob[30:32] == bytes(2)  # the header's reserved u16
     back = load_tree(path, fm)
     for field in ("children", "parents", "counts", "means", "covs", "spectra", "leaf_labels"):
         assert getattr(back, field).tobytes() == getattr(tree, field).tobytes(), field
@@ -281,15 +277,14 @@ def assert_loads_bit_for_bit(tree, path, fm):
     assert path.read_bytes() == blob
 
 
-@pytest.mark.parametrize("linkage", LINKAGES)
-@pytest.mark.parametrize("j", [256, 257])
-def test_label_width_edges_round_trip(tmp_path, linkage, j):
+@pytest.mark.parametrize("j", [256, 257], ids=["256-centroid", "257-centroid"])
+def test_label_width_edges_round_trip(tmp_path, j):
     """J=256 is the widest tree whose labels fit one byte; J=257 takes two."""
     rng = np.random.default_rng(j)
     labels = rng.permutation(np.arange(3 * j) % j)
     fm = make_features(rng.normal(size=(3 * j, 2)) * [1.0, 1e3])
     leaves = FlatClustering(k=j, assignment=labels, centroids=np.zeros((j, 2)), sse=0.0)
-    tree = build_hierarchy(leaves, fm, linkage=linkage)
+    tree = build_hierarchy(leaves, fm)
     path = tmp_path / "tree.bmmt"
     persist_tree(tree, path)
     assert len(path.read_bytes()) == tree_file_size(fm.n, j, 2)
@@ -401,23 +396,22 @@ def test_pooled_means_equal_the_merge_loop_means(monkeypatch):
     pool = hierarchy._pool
     monkeypatch.setattr(hierarchy, "_pool", keep_loop_means)
     rng = np.random.default_rng(11)
-    for linkage in LINKAGES:
-        for j, d in [(2, 1), (9, 3), (40, 8)]:
-            fm = make_features(rng.normal(size=(5 * j, d)) * 10.0 ** rng.integers(-3, 4, size=d))
-            tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=0), fm, linkage=linkage)
-            assert tree.means.tobytes() == loop_means.pop().tobytes()
+    for j, d in [(2, 1), (9, 3), (40, 8)]:
+        fm = make_features(rng.normal(size=(5 * j, d)) * 10.0 ** rng.integers(-3, 4, size=d))
+        tree = build_hierarchy(fit_balanced_kmeans(fm, j, seed=0), fm)
+        assert tree.means.tobytes() == loop_means.pop().tobytes()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(tie_heavy_leaves(), st.sampled_from(LINKAGES))
-def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, case, linkage):
+@given(tie_heavy_leaves())
+def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, case):
     """A tree's stored spectra give NodeCosts the bits that one eigvalsh of
     its covariances per match gave, at the default eps and at one that ridges
     every node; rank-deficient and zero covariances are common here. The
     file has the size its header formula gives, and persist -> load ->
     persist writes the same bytes."""
     leaves, fm = case
-    tree = build_hierarchy(leaves, fm, linkage=linkage)
+    tree = build_hierarchy(leaves, fm)
     path = tmp_path_factory.mktemp("v6") / "tree.bmmt"
     persist_tree(tree, path)
     blob = path.read_bytes()
@@ -485,7 +479,7 @@ def test_child_checks_leave_one_root(children):
     j = (h + 1) // 2
     labels = np.repeat(np.arange(j), 2)
     tree = hierarchy.ModeTree(
-        children, np.zeros((h, 1)), labels, "centroid", 0, make_features(labels)
+        children, np.zeros((h, 1)), labels, 0, make_features(labels)
     )
     try:
         validate_tree(tree)

@@ -63,10 +63,6 @@ def test_stage_parameter_invariants(small_world):
             run_bench(world, [4], target_clusters=2, eps=eps)
         with pytest.raises(ParameterError, match="eps must be finite and positive"):
             evaluate_gap(server, target, np.arange(server.n), eps=eps)
-    with pytest.raises(ParameterError, match="unknown linkage 'single'"):
-        build_server_tree(server, 4, linkage="single")
-    with pytest.raises(ParameterError, match="unknown linkage 'single'"):
-        run_bench(world, [4], target_clusters=2, linkage="single")
 
 
 def test_match_flow_on_planted_world(small_world):

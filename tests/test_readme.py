@@ -32,3 +32,18 @@ def test_readme_flags_exist():
     named.discard("--no-build-isolation")
     assert "--target-clusters" in named
     assert sorted(named - options) == []
+
+
+def test_readme_flag_table_matches_each_command():
+    """The README's command table has one row per `bmm` subcommand, and each
+    row lists exactly that subcommand's options, `--help` aside."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = re.findall(r"^\| `([\w-]+)` \| [^|]* \| (.*) \|$", README.read_text(encoding="utf-8"),
+                       re.MULTILINE)
+    assert sorted(command for command, _ in table) == sorted(sub.choices)
+    for command, cell in table:
+        options = {
+            flag for action in sub.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction) for flag in action.option_strings
+        }
+        assert set(re.findall(r"--[a-zA-Z][\w-]*", cell)) == options, command
