@@ -99,4 +99,8 @@ cmp gap.json gap2.json
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy uniform \
     --out uniform.manifest
 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 --target-clusters 6 --out bench.csv
+echo "== bench again with OpenBLAS on one thread: the same bytes"
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 \
+    --target-clusters 6 --out bench1.csv > /dev/null
+cmp bench.csv bench1.csv
 echo "== all checks passed"

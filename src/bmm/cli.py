@@ -259,15 +259,14 @@ def _cmd_bench(args) -> int:
     sweep = [int(tok) for tok in tokens]
     rows = run_bench(world, sweep, args.target_clusters, seed=args.seed, eps=args.eps_cov)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "J", "L", "fid", "precision", "runtime"])
+        writer = csv.DictWriter(fh, fieldnames=["variant", "J", "L", "fid", "precision"])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
     for row in rows:
         print(
             f"{row['variant']:9s} J={row['J']:<4d} L={row['L']:<3d} "
-            f"fid={row['fid']:.4f} precision={row['precision']:.3f} "
-            f"runtime={row['runtime']:.3f}s"
+            f"fid={row['fid']:.4f} precision={row['precision']:.3f}"
         )
     print(f"bench CSV written to {args.out}")
     return 0

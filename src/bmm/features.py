@@ -12,18 +12,20 @@ them apart by the first four bytes:
   ``sample_id,dataset_label,f0,...,f{d-1}`` followed by one data row per
   sample. Its format errors add that the file had no ``BMMF`` magic.
 
-Manifests are UTF-8 text files: ``# key=value`` metadata lines followed by
-one ``sample_id,dataset_label`` line per selected sample. A `Manifest` holds
-(str, str) entries; its one constructor checks only that no sample id
-repeats, with the same check as `FeatureMatrix`.
+Manifests are UTF-8 text files in one grammar, shared by `write_manifest`,
+`read_manifest` and `FeatureMatrix.sha256`: zero or more leading ``# key=value``
+lines, then one ``sample_id,dataset_label`` line per entry, lines ending at
+``\n`` only. Ids and labels hold no comma, CR or LF, no id starts with ``#``
+and no id repeats; a `Manifest`'s one constructor checks the last, with the
+same check as `FeatureMatrix`.
 
 Readers reject invalid files instead of repairing them; the binary format is
 endianness-pinned and read-then-write is byte identical. `FeatureMatrix.sha256`
 identifies a server by its content; it refuses ids and labels that a manifest
-line cannot hold (a comma, ``\n`` or ``\r``), so that every server a tree is
-built from or matched against can write its manifest. A string block whose
-length prefixes are all equal and whose payload is ASCII is read with one
-decode, any other block one string at a time; the format is the same.
+line cannot hold, so that every server a tree is built from or matched
+against can write its manifest. A string block whose length prefixes are all
+equal and whose payload is ASCII is read with one decode, any other block one
+string at a time; the format is the same.
 """
 
 from __future__ import annotations
@@ -87,15 +89,13 @@ class FeatureMatrix:
         """SHA-256 of the ``<QI`` shape (n, d), the little-endian float32
         values and the newline-joined ids then labels, as UTF-8.
 
-        Raises ValidationError for an id or label that holds a comma or a
-        newline: a manifest could not list it, and it would make the join
-        ambiguous.
+        Raises ValidationError for a row a manifest line could not list (see
+        `_manifest_entry`); a newline would also make the join ambiguous.
         """
         text = "\n".join(self.sample_ids + self.dataset_labels)
-        if "," in text or "\r" in text or text.count("\n") != 2 * self.n - 1:
+        if "," in text or "\r" in text or "#" in text or text.count("\n") != 2 * self.n - 1:
             for sid, label in zip(self.sample_ids, self.dataset_labels):
-                _csv_safe(sid, "sample_id")
-                _csv_safe(label, "dataset_label")
+                _manifest_entry(sid, label)
         digest = hashlib.sha256(struct.pack("<QI", self.n, self.d))
         digest.update(np.ascontiguousarray(self.values, dtype="<f4"))
         digest.update(text.encode("utf-8"))
@@ -282,6 +282,14 @@ def _csv_safe(text: str, what: str) -> str:
     return text
 
 
+def _manifest_entry(sid: str, label: str) -> None:
+    """Refuse an entry no manifest line can hold: a CSV-unsafe field, or a '#' id."""
+    _csv_safe(sid, "sample_id")
+    _csv_safe(label, "dataset_label")
+    if sid.startswith("#"):
+        raise ValidationError(f"sample_id {sid!r} may not start with '#'")
+
+
 def _write_features_csv(m: FeatureMatrix, path: str | Path) -> None:
     header = "sample_id,dataset_label," + ",".join(f"f{i}" for i in range(m.d))
     lines = [header]
@@ -294,44 +302,34 @@ def _write_features_csv(m: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """Read a manifest; duplicate sample ids keep their first occurrence.
+    """Read a manifest in the module docstring's grammar.
 
-    The data lines after the leading metadata lines are split in bulk when
-    each holds exactly one comma, none starts with '#' and no id repeats;
-    any other file is read line by line, which names the first bad line.
+    The data lines after the metadata lines are split in one pass; when they
+    are not all 'sample_id,dataset_label' pairs, a scan names the first bad line.
     """
     text = _decode(Path(path).read_bytes(), path)
-    head = 0  # the leading metadata lines end at text[head]
-    while text.startswith("#", head):
-        head = text.find("\n", head) + 1 or len(text)
-    data = text[head:].removesuffix("\n")
-    cells = data.replace("\n", ",").split(",")
-    ids, names = cells[0::2], cells[1::2]
-    bulk = (
-        "\n#" not in data
-        and len(ids) == len(names) == len(set(ids))
-        and "\n".join(map(",".join, zip(ids, names))) == data
-    )
     metadata: dict[str, str] = {}
-    labels: dict[str, str] = {}  # sample_id -> label of its first occurrence, in file order
-    lines = (text[:head] if bulk else text).split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:]
-            if body.startswith(" "):
-                body = body[1:]
-            if "=" not in body:
-                raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
-            key, value = body.split("=", 1)
-            metadata[key] = value
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
-        labels.setdefault(parts[0], parts[1])
-    return Manifest(list(zip(ids, names)) if bulk else list(labels.items()), metadata)
+    head = lineno = 0  # the leading metadata lines end at text[head], line `lineno`
+    while text.startswith("#", head):
+        end = text.find("\n", head) + 1 or len(text)
+        line = text[head:end].removesuffix("\n")
+        lineno += 1
+        key, eq, value = line[1:].removeprefix(" ").partition("=")
+        if not eq:
+            raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
+        metadata[key] = value
+        head = end
+    data = text[head:].removesuffix("\n")
+    cells = data.replace("\n", ",").split(",") if head < len(text) else []
+    ids, names = cells[0::2], cells[1::2]
+    # the rebuilt text equals the data only when every line holds one comma;
+    # "#" in data is one memchr, where "\n#" in data stops at every newline
+    if (len(ids) != len(names) or "#" in data and "\n#" in data
+            or "\n".join(map(",".join, zip(ids, names))) != data):
+        for lineno, line in enumerate(data.split("\n"), start=lineno + 1):
+            if line.count(",") != 1 or line.startswith("#"):
+                raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
+    return Manifest(list(zip(ids, names)), metadata)
 
 
 def write_manifest(m: Manifest, path: str | Path) -> None:
@@ -344,11 +342,11 @@ def write_manifest(m: Manifest, path: str | Path) -> None:
         lines.append(f"# {key}={m.metadata[key]}\n")
     body = "\n".join(map(",".join, m.entries))
     rows = len(m.entries)
-    # each entry adds one comma and, but for the last, one newline; any more is in a field
-    if body.count(",") != rows or body.count("\n") != max(rows - 1, 0) or "\r" in body:
+    # an entry adds one comma and, but the last, one newline; '#' may start an id
+    if ("\r" in body or "#" in body or body.count(",") != rows
+            or body.count("\n") != max(rows - 1, 0)):
         for sid, label in m.entries:
-            _csv_safe(sid, "sample_id")
-            _csv_safe(label, "dataset_label")
+            _manifest_entry(sid, label)
     if rows:
         lines.append(body + "\n")
     try:

@@ -15,7 +15,6 @@ is checked by the Fréchet kernel (`gap`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,13 +177,12 @@ def run_bench(
 ) -> list[dict]:
     """Sweep tree sizes and matching variants on one planted world.
 
-    Emits one row per (variant, J) cell with the selected-set gap, the
-    matching precision against the planted truth, and the cell's wall time.
+    Emits one row per (variant, J) cell with the selected-set gap and the
+    matching precision against the planted truth.
     Every J is checked against L and n // 2 before any fit. The target
     clustering, its truth alignment and the whole-target stats do not depend
     on J and are computed once; each J gets its own tree, and each variant
-    its own bounded `match_modes`. `runtime` covers the cell's matching,
-    selection, selected-set gap and precision.
+    its own bounded `match_modes`.
     """
     server, target, truth = generate(world)
     for leaves in leaves_sweep:
@@ -199,7 +197,6 @@ def run_bench(
     for leaves in leaves_sweep:
         tree = build_server_tree(server, leaves, seed)
         for variant in BENCH_VARIANTS:
-            started = time.perf_counter()
             result, cost = match_modes(tree, stats, eps, variant)
             matches = result if variant == "dm_dup" else result.sigma
             selection = selection_from_matches(tree, matches, cost)
@@ -211,7 +208,6 @@ def run_bench(
                     "L": target_clusters,
                     "fid": fid(selected, whole_target, eps=eps),
                     "precision": matching_precision(selection, aligned, tree),
-                    "runtime": time.perf_counter() - started,
                 }
             )
     return rows

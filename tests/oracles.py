@@ -159,9 +159,9 @@ def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:
 def oracle_bench(
     world, leaves_sweep, target_clusters: int, seed: int = 0, eps: float = DEFAULT_EPS
 ) -> list[dict]:
-    """The bench rows without `runtime`, every variant of a J read from one
-    full all-node cost matrix: bmm_flat solves its first J (leaf) columns,
-    bmm_hier all of them, and dm_dup takes its direct match."""
+    """The bench rows, every variant of a J read from one full all-node cost
+    matrix: bmm_flat solves its first J (leaf) columns, bmm_hier all of them,
+    and dm_dup takes its direct match."""
     server, target, truth = generate(world)
     clustering, stats = target_mode_stats(target, target_clusters, seed)
     aligned = align_truth(truth, clustering)
@@ -451,14 +451,14 @@ def _text_lines(path) -> list[str]:
 
 
 def oracle_read_manifest(path) -> Manifest:
-    """Read a manifest line by line; duplicate sample ids keep their first occurrence."""
+    """Read a manifest line by line: '#' lines until the first other line are
+    metadata, and every line after them must be one 'sample_id,dataset_label'
+    pair whose id does not start with '#'."""
     metadata: dict[str, str] = {}
-    labels: dict[str, str] = {}  # sample_id -> label of its first occurrence, in file order
+    entries: list[tuple[str, str]] = []
     for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+        if line.startswith("#") and not entries:
             body = line[1:]
             if body.startswith(" "):
                 body = body[1:]
@@ -468,10 +468,10 @@ def oracle_read_manifest(path) -> Manifest:
             metadata[key] = value
             continue
         parts = line.split(",")
-        if len(parts) != 2:
+        if len(parts) != 2 or line.startswith("#"):
             raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
-        labels.setdefault(parts[0], parts[1])
-    return Manifest(entries=list(labels.items()), metadata=metadata)
+        entries.append((parts[0], parts[1]))
+    return Manifest(entries=entries, metadata=metadata)
 
 
 def _csv_safe(text: str, what: str) -> str:
@@ -489,7 +489,10 @@ def oracle_write_manifest(m: Manifest, path) -> None:
             raise ValidationError(f"metadata key {key!r} or its value is not representable")
         lines.append(f"# {key}={m.metadata[key]}")
     for sid, label in m.entries:
-        lines.append(f"{_csv_safe(sid, 'sample_id')},{_csv_safe(label, 'dataset_label')}")
+        line = f"{_csv_safe(sid, 'sample_id')},{_csv_safe(label, 'dataset_label')}"
+        if sid.startswith("#"):
+            raise ValidationError(f"sample_id {sid!r} may not start with '#'")
+        lines.append(line)
     try:
         Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:

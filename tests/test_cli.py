@@ -363,7 +363,7 @@ def test_bench_csv(tmp_path, capsys):
     ])
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
-    assert lines[0] == "variant,J,L,fid,precision,runtime"
+    assert lines[0] == "variant,J,L,fid,precision"
     assert len(lines) == 4  # header + 3 variants for one J
     assert {line.split(",")[0] for line in lines[1:]} == {"bmm_hier", "bmm_flat", "dm_dup"}
 
@@ -588,33 +588,50 @@ def test_match_writes_the_tree_digest_and_prune_checks_it(tmp_path, world_files,
     assert "lacks 'tree_sha256' metadata" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["sample_ids", "dataset_labels"])
+# server id and label columns that no manifest line can hold, the first value
+# build-server names and what it says of it
+UNLISTABLE_SERVERS = {
+    "sample_ids": (
+        [f"a,{i}" for i in range(40)], ["set"] * 40, "a,0", "may not contain commas or newlines"
+    ),
+    "dataset_labels": (
+        [f"a{i}" for i in range(40)], ["x\ny"] * 40, "x\ny", "may not contain commas or newlines"
+    ),
+    "hash_ids": (
+        [f"#{i}=x" if i % 2 else f"a{i}" for i in range(40)], ["set"] * 40, "#1=x",
+        "may not start with '#'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNLISTABLE_SERVERS))
 def test_ids_a_manifest_cannot_hold_are_refused_before_any_output(
-    tmp_path, monkeypatch, field, capsys
+    tmp_path, monkeypatch, case, capsys
 ):
-    """A server id with a comma or a label with a newline could never be
-    written to a manifest: build-server refuses it, and so does match, before
-    it writes any report, against a tree built without the check."""
+    """A server id with a comma, a label with a newline or an id that would
+    read as a metadata line could never be written to a manifest:
+    build-server refuses it, and so does match, before it writes any report,
+    against a tree built without the check."""
+    ids, labels, named, message = UNLISTABLE_SERVERS[case]
     values = np.random.default_rng(0).normal(size=(40, 3))
-    columns = {"sample_ids": [f"a{i}" for i in range(40)], "dataset_labels": ["set"] * 40}
-    columns[field] = [f"a,{i}" for i in range(40)] if field == "sample_ids" else ["x\ny"] * 40
     server_path, target_path = tmp_path / "server.bmmf", tmp_path / "target.bmmf"
-    write_features(FeatureMatrix(values, **columns), server_path)
+    write_features(FeatureMatrix(values, ids, labels), server_path)
     write_features(
         FeatureMatrix(values[:20], [f"t{i}" for i in range(20)], ["target"] * 20), target_path
     )
     code, tree_path = run_build(tmp_path, server_path, leaves=4)
     assert code == 2
-    assert "may not contain commas or newlines" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and repr(named) in err
     assert not tree_path.exists()
 
     with monkeypatch.context() as patched:
-        patched.setattr(bmm.features, "_csv_safe", lambda text, what: text)
+        patched.setattr(bmm.features, "_manifest_entry", lambda sid, label: None)
         assert run_build(tmp_path, server_path, leaves=4)[0] == 0
     capsys.readouterr()
     code = main(match_args(tree_path, server_path, target_path, tmp_path / "sel.manifest"))
     assert code == 2
-    assert "may not contain commas or newlines" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["server.bmmf", "target.bmmf", "tree.bmmt"]
 
 

@@ -188,10 +188,28 @@ def test_manifest_random_ids_roundtrip(tmp_path, rng):
     assert back.metadata == meta
 
 
-def test_manifest_dedups_on_read(tmp_path):
+def test_manifest_refuses_repeats_on_read(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("a,x\nb,y\na,z\n")
-    assert read_manifest(path).entries == [("a", "x"), ("b", "y")]
+    with pytest.raises(ValidationError, match="duplicate sample_id 'a' in manifest"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    ("# k=v\n\na,x\n", "m.txt:2: expected 'sample_id,dataset_label'"),
+    ("a,x\n\n", "m.txt:2: expected 'sample_id,dataset_label'"),
+    ("\n", "m.txt:1: expected 'sample_id,dataset_label'"),
+    ("a,x\n# k=v\n", "m.txt:2: expected 'sample_id,dataset_label'"),
+    ("a,x\n#b=c,y\n", "m.txt:2: expected 'sample_id,dataset_label'"),
+    ("# k=v\na,x,y\n", "m.txt:2: expected 'sample_id,dataset_label'"),
+    ("# k\na,x\n", "m.txt:1: metadata line without '='"),
+], ids=["blank-after-metadata", "blank-last", "blank-only", "late-metadata", "late-hash-id",
+        "two-commas", "no-equals"])
+def test_manifest_refuses_lines_outside_the_grammar(tmp_path, content, message):
+    path = tmp_path / "m.txt"
+    path.write_text(content)
+    with pytest.raises(FormatError, match=message):
+        read_manifest(path)
 
 
 def test_manifest_rejects_duplicate_construction():
@@ -306,9 +324,9 @@ _MANIFEST_LINES = st.one_of(
 @st.composite
 def manifest_files(draw):
     """Manifest file bytes: metadata and data lines in any order, every line ending."""
-    if draw(st.booleans()):  # shaped like write_manifest's output, so often read in bulk
+    if draw(st.booleans()):  # shaped like write_manifest's output, so often split in one pass
         meta = draw(st.lists(st.builds("# {}={}".format, _FIELD, _FIELD), max_size=3))
-        # a '#' id turns its line into metadata after data lines
+        # a '#' id makes a '#' line after the data, which both readers refuse
         pool = st.sampled_from(["a", "b", "c d", "e", "f", "#k=v", "#x"])
         ids = draw(st.lists(pool, max_size=6, unique=draw(st.booleans())))
         label = st.text(alphabet="ab #=\t\u00e9", max_size=3)
@@ -343,6 +361,23 @@ def test_read_manifest_equals_line_oracle(scratch, raw):
 
 
 _WRITE_FIELD = st.text(alphabet="ab ,\n\r\u00e9#", max_size=3)
+# what the grammar refuses, line breaks that str.splitlines would split at, and a few letters
+_GRAMMAR_FIELD = st.text(alphabet="#,= \t\r\n\x0c\x85\u2028\u00e9bcy", max_size=4)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(_GRAMMAR_FIELD, _GRAMMAR_FIELD), max_size=6, unique_by=lambda e: e[0]),
+    st.dictionaries(_GRAMMAR_FIELD, _GRAMMAR_FIELD, max_size=3),
+)
+def test_manifest_round_trips_or_is_refused(scratch, entries, metadata):
+    path = scratch / "m.txt"
+    try:
+        write_manifest(Manifest(entries=entries, metadata=metadata), path)
+    except ValidationError:
+        return
+    back = read_manifest(path)
+    assert (back.entries, back.metadata) == (entries, metadata)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
