@@ -8,8 +8,8 @@
 # Run it from anywhere, as `bash ci/check.sh`. The quick start uses the
 # installed `bmm` script; outside CI, without one, it runs `python3 -m bmm.cli`
 # from src/. `bash ci/same_outputs.sh [REV]` checks that the working tree writes
-# the same trees, manifests and bench quality as a git revision; this script
-# does not run it, because CI has no second revision to compare with.
+# the same trees, manifests and bench quality as a git revision; CI runs it
+# against the first parent after this script.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

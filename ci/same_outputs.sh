@@ -5,7 +5,9 @@
 # SHA-256 of every tree, manifest and pruned manifest and of the bench
 # quality columns). It exits 1 and prints the difference when they differ.
 # Run it from anywhere, as `bash ci/same_outputs.sh [REV]` (default HEAD).
-# ci/check.sh does not run it: CI has no second revision to compare with.
+# CI runs it as `bash ci/same_outputs.sh HEAD^1` after ci/check.sh, on a
+# checkout that fetches two commits, so a change that moves an output byte
+# shows it against its first parent.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -25,7 +25,7 @@ from .features import (
     read_manifest,
     write_manifest,
 )
-from .gap import DEFAULT_EPS
+from .gap import EPS
 from .hierarchy import ModeTree, load_tree, persist_tree
 from .matching import match_report_payload, node_strata, render_match_report
 from .pipeline import build_server_tree, evaluate_gap, run_bench, run_match
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-features", required=True)
     p.add_argument("--target-clusters", type=int, default=20, help="target mode count L")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", required=True, help="output manifest path")
     p.add_argument("--report", default=None, help="report base path (default: <out>.report)")
     p.add_argument("--warn-fid", type=float, default=None,
@@ -62,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--server-features", required=True)
     p.add_argument("--target-features", required=True)
-    p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", default=None, help="optional JSON output path")
 
     p = sub.add_parser("prune", help="subsample a manifest to a budget")
@@ -83,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated J sweep (default 16,32,64,128)")
     p.add_argument("--target-clusters", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-cov", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -114,7 +111,7 @@ def _cmd_match(args) -> int:
     server = read_features(args.server_features)
     tree = load_tree(args.tree, server)
     target = read_features(args.target_features)
-    outcome = run_match(tree, target, args.target_clusters, args.seed, args.eps_cov)
+    outcome = run_match(tree, target, args.target_clusters, args.seed)
     selection = outcome.selection
 
     manifest = Manifest(
@@ -125,7 +122,7 @@ def _cmd_match(args) -> int:
             "seed": str(args.seed),
             "leaves": str(tree.leaf_count),
             "target_clusters": str(args.target_clusters),
-            "eps_cov": repr(args.eps_cov),
+            "eps_cov": repr(EPS),
             "total_cost": repr(outcome.assignment.total_cost),
             "selected_nodes": ",".join(str(n) for n in selection.selected_nodes),
             "tree_sha256": tree.sha256.hex(),
@@ -170,7 +167,7 @@ def _cmd_evaluate(args) -> int:
     rows = _manifest_rows(manifest, server)
     if rows.size < 2:
         raise ValidationError(f"manifest selects {rows.size} rows; need at least 2")
-    gap_selected, gap_server = evaluate_gap(server, target, rows, eps=args.eps_cov)
+    gap_selected, gap_server = evaluate_gap(server, target, rows)
     print(f"fid_selected_vs_target: {gap_selected:.6f}")
     print(f"fid_server_vs_target:   {gap_server:.6f}")
     if args.out:
@@ -257,7 +254,7 @@ def _cmd_bench(args) -> int:
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ParameterError(f"--leaves {args.leaves!r} must list comma-separated tree sizes")
     sweep = [int(tok) for tok in tokens]
-    rows = run_bench(world, sweep, args.target_clusters, seed=args.seed, eps=args.eps_cov)
+    rows = run_bench(world, sweep, args.target_clusters, seed=args.seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["variant", "J", "L", "fid", "precision"])
         writer.writeheader()

@@ -14,10 +14,10 @@ them apart by the first four bytes:
 
 Manifests are UTF-8 text files in one grammar, shared by `write_manifest`,
 `read_manifest` and `FeatureMatrix.sha256`: zero or more leading ``# key=value``
-lines, then one ``sample_id,dataset_label`` line per entry, lines ending at
-``\n`` only. Ids and labels hold no comma, CR or LF, no id starts with ``#``
-and no id repeats; a `Manifest`'s one constructor checks the last, with the
-same check as `FeatureMatrix`.
+lines, no key twice, then one ``sample_id,dataset_label`` line per entry,
+lines ending at ``\n`` only. Ids and labels hold no comma, CR or LF, no id
+starts with ``#`` and no id repeats; a `Manifest`'s one constructor checks
+the last, with the same check as `FeatureMatrix`.
 
 Readers reject invalid files instead of repairing them; the binary format is
 endianness-pinned and read-then-write is byte identical. `FeatureMatrix.sha256`
@@ -251,15 +251,17 @@ def _decode(data: bytes, path: str | Path) -> str:
 
 
 def _read_features_csv(path: str | Path, text: str) -> FeatureMatrix:
-    lines = [line for line in text.split("\n") if line.strip()]
+    # blank lines are skipped, but count in the line numbers that errors name
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
+             if line.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV feature file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if len(header) < 3:
         raise FormatError(f"{path}: CSV header needs at least 3 columns, got {len(header)}")
     d = len(header) - 2
     ids, labels, rows = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cols = line.split(",")
         if len(cols) != d + 2:
             raise FormatError(f"{path}:{lineno}: expected {d + 2} columns, got {len(cols)}")
@@ -317,6 +319,8 @@ def read_manifest(path: str | Path) -> Manifest:
         key, eq, value = line[1:].removeprefix(" ").partition("=")
         if not eq:
             raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
+        if key in metadata:
+            raise FormatError(f"{path}:{lineno}: repeated metadata key {key!r}")
         metadata[key] = value
         head = end
     data = text[head:].removesuffix("\n")

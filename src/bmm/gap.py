@@ -7,15 +7,14 @@ their feature rows:
 
 The symmetric reformulation avoids taking the square root of the
 non-symmetric product Cov_a Cov_b; negative eigenvalues from rounding are
-clamped to zero and near-singular covariances get an eps ridge before use.
+clamped to zero and near-singular covariances get an EPS ridge before use.
 
 One kernel, `_fid_row`, computes every distance, from one mode to a stack of
 ridged modes; `fid` and `cost_matrix`, which computes a match's exact costs,
 call it, serially. Its bytes do not depend on the BLAS thread count (the
 tests compare a run with OPENBLAS_NUM_THREADS=1 against the default). Every
 stacked operation in it works node by node, so a row over a subset of node
-columns is bit-equal to those columns of the full row. It is also the one
-place that checks eps.
+columns is bit-equal to those columns of the full row.
 
 A tree stores each node covariance's eigenvalues (`ModeTree.spectra`, from
 the build's stacked eigvalsh), so `NodeCosts` ridges the nodes from them and
@@ -50,14 +49,16 @@ if TYPE_CHECKING:
     from .features import FeatureMatrix
     from .hierarchy import ModeTree
 
-DEFAULT_EPS = 1e-6
+# The covariance ridge: a numerical guard for near-singular covariances.
+EPS = 1e-6
 
 # The kernel's float value can sit below the exact distance by rounding in its
 # sums (relative to gap + Tr A + Tr B) and by eigenvalue noise under its square
 # roots, up to ~d * sqrt(d * machine eps * lmax_a * lmax_b). The bound is
 # deflated by _BOUND_REL times the first plus _BOUND_NOISE times the second;
 # in random trials at d = 1..64 (rank-deficient, B = cA, commuting, identical
-# modes; eps 1e-14..1) the largest shortfall was half the noise term.
+# modes; a ridge of 1e-14..1 times the covariances' scale) the largest
+# shortfall was half the noise term.
 _BOUND_REL = 1e-9
 _BOUND_NOISE = 4.0
 # Bound inputs at or above this give no bound, so every cost is computed exactly:
@@ -106,13 +107,16 @@ def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) 
     return ModeStats(mean=mean, cov=cov, count=int(idx.size))
 
 
-def _ridged(covs: np.ndarray, eigs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(covs, one matrix or a stack, with an eps*I ridge on each matrix whose
-    smallest eigenvalue in `eigs` (eigvalsh(covs), ascending) is below eps;
-    the ridged matrices' eigenvalues, ascending)."""
-    low = eigs.min(axis=-1) < eps
-    ridged = np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
-    return ridged, eigs + np.where(low, eps, 0.0)[..., None]
+def _ridged(covs: np.ndarray, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(covs, one matrix or a stack, with an EPS*I ridge on each matrix whose
+    smallest eigenvalue in `eigs` (eigvalsh(covs), ascending) is below EPS;
+    their traces; their eigenvalues, ascending)."""
+    low = eigs.min(axis=-1) < EPS
+    # huge covariances overflow the traces to inf; `_fid_row` reports the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        ridged = np.where(low[..., None, None], covs + EPS * np.eye(covs.shape[-1]), covs)
+        traces = np.trace(ridged, axis1=-2, axis2=-1)
+    return ridged, traces, eigs + np.where(low, EPS, 0.0)[..., None]
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -121,33 +125,19 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def _stacked(
-    covs: np.ndarray, eigs: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ridged covariances, their traces, their eigenvalues) of a stack of
-    covariances and their eigvalsh spectra."""
-    if not 0.0 < eps < np.inf:  # NaN fails too
-        raise ParameterError(f"eps must be finite and positive, got {eps}")
-    # a huge eps overflows the traces to inf; `_fid_row` reports the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        covs, eigs = _ridged(covs, eigs, eps)
-        traces = np.trace(covs, axis1=1, axis2=2)
-    return covs, traces, eigs
-
-
 def _at(columns: np.ndarray | None, ok: np.ndarray) -> str:
     """' for node column x', x the first of `columns` not `ok`; '' without columns (fid)."""
     return "" if columns is None else f" for node column {columns[np.flatnonzero(~ok)[0]]}"
 
 
-def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarray, eps: float,
+def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarray,
              columns: np.ndarray | None = None) -> np.ndarray:
     """Fréchet distances from mode a to each stacked mode; clamped to be >= 0."""
     if a.d != means.shape[1]:
         raise ParameterError(f"dimension mismatch: {a.d} vs {means.shape[1]}")
     # huge but finite stats overflow to inf or nan here; the check below reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        cov_a = _ridged(a.cov, np.linalg.eigvalsh(a.cov), eps)[0]
+        cov_a, trace_a, _ = _ridged(a.cov, np.linalg.eigvalsh(a.cov))
         try:
             root_a = _psd_sqrt(cov_a)
             inner = root_a @ covs @ root_a
@@ -155,7 +145,7 @@ def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarr
             if not finite.all():
                 raise NumericalError(
                     f"covariance product Cov_a^1/2 Cov_b Cov_a^1/2 overflows{_at(columns, finite)}"
-                    f" (d={a.d}): a covariance or the eps ridge is too large"
+                    f" (d={a.d}): a covariance is too large"
                 )
             cross = np.linalg.eigvalsh((inner + inner.transpose(0, 2, 1)) / 2.0)
         except np.linalg.LinAlgError as exc:
@@ -165,7 +155,7 @@ def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarr
         deltas = a.mean - means  # stacked vector.vector products: the bits of delta @ delta
         gaps = (deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0]
         row = (
-            gaps + np.trace(cov_a) + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+            gaps + trace_a + traces - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
         )
     finite = np.isfinite(row)
     if not finite.all():
@@ -174,10 +164,10 @@ def _fid_row(a: ModeStats, covs: np.ndarray, traces: np.ndarray, means: np.ndarr
     return row
 
 
-def fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
+def fid(a: ModeStats, b: ModeStats) -> float:
     """Fréchet distance between two Gaussian modes; clamped to be >= 0."""
-    covs, traces, _ = _stacked(b.cov[None], np.linalg.eigvalsh(b.cov[None]), eps)
-    return float(_fid_row(a, covs, traces, b.mean[None], eps)[0])
+    covs, traces, _ = _ridged(b.cov[None], np.linalg.eigvalsh(b.cov[None]))
+    return float(_fid_row(a, covs, traces, b.mean[None])[0])
 
 
 def thread_limit() -> int:
@@ -200,10 +190,9 @@ class NodeCosts:
     the columns asked for.
     """
 
-    def __init__(self, tree: "ModeTree", eps: float) -> None:
-        self.covs, self.traces, self.eigs = _stacked(tree.covs, tree.spectra, eps)
+    def __init__(self, tree: "ModeTree") -> None:
+        self.covs, self.traces, self.eigs = _ridged(tree.covs, tree.spectra)
         self.means = tree.means
-        self.eps = eps
 
     def lower_bounds(self, modes: Sequence[ModeStats]) -> np.ndarray | None:
         """L x H lower bounds on the values `cost_matrix` computes: the
@@ -223,7 +212,7 @@ class NodeCosts:
             return None  # eigvalsh reads one triangle
         means = np.stack([m.mean for m in modes])
         with np.errstate(over="ignore", invalid="ignore"):
-            eigs_a, eigs_b = _ridged(covs, np.linalg.eigvalsh(covs), self.eps)[1], self.eigs
+            eigs_a, eigs_b = _ridged(covs, np.linalg.eigvalsh(covs))[2], self.eigs
             # NaN fails every comparison, so it gives no bound too
             if not all((e.min(axis=1) >= -_BOUND_NEGATIVE / d * e.max(axis=1)).all()
                        for e in (eigs_a, eigs_b)):
@@ -246,8 +235,7 @@ def cost_matrix(nodes: NodeCosts, modes: Sequence[ModeStats], todo: np.ndarray) 
     for y in np.flatnonzero(todo.any(axis=1)):
         x = np.flatnonzero(todo[y])
         try:
-            rows.append(_fid_row(modes[y], nodes.covs[x], nodes.traces[x], nodes.means[x],
-                                 nodes.eps, x))
+            rows.append(_fid_row(modes[y], nodes.covs[x], nodes.traces[x], nodes.means[x], x))
         except NumericalError as exc:
             raise NumericalError(f"target mode {y}: {exc}") from exc
     return np.concatenate([np.empty(0), *rows])

@@ -9,8 +9,7 @@ world, each through the same bounded match.
 
 Each stage takes the parameters it reads and checks those it is the first to
 need: the leaf count J against the server rows in `build_server_tree`, the
-target mode count L against J in `run_match`, and both in `run_bench`. eps
-is checked by the Fréchet kernel (`gap`).
+target mode count L against J in `run_match`, and both in `run_bench`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .clustering import FlatClustering, fit_balanced_kmeans, fit_kmeans
 from .errors import ParameterError
 from .features import FeatureMatrix
-from .gap import DEFAULT_EPS, ModeStats, NodeCosts, cost_matrix, fid, gaussian_stats
+from .gap import ModeStats, NodeCosts, cost_matrix, fid, gaussian_stats
 from .hierarchy import ModeTree, build_hierarchy
 from .matching import (
     Assignment,
@@ -94,8 +93,7 @@ class MatchOutcome:
 
 
 def match_modes(
-    tree: ModeTree, stats: Sequence[ModeStats], eps: float = DEFAULT_EPS,
-    variant: str = BENCH_VARIANTS[0],
+    tree: ModeTree, stats: Sequence[ModeStats], variant: str = BENCH_VARIANTS[0]
 ) -> tuple[Assignment | list[int], np.ndarray]:
     """solve_assignment of the full L x H Fréchet cost matrix, computing exact
     costs (`cost_matrix`) only for the pairs that their lower bounds cannot
@@ -121,7 +119,7 @@ def match_modes(
         raise ParameterError(f"unknown variant {variant!r}, expected one of {BENCH_VARIANTS}")
     width = tree.leaf_count if variant == "bmm_flat" else tree.node_count
     pick = direct_match if variant == "dm_dup" else solve_assignment
-    nodes = NodeCosts(tree, eps)
+    nodes = NodeCosts(tree)
     if len(stats) == 0:
         raise ParameterError("need at least one target mode")
     bounds = nodes.lower_bounds(stats)
@@ -143,37 +141,28 @@ def match_modes(
             return result, mixed
 
 
-def run_match(
-    tree: ModeTree, target: FeatureMatrix, clusters: int, seed: int = 0, eps: float = DEFAULT_EPS
-) -> MatchOutcome:
+def run_match(tree: ModeTree, target: FeatureMatrix, clusters: int, seed: int = 0) -> MatchOutcome:
     """Cluster the target into 1 <= L <= J modes, solve the one-to-one
     matching, select the rows."""
     _check_target_clusters(tree.leaf_count, clusters)
     clustering, stats = target_mode_stats(target, clusters, seed)
-    assignment, cost = match_modes(tree, stats, eps)
+    assignment, cost = match_modes(tree, stats)
     selection = select_training_set(tree, assignment, cost)
     return MatchOutcome(clustering, stats, assignment, selection)
 
 
 def evaluate_gap(
-    server: FeatureMatrix,
-    target: FeatureMatrix,
-    selected_rows: np.ndarray,
-    eps: float = DEFAULT_EPS,
+    server: FeatureMatrix, target: FeatureMatrix, selected_rows: np.ndarray
 ) -> tuple[float, float]:
     """(selected-to-target, whole-server-to-target) Fréchet distances."""
     target_stats = gaussian_stats(target, np.arange(target.n))
     selected_stats = gaussian_stats(server, selected_rows)
     server_stats = gaussian_stats(server, np.arange(server.n))
-    return fid(selected_stats, target_stats, eps=eps), fid(server_stats, target_stats, eps=eps)
+    return fid(selected_stats, target_stats), fid(server_stats, target_stats)
 
 
 def run_bench(
-    world: PlantedWorld,
-    leaves_sweep: Sequence[int],
-    target_clusters: int,
-    seed: int = 0,
-    eps: float = DEFAULT_EPS,
+    world: PlantedWorld, leaves_sweep: Sequence[int], target_clusters: int, seed: int = 0
 ) -> list[dict]:
     """Sweep tree sizes and matching variants on one planted world.
 
@@ -197,7 +186,7 @@ def run_bench(
     for leaves in leaves_sweep:
         tree = build_server_tree(server, leaves, seed)
         for variant in BENCH_VARIANTS:
-            result, cost = match_modes(tree, stats, eps, variant)
+            result, cost = match_modes(tree, stats, variant)
             matches = result if variant == "dm_dup" else result.sigma
             selection = selection_from_matches(tree, matches, cost)
             selected = gaussian_stats(server, selection.sample_rows)
@@ -206,7 +195,7 @@ def run_bench(
                     "variant": variant,
                     "J": leaves,
                     "L": target_clusters,
-                    "fid": fid(selected, whole_target, eps=eps),
+                    "fid": fid(selected, whole_target),
                     "precision": matching_precision(selection, aligned, tree),
                 }
             )

@@ -61,8 +61,10 @@ class PlantedWorld:
 
     def _check_vector(self, value, what: str) -> None:
         value = np.asarray(value, dtype=np.float64)
-        if value.size != self.dimension:
-            raise ValidationError(f"{what} has the wrong dimension")
+        if value.shape != (self.dimension,):
+            raise ValidationError(
+                f"{what} has the wrong dimension: shape {value.shape}, need ({self.dimension},)"
+            )
         if not np.isfinite(value).all():
             raise ValidationError(f"{what} is not finite")
 

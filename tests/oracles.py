@@ -47,7 +47,7 @@ from bmm import (
     ValidationError, WorldTruth, align_truth, build_server_tree, direct_match, fid,
     generate, matching_precision, solve_assignment,
 )
-from bmm.gap import DEFAULT_EPS, NodeCosts, cost_matrix, gaussian_stats
+from bmm.gap import EPS, NodeCosts, cost_matrix, gaussian_stats
 from bmm.hierarchy import validate_tree
 from bmm.matching import selection_from_matches
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
@@ -58,9 +58,9 @@ ORACLE_PARTITION_MAX_N = 8
 ORACLE_PARTITION_MAX_K = 3
 
 
-def _ridged(cov: np.ndarray, eps: float) -> np.ndarray:
-    if float(np.linalg.eigvalsh(cov).min()) < eps:
-        return cov + eps * np.eye(cov.shape[0])
+def _ridged(cov: np.ndarray) -> np.ndarray:
+    if float(np.linalg.eigvalsh(cov).min()) < EPS:
+        return cov + EPS * np.eye(cov.shape[0])
     return cov
 
 
@@ -70,10 +70,10 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def reference_fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float:
+def reference_fid(a: ModeStats, b: ModeStats) -> float:
     """Fréchet distance of one pair of Gaussian modes; clamped to be >= 0."""
-    cov_a = _ridged(a.cov, eps)
-    cov_b = _ridged(b.cov, eps)
+    cov_a = _ridged(a.cov)
+    cov_b = _ridged(b.cov)
     delta = a.mean - b.mean
     root_a = _psd_sqrt(cov_a)
     inner = root_a @ cov_b @ root_a
@@ -87,26 +87,26 @@ def reference_fid(a: ModeStats, b: ModeStats, eps: float = DEFAULT_EPS) -> float
     return max(value, 0.0)
 
 
-def oracle_node_costs(covs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def oracle_node_costs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ridged covariances, traces, ridged eigenvalues) of a stack of node
     covariances from one stacked eigvalsh of them, as every match computed
     them before trees stored their spectra."""
     eigs = np.linalg.eigvalsh(covs)
-    low = eigs.min(axis=-1) < eps
-    ridged = np.where(low[..., None, None], covs + eps * np.eye(covs.shape[-1]), covs)
-    return ridged, np.trace(ridged, axis1=1, axis2=2), eigs + np.where(low, eps, 0.0)[..., None]
+    low = eigs.min(axis=-1) < EPS
+    ridged = np.where(low[..., None, None], covs + EPS * np.eye(covs.shape[-1]), covs)
+    return ridged, np.trace(ridged, axis1=1, axis2=2), eigs + np.where(low, EPS, 0.0)[..., None]
 
 
-def full_cost_matrix(tree: ModeTree, modes, eps: float = DEFAULT_EPS) -> np.ndarray:
+def full_cost_matrix(tree: ModeTree, modes) -> np.ndarray:
     """L x H matrix of every exact cost, entry (y, x) = fid(modes[y], node x)."""
     todo = np.ones((len(modes), tree.node_count), dtype=bool)
-    return cost_matrix(NodeCosts(tree, eps), modes, todo).reshape(todo.shape)
+    return cost_matrix(NodeCosts(tree), modes, todo).reshape(todo.shape)
 
 
-def reference_cost_matrix(tree: ModeTree, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
+def reference_cost_matrix(tree: ModeTree, targets) -> np.ndarray:
     """L x H matrix of reference_fid(target y, node x), filled one pair at a time."""
     nodes = [tree.node(x).stats for x in range(tree.node_count)]
-    return np.array([[reference_fid(t, node, eps) for node in nodes] for t in targets])
+    return np.array([[reference_fid(t, node) for node in nodes] for t in targets])
 
 
 def oracle_assignment(cost: np.ndarray) -> Assignment:
@@ -156,9 +156,7 @@ def oracle_direct_match_no_duplicates(cost: np.ndarray) -> list[int | None]:
     return matches
 
 
-def oracle_bench(
-    world, leaves_sweep, target_clusters: int, seed: int = 0, eps: float = DEFAULT_EPS
-) -> list[dict]:
+def oracle_bench(world, leaves_sweep, target_clusters: int, seed: int = 0) -> list[dict]:
     """The bench rows, every variant of a J read from one full all-node cost
     matrix: bmm_flat solves its first J (leaf) columns, bmm_hier all of them,
     and dm_dup takes its direct match."""
@@ -169,7 +167,7 @@ def oracle_bench(
     rows = []
     for leaves in leaves_sweep:
         tree = build_server_tree(server, leaves, seed)
-        full = full_cost_matrix(tree, stats, eps)
+        full = full_cost_matrix(tree, stats)
         for variant in BENCH_VARIANTS:
             cost = full[:, : tree.leaf_count] if variant == "bmm_flat" else full
             if variant == "dm_dup":
@@ -182,7 +180,7 @@ def oracle_bench(
                 "variant": variant,
                 "J": leaves,
                 "L": target_clusters,
-                "fid": fid(selected, whole_target, eps=eps),
+                "fid": fid(selected, whole_target),
                 "precision": matching_precision(selection, aligned, tree),
             })
     return rows
@@ -452,8 +450,8 @@ def _text_lines(path) -> list[str]:
 
 def oracle_read_manifest(path) -> Manifest:
     """Read a manifest line by line: '#' lines until the first other line are
-    metadata, and every line after them must be one 'sample_id,dataset_label'
-    pair whose id does not start with '#'."""
+    metadata, no key twice, and every line after them must be one
+    'sample_id,dataset_label' pair whose id does not start with '#'."""
     metadata: dict[str, str] = {}
     entries: list[tuple[str, str]] = []
     for lineno, raw in enumerate(_text_lines(path), start=1):
@@ -465,6 +463,8 @@ def oracle_read_manifest(path) -> Manifest:
             if "=" not in body:
                 raise FormatError(f"{path}:{lineno}: metadata line without '=': {line!r}")
             key, value = body.split("=", 1)
+            if key in metadata:
+                raise FormatError(f"{path}:{lineno}: repeated metadata key {key!r}")
             metadata[key] = value
             continue
         parts = line.split(",")

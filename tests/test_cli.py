@@ -4,7 +4,6 @@ import functools
 import hashlib
 import json
 import struct
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -435,6 +434,10 @@ MALFORMED_WORLDS = {
     "dimension-zero": _set_key("dimension", value=0),
     "no-target-modes": _set_key("target_modes", value=[]),
     "center-too-short": _set_key("super_modes", 0, "center", value=[0.0] * 7),
+    # 8 values, but not a vector of them
+    "center-2d": _set_key("super_modes", 0, "center", value=[[0.0] * 4] * 2),
+    "offset-2d": _set_key("super_modes", 0, "sub_modes", 1, "offset", value=[[0.0] * 4] * 2),
+    "mean-shift-2d": _set_key("target_modes", 1, "mean_shift", value=[[0.0] * 2] * 4),
     "super-without-subs": _set_key("super_modes", 1, "sub_modes", value=[]),
     "unknown-super": _set_key("target_modes", 2, "super", value=2),
     "unknown-sub": _set_key("target_modes", 0, "sub", value=2),
@@ -455,7 +458,10 @@ MALFORMED_WORLDS = {
 MALFORMED_WORLD_ERRORS = {
     "dimension-zero": "dimension must be >= 1, got 0",
     "no-target-modes": "a world needs at least one super mode and one target mode",
-    "center-too-short": "super 0 center has the wrong dimension",
+    "center-too-short": "super 0 center has the wrong dimension: shape (7,), need (8,)",
+    "center-2d": "super 0 center has the wrong dimension: shape (2, 4), need (8,)",
+    "offset-2d": "sub mode (0,1) offset has the wrong dimension: shape (2, 4), need (8,)",
+    "mean-shift-2d": "target mode 1 mean shift has the wrong dimension: shape (4, 2), need (8,)",
     "super-without-subs": "super 1 has no sub modes",
     "unknown-super": "target mode 2 references unknown super 2",
     "unknown-sub": "target mode 0 references unknown sub 2",
@@ -954,40 +960,17 @@ def eps_argv(tmp_path, world_files, tree_blob, command, out):
 
 
 @pytest.mark.parametrize("command", ["match", "evaluate", "bench"])
-def test_huge_eps_cov_is_numerical_error(tmp_path, world_files, tree_blob, command, capsys):
+def test_eps_cov_is_an_unknown_flag(tmp_path, world_files, tree_blob, command):
+    """The covariance ridge is a constant: `--eps-cov` ends in argparse's
+    usage error, exit 2, and nothing is written."""
     out = tmp_path / "out"
     argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
-    for eps in ("1e200", "1e308"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv + ["--eps-cov", eps])
-        err = capsys.readouterr().err
-        assert code == 2, eps
-        assert err.startswith("error: ")
-        # the ridged covariance product overflows before any eigenvalue solve
-        assert "overflows" in err and "did not converge" not in err, err
-        if command == "evaluate":  # selected set against target: no tree node is involved
-            assert "node" not in err and "target mode" not in err, err
-        else:
-            assert err.startswith("error: target mode 0: ") and " for node column 0 " in err, err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["match", "evaluate", "bench"])
-def test_eps_cov_must_be_finite(tmp_path, world_files, tree_blob, command, capsys):
-    """Every command refuses the same eps values with one message, from the kernel."""
-    out = tmp_path / "out"
-    argv = eps_argv(tmp_path, world_files, tree_blob, command, out)
-    for eps in ("0", "nan", "inf"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv + ["--eps-cov", eps])
-        err = capsys.readouterr().err
-        assert code == 2, eps
-        assert err == f"error: eps must be finite and positive, got {float(eps)}\n"
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
+    done = run_python("-m", "bmm.cli", *argv, "--eps-cov", "1e-6")
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert err.startswith("usage: bmm [-h] [--version]") and "Traceback" not in err
+    assert err.endswith("error: unrecognized arguments: --eps-cov 1e-6\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--report"])

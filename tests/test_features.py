@@ -151,6 +151,18 @@ def test_csv_rejects_ragged_rows(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("b,x,zz", "c.csv:5: bad float"),
+    ("b,x,2,3", "c.csv:5: expected 3 columns, got 4"),
+], ids=["bad-float", "column-count"])
+def test_csv_errors_name_the_line_in_the_file(tmp_path, row, message):
+    """Blank lines are skipped but counted: the bad row is line 5."""
+    path = tmp_path / "c.csv"
+    path.write_text(f"sample_id,dataset_label,f0\n\n\na,x,1\n{row}\n")
+    with pytest.raises(FormatError, match=message):
+        read_features(path)
+
+
 def test_feature_matrix_invariants():
     with pytest.raises(ValidationError):
         FeatureMatrix(values=np.empty((0, 3)), sample_ids=[], dataset_labels=[])
@@ -203,8 +215,9 @@ def test_manifest_refuses_repeats_on_read(tmp_path):
     ("a,x\n#b=c,y\n", "m.txt:2: expected 'sample_id,dataset_label'"),
     ("# k=v\na,x,y\n", "m.txt:2: expected 'sample_id,dataset_label'"),
     ("# k\na,x\n", "m.txt:1: metadata line without '='"),
+    ("# seed=0\n# seed=1\na,x\n", "m.txt:2: repeated metadata key 'seed'"),
 ], ids=["blank-after-metadata", "blank-last", "blank-only", "late-metadata", "late-hash-id",
-        "two-commas", "no-equals"])
+        "two-commas", "no-equals", "repeated-key"])
 def test_manifest_refuses_lines_outside_the_grammar(tmp_path, content, message):
     path = tmp_path / "m.txt"
     path.write_text(content)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,13 +14,14 @@ from hypothesis.extra.numpy import arrays
 from bmm import (
     InsufficientSamplesError,
     ModeStats,
+    NumericalError,
     ParameterError,
     build_hierarchy,
     fid,
     fit_balanced_kmeans,
     gaussian_stats,
 )
-from bmm.gap import DEFAULT_EPS, NodeCosts, cost_matrix
+from bmm.gap import EPS, NodeCosts, cost_matrix
 
 from conftest import make_features, one_blas_thread
 from oracles import full_cost_matrix, reference_cost_matrix
@@ -228,7 +230,7 @@ def test_cost_matrix_gives_the_asked_pairs_in_row_major_order(todo, d, seed):
     fm = make_features(rng.normal(size=(16, d)))
     tree = build_hierarchy(fit_balanced_kmeans(fm, 4, seed=0), fm)
     modes = [random_stats(rng, d) for _ in range(TODO_SHAPE[0])]
-    cost = cost_matrix(NodeCosts(tree, DEFAULT_EPS), modes, todo)
+    cost = cost_matrix(NodeCosts(tree), modes, todo)
     assert cost.size == todo.sum()
     assert cost.tobytes() == reference_cost_matrix(tree, modes)[todo].tobytes()
 
@@ -260,7 +262,7 @@ def bound_case(rng, case: str, d: int) -> tuple[ModeStats, list[ModeStats]]:
 
     "scaled" nodes are B = cA and "commuting-diagonal" ones share the target's
     diagonal basis and eigenvalue order, so the bound is tight there;
-    "rank-deficient" covariances take the eps ridge. Node means sit at, near
+    "rank-deficient" covariances take the EPS ridge. Node means sit at, near
     or far from the target's.
     """
     rank = int(rng.integers(1, d + 1)) if case != "random" else d
@@ -284,12 +286,17 @@ def bound_case(rng, case: str, d: int) -> tuple[ModeStats, list[ModeStats]]:
     return ModeStats(mean=mean, cov=base, count=10), nodes
 
 
-def node_costs(nodes: list[ModeStats], eps: float) -> NodeCosts:
+def node_costs(nodes: list[ModeStats]) -> NodeCosts:
     covs = np.stack([n.cov for n in nodes])
     stack = SimpleNamespace(
         means=np.stack([n.mean for n in nodes]), covs=covs, spectra=np.linalg.eigvalsh(covs)
     )
-    return NodeCosts(stack, eps)
+    return NodeCosts(stack)
+
+
+def scaled(mode: ModeStats, factor: float) -> ModeStats:
+    """The mode with its covariance scaled by `factor` and its mean by its root."""
+    return ModeStats(mean=mode.mean * np.sqrt(factor), cov=mode.cov * factor, count=mode.count)
 
 
 @settings(max_examples=400, deadline=None)
@@ -300,10 +307,14 @@ def node_costs(nodes: list[ModeStats], eps: float) -> NodeCosts:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lower_bound_is_below_the_computed_cost(case, d, log_eps, seed):
+    """FID is homogeneous: modes whose covariances are scaled by
+    EPS / 10**log_eps (their means by its root) meet the EPS ridge as the
+    unscaled ones would meet a ridge of 10**log_eps."""
     rng = np.random.default_rng(seed)
     target, nodes = bound_case(rng, case, d)
-    eps = 10.0**log_eps
-    costs = node_costs(nodes, eps)
+    factor = EPS / 10.0**log_eps
+    target, nodes = scaled(target, factor), [scaled(node, factor) for node in nodes]
+    costs = node_costs(nodes)
     bounds = costs.lower_bounds([target])
     assert bounds is not None
     computed = cost_matrix(costs, [target], np.ones((1, len(nodes)), dtype=bool))
@@ -311,22 +322,41 @@ def test_lower_bound_is_below_the_computed_cost(case, d, log_eps, seed):
     assert (bounds >= 0.0).all()
     if case in ("identical", "scaled", "commuting-diagonal"):
         # the eigenvalues pair up as in the exact distance: only the slack is left
-        scale = computed + np.trace(target.cov) + np.trace(costs.covs, axis1=1, axis2=2) + d * eps
+        scale = computed + np.trace(target.cov) + np.trace(costs.covs, axis1=1, axis2=2) + d * EPS
         assert (computed - bounds[0] <= 1e-4 * scale).all()
 
 
 def test_lower_bound_refuses_inputs_it_cannot_bound(rng):
     target, nodes = bound_case(rng, "random", 3)
-    assert node_costs(nodes, 1e-6).lower_bounds([target]) is not None
-    assert node_costs(nodes, 1e-6).lower_bounds([]) is None
+    assert node_costs(nodes).lower_bounds([target]) is not None
+    assert node_costs(nodes).lower_bounds([]) is None
     wide = ModeStats(mean=np.zeros(4), cov=np.eye(4), count=5)
-    assert node_costs(nodes, 1e-6).lower_bounds([wide]) is None
+    assert node_costs(nodes).lower_bounds([wide]) is None
     skew = ModeStats(mean=target.mean, cov=target.cov + np.triu(np.ones((3, 3)), 1), count=5)
-    assert node_costs(nodes, 1e-6).lower_bounds([skew]) is None
+    assert node_costs(nodes).lower_bounds([skew]) is None
     negative = ModeStats(mean=target.mean, cov=-np.eye(3), count=5)
-    assert node_costs(nodes, 1e-6).lower_bounds([negative]) is None
+    assert node_costs(nodes).lower_bounds([negative]) is None
     far = ModeStats(mean=target.mean + 1e160, cov=target.cov, count=5)
-    assert node_costs(nodes, 1e-6).lower_bounds([far]) is None
+    assert node_costs(nodes).lower_bounds([far]) is None
     # the product inside the kernel could overflow, though every sum is finite
     huge = ModeStats(mean=target.mean, cov=np.eye(3) * 1e200, count=5)
-    assert node_costs(nodes + [huge], 1e-6).lower_bounds([huge]) is None
+    assert node_costs(nodes + [huge]).lower_bounds([huge]) is None
+
+
+@pytest.mark.parametrize("size", [1e200, 1e308])
+def test_huge_covariances_are_numerical_error(size):
+    """Huge but finite covariances overflow the kernel's covariance product
+    (at 1e308 the traces too): `fid` and `cost_matrix` raise NumericalError,
+    `cost_matrix` naming the target mode and the node column, and no
+    RuntimeWarning escapes."""
+    huge = ModeStats(mean=np.zeros(2), cov=np.eye(2) * size, count=5)
+    unit = ModeStats(mean=np.zeros(2), cov=np.eye(2), count=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match=r"^covariance product .* overflows \(d=2\)"):
+            fid(huge, huge)
+        # huge against the unit node is finite; the huge node's column overflows
+        with pytest.raises(NumericalError,
+                           match=r"^target mode 0: .* overflows for node column 1 \(d=2\)"):
+            cost_matrix(node_costs([unit, huge]), [huge], np.ones((1, 2), dtype=bool))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

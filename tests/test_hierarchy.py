@@ -22,7 +22,7 @@ from bmm import (
 )
 from bmm.clustering import FlatClustering
 from bmm import hierarchy
-from bmm.gap import NodeCosts
+from bmm.gap import EPS, NodeCosts
 from bmm.hierarchy import validate_tree
 
 from conftest import make_features, one_blas_thread, trees_equal
@@ -406,28 +406,30 @@ def test_pooled_means_equal_the_merge_loop_means(monkeypatch):
 @given(tie_heavy_leaves())
 def test_loaded_tree_node_costs_equal_the_per_match_eigvalsh(tmp_path_factory, case):
     """A tree's stored spectra give NodeCosts the bits that one eigvalsh of
-    its covariances per match gave, at the default eps and at one that ridges
-    every node; rank-deficient and zero covariances are common here. The
-    file has the size its header formula gives, and persist -> load ->
-    persist writes the same bytes."""
+    its covariances per match gave, for the rows as drawn and for the rows
+    scaled so that the EPS ridge takes every node (FID is homogeneous, so
+    that is the rows as drawn under a ridge of `ridge_all`); rank-deficient
+    and zero covariances are common here. The file has the size its header
+    formula gives, and persist -> load -> persist writes the same bytes."""
     leaves, fm = case
-    tree = build_hierarchy(leaves, fm)
     path = tmp_path_factory.mktemp("v6") / "tree.bmmt"
-    persist_tree(tree, path)
-    blob = path.read_bytes()
-    assert len(blob) == tree_file_size(fm.n, tree.leaf_count, fm.d)
-    back = load_tree(path, fm)
-    assert trees_equal(tree, back)
-    assert back.sha256 == tree.sha256 == blob[-32:]
-    persist_tree(back, path)
-    assert path.read_bytes() == blob
-    ridge_all = 2.0 * float(back.spectra.max()) + 1.0
-    for eps in (1e-6, ridge_all):
-        costs = NodeCosts(back, eps)
-        oracle = oracle_node_costs(back.covs, eps)
+    ridge_all = 2.0 * float(build_hierarchy(leaves, fm).spectra.max()) + 1.0
+    for factor in (1.0, EPS / ridge_all):
+        rows = make_features(fm.values * np.sqrt(factor))
+        tree = build_hierarchy(leaves, rows)
+        persist_tree(tree, path)
+        blob = path.read_bytes()
+        assert len(blob) == tree_file_size(rows.n, tree.leaf_count, rows.d)
+        back = load_tree(path, rows)
+        assert trees_equal(tree, back)
+        assert back.sha256 == tree.sha256 == blob[-32:]
+        persist_tree(back, path)
+        assert path.read_bytes() == blob
+        costs = NodeCosts(back)
+        oracle = oracle_node_costs(back.covs)
         for got, want in zip((costs.covs, costs.traces, costs.eigs), oracle):
             assert got.tobytes() == want.tobytes()
-    assert (back.spectra.min(axis=1) < ridge_all).all()
+    assert (back.spectra.min(axis=1) < EPS).all()
 
 
 def test_version_mismatch_rejected(tmp_path, rng):
