@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Every check after the install, in one script: the tier-1 tests, the
 # benchmark's checks at seeds 0 and 9973, and the README quick start, also
-# with a CSV target and a CSV server in place of the binary ones. It also
+# with a CSV target and a CSV server in place of the binary ones, and a
+# 20,480x32 server's J=128 tree built at two BLAS thread counts. It also
 # prints the src/ line count, the CLI's option count summed over its
 # subcommands and the number of public names in bmm.__all__, which ROADMAP.md
 # tracks as metrics.
@@ -103,4 +104,19 @@ echo "== bench again with OpenBLAS on one thread: the same bytes"
 OPENBLAS_NUM_THREADS=1 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 \
     --target-clusters 6 --out bench1.csv > /dev/null
 cmp bench.csv bench1.csv
+
+echo "== a 20,480x32 server's J=128 tree with OpenBLAS on one thread and at its default: the same bytes"
+python3 - <<'PY'
+from bmm import generate, write_features
+from bmm.synth import random_subset_world
+
+world = random_subset_world(0, d=32, n_supers=8, subs_per_super=8, per_sub=320,
+                            n_target_modes=3, per_target=200)
+write_features(generate(world)[0], "large.bmmf")
+PY
+"${bmm[@]}" build-server --server-features large.bmmf --leaves 128 --seed 0 \
+    --tree large.bmmt > /dev/null
+OPENBLAS_NUM_THREADS=1 "${bmm[@]}" build-server --server-features large.bmmf --leaves 128 \
+    --seed 0 --tree large1.bmmt > /dev/null
+cmp large.bmmt large1.bmmt
 echo "== all checks passed"

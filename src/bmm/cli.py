@@ -231,6 +231,8 @@ def _cmd_prune(args) -> int:
         pruned = prune(_manifest_strata(manifest, tree), budget, args.seed)
         entries = _entries(features, pruned.sample_rows)
     else:
+        if args.tree is not None or args.server_features is not None:
+            raise ParameterError("uniform pruning takes no --tree or --server-features")
         pruned = prune([np.arange(len(manifest.entries))], budget, args.seed)
         entries = list(map(manifest.entries.__getitem__, pruned.sample_rows.tolist()))
 
@@ -288,7 +290,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BmmError, OSError) as exc:
+    except (BmmError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,13 @@ clamped to zero and near-singular covariances get an EPS ridge before use.
 
 One kernel, `_fid_row`, computes every distance, from one mode to a stack of
 ridged modes; `fid` and `cost_matrix`, which computes a match's exact costs,
-call it, serially. Its bytes do not depend on the BLAS thread count (the
-tests compare a run with OPENBLAS_NUM_THREADS=1 against the default). Every
-stacked operation in it works node by node, so a row over a subset of node
-columns is bit-equal to those columns of the full row.
+call it, serially. Its bytes are checked against the BLAS thread count only
+at small widths: `test_cost_matrix_thread_invariance` finds them the same
+with OPENBLAS_NUM_THREADS=1 as at the default for d <= 33, and `ci/check.sh`
+and acceptance check c10 find the pipeline's outputs the same at d=16. At
+d=300 the pipeline's outputs differ between 1 and 2 threads (ROADMAP item
+1). Every stacked operation in the kernel works node by node, so a row over
+a subset of node columns is bit-equal to those columns of the full row.
 
 A tree stores each node covariance's eigenvalues (`ModeTree.spectra`, from
 the build's stacked eigvalsh), so `NodeCosts` ridges the nodes from them and

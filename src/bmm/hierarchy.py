@@ -5,10 +5,10 @@ nodes come from bottom-up agglomerative merging of the closest pair at each
 step, so J leaves always produce H = 2J-1 nodes. Every node, the root
 included, is a candidate for matching with its rows' Gaussian statistics.
 
-The merging keeps no distance matrix: each node caches its nearest
-higher-id neighbour, distance rows are computed in blocks against the
-stacked means, and a merge recomputes only the rows whose nearest neighbour
-it removed (see `build_hierarchy`).
+The merging stores the (2J-1)^2 float64 distance matrix (0.52 MB at J=128),
+as in Müllner's generic algorithm: each node caches its nearest higher-id
+neighbour, and a merge recomputes only the rows whose nearest neighbour it
+removed, from their stored distances (see `build_hierarchy`).
 
 `ModeTree` holds the tree's structure in node-id order: `children` (H x 2,
 -1 for a leaf), `spectra` (each covariance's eigenvalues, ascending), one
@@ -77,8 +77,6 @@ TREE_VERSION = 6
 _HEADER = struct.Struct("<4sHQIIQH32s")
 _DIGEST = 32  # bytes of the trailing SHA-256
 
-_BLOCK_VALUES = 1 << 20  # gap values per block of distance rows (8 MB)
-_BLOCK_ROWS = 32  # rows per block, so a block's columns are those above its first row
 _SMALL_LEAF = "leaf {} is empty or a single row ({} rows); its covariance needs 2"
 
 
@@ -261,18 +259,21 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
     merged covariances are pooled after the loop, one merge level at a time
     (`_pool`, which a loaded tree derives its statistics with too).
 
-    No distance matrix is kept. Each active node a caches `nearest[a]`, the
-    lowest-id active node b > a at the smallest distance `best[a]`, so
-    `best.argmin()` and its `nearest` give the lowest pair (the generic
-    algorithm of Müllner 2011, arXiv:1109.2378). After a merge the rows whose
-    nearest was a child are recomputed; any other row keeps its nearest
-    unless the new node, whose id is the highest, is strictly closer.
+    The distances are stored, as in the generic algorithm of Müllner 2011
+    (arXiv:1109.2378): `dist[a, b]` holds the distance of active a < b and
+    every other entry is inf, one (2J-1)^2 float64 matrix (0.52 MB at
+    J=128). Each active node a caches `nearest[a]`, the lowest-id active node
+    b > a at the smallest distance `best[a]`, so `best.argmin()` and its
+    `nearest` give the lowest pair. A merge clears its children's rows and
+    columns and writes the new node's column; the rows whose nearest was a
+    child are recomputed from their matrix rows, and any other row keeps its
+    nearest unless the new node, whose id is the highest, is strictly closer.
 
     The tree records `seed` (the seed `leaves` were fitted with) and
     `features`, whose `sha256` refuses ids a manifest cannot hold.
     """
     _ = features.sha256  # refuses unlistable ids before the work; the tree reuses it
-    j, d = leaves.k, features.d
+    j = leaves.k
     total = 2 * j - 1
 
     children = np.full((total, 2), -1, dtype=np.int64)
@@ -281,31 +282,13 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
     counts[:j] = np.bincount(leaves.assignment, minlength=j)
     _refuse(counts[:j] < 2, _SMALL_LEAF, np.arange(j), counts)
     means, covs = _leaf_moments(features.values, leaves.assignment, counts)
+    dist = np.full((total, total), np.inf)
+    for a in range(j - 1):
+        dist[a, a + 1:j] = _centroid_distance(means[a], means[a + 1:j])
     active = np.zeros(total, dtype=bool)
     active[:j] = True
-    nearest = np.full(total, -1, dtype=np.int64)
-    best = np.full(total, np.inf)
+    nearest, best = dist.argmin(axis=1), dist.min(axis=1)  # first minimum = lowest id
 
-    def refresh(rows: np.ndarray) -> None:
-        """Recompute nearest and best of the ascending active rows, each over
-        the active nodes above it; a row with none keeps best = inf. A block
-        of rows takes the columns above its first row."""
-        active_ids = np.flatnonzero(active)
-        start = 0
-        while start < rows.size:
-            ids = active_ids[active_ids > rows[start]]
-            if ids.size == 0:  # nor above any later row
-                return
-            step = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // (ids.size * d)))
-            chunk = rows[start:start + step]
-            start += step
-            block = _centroid_distance(means[chunk, None], means[ids])
-            block[ids[None, :] <= chunk[:, None]] = np.inf
-            first = block.argmin(axis=1)
-            nearest[chunk] = ids[first]
-            best[chunk] = block[np.arange(chunk.size), first]
-
-    refresh(np.arange(j))
     for new_id in range(j, total):
         a = int(best.argmin())  # the lowest row holding the minimum, then its first
         b = int(nearest[a])
@@ -315,16 +298,20 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
         means[new_id] = means[a] + (means[b] - means[a]) * (count_b / (count_a + count_b))
         active[a] = active[b] = False
         best[a] = best[b] = np.inf
+        dist[[a, b]] = dist[:, [a, b]] = np.inf
         ids = np.flatnonzero(active)
         row = _centroid_distance(means[new_id], means[ids])
-        stale = (nearest[ids] == a) | (nearest[ids] == b)
+        dist[ids, new_id] = row
+        stale = ids[(nearest[ids] == a) | (nearest[ids] == b)]
         # new_id is the highest column, so it wins only when strictly closer
-        closer = ~stale & (row < best[ids])
+        closer = row < best[ids]
         nearest[ids[closer]] = new_id
         best[ids[closer]] = row[closer]
+        rows = dist[stale, :new_id + 1]  # the columns above new_id are all inf
+        nearest[stale] = rows.argmin(axis=1)
+        best[stale] = rows.min(axis=1)
         active[new_id] = True
-        if stale.any():
-            refresh(ids[stale])
+    del dist  # before the pooled covariances and their eigvalsh
 
     _pool(children, counts, means, covs)  # its means have the loop's bits
     tree = ModeTree(children, np.linalg.eigvalsh(covs), leaves.assignment, seed % 2**63, features)

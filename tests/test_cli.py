@@ -316,6 +316,39 @@ def test_prune_stratified_requires_tree(tmp_path, world_files, capsys):
     assert "stratified" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--tree", "tree.bmmt"], ["--server-features", "s.bmmf"]])
+def test_prune_uniform_refuses_tree_flags(tmp_path, world_files, capsys, flags):
+    """A uniform draw reads neither flag, so passing one is refused, not ignored."""
+    _, _, _, server_path, target_path = world_files
+    _, tree_path = run_build(tmp_path, server_path)
+    out = tmp_path / "sel.manifest"
+    assert main(match_args(tree_path, server_path, target_path, out)) == 0
+    pruned_path = tmp_path / "uniform.manifest"
+    code = main([
+        "prune", "--manifest", str(out), "--budget-n", "5", "--strategy", "uniform",
+        *flags, "--out", str(pruned_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: uniform pruning takes no --tree or --server-features\n"
+    )
+    assert not pruned_path.exists()
+
+
+def test_memory_error_exits_2(tmp_path, world_files, monkeypatch, capsys):
+    """An allocation that fails ends in an error line and exit 2, not a traceback."""
+    _, _, _, server_path, _ = world_files
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 26.8 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_server_tree", exhausted)
+    code, tree_path = run_build(tmp_path, server_path)
+    assert code == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 26.8 GiB for an array\n"
+    assert not tree_path.exists()
+
+
 # Each mutation maps the matched manifest's selected_nodes value ("7,3": two
 # disjoint leaves of the J=8 tree, whose nodes are 0..14) to the value to
 # write, None dropping the line, and names a fragment of the refusal.

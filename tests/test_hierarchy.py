@@ -129,11 +129,9 @@ def test_build_hierarchy_equals_merge_loop_oracle(case):
     assert_equals_oracle(*case)
 
 
-def test_build_hierarchy_equals_oracle_on_random_leaves(monkeypatch):
+def test_build_hierarchy_equals_oracle_on_random_leaves():
     """Random balanced labels at J=96 and d=24: many rows per merge go stale
-    under centroid linkage. Blocks of ~10,000 gap values split each refresh
-    into chunks of a few rows."""
-    monkeypatch.setattr(hierarchy, "_BLOCK_VALUES", 10_000)
+    under centroid linkage."""
     rng = np.random.default_rng(7)
     j, d = 96, 24
     labels = rng.permutation(np.arange(8 * j) % j)
