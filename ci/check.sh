@@ -2,10 +2,10 @@
 # Every check after the install, in one script: the tier-1 tests, the
 # benchmark's checks at seeds 0 and 9973, and the README quick start, also
 # with a CSV target and a CSV server in place of the binary ones, and a
-# 20,480x32 server's J=128 tree built at two BLAS thread counts. It also
-# prints the src/ line count, the CLI's option count summed over its
-# subcommands and the number of public names in bmm.__all__, which ROADMAP.md
-# tracks as metrics.
+# 20,480x32 server's J=128 tree built, its 2,000-row target matched (L=12)
+# and the selection evaluated at two BLAS thread counts. It also prints the
+# src/ line count, the CLI's option count summed over its subcommands and the
+# number of public names in bmm.__all__, which ROADMAP.md tracks as metrics.
 # Run it from anywhere, as `bash ci/check.sh`. The quick start uses the
 # installed `bmm` script; outside CI, without one, it runs `python3 -m bmm.cli`
 # from src/. `bash ci/same_outputs.sh [REV]` checks that the working tree writes
@@ -105,18 +105,32 @@ OPENBLAS_NUM_THREADS=1 "${bmm[@]}" bench --world world.json --leaves 16,32,64,12
     --target-clusters 6 --out bench1.csv > /dev/null
 cmp bench.csv bench1.csv
 
-echo "== a 20,480x32 server's J=128 tree with OpenBLAS on one thread and at its default: the same bytes"
+echo "== a 20,480x32 server's J=128 tree, and its 2,000-row target's match and evaluate,"
+echo "== with OpenBLAS on one thread and at its default: the same bytes"
 python3 - <<'PY'
 from bmm import generate, write_features
 from bmm.synth import random_subset_world
 
 world = random_subset_world(0, d=32, n_supers=8, subs_per_super=8, per_sub=320,
                             n_target_modes=3, per_target=200)
-write_features(generate(world)[0], "large.bmmf")
+server, target, _ = generate(world)
+write_features(server, "large.bmmf")
+write_features(target, "large_target.bmmf")
 PY
-"${bmm[@]}" build-server --server-features large.bmmf --leaves 128 --seed 0 \
-    --tree large.bmmt > /dev/null
-OPENBLAS_NUM_THREADS=1 "${bmm[@]}" build-server --server-features large.bmmf --leaves 128 \
-    --seed 0 --tree large1.bmmt > /dev/null
-cmp large.bmmt large1.bmmt
+for threads in default 1; do
+    if [[ "$threads" == 1 ]]; then blas=(env OPENBLAS_NUM_THREADS=1); else blas=(env); fi
+    "${blas[@]}" "${bmm[@]}" build-server --server-features large.bmmf --leaves 128 --seed 0 \
+        --tree "large-$threads.bmmt" > /dev/null
+    "${blas[@]}" "${bmm[@]}" match --tree "large-$threads.bmmt" --server-features large.bmmf \
+        --target-features large_target.bmmf --target-clusters 12 --seed 0 \
+        --out "large-$threads.manifest" > /dev/null
+    "${blas[@]}" "${bmm[@]}" evaluate --manifest "large-$threads.manifest" \
+        --server-features large.bmmf --target-features large_target.bmmf \
+        --out "large-$threads.gap.json" > /dev/null
+done
+cmp large-default.bmmt large-1.bmmt
+cmp large-default.manifest large-1.manifest
+cmp large-default.manifest.report.txt large-1.manifest.report.txt
+cmp large-default.manifest.report.json large-1.manifest.report.json
+cmp large-default.gap.json large-1.gap.json
 echo "== all checks passed"

@@ -273,9 +273,16 @@ def _read_features_csv(path: str | Path, text: str) -> FeatureMatrix:
             raise FormatError(f"{path}:{lineno}: bad float: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: CSV file has a header but no data rows")
-    return FeatureMatrix(
-        values=np.asarray(rows, dtype=np.float32), sample_ids=ids, dataset_labels=labels
-    )
+    exact = np.asarray(rows)
+    with np.errstate(over="ignore"):  # reported below, with the line
+        values = exact.astype(np.float32)
+    over = np.argwhere(np.isinf(values) & np.isfinite(exact))
+    if over.size:
+        row, column = over[0]
+        lineno, line = lines[1 + row]
+        value = line.split(",")[2 + column]
+        raise FormatError(f"{path}:{lineno}: feature value {value} is beyond float32's range")
+    return FeatureMatrix(values=values, sample_ids=ids, dataset_labels=labels)
 
 
 def _csv_safe(text: str, what: str) -> str:

@@ -1,7 +1,8 @@
 """Gaussian mode statistics and the Fréchet distance used as the domain gap.
 
-The distance between two modes is computed between the Gaussians fitted to
-their feature rows:
+The distance between two modes is computed between the Gaussians that the
+one fit, `_moments`, gives their feature rows (`gaussian_stats` fits a
+selection, `group_moments` k labelled groups, each bit-equal to it):
 
     ||mu_a - mu_b||^2 + Tr(Cov_a) + Tr(Cov_b) - 2 Tr((Cov_a^1/2 Cov_b Cov_a^1/2)^1/2)
 
@@ -95,6 +96,15 @@ class ModeStats:
         return self.mean.size
 
 
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased, exactly symmetric covariance of the rows of x: one
+    (m, d) set, or each set of a (k, m, d) stack with the bits it gets alone."""
+    mean = x.mean(axis=-2)
+    centered = x - mean[..., None, :]
+    cov = centered.swapaxes(-1, -2) @ centered / (x.shape[-2] - 1)
+    return mean, (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
 def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) -> ModeStats:
     """Fit (mean, unbiased covariance, count) to the selected feature rows."""
     idx = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -102,12 +112,25 @@ def gaussian_stats(features: "FeatureMatrix", rows: Sequence[int] | np.ndarray) 
         raise InsufficientSamplesError(
             f"need at least 2 rows for Gaussian statistics, got {idx.size}"
         )
-    x = features.values[idx].astype(np.float64)
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (idx.size - 1)
-    cov = (cov + cov.T) / 2.0
+    mean, cov = _moments(features.values[idx].astype(np.float64))
     return ModeStats(mean=mean, cov=cov, count=int(idx.size))
+
+
+def group_moments(values: np.ndarray, labels: np.ndarray,
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, d) means and (k, d, d) covariances of the k groups of rows that
+    `labels` names, counts[g] >= 2 rows in group g. One stacked `_moments` step
+    per group size keeps the bits of `gaussian_stats` over a group's ascending
+    rows: `mean(axis=-2)` adds them in its order, and each group's product is one BLAS call."""
+    k, d = len(counts), values.shape[1]
+    means, covs = np.empty((k, d)), np.empty((k, d, d))
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    for size in np.unique(counts).tolist():
+        groups = np.flatnonzero(counts == size)
+        rows = values[order[starts[groups, None] + np.arange(size)]]
+        means[groups], covs[groups] = _moments(rows.astype(np.float64))
+    return means, covs
 
 
 def _ridged(covs: np.ndarray, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,12 +15,12 @@ removed, from their stored distances (see `build_hierarchy`).
 leaf label per server row, the build's `seed`, and `server`, the
 `FeatureMatrix` it is bound to. It derives `parents` from `children`,
 `counts` from the labels and `children` (reading no feature value), and
-`means` and `covs` from the server rows on first read: each leaf's in one
-stacked step per distinct leaf size (`_leaf_moments`, bit-equal to
-`gaussian_stats` over its rows), then each merged node's from its
-children's, one merge level at a time (`_pool`). Stratified `prune` reads
-only labels and links, so it never derives them. A node's rows (those whose
-leaf lies in its subtree) and `ModeTree.node(i)` views are derived on demand.
+`means` and `covs` from the server rows on first read: the leaves' fitted by
+`gap.group_moments`, then each merged node's pooled from its children's, one
+merge level at a time (`_pool`); this module only pools. Stratified `prune`
+reads only labels and links, so it never derives them. A node's rows (those
+whose leaf lies in its subtree) and `ModeTree.node(i)` views are derived on
+demand.
 
 Trees persist as a little-endian binary file (version 6):
 
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import TreeFormatError, ValidationError
-from .gap import ModeStats
+from .gap import ModeStats, group_moments
 
 if TYPE_CHECKING:
     from .clustering import FlatClustering
@@ -132,7 +132,9 @@ class ModeTree:
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """(means, covs) of every node, derived from the server rows on first read."""
-        means, covs = _leaf_moments(self.server.values, self.leaf_labels, self.counts)
+        h, j, d = self.node_count, self.leaf_count, self.server.d
+        means, covs = np.empty((h, d)), np.empty((h, d, d))
+        means[:j], covs[:j] = group_moments(self.server.values, self.leaf_labels, self.counts[:j])
         _pool(self.children, self.counts, means, covs)
         return means, covs
 
@@ -196,29 +198,6 @@ def _centroid_distance(means_a: np.ndarray, means_b: np.ndarray) -> np.ndarray:
     return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
 
 
-def _leaf_moments(
-    values: np.ndarray, labels: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(H, d) means and (H, d, d) covariances, the J leaves' filled in with
-    `gaussian_stats` over their rows, bit for bit: the leaves of one size take
-    one stacked step of its operations on their ascending rows. `mean(axis=1)`
-    adds rows in the order `mean(axis=0)` does, and the stacked `c.T @ c`
-    makes the one BLAS call per leaf that the single one makes."""
-    h, d = len(counts), values.shape[1]
-    sizes = counts[:(h + 1) // 2]
-    means, covs = np.empty((h, d)), np.empty((h, d, d))
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes).tolist():
-        leaves = np.flatnonzero(sizes == size)
-        x = values[order[starts[leaves, None] + np.arange(size)]].astype(np.float64)
-        means[leaves] = mean = x.mean(axis=1)
-        centered = x - mean[:, None]
-        cov = centered.transpose(0, 2, 1) @ centered / (size - 1)
-        covs[leaves] = (cov + cov.transpose(0, 2, 1)) / 2.0
-    return means, covs
-
-
 def _pool(children: np.ndarray, counts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
     """Fill in every merged node's mean and covariance from its children's.
 
@@ -254,7 +233,7 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
 
     At every step the active pair whose means are closest (centroid linkage)
     is merged; equidistant pairs resolve to the lowest (node_id, node_id)
-    pair. Leaf statistics are fitted to the leaf rows (`_leaf_moments`). A
+    pair. Leaf statistics are fitted to the leaf rows (`group_moments`). A
     merge pools its children's count and mean, which the distances need; the
     merged covariances are pooled after the loop, one merge level at a time
     (`_pool`, which a loaded tree derives its statistics with too).
@@ -273,7 +252,7 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
     `features`, whose `sha256` refuses ids a manifest cannot hold.
     """
     _ = features.sha256  # refuses unlistable ids before the work; the tree reuses it
-    j = leaves.k
+    j, d = leaves.k, features.d
     total = 2 * j - 1
 
     children = np.full((total, 2), -1, dtype=np.int64)
@@ -281,7 +260,8 @@ def build_hierarchy(leaves: "FlatClustering", features: "FeatureMatrix", seed: i
     _check_labels(leaves.assignment, j)
     counts[:j] = np.bincount(leaves.assignment, minlength=j)
     _refuse(counts[:j] < 2, _SMALL_LEAF, np.arange(j), counts)
-    means, covs = _leaf_moments(features.values, leaves.assignment, counts)
+    means, covs = np.empty((total, d)), np.empty((total, d, d))
+    means[:j], covs[:j] = group_moments(features.values, leaves.assignment, counts[:j])
     dist = np.full((total, total), np.inf)
     for a in range(j - 1):
         dist[a, a + 1:j] = _centroid_distance(means[a], means[a + 1:j])

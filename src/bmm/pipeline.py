@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import FlatClustering, fit_balanced_kmeans, fit_kmeans
 from .errors import ParameterError
 from .features import FeatureMatrix
-from .gap import ModeStats, NodeCosts, cost_matrix, fid, gaussian_stats
+from .gap import ModeStats, NodeCosts, cost_matrix, fid, gaussian_stats, group_moments
 from .hierarchy import ModeTree, build_hierarchy
 from .matching import (
     Assignment,
@@ -69,16 +69,13 @@ def target_mode_stats(
 ) -> tuple[FlatClustering, list[ModeStats]]:
     """Flat-cluster the target into `clusters` modes and fit Gaussian stats per mode."""
     clustering = fit_kmeans(target, clusters, seed)
-    stats = []
-    for c in range(clustering.k):
-        rows = clustering.cluster_rows(c)
-        if rows.size < 2:
-            raise ParameterError(
-                f"target mode {c} has {rows.size} samples; use a smaller "
-                f"--target-clusters than {clusters}"
-            )
-        stats.append(gaussian_stats(target, rows))
-    return clustering, stats
+    counts = np.bincount(clustering.assignment, minlength=clustering.k)
+    if (counts < 2).any():
+        c = int(np.argmax(counts < 2))
+        raise ParameterError(f"target mode {c} has {counts[c]} samples; use a smaller "
+                             f"--target-clusters than {clusters}")
+    means, covs = group_moments(target.values, clustering.assignment, counts)
+    return clustering, [ModeStats(*moments) for moments in zip(means, covs, counts.tolist())]
 
 
 @dataclass

@@ -237,7 +237,7 @@ def load_world(path: str | Path) -> PlantedWorld:
     """Read a world config (JSON keys: dimension, seed, super_modes, target_modes)."""
     try:
         world = _world_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a valid world config: {type(exc).__name__}: {exc}") from exc
     world.validate()
     return world
@@ -250,15 +250,30 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A JSON number; strings and booleans are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _vector(values, key: str) -> np.ndarray:
+    """A JSON array of numbers, as float64; `PlantedWorld.validate` checks its shape."""
+    array = np.asarray(values, dtype=object)
+    for value in array.flat:
+        _number(value, f"{key} entry")
+    return array.astype(np.float64)
+
+
 def _world_from_payload(payload) -> PlantedWorld:
     """The world a parsed config describes; a malformed one raises a builtin error."""
     supers = [
         SuperMode(
-            center=np.asarray(rec["center"], dtype=np.float64),
+            center=_vector(rec["center"], "center"),
             subs=[
                 SubMode(
-                    offset=np.asarray(sub["offset"], dtype=np.float64),
-                    scale=float(sub["scale"]),
+                    offset=_vector(sub["offset"], "offset"),
+                    scale=_number(sub["scale"], "scale"),
                     count=_integer(sub["count"], "count"),
                 )
                 for sub in rec["sub_modes"]
@@ -272,11 +287,9 @@ def _world_from_payload(payload) -> PlantedWorld:
             sub_idx=None if rec.get("sub") is None else _integer(rec["sub"], "sub"),
             count=_integer(rec["count"], "count"),
             mean_shift=(
-                None
-                if rec.get("mean_shift") is None
-                else np.asarray(rec["mean_shift"], dtype=np.float64)
+                None if rec.get("mean_shift") is None else _vector(rec["mean_shift"], "mean_shift")
             ),
-            scale_multiplier=float(rec.get("scale_multiplier", 1.0)),
+            scale_multiplier=_number(rec.get("scale_multiplier", 1.0), "scale_multiplier"),
         )
         for rec in payload["target_modes"]
     ]

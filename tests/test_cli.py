@@ -563,6 +563,20 @@ def test_csv_feature_format_end_to_end(tmp_path, server_format, target_format):
     assert pipeline_outputs(tmp_path / "mixed", server_format, target_format) == expected
 
 
+def test_csv_value_beyond_float32_exits_2_without_a_warning(tmp_path):
+    """The error names the file line and float32, and numpy's overflow
+    warning does not reach stderr."""
+    server = tmp_path / "server.csv"
+    server.write_text("sample_id,dataset_label,f0\na,x,1\nb,x,2\n\nc,x,1e39\nd,x,3\n")
+    done = run_python("-m", "bmm.cli", "build-server", "--server-features", str(server),
+                      "--leaves", "1", "--tree", str(tmp_path / "tree.bmmt"))
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        f"error: {server}:5: feature value 1e39 is beyond float32's range "
+        "(no b'BMMF' magic, so read as CSV)\n"
+    )
+
+
 def test_match_rejects_mismatched_server(tmp_path, world_files, capsys):
     _, _, target, server_path, target_path = world_files
     code, tree_path = run_build(tmp_path, server_path)
@@ -956,8 +970,8 @@ def test_stratified_prune_never_derives_statistics(tmp_path, world_files, monkey
     def broken(*args):
         raise AssertionError("stratified prune derived node statistics")
 
-    leaf_moments = hierarchy._leaf_moments
-    monkeypatch.setattr(hierarchy, "_leaf_moments", counted)
+    leaf_moments = hierarchy.group_moments
+    monkeypatch.setattr(hierarchy, "group_moments", counted)
     manifest, pruned = tmp_path / "sel.manifest", tmp_path / "pruned.manifest"
     assert main(match_args(tree_path, server_path, target_path, manifest)) == 0
     assert len(calls) == 1
@@ -965,7 +979,7 @@ def test_stratified_prune_never_derives_statistics(tmp_path, world_files, monkey
     assert len(calls) == 1
     expected = pruned.read_bytes()
     pruned.unlink()
-    monkeypatch.setattr(hierarchy, "_leaf_moments", broken)
+    monkeypatch.setattr(hierarchy, "group_moments", broken)
     assert main(stratified_args(manifest, tree_path, server_path, pruned)) == 0
     assert pruned.read_bytes() == expected
 

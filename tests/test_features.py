@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import string
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -154,13 +155,26 @@ def test_csv_rejects_ragged_rows(tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("b,x,zz", "c.csv:5: bad float"),
     ("b,x,2,3", "c.csv:5: expected 3 columns, got 4"),
-], ids=["bad-float", "column-count"])
+    ("b,x,1e39", "c.csv:5: feature value 1e39 is beyond float32's range"),
+    ("b,x,-3.5e38", "c.csv:5: feature value -3.5e38 is beyond float32's range"),
+], ids=["bad-float", "column-count", "beyond-float32", "below-float32"])
 def test_csv_errors_name_the_line_in_the_file(tmp_path, row, message):
-    """Blank lines are skipped but counted: the bad row is line 5."""
+    """Blank lines are skipped but counted: the bad row is line 5. No
+    warning is printed on the way."""
     path = tmp_path / "c.csv"
     path.write_text(f"sample_id,dataset_label,f0\n\n\na,x,1\n{row}\n")
-    with pytest.raises(FormatError, match=message):
+    with warnings.catch_warnings(), pytest.raises(FormatError, match=message):
+        warnings.simplefilter("error")
         read_features(path)
+
+
+def test_csv_keeps_values_that_round_to_float32s_largest(tmp_path):
+    """A value past float32's largest that rounds down to it is read, as the
+    float32 cast reads it; only a value that rounds to infinity is refused."""
+    largest = float(np.finfo(np.float32).max)
+    path = tmp_path / "c.csv"
+    path.write_text(f"sample_id,dataset_label,f0\na,x,{largest * (1 + 2**-26)!r}\n")
+    assert read_features(path).values[0, 0] == np.float32(largest)
 
 
 def test_feature_matrix_invariants():

@@ -22,7 +22,7 @@ from bmm import (
 )
 from bmm.clustering import FlatClustering
 from bmm import hierarchy
-from bmm.gap import EPS, NodeCosts
+from bmm.gap import EPS, NodeCosts, group_moments
 from bmm.hierarchy import validate_tree
 
 from conftest import make_features, one_blas_thread, trees_equal
@@ -346,8 +346,7 @@ def assert_leaf_moments_equal_gaussian_stats(fm, labels) -> str:
     """Every stacked leaf mean and covariance has the bytes of `gaussian_stats`
     over the leaf's rows; returns the SHA-256 of them all."""
     j = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=2 * j - 1)
-    means, covs = hierarchy._leaf_moments(fm.values, labels, counts)
+    means, covs = group_moments(fm.values, labels, np.bincount(labels, minlength=j))
     for leaf in range(j):
         refit = gaussian_stats(fm, np.flatnonzero(labels == leaf))
         assert means[leaf].tobytes() == refit.mean.tobytes(), leaf

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from bmm import (
     direct_match,
     evaluate_gap,
     fit_balanced_kmeans,
+    gaussian_stats,
     generate,
     match_modes,
     run_bench,
@@ -30,8 +33,10 @@ from bmm.gap import NodeCosts
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
 from bmm.synth import granularity_probe_world, random_subset_world
 
-from conftest import make_features, shared_nearest_world
+from conftest import make_features, one_blas_thread, shared_nearest_world
 from oracles import full_cost_matrix, oracle_bench
+
+TESTS = str(Path(__file__).resolve().parent)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,45 @@ def test_leaf_candidates_restriction(small_world):
     assert full.shape == (2, 15)
     # bench's bmm_flat takes the first J columns: the leaves are nodes 0..J-1
     assert [n for n in range(tree.node_count) if tree.node(n).is_leaf] == list(range(8))
+
+
+def three_blob_target():
+    """Three far-apart blobs in d=48, rows shuffled: two of 40 rows, which
+    `group_moments` fits in one stacked step, and one of 25."""
+    rng = np.random.default_rng(5)
+    blobs = [rng.normal(size=(m, 48)) + 100.0 * c for c, m in enumerate([40, 25, 40])]
+    return make_features(rng.permutation(np.concatenate(blobs)))
+
+
+def assert_target_modes_equal_gaussian_stats(target) -> str:
+    """Each target mode has the bytes of `gaussian_stats` over its rows;
+    returns the SHA-256 of them all."""
+    clustering, stats = target_mode_stats(target, 3)
+    assert sorted(s.count for s in stats) == [25, 40, 40]
+    for c, mode in enumerate(stats):
+        refit = gaussian_stats(target, np.flatnonzero(clustering.assignment == c))
+        assert mode.mean.tobytes() == refit.mean.tobytes(), c
+        assert mode.cov.tobytes() == refit.cov.tobytes(), c
+        assert mode.count == refit.count, c
+    return hashlib.sha256(b"".join(m.mean.tobytes() + m.cov.tobytes() for m in stats)).hexdigest()
+
+
+def test_target_modes_equal_gaussian_stats():
+    assert_target_modes_equal_gaussian_stats(three_blob_target())
+
+
+TARGET_MODES_ONE_THREAD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_pipeline import assert_target_modes_equal_gaussian_stats, three_blob_target
+print(assert_target_modes_equal_gaussian_stats(three_blob_target()))
+"""
+
+
+def test_target_modes_equal_gaussian_stats_on_one_blas_thread():
+    """The same bytes with OpenBLAS held to one thread as at its default."""
+    digest = assert_target_modes_equal_gaussian_stats(three_blob_target())
+    assert one_blas_thread("-c", TARGET_MODES_ONE_THREAD, TESTS).decode().strip() == digest
 
 
 def test_evaluate_whole_server_is_identity(small_world):

@@ -286,6 +286,32 @@ def test_world_integers_are_json_integers(tmp_path, key, value):
         load_world(tmp_path / "world.json")
 
 
+@pytest.mark.parametrize("where, key, value, message", [
+    ("sub", "scale", "0.7", "scale must be a number"),
+    ("sub", "scale", True, "scale must be a number"),
+    ("sub", "scale", 10**400, "OverflowError"),
+    ("target", "scale_multiplier", True, "scale_multiplier must be a number"),
+    ("target", "scale_multiplier", "1.1", "scale_multiplier must be a number"),
+    ("super", "center", ["0", 0], "center entry must be a number"),
+    ("super", "center", "00", "center entry must be a number"),
+    ("sub", "offset", [0, True], "offset entry must be a number"),
+    ("target", "mean_shift", ["0.1", 0.0], "mean_shift entry must be a number"),
+], ids=["scale-str", "scale-bool", "scale-huge-int", "multiplier-bool", "multiplier-str",
+        "center-str-entry", "center-str", "offset-bool-entry", "mean-shift-str-entry"])
+def test_world_numbers_are_json_numbers(tmp_path, where, key, value, message):
+    save_world(tiny_world(), tmp_path / "world.json")
+    payload = json.loads((tmp_path / "world.json").read_text())
+    record = {
+        "super": payload["super_modes"][0],
+        "sub": payload["super_modes"][0]["sub_modes"][0],
+        "target": payload["target_modes"][0],
+    }[where]
+    record[key] = value
+    (tmp_path / "world.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=message):
+        load_world(tmp_path / "world.json")
+
+
 @pytest.mark.parametrize("n_target_modes", [0, -1, 17])
 def test_random_subset_world_refuses_target_modes_it_cannot_pick(n_target_modes):
     with pytest.raises(ParameterError, match=rf"n_target_modes must be in 1\.\.16 .*got {n_target_modes}"):
