@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Every check after the install, in one script: the tier-1 tests, the
 # benchmark's checks at seeds 0 and 9973, and the README quick start, also
-# with a CSV target and a CSV server in place of the binary ones, and a
+# with a CSV target and a CSV server in place of the binary ones, and with a
+# copy of both whose ids have mixed widths and UTF-8 characters, as binary
+# files and as CSV, so the string-by-string id read runs end to end; and a
 # 20,480x32 server's J=128 tree built, its 2,000-row target matched (L=12)
 # and the selection evaluated at two BLAS thread counts. It also prints the
 # src/ line count, the CLI's option count summed over its subcommands and the
@@ -51,7 +53,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 python3 - <<'PY'
-from bmm import generate, save_world, write_features
+from bmm import FeatureMatrix, generate, save_world, write_features
 from bmm.synth import granularity_probe_world
 
 world = granularity_probe_world(seed=0)
@@ -61,6 +63,19 @@ write_features(target, "target.bmmf")
 write_features(server, "server.csv", "csv")
 write_features(target, "target.csv", "csv")
 save_world(world, "world.json")
+
+# the same rows under ids of mixed byte widths, with non-ASCII characters and
+# pairs that differ only by a trailing NUL, and labels that include an empty one
+def mixed(m, stem):
+    ids = [f"{['', 'é', '日本', 'row-'][i % 4]}{stem}{i // 8}" + "\0" * (i // 4 % 2)
+           for i in range(m.n)]
+    labels = ["" if i % 5 == 0 else label + "ü" * (i % 2)
+              for i, label in enumerate(m.dataset_labels)]
+    return FeatureMatrix(m.values, ids, labels)
+
+for m, name in ((mixed(server, "s"), "mixed"), (mixed(target, "t"), "mixed_target")):
+    write_features(m, f"{name}.bmmf")
+    write_features(m, f"{name}.csv", "csv")
 PY
 "${bmm[@]}" build-server --server-features server.bmmf --leaves 16 --seed 0 --tree tree.bmmt
 "${bmm[@]}" match --tree tree.bmmt --server-features server.bmmf \
@@ -99,6 +114,23 @@ cmp selection.manifest.report.json selection2.manifest.report.json
 cmp gap.json gap2.json
 "${bmm[@]}" prune --manifest selection.manifest --budget-frac 0.2 --strategy uniform \
     --out uniform.manifest
+echo "== mixed-width UTF-8 ids: match, evaluate and the stratified prune, from binary files"
+echo "== and from CSV: the same bytes"
+"${bmm[@]}" build-server --server-features mixed.bmmf --leaves 16 --seed 0 --tree mixed.bmmt \
+    > /dev/null
+for format in bmmf csv; do
+    "${bmm[@]}" match --tree mixed.bmmt --server-features "mixed.$format" \
+        --target-features "mixed_target.$format" --target-clusters 6 --seed 0 \
+        --out "mixed-$format.manifest" > /dev/null
+    "${bmm[@]}" evaluate --manifest "mixed-$format.manifest" --server-features "mixed.$format" \
+        --target-features "mixed_target.$format" --out "mixed-$format.gap.json" > /dev/null
+    "${bmm[@]}" prune --manifest "mixed-$format.manifest" --budget-frac 0.2 \
+        --strategy stratified --tree mixed.bmmt --server-features "mixed.$format" \
+        --out "mixed-$format.pruned.manifest" > /dev/null
+done
+for output in manifest manifest.report.txt manifest.report.json gap.json pruned.manifest; do
+    cmp "mixed-bmmf.$output" "mixed-csv.$output"
+done
 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 --target-clusters 6 --out bench.csv
 echo "== bench again with OpenBLAS on one thread: the same bytes"
 OPENBLAS_NUM_THREADS=1 "${bmm[@]}" bench --world world.json --leaves 16,32,64,128 \

@@ -11,7 +11,6 @@ import csv
 import functools
 import json
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +113,9 @@ def _cmd_match(args) -> int:
     outcome = run_match(tree, target, args.target_clusters, args.seed)
     selection = outcome.selection
 
-    manifest = Manifest(
-        _entries(server, selection.sample_rows),
+    manifest = Manifest.of_rows(
+        server,
+        selection.sample_rows,
         {
             "tool": f"bmm/{__version__}",
             "command": "match",
@@ -129,7 +129,7 @@ def _cmd_match(args) -> int:
         },
     )
     payload = match_report_payload(
-        selection, tree, outcome.assignment.total_cost, server.dataset_labels
+        selection, tree, outcome.assignment.total_cost, server.labels
     )
     text = render_match_report(payload, warn_fid=args.warn_fid)
 
@@ -144,20 +144,14 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _entries(features: FeatureMatrix, rows: np.ndarray) -> list[tuple[str, str]]:
-    """The (sample_id, dataset_label) entries of the given feature rows, in order."""
-    rows = rows.tolist()
-    ids = map(features.sample_ids.__getitem__, rows)
-    return list(zip(ids, map(features.dataset_labels.__getitem__, rows)))
-
-
 def _manifest_rows(manifest: Manifest, features: FeatureMatrix) -> np.ndarray:
-    ids = list(map(itemgetter(0), manifest.entries))
-    rows = list(map(features.row_index().get, ids))
-    if None in rows:
-        sid = ids[rows.index(None)]
+    """The ascending feature rows of the manifest's ids, from the features' one id sort."""
+    rows = features.ids.find(manifest.ids)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        sid = manifest.ids.item(missing[0])
         raise ValidationError(f"manifest sample_id {sid!r} not found in server features")
-    return np.sort(np.asarray(rows, dtype=np.int64))
+    return np.sort(rows)
 
 
 def _cmd_evaluate(args) -> int:
@@ -229,12 +223,12 @@ def _cmd_prune(args) -> int:
         features = read_features(args.server_features)
         tree = load_tree(args.tree, features)
         pruned = prune(_manifest_strata(manifest, tree), budget, args.seed)
-        entries = _entries(features, pruned.sample_rows)
+        source = features
     else:
         if args.tree is not None or args.server_features is not None:
             raise ParameterError("uniform pruning takes no --tree or --server-features")
-        pruned = prune([np.arange(len(manifest.entries))], budget, args.seed)
-        entries = list(map(manifest.entries.__getitem__, pruned.sample_rows.tolist()))
+        pruned = prune([np.arange(len(manifest))], budget, args.seed)
+        source = manifest
 
     metadata = dict(manifest.metadata)
     metadata.update(
@@ -245,8 +239,8 @@ def _cmd_prune(args) -> int:
             "prune_seed": str(args.seed),
         }
     )
-    write_manifest(Manifest(entries, metadata), args.out)
-    print(f"kept {len(entries)} of {len(manifest.entries)} entries -> {args.out}")
+    write_manifest(Manifest.of_rows(source, pruned.sample_rows, metadata), args.out)
+    print(f"kept {pruned.sample_rows.size} of {len(manifest)} entries -> {args.out}")
     return 0
 
 

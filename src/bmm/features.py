@@ -16,26 +16,32 @@ Manifests are UTF-8 text files in one grammar, shared by `write_manifest`,
 `read_manifest` and `FeatureMatrix.sha256`: zero or more leading ``# key=value``
 lines, no key twice, then one ``sample_id,dataset_label`` line per entry,
 lines ending at ``\n`` only. Ids and labels hold no comma, CR or LF, no id
-starts with ``#`` and no id repeats; a `Manifest`'s one constructor checks
-the last, with the same check as `FeatureMatrix`.
+starts with ``#`` and no id repeats; every way to make a `Manifest` checks
+the last with `FeatureMatrix`'s check, unless its entries are ascending rows
+of a source that passed it.
 
 Readers reject invalid files instead of repairing them; the binary format is
 endianness-pinned and read-then-write is byte identical. `FeatureMatrix.sha256`
 identifies a server by its content; it refuses ids and labels that a manifest
 line cannot hold, so that every server a tree is built from or matched
-against can write its manifest. A string block whose length prefixes are all
-equal and whose payload is ASCII is read with one decode, any other block one
-string at a time; the format is the same.
+against can write its manifest.
+
+Ids and labels stay UTF-8 bytes from the file to the manifest: a `Strings`
+column holds them in one buffer. A string block whose length prefixes are
+all equal and whose payload is ASCII becomes a column with one copy; any
+other block is checked string by string; the format is the same. One stable
+sort of a column's keys finds a repeated id and serves every manifest
+lookup, and manifest lines and hashed text are cut from the columns at the
+rows asked for, without a decode.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,18 +51,181 @@ BINARY_MAGIC = b"BMMF"
 BINARY_VERSION = 1
 
 
-@dataclass(eq=False)
+class Strings:
+    """n UTF-8 strings in one byte buffer: string i is ``buf[offsets[i]:offsets[i+1]]``
+    (Arrow's variable-size binary layout). Never changed once built.
+
+    Its keys order the strings as their bytes do, which for UTF-8 is the
+    code-point order that `sorted` gives the decoded strings.
+    """
+
+    def __init__(self, buf: np.ndarray, offsets: np.ndarray) -> None:
+        self.buf = buf  # uint8
+        self.offsets = offsets  # int64, n + 1 of them
+
+    @classmethod
+    def from_bytes(cls, raw: Sequence[bytes]) -> Strings:
+        lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+        return cls(np.frombuffer(b"".join(raw), dtype=np.uint8), _offsets(lengths))
+
+    @classmethod
+    def from_str(cls, strings: Iterable[str]) -> Strings:
+        return cls.from_bytes([s.encode("utf-8") for s in strings])
+
+    @classmethod
+    def spans(cls, data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> Strings:
+        """The strings ``data[starts[i]:stops[i]]``; starts strictly ascend and no
+        span reaches into the next. Spans of one length at one step, as the
+        fields of a manifest of equal-width lines are, take one strided copy."""
+        lengths, steps = stops - starts, np.diff(starts)
+        offsets = _offsets(lengths)
+        if starts.size and (lengths == lengths[0]).all() and (steps == steps[:1]).all():
+            step = int(steps[0]) if steps.size else 0
+            rows = np.lib.stride_tricks.as_strided(
+                data[starts[0]:], (starts.size, int(lengths[0])), (step, 1))
+            return cls(rows.copy().reshape(-1), offsets)
+        mark = np.zeros(data.size + 1, dtype=np.int8)
+        mark[starts] += 1
+        mark[stops] -= 1
+        return cls(data[np.cumsum(mark[:-1], dtype=np.int8).view(bool)], offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def width(self) -> int:
+        """The longest string's byte length."""
+        return int(self.lengths.max(initial=0))
+
+    @cached_property
+    def mask(self) -> np.ndarray | None:
+        """Which bytes of `padded` are the strings'; None when every string is `width` long."""
+        if self.buf.size == len(self) * self.width:
+            return None
+        return np.arange(self.width) < self.lengths[:, None]
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """The strings as the rows of an (n, width) byte matrix, NUL-padded: a
+        view of `buf` when no row is padded, else n * width new bytes."""
+        if self.mask is None:
+            return self.buf.reshape(len(self), self.width)
+        out = np.zeros((len(self), self.width), dtype=np.uint8)
+        out[self.mask] = self.buf
+        return out
+
+    def item(self, i: int) -> str:
+        return self.buf[self.offsets[i]:self.offsets[i + 1]].tobytes().decode("utf-8")
+
+    def decode(self) -> tuple[str, ...]:
+        """Every string, from one decode: each ends at a 0xFF byte, which UTF-8 never holds."""
+        text = _concat([self, b"\xff"]).decode("utf-8", "surrogateescape")
+        return tuple(text.split("\udcff")[:-1])
+
+    def take(self, rows: np.ndarray) -> Strings:
+        """The strings at `rows`, in that order."""
+        buf = np.frombuffer(_concat([self], rows), dtype=np.uint8)
+        return Strings(buf, _offsets(self.lengths[rows]))
+
+    def keys(self, width: int) -> np.ndarray:
+        """One ``S`` key per string: its bytes NUL-padded or cut to `width`, then
+        its big-endian ``u32`` length, so that "a" and "a\\0" differ and a string
+        longer than `width` equals no key of a column that `width` fits; then
+        NULs to a whole number of 8-byte words, for `_same`."""
+        size = (width + 4 + 7) // 8 * 8
+        keys = np.zeros(len(self), dtype={"names": ["s", "n"], "formats": [f"S{width}", ">u4"],
+                                          "offsets": [0, width], "itemsize": size})
+        fits = min(width, self.width)
+        if fits:
+            keys["s"] = self.padded[:, :fits].view(f"S{fits}")[:, 0]
+        keys["n"] = self.lengths
+        return keys.view(f"S{size}")
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, keys[order]): the column's one stable sort of its keys."""
+        keys = self.keys(self.width)
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+
+    def first_repeat(self) -> int | None:
+        """The first row whose string an earlier row holds, or None."""
+        order, keys = self._sorted
+        again = _same(keys[1:], keys[:-1])  # later rows of equal strings: the sort keeps row order
+        return int(order[1:][again].min()) if again.any() else None
+
+    def find(self, queries: Strings) -> np.ndarray:
+        """The row of this non-empty, repeat-free column that holds each query, or -1."""
+        order, keys = self._sorted
+        wanted = queries.keys(self.width)
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(_same(keys[at], wanted), order[at], -1)
+
+    def counts(self, rows: np.ndarray) -> dict[str, int]:
+        """How many of `rows` hold each string, keys sorted."""
+        picked = self.take(rows)
+        order, keys = picked._sorted
+        starts = np.flatnonzero(np.concatenate(([True], ~_same(keys[1:], keys[:-1])))[:keys.size])
+        sizes = np.diff(np.append(starts, keys.size))
+        return {picked.item(order[at]): int(size) for at, size in zip(starts, sizes)}
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a == b for `Strings.keys` of one width, compared a word at a time,
+    several times faster than numpy's comparison of ``S`` values."""
+    a, b = (keys.view(np.uint64).reshape(keys.size, keys.itemsize // 8) for keys in (a, b))
+    same = a[:, 0] == b[:, 0]
+    for word in range(1, a.shape[1]):
+        same &= a[:, word] == b[:, word]
+    return same
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The n + 1 offsets of n strings of these lengths, laid end to end."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def _concat(pieces: Sequence[Strings | bytes], rows: np.ndarray | None = None) -> bytes:
+    """Row after row (every row, or `rows` in order), each piece in turn: a
+    `Strings` piece gives the row's string, a bytes piece itself."""
+    n = len(rows) if rows is not None else len(next(p for p in pieces if isinstance(p, Strings)))
+    widths = [len(p) if isinstance(p, bytes) else p.width for p in pieces]
+    out = np.empty(n, dtype=[(f"f{i}", f"S{w}") for i, w in enumerate(widths) if w])
+    keep = []  # per piece, which of its bytes are the strings'; None when all are
+    for i, (piece, width) in enumerate(zip(pieces, widths)):
+        mask = None
+        if isinstance(piece, bytes):
+            out[f"f{i}"] = piece
+        elif width:
+            strings, mask = piece.padded.view(f"S{width}")[:, 0], piece.mask
+            if rows is not None:
+                strings = strings.take(rows)
+                mask = None if mask is None else mask.take(rows, axis=0)
+            out[f"f{i}"] = strings
+        keep.append(mask)
+    if all(mask is None for mask in keep):
+        return out.tobytes()
+    full = [np.ones((n, w), dtype=bool) if m is None else m for m, w in zip(keep, widths)]
+    return out.view(np.uint8).reshape(n, out.itemsize)[np.concatenate(full, axis=1)].tobytes()
+
+
 class FeatureMatrix:
-    """n x d float32 feature vectors with per-row sample ids and dataset labels."""
+    """n x d float32 feature vectors with per-row sample ids and dataset labels.
 
-    values: np.ndarray
-    sample_ids: tuple[str, ...]
-    dataset_labels: tuple[str, ...]
+    The ids and labels are kept as `Strings` columns, `ids` and `labels`;
+    `sample_ids` and `dataset_labels` are their str tuples, decoded on first
+    read. Never changed once built.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        self.sample_ids = tuple(self.sample_ids)
-        self.dataset_labels = tuple(self.dataset_labels)
+    def __init__(self, values, sample_ids: Sequence[str] | Strings,
+                 dataset_labels: Sequence[str] | Strings) -> None:
+        self.values = np.ascontiguousarray(values, dtype=np.float32)
+        self.ids, self.labels = (column if isinstance(column, Strings) else Strings.from_str(column)
+                                 for column in (sample_ids, dataset_labels))
         if self.values.ndim != 2:
             raise ValidationError(f"feature values must be 2-D, got shape {self.values.shape}")
         n, d = self.values.shape
@@ -65,12 +234,19 @@ class FeatureMatrix:
         if not np.isfinite(self.values).all():
             bad = int(np.flatnonzero(~np.isfinite(self.values).all(axis=1))[0])
             raise ValidationError(f"non-finite feature value in row {bad}")
-        if len(self.sample_ids) != n or len(self.dataset_labels) != n:
+        if len(self.ids) != n or len(self.labels) != n:
             raise ValidationError(
-                f"row count {n} does not match {len(self.sample_ids)} ids / "
-                f"{len(self.dataset_labels)} labels"
+                f"row count {n} does not match {len(self.ids)} ids / {len(self.labels)} labels"
             )
-        _refuse_repeats(self.sample_ids)
+        _refuse_repeats(self.ids)
+
+    @cached_property
+    def sample_ids(self) -> tuple[str, ...]:
+        return self.ids.decode()
+
+    @cached_property
+    def dataset_labels(self) -> tuple[str, ...]:
+        return self.labels.decode()
 
     @property
     def n(self) -> int:
@@ -80,10 +256,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def row_index(self) -> dict[str, int]:
-        """Map sample_id -> row number."""
-        return dict(zip(self.sample_ids, range(self.n)))
-
     @cached_property
     def sha256(self) -> bytes:
         """SHA-256 of the ``<QI`` shape (n, d), the little-endian float32
@@ -92,35 +264,65 @@ class FeatureMatrix:
         Raises ValidationError for a row a manifest line could not list (see
         `_manifest_entry`); a newline would also make the join ambiguous.
         """
-        text = "\n".join(self.sample_ids + self.dataset_labels)
-        if "," in text or "\r" in text or "#" in text or text.count("\n") != 2 * self.n - 1:
+        text = _concat([self.ids, b"\n"]) + _concat([self.labels, b"\n"])
+        if b"," in text or b"\r" in text or b"#" in text or text.count(b"\n") != 2 * self.n:
             for sid, label in zip(self.sample_ids, self.dataset_labels):
                 _manifest_entry(sid, label)
         digest = hashlib.sha256(struct.pack("<QI", self.n, self.d))
         digest.update(np.ascontiguousarray(self.values, dtype="<f4"))
-        digest.update(text.encode("utf-8"))
+        digest.update(memoryview(text)[:-1])
         return digest.digest()
 
 
-@dataclass
 class Manifest:
-    """Ordered (sample_id, dataset_label) entries plus free-form metadata."""
+    """Ordered (sample_id, dataset_label) entries plus free-form metadata.
 
-    entries: list[tuple[str, str]] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
+    The entries are kept as `Strings` columns, `ids` and `labels`; `entries`
+    lists them as str pairs, decoded on first read unless they were given.
+    No id repeats. Never changed once built, but for its metadata.
+    """
 
-    def __post_init__(self) -> None:
-        _refuse_repeats([sid for sid, _ in self.entries], " in manifest")
+    def __init__(self, entries: list[tuple[str, str]] | None = None,
+                 metadata: dict[str, str] | None = None) -> None:
+        entries = [] if entries is None else entries
+        self.__dict__["entries"] = entries
+        self._fill(Strings.from_str([sid for sid, _ in entries]),
+                   Strings.from_str([label for _, label in entries]),
+                   {} if metadata is None else metadata)
+
+    @classmethod
+    def of_rows(cls, source: FeatureMatrix | Manifest, rows: np.ndarray,
+                metadata: dict[str, str]) -> Manifest:
+        """The entries of `source` at `rows`, in that order. Strictly ascending
+        rows of a repeat-free source cannot repeat an id; other rows are checked."""
+        return cls.__new__(cls)._fill(source.ids.take(rows), source.labels.take(rows), metadata,
+                                      check=not (np.diff(rows) > 0).all())
+
+    def _fill(self, ids: Strings, labels: Strings, metadata: dict[str, str],
+              check: bool = True) -> Manifest:
+        self.ids, self.labels, self.metadata = ids, labels, metadata
+        if check:
+            _refuse_repeats(ids, " in manifest")
+        return self
+
+    @cached_property
+    def entries(self) -> list[tuple[str, str]]:
+        return list(zip(self.ids.decode(), self.labels.decode()))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Manifest):
+            return NotImplemented
+        return (self.entries, self.metadata) == (other.entries, other.metadata)
 
 
-def _refuse_repeats(ids: Sequence[str], where: str = "") -> None:
+def _refuse_repeats(ids: Strings, where: str = "") -> None:
     """Name the first sample id that repeats in `ids`, if one does."""
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for sid in ids:
-            if sid in seen:
-                raise ValidationError(f"duplicate sample_id {sid!r}{where}")
-            seen.add(sid)
+    row = ids.first_repeat()
+    if row is not None:
+        raise ValidationError(f"duplicate sample_id {ids.item(row)!r}{where}")
 
 
 def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
@@ -131,8 +333,8 @@ def _unpack(data: bytes, offset: int, fmt: str, what: str) -> tuple:
     return struct.unpack_from(fmt, data, offset)[0], end
 
 
-def _uniform_ascii_block(data: bytes, offset: int, n: int) -> tuple[list[str], int] | None:
-    """The block `_string_block` reads, from one decode, when its n length
+def _uniform_ascii_block(data: bytes, offset: int, n: int) -> tuple[Strings, int] | None:
+    """The block `_string_block` reads, with one copy, when its n length
     prefixes all equal the first and its payload is ASCII; otherwise None."""
     if offset + 4 > len(data):
         return None
@@ -140,25 +342,18 @@ def _uniform_ascii_block(data: bytes, offset: int, n: int) -> tuple[list[str], i
     end = offset + n * (4 + width)
     if end > len(data):
         return None
-    block = np.frombuffer(data, dtype=[("len", "<u4"), ("s", f"S{width}")], count=n, offset=offset)
-    if not (block["len"] == width).all():
+    dtype = [("len", "<u4"), ("s", np.uint8, (width,))]
+    block = np.frombuffer(data, dtype=dtype, count=n, offset=offset)
+    payload = np.ascontiguousarray(block["s"]).reshape(-1)
+    if not (block["len"] == width).all() or payload.max(initial=0) >= 0x80:
         return None
-    # tobytes keeps the trailing NULs that converting the S field would drop
-    payload = block["s"].tobytes()
-    if not payload.isascii():
-        return None
-    # End each string with the non-ASCII byte 0x80 and split the decoded text
-    # there: one split makes the n strings faster than n slices, and width 0
-    # needs no special case.
-    cut = np.full((n, width + 1), 0x80, dtype=np.uint8)
-    cut[:, :width] = np.frombuffer(payload, dtype=np.uint8).reshape(n, width)
-    return cut.tobytes().decode("latin-1").split("\x80")[:-1], end
+    return Strings(payload, np.arange(n + 1, dtype=np.int64) * width), end
 
 
-def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str], int]:
+def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[Strings, int]:
     """n length-prefixed UTF-8 strings from `offset`, and the offset just past them.
 
-    Uniform-width ASCII blocks take one decode; any other block is read
+    Uniform-width ASCII blocks take one copy; any other block is read
     string by string, which names the first truncated or non-UTF-8 string.
     """
     fast = _uniform_ascii_block(data, offset, n)
@@ -173,11 +368,12 @@ def _string_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str
         offset = start + int.from_bytes(data[start - 4:start], "little")
         if offset > size:
             raise FormatError(f"truncated file while reading {what} {i}")
+        out.append(data[start:offset])
         try:
-            out.append(data[start:offset].decode("utf-8"))
+            out[-1].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} {i} is not valid UTF-8: {exc}") from exc
-    return out, offset
+    return Strings.from_bytes(out), offset
 
 
 def read_features(path: str | Path) -> FeatureMatrix:
@@ -187,7 +383,7 @@ def read_features(path: str | Path) -> FeatureMatrix:
     if data.startswith(BINARY_MAGIC):
         return _read_features_binary(path, data)
     try:
-        return _read_features_csv(path, _decode(data, path))
+        return _read_features_csv(path, _text(data, path).decode("utf-8"))
     except FormatError as exc:
         raise FormatError(f"{exc} (no {BINARY_MAGIC!r} magic, so read as CSV)") from exc
 
@@ -232,22 +428,21 @@ def _write_features_binary(m: FeatureMatrix, path: str | Path) -> None:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<HQI", BINARY_VERSION, m.n, m.d))
             fh.write(np.ascontiguousarray(m.values, dtype="<f4").tobytes())
-            for block in (m.sample_ids, m.dataset_labels):
-                for text in block:
-                    raw = text.encode("utf-8")
-                    fh.write(struct.pack("<I", len(raw)))
-                    fh.write(raw)
+            for column in (m.ids, m.labels):
+                prefixes = column.lengths.astype("<u4").view(np.uint8)
+                fh.write(_concat([Strings(prefixes, np.arange(m.n + 1) * 4), column]))
     except OSError as exc:
         raise OSError(f"cannot write feature file {path}: {exc}") from exc
 
 
-def _decode(data: bytes, path: str | Path) -> str:
-    """`data` from the file `path` as UTF-8 text, newlines translated to
-    '\\n' as text mode reads them."""
+def _text(data: bytes, path: str | Path) -> bytes:
+    """`data` from the file `path`, checked to be UTF-8 text, with newlines
+    translated to '\\n' as text mode reads them."""
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: file is not valid UTF-8: {exc}") from exc
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _read_features_csv(path: str | Path, text: str) -> FeatureMatrix:
@@ -276,12 +471,13 @@ def _read_features_csv(path: str | Path, text: str) -> FeatureMatrix:
     exact = np.asarray(rows)
     with np.errstate(over="ignore"):  # reported below, with the line
         values = exact.astype(np.float32)
-    over = np.argwhere(np.isinf(values) & np.isfinite(exact))
-    if over.size:
-        row, column = over[0]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
         lineno, line = lines[1 + row]
         value = line.split(",")[2 + column]
-        raise FormatError(f"{path}:{lineno}: feature value {value} is beyond float32's range")
+        why = "is beyond float32's range" if np.isfinite(exact[row, column]) else "is not finite"
+        raise FormatError(f"{path}:{lineno}: feature value {value} {why}")
     return FeatureMatrix(values=values, sample_ids=ids, dataset_labels=labels)
 
 
@@ -313,15 +509,16 @@ def _write_features_csv(m: FeatureMatrix, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> Manifest:
     """Read a manifest in the module docstring's grammar.
 
-    The data lines after the metadata lines are split in one pass; when they
-    are not all 'sample_id,dataset_label' pairs, a scan names the first bad line.
+    The data lines after the metadata lines are split in one pass over their
+    bytes; when they are not all 'sample_id,dataset_label' pairs, a scan
+    names the first bad line.
     """
-    text = _decode(Path(path).read_bytes(), path)
+    data = _text(Path(path).read_bytes(), path)
     metadata: dict[str, str] = {}
-    head = lineno = 0  # the leading metadata lines end at text[head], line `lineno`
-    while text.startswith("#", head):
-        end = text.find("\n", head) + 1 or len(text)
-        line = text[head:end].removesuffix("\n")
+    head = lineno = 0  # the leading metadata lines end at data[head], line `lineno`
+    while data.startswith(b"#", head):
+        end = data.find(b"\n", head) + 1 or len(data)
+        line = data[head:end].removesuffix(b"\n").decode("utf-8")
         lineno += 1
         key, eq, value = line[1:].removeprefix(" ").partition("=")
         if not eq:
@@ -330,17 +527,21 @@ def read_manifest(path: str | Path) -> Manifest:
             raise FormatError(f"{path}:{lineno}: repeated metadata key {key!r}")
         metadata[key] = value
         head = end
-    data = text[head:].removesuffix("\n")
-    cells = data.replace("\n", ",").split(",") if head < len(text) else []
-    ids, names = cells[0::2], cells[1::2]
-    # the rebuilt text equals the data only when every line holds one comma;
-    # "#" in data is one memchr, where "\n#" in data stops at every newline
-    if (len(ids) != len(names) or "#" in data and "\n#" in data
-            or "\n".join(map(",".join, zip(ids, names))) != data):
-        for lineno, line in enumerate(data.split("\n"), start=lineno + 1):
+    body = np.frombuffer(data, dtype=np.uint8)[head:]
+    ends = np.flatnonzero(body == ord("\n"))  # each line ends at its newline, the last maybe at EOF
+    if body.size and body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))[:ends.size]
+    commas = np.flatnonzero(body == ord(","))
+    # one comma per line, inside it, and then no line is empty or starts with '#'
+    if not (commas.size == ends.size and (starts <= commas).all() and (commas < ends).all()
+            and not (body[starts] == ord("#")).any()):
+        text = data[head:].removesuffix(b"\n").decode("utf-8")
+        for lineno, line in enumerate(text.split("\n"), start=lineno + 1):
             if line.count(",") != 1 or line.startswith("#"):
                 raise FormatError(f"{path}:{lineno}: expected 'sample_id,dataset_label'")
-    return Manifest(list(zip(ids, names)), metadata)
+    ids, labels = Strings.spans(body, starts, commas), Strings.spans(body, commas + 1, ends)
+    return Manifest.__new__(Manifest)._fill(ids, labels, metadata)
 
 
 def write_manifest(m: Manifest, path: str | Path) -> None:
@@ -351,16 +552,13 @@ def write_manifest(m: Manifest, path: str | Path) -> None:
         if "=" in key or any(c in key + value for c in "\n\r"):
             raise ValidationError(f"metadata key {key!r} or its value is not representable")
         lines.append(f"# {key}={m.metadata[key]}\n")
-    body = "\n".join(map(",".join, m.entries))
-    rows = len(m.entries)
-    # an entry adds one comma and, but the last, one newline; '#' may start an id
-    if ("\r" in body or "#" in body or body.count(",") != rows
-            or body.count("\n") != max(rows - 1, 0)):
+    body = _concat([m.ids, b",", m.labels, b"\n"])
+    rows = len(m)
+    # an entry adds one comma and one newline; '#' may start an id
+    if b"\r" in body or b"#" in body or body.count(b",") != rows or body.count(b"\n") != rows:
         for sid, label in m.entries:
             _manifest_entry(sid, label)
-    if rows:
-        lines.append(body + "\n")
     try:
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        Path(path).write_bytes("".join(lines).encode("utf-8") + body)
     except OSError as exc:
         raise OSError(f"cannot write manifest {path}: {exc}") from exc

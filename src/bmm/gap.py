@@ -133,16 +133,23 @@ def group_moments(values: np.ndarray, labels: np.ndarray,
     return means, covs
 
 
-def _ridged(covs: np.ndarray, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(covs, one matrix or a stack, with an EPS*I ridge on each matrix whose
-    smallest eigenvalue in `eigs` (eigvalsh(covs), ascending) is below EPS;
-    their traces; their eigenvalues, ascending)."""
+def _ridge(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one ridge rule: which matrices get an EPS*I ridge, those whose
+    smallest eigenvalue in `eigs` (ascending, one row per matrix) is below
+    EPS, and every matrix's eigenvalues after it."""
     low = eigs.min(axis=-1) < EPS
+    return low, eigs + np.where(low, EPS, 0.0)[..., None]
+
+
+def _ridged(covs: np.ndarray, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(covs, one matrix or a stack, ridged by `_ridge` from eigs =
+    eigvalsh(covs); their traces; their eigenvalues, ascending)."""
+    low, ridged_eigs = _ridge(eigs)
     # huge covariances overflow the traces to inf; `_fid_row` reports the result
     with np.errstate(over="ignore", invalid="ignore"):
         ridged = np.where(low[..., None, None], covs + EPS * np.eye(covs.shape[-1]), covs)
         traces = np.trace(ridged, axis1=-2, axis2=-1)
-    return ridged, traces, eigs + np.where(low, EPS, 0.0)[..., None]
+    return ridged, traces, ridged_eigs
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -238,7 +245,7 @@ class NodeCosts:
             return None  # eigvalsh reads one triangle
         means = np.stack([m.mean for m in modes])
         with np.errstate(over="ignore", invalid="ignore"):
-            eigs_a, eigs_b = _ridged(covs, np.linalg.eigvalsh(covs))[2], self.eigs
+            eigs_a, eigs_b = _ridge(np.linalg.eigvalsh(covs))[1], self.eigs
             # NaN fails every comparison, so it gives no bound too
             if not all((e.min(axis=1) >= -_BOUND_NEGATIVE / d * e.max(axis=1)).all()
                        for e in (eigs_a, eigs_b)):

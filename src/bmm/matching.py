@@ -23,15 +23,15 @@ matched pairs, which are exact. Every target mode is matched to a node.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleMatchError, ValidationError
 
 if TYPE_CHECKING:
+    from .features import Strings
     from .hierarchy import ModeTree
 
 
@@ -176,11 +176,6 @@ class SelectionResult:
     per_target: list[tuple[int, float]] = field(default_factory=list)
 
 
-def count_labels(labels: Iterable[str]) -> dict[str, int]:
-    """Rows per dataset label, keys sorted."""
-    return dict(sorted(Counter(labels).items()))
-
-
 def node_strata(
     tree: "ModeTree", selected: Sequence[int], rows: np.ndarray
 ) -> list[np.ndarray]:
@@ -245,7 +240,7 @@ def match_report_payload(
     selection: SelectionResult,
     tree: "ModeTree",
     total_cost: float,
-    dataset_labels: Sequence[str],
+    dataset_labels: "Strings",
 ) -> dict:
     """Machine-readable match report; render_match_report formats it as text.
 
@@ -268,7 +263,5 @@ def match_report_payload(
         "total_cost": total_cost,
         "selected_nodes": list(selection.selected_nodes),
         "selected_samples": int(selection.sample_rows.size),
-        "composition": count_labels(
-            map(dataset_labels.__getitem__, selection.sample_rows.tolist())
-        ),
+        "composition": dataset_labels.counts(selection.sample_rows),
     }

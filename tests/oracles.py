@@ -32,13 +32,24 @@ planted-world sampler that draws whole-super target rows one row at a time,
 which `bmm.generate` must reproduce bit for bit. `oracle_string_block`,
 `oracle_read_manifest` and `oracle_write_manifest` are the
 one-string-at-a-time readers and writer that the bulk ones in `bmm.features`
-must equal, outputs and error messages alike.
+must equal, outputs and error messages alike; `oracle_refuse_repeats`,
+`oracle_manifest_rows`, `oracle_server_sha256` and `count_labels` are the
+str-set repeat check, the dict lookup from manifest ids to server rows, the
+str join the server hash read and the label counter that the byte columns
+of `bmm.features.Strings` must equal, messages included.
+`oracle_lower_bounds` is `NodeCosts.lower_bounds` with the target modes'
+eigenvalues taken from a ridged covariance stack, whose bounds the
+eigenvalue-only ridge must equal bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import struct
+from collections import Counter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +58,11 @@ from bmm import (
     ValidationError, WorldTruth, align_truth, build_server_tree, direct_match, fid,
     generate, matching_precision, solve_assignment,
 )
-from bmm.gap import EPS, NodeCosts, cost_matrix, gaussian_stats
+from bmm.gap import (
+    _BOUND_LIMIT, _BOUND_NEGATIVE, _BOUND_NOISE, _BOUND_REL, EPS, NodeCosts, cost_matrix,
+    gaussian_stats,
+)
+from bmm.gap import _ridged as ridged_stack  # `_ridged` here is the one-matrix ridge
 from bmm.hierarchy import validate_tree
 from bmm.matching import selection_from_matches
 from bmm.pipeline import BENCH_VARIANTS, target_mode_stats
@@ -95,6 +110,33 @@ def oracle_node_costs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     low = eigs.min(axis=-1) < EPS
     ridged = np.where(low[..., None, None], covs + EPS * np.eye(covs.shape[-1]), covs)
     return ridged, np.trace(ridged, axis1=1, axis2=2), eigs + np.where(low, EPS, 0.0)[..., None]
+
+
+def oracle_lower_bounds(nodes: NodeCosts, modes) -> np.ndarray | None:
+    """`NodeCosts.lower_bounds` as it was, the target modes' ridged eigenvalues
+    read from `_ridged` with the ridged covariance stack and its traces."""
+    d = nodes.means.shape[1]
+    if not modes or any(m.d != d for m in modes):
+        return None
+    covs = np.stack([m.cov for m in modes])
+    if not np.array_equal(covs, covs.transpose(0, 2, 1)):
+        return None
+    means = np.stack([m.mean for m in modes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs_a, eigs_b = ridged_stack(covs, np.linalg.eigvalsh(covs))[2], nodes.eigs
+        if not all((e.min(axis=1) >= -_BOUND_NEGATIVE / d * e.max(axis=1)).all()
+                   for e in (eigs_a, eigs_b)):
+            return None
+        eigs_a, eigs_b = np.clip(eigs_a, 0.0, None), np.clip(eigs_b, 0.0, None)
+        gap = ((means[:, None, :] - nodes.means) ** 2).sum(axis=2)
+        spread = ((np.sqrt(eigs_a)[:, None, :] - np.sqrt(eigs_b)) ** 2).sum(axis=2)
+        scale = gap + eigs_a.sum(axis=1)[:, None] + eigs_b.sum(axis=1)
+        top = eigs_a.max(axis=1)[:, None] * eigs_b.max(axis=1)
+        if not (scale.max() < _BOUND_LIMIT and d * top.max() < _BOUND_LIMIT):
+            return None
+    noise = d * np.sqrt(d * np.finfo(np.float64).eps * top)
+    slack = _BOUND_REL * scale + _BOUND_NOISE * noise
+    return np.maximum(gap + spread - slack, 0.0)
 
 
 def full_cost_matrix(tree: ModeTree, modes) -> np.ndarray:
@@ -497,3 +539,37 @@ def oracle_write_manifest(m: Manifest, path) -> None:
         Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write manifest {path}: {exc}") from exc
+
+
+def oracle_refuse_repeats(ids: Sequence[str], where: str = "") -> None:
+    """Name the first sample id that repeats in `ids`, if one does, from a set of str."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValidationError(f"duplicate sample_id {sid!r}{where}")
+            seen.add(sid)
+
+
+def oracle_manifest_rows(manifest: Manifest, features: FeatureMatrix) -> np.ndarray:
+    """The ascending server rows of a manifest's ids, through a dict of str ids."""
+    index = dict(zip(features.sample_ids, range(features.n)))
+    ids = [sid for sid, _ in manifest.entries]
+    rows = [index.get(sid) for sid in ids]
+    if None in rows:
+        sid = ids[rows.index(None)]
+        raise ValidationError(f"manifest sample_id {sid!r} not found in server features")
+    return np.sort(np.asarray(rows, dtype=np.int64))
+
+
+def oracle_server_sha256(features: FeatureMatrix) -> bytes:
+    """`FeatureMatrix.sha256` over the str join of the decoded ids and labels."""
+    digest = hashlib.sha256(struct.pack("<QI", features.n, features.d))
+    digest.update(np.ascontiguousarray(features.values, dtype="<f4"))
+    digest.update("\n".join(features.sample_ids + features.dataset_labels).encode("utf-8"))
+    return digest.digest()
+
+
+def count_labels(labels: Iterable[str]) -> dict[str, int]:
+    """Rows per dataset label, keys sorted."""
+    return dict(sorted(Counter(labels).items()))

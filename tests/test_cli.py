@@ -1143,3 +1143,57 @@ def test_module_entry_point(tmp_path):
     assert refused.returncode == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert "absolute budget" in err
+
+
+def mixed_id_features() -> tuple[FeatureMatrix, FeatureMatrix]:
+    """A 160x4 server of four modes, whose ids have mixed byte widths and
+    non-ASCII characters and come in pairs that differ only by a trailing
+    NUL ("r0" and "r0\\0"), and whose labels include an empty one; and a 60-row
+    target near two of its modes, with ids of mixed widths."""
+    rng = np.random.default_rng(2026)
+    centers = rng.normal(scale=6.0, size=(4, 4))
+    server = np.concatenate([c + rng.normal(size=(40, 4)) for c in centers])
+    target = np.concatenate([centers[m] + rng.normal(size=(30, 4)) for m in (0, 2)])
+    ids = [["r", "é", "日本", "row-long-"][i % 4] + str(i // 8) + "\0" * (i // 4 % 2)
+           for i in range(160)]
+    labels = [["", "src-a", "sourcé", "s"][i // 40] for i in range(160)]
+    return (FeatureMatrix(server, ids, labels),
+            FeatureMatrix(target, [f"t{i}" for i in range(60)], ["target"] * 60))
+
+
+# SHA-256 of each output on mixed_id_features, written by the str-based id
+# handling that the byte columns replaced
+MIXED_ID_DIGESTS = {
+    "server.bmmf": "5b43a808b946018374eeefde6e0260a0c20a0d5d4cf7bd08a8462f0358befd7e",
+    "tree.bmmt": "3cec0d2f1d5aa84fba194e5eb834ceec341fc83a5c28c1f5136f3ca3a62be741",
+    "sel.manifest": "981dda7bedb04f3079b9d5f58218ef85e7af06becd50bc622409dae5e088c956",
+    "sel.manifest.report.txt": "5c38696b6bcf0537bb29b789635c97f2ca5a39dc2475fb4dfd23175f731534ac",
+    "sel.manifest.report.json": "dfb59fbe36c84cf740127357105b0b402f9b4c16330a4caf4720f565290e9820",
+    "gap.json": "76344876a69310cfcdb1a6d08a69d8cd9ad03c2d0aa3cd94c91722c78f04444b",
+    "pruned.manifest": "860aff85f425f6d082b814011c074a4fd45cda3fa88c931d1a6b32d6dbec47c6",
+    "uniform.manifest": "c2d5199c032c097056b448610508338459d85bf2d188f62e4effde662d3c72e6",
+}
+
+
+def test_mixed_width_ids_keep_their_output_bytes(tmp_path, capsys):
+    """build-server, match, evaluate and both prunes write the pinned bytes
+    on a server whose id and label blocks take the string-by-string read."""
+    server, target = mixed_id_features()
+    s, t = str(tmp_path / "server.bmmf"), str(tmp_path / "target.bmmf")
+    write_features(server, s)
+    write_features(target, t)
+    tree, selection = str(tmp_path / "tree.bmmt"), str(tmp_path / "sel.manifest")
+    assert main(["build-server", "--server-features", s, "--leaves", "8", "--tree", tree]) == 0
+    assert main(["match", "--tree", tree, "--server-features", s, "--target-features", t,
+                 "--target-clusters", "2", "--out", selection]) == 0
+    assert main(["evaluate", "--manifest", selection, "--server-features", s,
+                 "--target-features", t, "--out", str(tmp_path / "gap.json")]) == 0
+    assert main(["prune", "--manifest", selection, "--budget-frac", "0.5",
+                 "--strategy", "stratified", "--tree", tree, "--server-features", s,
+                 "--out", str(tmp_path / "pruned.manifest")]) == 0
+    assert main(["prune", "--manifest", selection, "--budget-n", "7",
+                 "--out", str(tmp_path / "uniform.manifest")]) == 0
+    assert "composition : 40\ncomposition sourcé: 40\n" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in MIXED_ID_DIGESTS}
+    assert digests == MIXED_ID_DIGESTS

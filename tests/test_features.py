@@ -20,11 +20,15 @@ from bmm import (
     write_features,
     write_manifest,
 )
-from bmm.features import _string_block, _uniform_ascii_block
+from bmm.cli import _manifest_rows
+from bmm.features import Strings, _concat, _string_block, _uniform_ascii_block
 from bmm.synth import granularity_probe_world, random_subset_world
 
 from conftest import make_features
-from oracles import oracle_read_manifest, oracle_string_block, oracle_write_manifest
+from oracles import (
+    count_labels, oracle_manifest_rows, oracle_read_manifest, oracle_refuse_repeats,
+    oracle_server_sha256, oracle_string_block, oracle_write_manifest,
+)
 
 
 def test_binary_minimal_roundtrip(tmp_path):
@@ -168,6 +172,16 @@ def test_csv_errors_name_the_line_in_the_file(tmp_path, row, message):
         read_features(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity"])
+def test_csv_refuses_non_finite_values_with_their_line(tmp_path, value):
+    """A value that parses to NaN or infinity is named with its file and
+    line, as a value beyond float32's range is."""
+    path = tmp_path / "c.csv"
+    path.write_text(f"sample_id,dataset_label,f0,f1\n\na,x,1,2\nc,x,3,{value}\n")
+    with pytest.raises(FormatError, match=f"c.csv:4: feature value {value} is not finite"):
+        read_features(path)
+
+
 def test_csv_keeps_values_that_round_to_float32s_largest(tmp_path):
     """A value past float32's largest that rounds down to it is read, as the
     float32 cast reads it; only a value that rounds to infinity is refused."""
@@ -295,6 +309,12 @@ def string_blocks(draw):
     return _block(payloads), n
 
 
+def _decoded_block(data: bytes, offset: int, n: int, what: str) -> tuple[list[str], int]:
+    """The strings of `_string_block`'s column, decoded, and the offset past them."""
+    strings, end = _string_block(data, offset, n, what)
+    return list(strings.decode()), end
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(string_blocks(), st.binary(max_size=5), st.binary(max_size=3))
 def test_string_block_equals_loop_oracle(scratch, case, prefix, suffix):
@@ -302,7 +322,7 @@ def test_string_block_equals_loop_oracle(scratch, case, prefix, suffix):
     offset = len(prefix)
     # every truncation, the whole block, and the block followed by more bytes
     for data in [prefix + block[:cut] for cut in range(len(block))] + [prefix + block + suffix]:
-        got = _outcome(_string_block, data, offset, n, "sample id")
+        got = _outcome(_decoded_block, data, offset, n, "sample id")
         assert got == _outcome(oracle_string_block, data, offset, n, "sample id")
     if got[0] != "ok":
         return
@@ -333,7 +353,7 @@ def test_world_string_blocks_take_the_fast_path(tmp_path, world):
         offset = 18 + 4 * m.n * m.d
         for strings in (m.sample_ids, m.dataset_labels):
             fast = _uniform_ascii_block(raw, offset, m.n)
-            assert fast is not None and fast[0] == list(strings)
+            assert fast is not None and fast[0].decode() == strings
             offset = fast[1]
         assert offset == len(raw)
 
@@ -419,3 +439,106 @@ def test_write_manifest_equals_line_oracle(scratch, entries, metadata):
     assert got == _outcome(oracle_write_manifest, manifest, old)
     if got[0] == "ok":
         assert new.read_bytes() == old.read_bytes()
+
+
+# ids that only an exact byte comparison tells apart: NULs, prefixes, the empty
+# id and non-ASCII characters
+_IDS = st.text(alphabet="a\x00\u00e9\u65e5", max_size=3)
+
+
+def _binary_file(ids: list[str], labels: list[str]) -> bytes:
+    """A one-column binary feature file with these ids and labels, checked or not."""
+    n = len(ids)
+    return (b"BMMF" + struct.pack("<HQI", 1, n, 1) + bytes(4 * n)
+            + _block([sid.encode() for sid in ids]) + _block([label.encode() for label in labels]))
+
+
+def _checks(make) -> None:
+    """Build what `make` builds, for its checks only."""
+    make()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_IDS, max_size=10))
+def test_repeat_check_names_the_oracles_first_repeat(scratch, ids):
+    """The one sort names the id the str-set scan names, in a feature file,
+    a feature matrix and a manifest alike."""
+    expected = _outcome(oracle_refuse_repeats, ids)
+    in_manifest = _outcome(oracle_refuse_repeats, ids, " in manifest")
+    assert _outcome(_checks, lambda: Manifest([(sid, "x") for sid in ids])) == in_manifest
+    path = scratch / "m.txt"
+    path.write_bytes("".join(f"{sid},x\n" for sid in ids).encode())
+    assert _outcome(_checks, lambda: read_manifest(path)) == in_manifest
+    if ids:
+        labels = ["x"] * len(ids)
+        made = _outcome(_checks, lambda: FeatureMatrix(np.zeros((len(ids), 1)), ids, labels))
+        assert made == expected
+        path = scratch / "f.bmmf"
+        path.write_bytes(_binary_file(ids, labels))
+        assert _outcome(_checks, lambda: read_features(path)) == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_IDS, min_size=1, max_size=10, unique=True), st.data())
+def test_manifest_lookup_names_the_oracles_first_missing_id(scratch, server_ids, data):
+    """Manifest ids map to the rows the str dict gives, and the first id that
+    the server lacks is the one named, whether the server was read from a
+    file or built from str."""
+    wanted = data.draw(st.lists(st.one_of(st.sampled_from(server_ids), _IDS),
+                                max_size=10, unique=True))
+    manifest = Manifest([(sid, "x") for sid in wanted])
+    path = scratch / "f.bmmf"
+    labels = ["x"] * len(server_ids)
+    path.write_bytes(_binary_file(server_ids, labels))
+    built = FeatureMatrix(np.zeros((len(labels), 1)), server_ids, labels)
+    for server in (read_features(path), built):
+        expected = _outcome(lambda: oracle_manifest_rows(manifest, server).tolist())
+        assert _outcome(lambda: _manifest_rows(manifest, server).tolist()) == expected
+
+
+_STRINGS = st.lists(st.text(alphabet="a\x00\u00e9\u65e5,#\n", max_size=3), max_size=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_STRINGS, st.data())
+def test_columns_join_take_and_decode_as_str_does(strings, data):
+    """A column's joined bytes are the str join's, its decode is the strings
+    and its rows, in any order, are theirs."""
+    column = Strings.from_str(strings)
+    assert _concat([column, b"\n"])[:-1] == "\n".join(strings).encode()
+    assert column.decode() == tuple(strings)
+    rows = data.draw(st.lists(st.integers(0, max(len(strings) - 1, 0)), max_size=len(strings)))
+    rows = np.asarray(rows if strings else [], dtype=np.int64)
+    assert column.take(rows).decode() == tuple(strings[r] for r in rows.tolist())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_IDS, st.text(alphabet="b\x00\u00e9", max_size=3)),
+                min_size=1, max_size=8, unique_by=lambda e: e[0]))
+def test_server_sha256_hashes_the_str_join(scratch, rows):
+    """The hash reads the joined id and label bytes that the str join encodes,
+    from a read file and from str alike."""
+    ids, labels = [sid for sid, _ in rows], [label for _, label in rows]
+    values = np.arange(len(ids), dtype=np.float32)[:, None]
+    path = scratch / "f.bmmf"
+    write_features(FeatureMatrix(values, ids, labels), path)
+    for server in (read_features(path), FeatureMatrix(values, ids, labels)):
+        assert server.sha256 == oracle_server_sha256(server)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_IDS, min_size=1, max_size=12), st.data())
+def test_composition_counts_equal_count_labels(labels, data):
+    """Counts per label at any rows, keys in the order `sorted` gives them."""
+    rows = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=12))
+    counts = Strings.from_str(labels).counts(np.asarray(rows, dtype=np.int64))
+    assert list(counts.items()) == list(count_labels(labels[r] for r in rows).items())
+
+
+def test_manifest_of_rows_checks_rows_that_do_not_ascend():
+    server = make_features(np.ones((4, 1)))
+    assert Manifest.of_rows(server, np.array([1, 3]), {}).entries == [("p1", "set-a"),
+                                                                     ("p3", "set-a")]
+    assert len(Manifest.of_rows(server, np.array([3, 0]), {})) == 2
+    with pytest.raises(ValidationError, match="duplicate sample_id 'p2' in manifest"):
+        Manifest.of_rows(server, np.array([2, 0, 2]), {})

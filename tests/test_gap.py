@@ -24,7 +24,7 @@ from bmm import (
 from bmm.gap import EPS, NodeCosts, cost_matrix
 
 from conftest import make_features, one_blas_thread
-from oracles import full_cost_matrix, reference_cost_matrix
+from oracles import full_cost_matrix, oracle_lower_bounds, reference_cost_matrix
 
 
 def stats_1d(mu: float, var: float, count: int = 10) -> ModeStats:
@@ -324,6 +324,31 @@ def test_lower_bound_is_below_the_computed_cost(case, d, log_eps, seed):
         # the eigenvalues pair up as in the exact distance: only the slack is left
         scale = computed + np.trace(target.cov) + np.trace(costs.covs, axis1=1, axis2=2) + d * EPS
         assert (computed - bounds[0] <= 1e-4 * scale).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(BOUND_CASES),
+    d=st.integers(1, 8),
+    log_eps=st.floats(-14.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+    targets=st.integers(1, 4),
+)
+def test_lower_bounds_equal_the_ridged_stack_expression(case, d, log_eps, seed, targets):
+    """The target modes' ridged eigenvalues come from the ridge rule alone, with
+    the bits the ridged covariance stack gave them, near the ridge too."""
+    rng = np.random.default_rng(seed)
+    factor = EPS / 10.0**log_eps
+    modes, nodes = [], []
+    for _ in range(targets):
+        target, more = bound_case(rng, case, d)
+        modes.append(scaled(target, factor))
+        nodes += [scaled(node, factor) for node in more]
+    costs = node_costs(nodes)
+    got, expected = costs.lower_bounds(modes), oracle_lower_bounds(costs, modes)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_lower_bound_refuses_inputs_it_cannot_bound(rng):

@@ -13,6 +13,7 @@ from bmm import (
     select_training_set,
     solve_assignment,
 )
+from bmm.features import Strings
 from bmm.matching import (
     match_report_payload,
     node_strata,
@@ -275,7 +276,7 @@ def test_selection_composition_counts(rng):
     labels = ["alpha" if i < 12 else "beta" for i in range(24)]
     p = problem_of(np.zeros((1, tree.node_count)))
     sel = selection_from_matches(tree, [tree.root_id], p)
-    composition = match_report_payload(sel, tree, 0.0, labels)["composition"]
+    composition = match_report_payload(sel, tree, 0.0, Strings.from_str(labels))["composition"]
     assert composition == {"alpha": 12, "beta": 12}
     assert sum(composition.values()) == sel.sample_rows.size
 
@@ -295,7 +296,7 @@ def test_select_training_set_and_report(rng):
     p = problem_of(cost)
     a = solve_assignment(p)
     sel = select_training_set(tree, a, p)
-    payload = match_report_payload(sel, tree, a.total_cost, fm.dataset_labels)
+    payload = match_report_payload(sel, tree, a.total_cost, fm.labels)
     text = render_match_report(payload, warn_fid=0.0)
     assert "total_cost" in text and "WARN" in text
     assert payload["total_cost"] == a.total_cost
